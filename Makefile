@@ -8,9 +8,9 @@ VERSION ?= dev
 GITSHA ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 LDFLAGS = -X main.buildVersion=$(VERSION) -X main.buildSHA=$(GITSHA)
 
-.PHONY: ci lint staticcheck vet build test docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot bench-obs bench-serving bench-train bench-kernels bench-autopilot
+.PHONY: ci lint staticcheck vet build test docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test perfbench bench-obs bench-serving bench-train bench-kernels bench-autopilot
 
-ci: lint staticcheck vet build test docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot
+ci: lint staticcheck vet build test docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test
 
 lint:
 	@unformatted=$$(gofmt -l .); \
@@ -81,6 +81,28 @@ race-infer:
 race-autopilot:
 	$(GO) test -race -count=3 ./internal/autopilot
 	$(GO) test -race -count=2 ./cmd/cardnet -run 'Autopilot|HealthzShape'
+
+# Short native-fuzzing pass over every fuzz target (seed corpora live in each
+# package's testdata/fuzz/; plain `go test` replays them too): the router's
+# routing-key extraction and the serving cache's packed curve key.
+fuzz-smoke:
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzExtractKey$$' -fuzztime=10s
+	$(GO) test ./internal/serving -run '^$$' -fuzz '^FuzzCurveKey$$' -fuzztime=10s
+
+# The benchmark's own helper tests. perfbench/ is a separate Go module, so
+# the root `go test ./...` does not reach it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
+# Run the repository benchmark (perfbench/, described by BENCHMARK.json) on
+# all three workloads and print each result line. Manual, not part of ci:
+# each workload measures for 10s after building and training its fixture.
+perfbench:
+	@for w in point-fresh sweep-zipf update-stream; do \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 10 --trace 0); rc=$$?; \
+		echo "$$w: $$(echo "$$out" | tail -n 1)"; \
+		[ $$rc -eq 0 ] || exit $$rc; \
+	done
 
 # Regenerate the instrumentation-overhead baseline (results/BENCH_obs.json).
 bench-obs:

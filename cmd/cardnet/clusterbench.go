@@ -276,16 +276,16 @@ func (f *benchFleet) close() {
 func runClusterBench(m *core.Model, testX *tensor.Matrix) (*clusterBenchSection, *failoverBenchSection, error) {
 	const cacheEntries = 320
 	tauMax := m.Cfg.TauMax
-	// Distinct (x, τ) pairs: 1.6× one replica's cache, so a lone replica's
-	// LRU thrashes under the cyclic scan while each shard of a 2+-replica
-	// split fits its cache.
+	// Distinct queries x (the cache holds one curve per x): 1.6× one
+	// replica's cache, so a lone replica's LRU thrashes under the cyclic scan
+	// while each shard of a 2+-replica split fits its cache.
 	workingSet := cacheEntries * 8 / 5
-	if max := testX.Rows * (tauMax + 1); workingSet > max {
-		workingSet = max
+	if workingSet > testX.Rows {
+		workingSet = testX.Rows
 	}
 	bodies := make([][]byte, workingSet)
 	for i := range bodies {
-		bodies[i] = estimateBodyJSON(testX.Row(i%testX.Rows), (i/testX.Rows)%(tauMax+1))
+		bodies[i] = estimateBodyJSON(testX.Row(i), i%(tauMax+1))
 	}
 	calls := 6 * workingSet
 

@@ -26,11 +26,12 @@
 // published atomically (temp file + fsync + rename with a CRC-checked
 // header), so the serve loader never sees a torn file. Serve runs the
 // internal/serving batched engine (micro-batching, admission control,
-// estimate cache, hot model swap — tune with -maxbatch/-maxwait/-queue/
+// estimate cache of one curve per packed x, hot model swap — tune with -maxbatch/-maxwait/-queue/
 // -workers/-cache) and exposes POST/GET /estimate, POST /admin/reload,
 // /metrics (obs registry snapshot), /healthz, and /debug/pprof/*; it shuts
 // down gracefully on SIGINT/SIGTERM. Router fronts N serve replicas with
-// cache-affine consistent-hash routing on (hash(x), τ), health probing with
+// cache-affine consistent-hash routing on x alone (every τ of a query goes to
+// the replica caching its curve), health probing with
 // ejection, bounded failover on 503/connect errors, graceful drain, and
 // canary model rollout via POST /admin/rollout (tune with -replicas/-vnodes/
 // -probe-interval/-eject-after/-failover-retries/-rollout-*). The router
@@ -104,7 +105,7 @@ func main() {
 	queueDepth := flag.Int("queue", 256, "serve: admission queue depth (full queue -> 503)")
 	workers := flag.Int("workers", 0, "train/update: data-parallel training shards (0 = all CPUs); serve: batch workers (0 = half the CPUs)")
 	benchEpochs := flag.Int("benchepochs", 8, "trainbench: training epochs per worker configuration")
-	cacheEntries := flag.Int("cache", 4096, "serve: estimate cache entries (negative disables)")
+	cacheEntries := flag.Int("cache", 4096, "serve: estimate cache capacity in query curves (negative disables)")
 	precision := flag.String("precision", "f64", "serve: inference precision tier (f64 | f32 | int8); compiled tiers serve only if the accuracy gate passes, else f64")
 	precisionGateDelta := flag.Float64("precision-gate-delta", infer.DefaultGateMaxDelta, "serve: max q-error p99 delta vs f64 a compiled precision tier may add before falling back")
 	precisionGateSweep := flag.Int("precision-gate-sweep", infer.DefaultGateSweep, "serve: validation queries the precision gate evaluates per (re)lowering")

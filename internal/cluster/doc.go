@@ -5,10 +5,11 @@
 // The pieces:
 //
 //   - Ring: a consistent-hash ring with virtual nodes. /estimate traffic is
-//     routed on KeyHash(x, τ) — the same (hash(x), τ) identity the per-replica
-//     estimate cache shards on — so each replica keeps seeing the same slice
-//     of the keyspace and its LRU cache stays hot. Adding or removing one of
-//     N replicas moves only ≈1/N of the keys.
+//     routed on KeyHash(x), the query alone: every τ of one x, and its
+//     all=true curve, lands on the replica whose cache holds that query's
+//     curve (replicas cache one curve per packed x), so each replica keeps
+//     seeing the same slice of the keyspace and its LRU cache stays hot.
+//     Adding or removing one of N replicas moves only ≈1/N of the keys.
 //
 //   - Prober: periodic /healthz + /metrics probes per replica (through the
 //     shared obs scrape client, the same fleet-health semantics fleetstat
@@ -31,6 +32,6 @@
 //     JSONL.
 //
 // The router is deliberately model-agnostic: it never decodes estimates,
-// only the (x, τ) routing key, so replicas stay the single source of truth
+// only the x routing key, so replicas stay the single source of truth
 // for validation and inference.
 package cluster

@@ -176,24 +176,17 @@ func mix64(x uint64) uint64 {
 }
 
 // KeyHash is the routing key for an encoded query: FNV-64a over the float
-// bits of x and the transformed threshold τ, scattered by the same
-// finalizer as the ring points. Two requests for the same (x, τ) — the
-// identity the per-replica estimate cache shards on — always hash to the
-// same ring position, which is what keeps each replica's cache hot. Full
-// τ-sweep requests pass tau = AllTaus so the whole curve for one x pins to
-// one replica.
-func KeyHash(x []float64, tau int) uint64 {
+// bits of x, scattered by the same finalizer as the ring points. Every τ of
+// one x — point requests and the full curve alike — lands on the same ring
+// position, so each query's curve lives in one replica's cache. A collision
+// here only costs affinity, never correctness: replicas key their caches on
+// the exact packed x.
+func KeyHash(x []float64) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	for _, v := range x {
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 		h.Write(b[:])
 	}
-	binary.LittleEndian.PutUint64(b[:], uint64(int64(tau)))
-	h.Write(b[:])
 	return mix64(h.Sum64())
 }
-
-// AllTaus is the τ placeholder KeyHash uses for full-curve (all=true)
-// requests: every τ of one x routes identically.
-const AllTaus = -1

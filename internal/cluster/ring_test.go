@@ -3,6 +3,11 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -151,21 +156,91 @@ func TestRingEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// TestKeyHashAffinity checks the routing key is a pure function of (x, τ)
-// and actually separates different queries.
+// TestKeyHashAffinity checks the routing key is a pure function of x and
+// actually separates different queries.
 func TestKeyHashAffinity(t *testing.T) {
 	x1 := []float64{1, 0, 1, 1, 0, 0, 1, 0}
 	x2 := []float64{1, 0, 1, 1, 0, 0, 1, 1}
-	if KeyHash(x1, 3) != KeyHash(append([]float64(nil), x1...), 3) {
-		t.Fatal("same (x, τ) hashed differently")
+	if KeyHash(x1) != KeyHash(append([]float64(nil), x1...)) {
+		t.Fatal("same x hashed differently")
 	}
-	if KeyHash(x1, 3) == KeyHash(x1, 4) {
-		t.Fatal("different τ hashed identically")
-	}
-	if KeyHash(x1, 3) == KeyHash(x2, 3) {
+	if KeyHash(x1) == KeyHash(x2) {
 		t.Fatal("different x hashed identically")
 	}
-	if KeyHash(x1, AllTaus) == KeyHash(x1, 0) {
-		t.Fatal("all-τ key collides with τ=0")
+}
+
+// binaryX returns the 64-feature binary expansion of i.
+func binaryX(i uint64) []float64 {
+	x := make([]float64, 64)
+	for b := range x {
+		x[b] = float64((i >> b) & 1)
+	}
+	return x
+}
+
+// TestRouteKeyIgnoresTau: every τ and the all=true curve request of one x,
+// over POST and GET, extract the same key and so the same failover list —
+// the whole curve of a query lives on one replica.
+func TestRouteKeyIgnoresTau(t *testing.T) {
+	r := NewRing(64)
+	for _, m := range []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"} {
+		r.Add(m)
+	}
+	for i := uint64(0); i < 50; i++ {
+		x := binaryX(mix64(i))
+		parts := make([]string, len(x))
+		for j, v := range x {
+			parts[j] = strconv.FormatFloat(v, 'g', -1, 64)
+		}
+		csv := strings.Join(parts, ",")
+		reqs := []*http.Request{
+			httptest.NewRequest(http.MethodPost, "/estimate", strings.NewReader(`{"x":[`+csv+`],"all":true}`)),
+			httptest.NewRequest(http.MethodGet, "/estimate?all=true&x="+csv, nil),
+		}
+		for tau := 0; tau <= 20; tau++ {
+			reqs = append(reqs,
+				httptest.NewRequest(http.MethodPost, "/estimate", strings.NewReader(fmt.Sprintf(`{"x":[%s],"tau":%d}`, csv, tau))),
+				httptest.NewRequest(http.MethodGet, fmt.Sprintf("/estimate?x=%s&tau=%d", csv, tau), nil))
+		}
+		want := r.Successors(KeyHash(x), 4)
+		for _, req := range reqs {
+			_, key, err := extractKey(req)
+			if err != nil {
+				t.Fatalf("%s %s: %v", req.Method, req.URL, err)
+			}
+			if got := r.Successors(key, 4); !slices.Equal(got, want) {
+				t.Fatalf("%s %s routed to %v, x alone to %v", req.Method, req.URL, got, want)
+			}
+		}
+	}
+}
+
+// TestKeyHashDistinctXUniform is the ±10% property on real routing keys:
+// distinct binary queries spread evenly over the replicas.
+func TestKeyHashDistinctXUniform(t *testing.T) {
+	const n = 100_000
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = KeyHash(binaryX(mix64(uint64(i))))
+	}
+	for _, nodes := range []int{2, 4, 8} {
+		r := NewRing(DefaultVNodes)
+		for i := 0; i < nodes; i++ {
+			r.Add(fmt.Sprintf("http://10.0.0.%d:8089", i+1))
+		}
+		counts := map[string]int{}
+		for _, k := range keys {
+			node, _ := r.Lookup(k)
+			counts[node]++
+		}
+		want := float64(n) / float64(nodes)
+		for node, c := range counts {
+			if dev := math.Abs(float64(c)-want) / want; dev > 0.10 {
+				t.Errorf("nodes=%d: %s owns %d queries, want %.0f ±10%% (dev %.1f%%)", nodes, node, c, want, dev*100)
+			}
+		}
+		if len(counts) != nodes {
+			t.Errorf("nodes=%d: only %d nodes received queries", nodes, len(counts))
+		}
 	}
 }

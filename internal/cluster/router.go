@@ -234,12 +234,10 @@ func (rt *Router) Handler() http.Handler {
 }
 
 // routeKey is the slice of an estimate/feedback body the router must
-// decode: just enough to compute the affinity key. Everything else passes
+// decode: just x, the affinity key. Everything else, τ included, passes
 // through opaque.
 type routeKey struct {
-	X   []float64 `json:"x"`
-	Tau *int      `json:"tau"`
-	All bool      `json:"all"`
+	X []float64 `json:"x"`
 }
 
 // handleProxy routes one /estimate or /feedback request to its ring node
@@ -279,7 +277,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	body, key, err := rt.extractKey(r)
+	body, key, err := extractKey(r)
 	rt.hStageRoute.ObserveDuration(tr.Mark(StageRoute))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -376,7 +374,7 @@ func attemptRecord(n int, base, outcome string, d time.Duration) map[string]any 
 
 // extractKey reads the request far enough to compute the routing key and
 // returns the (possibly re-buffered) body for forwarding.
-func (rt *Router) extractKey(r *http.Request) ([]byte, uint64, error) {
+func extractKey(r *http.Request) ([]byte, uint64, error) {
 	var rk routeKey
 	switch r.Method {
 	case http.MethodPost:
@@ -387,7 +385,7 @@ func (rt *Router) extractKey(r *http.Request) ([]byte, uint64, error) {
 		if err := json.Unmarshal(body, &rk); err != nil {
 			return nil, 0, fmt.Errorf("bad JSON body: %v", err)
 		}
-		return body, keyOf(rk), nil
+		return body, KeyHash(rk.X), nil
 	case http.MethodGet:
 		q := r.URL.Query()
 		for _, s := range strings.Split(q.Get("x"), ",") {
@@ -401,28 +399,10 @@ func (rt *Router) extractKey(r *http.Request) ([]byte, uint64, error) {
 			}
 			rk.X = append(rk.X, v)
 		}
-		if ts := q.Get("tau"); ts != "" {
-			tau, err := strconv.Atoi(ts)
-			if err != nil {
-				return nil, 0, fmt.Errorf("bad tau %q", ts)
-			}
-			rk.Tau = &tau
-		}
-		rk.All = q.Get("all") == "true" || q.Get("all") == "1"
-		return nil, keyOf(rk), nil
+		return nil, KeyHash(rk.X), nil
 	default:
 		return nil, 0, fmt.Errorf("method %s not allowed", r.Method)
 	}
-}
-
-// keyOf maps the decoded routing fields to the affinity key. Full-curve
-// requests and keyless bodies (replicas own validation) use AllTaus.
-func keyOf(rk routeKey) uint64 {
-	tau := AllTaus
-	if !rk.All && rk.Tau != nil {
-		tau = *rk.Tau
-	}
-	return KeyHash(rk.X, tau)
 }
 
 // orderCandidates moves candidates inside a Retry-After cooloff to the back

@@ -2,52 +2,82 @@ package serving
 
 import (
 	"container/list"
-	"math"
+	"encoding/binary"
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
-// tauAll is the cache-key τ of an all-τ entry (a full estimate curve).
-// Request validation rejects negative τ, so it cannot collide with a real
-// threshold.
-const tauAll = -1
-
-// cacheKey identifies one cached estimate: the 64-bit hash of the encoded
-// query vector plus the transformed threshold (or tauAll).
-type cacheKey struct {
-	h   uint64
-	tau int
+// curveKey is a query's exact cache identity: x packed one bit per feature,
+// 64 features per little-endian uint64 word (bits), plus a mix of the packed
+// words (h), which picks the shard only. Packing is injective on {0,1}^d, so
+// two vectors of one model's width share bits exactly when they are equal.
+type curveKey struct {
+	bits string
+	h    uint64
 }
 
-// cacheEntry is an LRU node payload: len(vals) == 1 for a single-τ estimate,
-// TauMax+1 for an all-τ curve.
+// packX validates that every component of x is exactly 0 or 1 and packs it
+// into its curve key. Any other value (0.5, 2, NaN, ±Inf) is ErrBadInput:
+// packing would not be injective on it.
+func packX(x []float64) (curveKey, error) {
+	buf := make([]byte, (len(x)+63)/64*8)
+	for i, v := range x {
+		switch v {
+		case 0:
+		case 1:
+			buf[i/8] |= 1 << (i % 8)
+		default:
+			return curveKey{}, fmt.Errorf("%w: x[%d] = %v, encoded features must be binary 0/1", ErrBadInput, i, v)
+		}
+	}
+	var h uint64
+	for i := 0; i < len(buf); i += 8 {
+		h = mix64(h ^ binary.LittleEndian.Uint64(buf[i:]))
+	}
+	return curveKey{bits: string(buf), h: h}, nil
+}
+
+// mix64 is the splitmix64 finalizer: it spreads low-entropy packed words
+// across shards.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// cacheEntry is an LRU node payload: one query's estimate curve, TauMax+1
+// values, owned by the entry (never a view into a batch matrix).
 type cacheEntry struct {
-	key  cacheKey
-	vals []float64
+	bits  string
+	curve []float64
 }
 
-// estimateCache is a sharded LRU over estimates. Shards are selected by key
-// hash so concurrent lookups rarely contend on one mutex. A generation
-// counter implements invalidation-on-swap: Invalidate bumps the generation
-// and clears every shard, and Put drops values whose generation snapshot is
-// stale, so a batch computed against a replaced model can never re-populate
-// the cache afterwards.
-type estimateCache struct {
+// curveCache is a sharded LRU over estimate curves, one per packed x. Shards
+// are selected by key hash so concurrent lookups rarely contend on one mutex.
+// A generation counter implements invalidation-on-swap: Invalidate bumps the
+// generation and clears every shard, and Put drops curves whose generation
+// snapshot is stale, so a batch computed against a replaced model can never
+// re-populate the cache afterwards.
+type curveCache struct {
 	shards []cacheShard
 	mask   uint64
 	gen    atomic.Uint64
 }
 
 type cacheShard struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List
-	byKey map[cacheKey]*list.Element
+	mu     sync.Mutex
+	cap    int
+	ll     *list.List
+	byBits map[string]*list.Element
 }
 
-// newEstimateCache builds a cache of ~entries capacity split over shards
-// (rounded up to a power of two).
-func newEstimateCache(entries, shards int) *estimateCache {
+// newCurveCache builds a cache of ~entries curves split over shards (rounded
+// up to a power of two); entries <= 0 disables it (nil).
+func newCurveCache(entries, shards int) *curveCache {
 	if entries <= 0 {
 		return nil
 	}
@@ -56,33 +86,30 @@ func newEstimateCache(entries, shards int) *estimateCache {
 		n <<= 1
 	}
 	perShard := (entries + n - 1) / n
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &estimateCache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
+	c := &curveCache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
 	for i := range c.shards {
-		c.shards[i] = cacheShard{cap: perShard, ll: list.New(), byKey: make(map[cacheKey]*list.Element)}
+		c.shards[i] = cacheShard{cap: perShard, ll: list.New(), byBits: make(map[string]*list.Element)}
 	}
 	return c
 }
 
-func (c *estimateCache) shard(k cacheKey) *cacheShard {
+func (c *curveCache) shard(k curveKey) *cacheShard {
 	return &c.shards[k.h&c.mask]
 }
 
 // Gen returns the current generation. Snapshot it before running a forward
 // pass and hand it to Put.
-func (c *estimateCache) Gen() uint64 { return c.gen.Load() }
+func (c *curveCache) Gen() uint64 { return c.gen.Load() }
 
-// Get returns the cached values for k, refreshing its LRU position.
-func (c *estimateCache) Get(k cacheKey) ([]float64, bool) {
+// Get returns the cached curve for k, refreshing its LRU position.
+func (c *curveCache) Get(k curveKey) ([]float64, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
-	var vals []float64
-	el, ok := s.byKey[k]
+	var curve []float64
+	el, ok := s.byBits[k.bits]
 	if ok {
 		s.ll.MoveToFront(el)
-		vals = el.Value.(*cacheEntry).vals // read under the lock: Put may replace it
+		curve = el.Value.(*cacheEntry).curve
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -90,13 +117,14 @@ func (c *estimateCache) Get(k cacheKey) ([]float64, bool) {
 		return nil, false
 	}
 	mCacheHits.Inc()
-	return vals, true
+	return curve, true
 }
 
-// Put inserts vals under k, evicting the shard's least-recently-used entry
+// Put inserts curve under k, evicting the shard's least-recently-used entry
 // when full. The write is dropped if gen is stale (the cache was invalidated
-// after the caller snapshotted it).
-func (c *estimateCache) Put(k cacheKey, vals []float64, gen uint64) {
+// after the caller snapshotted it). A key already cached keeps its curve:
+// within one generation both came from the same model.
+func (c *curveCache) Put(k curveKey, curve []float64, gen uint64) {
 	if c.gen.Load() != gen {
 		return
 	}
@@ -109,30 +137,27 @@ func (c *estimateCache) Put(k cacheKey, vals []float64, gen uint64) {
 	if c.gen.Load() != gen {
 		return
 	}
-	if el, ok := s.byKey[k]; ok {
-		el.Value.(*cacheEntry).vals = vals
+	if el, ok := s.byBits[k.bits]; ok {
 		s.ll.MoveToFront(el)
 		return
 	}
 	if s.ll.Len() >= s.cap {
 		oldest := s.ll.Back()
-		if oldest != nil {
-			s.ll.Remove(oldest)
-			delete(s.byKey, oldest.Value.(*cacheEntry).key)
-			mCacheEvicts.Inc()
-		}
+		s.ll.Remove(oldest)
+		delete(s.byBits, oldest.Value.(*cacheEntry).bits)
+		mCacheEvicts.Inc()
 	}
-	s.byKey[k] = s.ll.PushFront(&cacheEntry{key: k, vals: vals})
+	s.byBits[k.bits] = s.ll.PushFront(&cacheEntry{bits: k.bits, curve: curve})
 }
 
 // Invalidate clears every shard and bumps the generation, racing correctly
 // with concurrent Puts holding an older generation.
-func (c *estimateCache) Invalidate() {
+func (c *curveCache) Invalidate() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		s.ll.Init()
-		s.byKey = make(map[cacheKey]*list.Element)
+		s.byBits = make(map[string]*list.Element)
 	}
 	c.gen.Add(1)
 	for i := range c.shards {
@@ -140,8 +165,8 @@ func (c *estimateCache) Invalidate() {
 	}
 }
 
-// Len returns the total number of cached entries (test/ops helper).
-func (c *estimateCache) Len() int {
+// Len returns the total number of cached curves (test/ops helper).
+func (c *curveCache) Len() int {
 	var n int
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -150,29 +175,4 @@ func (c *estimateCache) Len() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// hashX hashes an encoded query vector with FNV-1a over the IEEE-754 bytes
-// of each component, finished with a splitmix64 avalanche so that low-entropy
-// binary vectors still spread across shards.
-func hashX(x []float64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, v := range x {
-		b := math.Float64bits(v)
-		for i := 0; i < 8; i++ {
-			h ^= b & 0xff
-			h *= prime64
-			b >>= 8
-		}
-	}
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
 }

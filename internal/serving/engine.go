@@ -28,8 +28,8 @@ type Config struct {
 	// CPUs, at least 1). Each worker forms and runs its own batches; the
 	// model forward pass is goroutine-safe.
 	Workers int
-	// CacheEntries is the estimate-cache capacity; 0 uses the default 4096,
-	// negative disables the cache.
+	// CacheEntries is the estimate-cache capacity in query curves (TauMax+1
+	// float64 each); 0 uses the default 4096, negative disables the cache.
 	CacheEntries int
 	// CacheShards is the cache shard count, rounded up to a power of two
 	// (default 8).
@@ -82,14 +82,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// request is one queued estimate; done is buffered so a worker can always
-// complete a request whose caller has already given up on its deadline.
+// request is one queued query; done is buffered so a worker can always
+// complete a request whose caller has already given up on its deadline. The
+// worker always answers with the query's whole estimate curve.
 type request struct {
 	ctx  context.Context
 	x    []float64
-	tau  int
-	all  bool
-	h    uint64 // hash of x, set when the cache is enabled
+	key  curveKey
 	done chan result
 
 	tr  *obs.Trace // optional request trace (nil when untraced)
@@ -97,9 +96,8 @@ type request struct {
 }
 
 type result struct {
-	val float64
-	all []float64
-	err error
+	curve []float64
+	err   error
 }
 
 // Engine is the batched inference front-end over a model Registry. Create
@@ -108,7 +106,7 @@ type result struct {
 type Engine struct {
 	cfg    Config
 	reg    *Registry
-	cache  *estimateCache
+	cache  *curveCache
 	plan   atomic.Pointer[planState] // compiled precision plan (nil plan = f64)
 	shadow atomic.Pointer[ShadowTap] // optional dual-run tap (nil = off)
 
@@ -126,8 +124,8 @@ type Engine struct {
 //
 // The tap runs on the batch worker's hot path: it must return quickly (copy
 // the rows it wants to keep and hand off to its own goroutine) and must not
-// retain or mutate either matrix — the engine reuses nothing, but the slices
-// alias response data that was already delivered.
+// retain or mutate either matrix. Clients and the cache hold their own copies
+// of each curve, so the tap never aliases delivered data.
 type ShadowTap func(xs, live *tensor.Matrix)
 
 // NewEngine starts cfg.Workers batch workers over the registry's model and
@@ -137,7 +135,7 @@ func NewEngine(reg *Registry, cfg Config) *Engine {
 	e := &Engine{
 		cfg:   cfg,
 		reg:   reg,
-		cache: newEstimateCache(cfg.CacheEntries, cfg.CacheShards),
+		cache: newCurveCache(cfg.CacheEntries, cfg.CacheShards),
 		q:     make(chan *request, cfg.QueueDepth),
 	}
 	if e.cache != nil {
@@ -169,7 +167,7 @@ func (e *Engine) SetShadowTap(tap ShadowTap) {
 	e.shadow.Store(&tap)
 }
 
-// CacheLen reports the number of cached estimates (0 when disabled).
+// CacheLen reports the number of cached query curves (0 when disabled).
 func (e *Engine) CacheLen() int {
 	if e.cache == nil {
 		return 0
@@ -180,8 +178,8 @@ func (e *Engine) CacheLen() int {
 // Estimate returns the cardinality estimate for an encoded query x at
 // transformed threshold τ, batching the forward pass with concurrent
 // requests. It fails fast with ErrOverloaded when the queue is full, ErrClosed
-// after Close, ErrBadInput on shape/τ violations, and the context error when
-// ctx expires first.
+// after Close, ErrBadInput on shape/τ violations or a component of x other
+// than 0 or 1, and the context error when ctx expires first.
 func (e *Engine) Estimate(ctx context.Context, x []float64, tau int) (float64, error) {
 	return e.EstimateTraced(ctx, x, tau, nil)
 }
@@ -190,25 +188,14 @@ func (e *Engine) Estimate(ctx context.Context, x []float64, tau int) (float64, e
 // marks the cache, queue.wait, batch.form, and forward stages on it and
 // annotates batch size and flush reason. A nil trace costs nothing.
 func (e *Engine) EstimateTraced(ctx context.Context, x []float64, tau int, tr *obs.Trace) (float64, error) {
-	m, _ := e.reg.Current()
-	if len(x) != m.InDim {
-		return 0, fmt.Errorf("%w: x has %d features, model expects %d", ErrBadInput, len(x), m.InDim)
-	}
-	if tau < 0 || tau > m.Cfg.TauMax {
+	if m, _ := e.reg.Current(); tau < 0 || tau > m.Cfg.TauMax {
 		return 0, fmt.Errorf("%w: tau %d outside [0, %d]", ErrBadInput, tau, m.Cfg.TauMax)
 	}
-	mRequests.Inc()
-	r := &request{ctx: ctx, x: x, tau: tau, done: make(chan result, 1), tr: tr}
-	if e.cache != nil {
-		r.h = hashX(x)
-		v, ok := e.cache.Get(cacheKey{r.h, tau})
-		markCache(tr, ok)
-		if ok {
-			return v[0], nil
-		}
+	curve, err := e.curve(ctx, x, tr)
+	if err != nil {
+		return 0, err
 	}
-	res, err := e.dispatch(ctx, r)
-	return res.val, err
+	return curve[tau], nil
 }
 
 // EstimateAll returns the full estimate curve (every τ in [0, TauMax]) for
@@ -220,22 +207,29 @@ func (e *Engine) EstimateAll(ctx context.Context, x []float64) ([]float64, error
 
 // EstimateAllTraced is EstimateAll with an optional request trace.
 func (e *Engine) EstimateAllTraced(ctx context.Context, x []float64, tr *obs.Trace) ([]float64, error) {
-	m, _ := e.reg.Current()
-	if len(x) != m.InDim {
+	return e.curve(ctx, x, tr)
+}
+
+// curve is the lookup-and-dispatch path both entry points share: validate
+// and pack x, answer from the cached curve, or queue x for a batched forward
+// pass whose curve the worker caches.
+func (e *Engine) curve(ctx context.Context, x []float64, tr *obs.Trace) ([]float64, error) {
+	if m, _ := e.reg.Current(); len(x) != m.InDim {
 		return nil, fmt.Errorf("%w: x has %d features, model expects %d", ErrBadInput, len(x), m.InDim)
 	}
+	key, err := packX(x)
+	if err != nil {
+		return nil, err
+	}
 	mRequests.Inc()
-	r := &request{ctx: ctx, x: x, all: true, done: make(chan result, 1), tr: tr}
 	if e.cache != nil {
-		r.h = hashX(x)
-		v, ok := e.cache.Get(cacheKey{r.h, tauAll})
+		curve, ok := e.cache.Get(key)
 		markCache(tr, ok)
 		if ok {
-			return v, nil
+			return curve, nil
 		}
 	}
-	res, err := e.dispatch(ctx, r)
-	return res.all, err
+	return e.dispatch(ctx, &request{ctx: ctx, x: x, key: key, done: make(chan result, 1), tr: tr})
 }
 
 // markCache closes the cache-lookup stage on a traced request.
@@ -247,10 +241,10 @@ func markCache(tr *obs.Trace, hit bool) {
 	tr.Annotate("cache_hit", hit)
 }
 
-// dispatch submits r and waits for its result or the context deadline.
-func (e *Engine) dispatch(ctx context.Context, r *request) (result, error) {
+// dispatch submits r and waits for its curve or the context deadline.
+func (e *Engine) dispatch(ctx context.Context, r *request) ([]float64, error) {
 	if err := e.submit(r); err != nil {
-		return result{}, err
+		return nil, err
 	}
 	var done <-chan struct{}
 	if ctx != nil {
@@ -258,10 +252,10 @@ func (e *Engine) dispatch(ctx context.Context, r *request) (result, error) {
 	}
 	select {
 	case res := <-r.done:
-		return res, res.err
+		return res.curve, res.err
 	case <-done:
 		mExpired.Inc()
-		return result{}, ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
@@ -338,10 +332,11 @@ func (e *Engine) collect(first *request) ([]*request, string) {
 }
 
 // run executes one batch: expired requests are failed individually, the
-// rest share a single stacked forward pass on the current model, and every
-// result is delivered and cached. The model pointer and cache generation are
-// snapshotted together so a concurrent swap can neither fail the batch nor
-// let its results poison the post-swap cache.
+// rest share a single stacked forward pass on the current model, and each
+// row is copied out once as that query's curve, delivered and cached (so a
+// cached curve never pins the batch matrix). The model pointer and cache
+// generation are snapshotted together so a concurrent swap can neither fail
+// the batch nor let its results poison the post-swap cache.
 //
 // For traced requests the batching interval is split per request at
 // batchStart: time from enqueue to batchStart is queue-wait (clamped into
@@ -412,23 +407,14 @@ func (e *Engine) run(batch []*request, batchStart time.Time, reason string) {
 		}
 	}
 	for i, r := range live {
-		row := all.Row(i)
+		curve := append([]float64(nil), all.Row(i)...)
 		if e.cfg.CurveCheck != nil {
-			e.cfg.CurveCheck(row)
+			e.cfg.CurveCheck(curve)
 		}
-		if r.all {
-			vals := append([]float64(nil), row...)
-			if e.cache != nil {
-				e.cache.Put(cacheKey{r.h, tauAll}, vals, gen)
-			}
-			r.done <- result{all: vals}
-			continue
-		}
-		v := row[r.tau]
 		if e.cache != nil {
-			e.cache.Put(cacheKey{r.h, r.tau}, []float64{v}, gen)
+			e.cache.Put(r.key, curve, gen)
 		}
-		r.done <- result{val: v}
+		r.done <- result{curve: curve}
 	}
 	if e.cache != nil {
 		mCacheSize.Set(float64(e.cache.Len()))

@@ -3,6 +3,7 @@ package serving
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -79,6 +80,24 @@ func TestEngineRejectsBadInput(t *testing.T) {
 	}
 	if _, err := e.EstimateAll(context.Background(), nil); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("nil x: err=%v", err)
+	}
+}
+
+// TestEngineRejectsNonBinaryX: the engine enforces the {0,1}^d contract the
+// packed key relies on, for both entry points.
+func TestEngineRejectsNonBinaryX(t *testing.T) {
+	m := testModel(1)
+	e := NewEngine(NewRegistry(m), Config{})
+	defer e.Close()
+	for _, v := range []float64{0.5, 2, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		x := binVec(1, m.InDim)
+		x[3] = v
+		if _, err := e.Estimate(context.Background(), x, 0); !errors.Is(err, ErrBadInput) {
+			t.Errorf("Estimate with x[3]=%v: err=%v, want ErrBadInput", v, err)
+		}
+		if _, err := e.EstimateAll(context.Background(), x); !errors.Is(err, ErrBadInput) {
+			t.Errorf("EstimateAll with x[3]=%v: err=%v, want ErrBadInput", v, err)
+		}
 	}
 }
 

@@ -14,9 +14,12 @@
 //   - Admission control: a bounded queue with per-request context deadlines.
 //     When the queue is full, Estimate fails fast with ErrOverloaded (the
 //     HTTP layer maps it to 503) instead of piling up goroutines.
-//   - Estimate cache: a sharded LRU keyed on (hash(x), τ), invalidated on
-//     model swap via a generation counter so results computed against a
-//     replaced model can never be served afterwards.
+//   - Estimate cache: a sharded LRU of estimate curves, one per packed x
+//     (one bit per feature, so the key is exact, not a hash). Every miss
+//     computes the whole monotone curve g(x, 0..τmax) anyway (Lemmas 1–2),
+//     so one forward answers every τ of that query, point or full curve. It
+//     is invalidated on model swap via a generation counter so results
+//     computed against a replaced model can never be served afterwards.
 //   - Model registry: a versioned atomic pointer to the live model. Swap
 //     validates shape compatibility (InDim, TauMax) and replaces the model
 //     without failing in-flight requests — batches already formed finish on
@@ -54,7 +57,7 @@ var (
 // layer; the engine marks cache, queue.wait, batch.form, and forward.
 const (
 	StageAdmission = "admission"  // parse + validate, before entering the engine
-	StageCache     = "cache"      // estimate-cache lookup
+	StageCache     = "cache"      // curve-cache lookup
 	StageQueueWait = "queue.wait" // enqueue until a worker starts forming the batch
 	StageBatchForm = "batch.form" // batch formation until flush (size/deadline/shutdown)
 	StageForward   = "forward"    // shared stacked forward pass
