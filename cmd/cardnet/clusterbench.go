@@ -278,14 +278,15 @@ func runClusterBench(m *core.Model, testX *tensor.Matrix) (*clusterBenchSection,
 	tauMax := m.Cfg.TauMax
 	// Distinct queries x (the cache holds one curve per x): 1.6× one
 	// replica's cache, so a lone replica's LRU thrashes under the cyclic scan
-	// while each shard of a 2+-replica split fits its cache.
+	// while each shard of a 2+-replica split fits its cache. The test split
+	// is small (a dozen queries), so each variant flips one bit of a test row.
 	workingSet := cacheEntries * 8 / 5
-	if workingSet > testX.Rows {
-		workingSet = testX.Rows
-	}
 	bodies := make([][]byte, workingSet)
 	for i := range bodies {
-		bodies[i] = estimateBodyJSON(testX.Row(i), i%(tauMax+1))
+		x := append([]float64(nil), testX.Row(i%testX.Rows)...)
+		b := (i / testX.Rows) % len(x)
+		x[b] = 1 - x[b]
+		bodies[i] = estimateBodyJSON(x, i%(tauMax+1))
 	}
 	calls := 6 * workingSet
 

@@ -26,13 +26,13 @@
 // published atomically (temp file + fsync + rename with a CRC-checked
 // header), so the serve loader never sees a torn file. Serve runs the
 // internal/serving batched engine (micro-batching, admission control,
-// estimate cache of one curve per packed x, hot model swap — tune with -maxbatch/-maxwait/-queue/
-// -workers/-cache) and exposes POST/GET /estimate, POST /admin/reload,
-// /metrics (obs registry snapshot), /healthz, and /debug/pprof/*; it shuts
-// down gracefully on SIGINT/SIGTERM. Router fronts N serve replicas with
-// cache-affine consistent-hash routing on x alone (every τ of a query goes to
-// the replica caching its curve), health probing with
-// ejection, bounded failover on 503/connect errors, graceful drain, and
+// estimate cache of one curve per packed x, hot model swap — tune with
+// -maxbatch/-maxwait/-queue/-workers/-cache) and exposes POST/GET /estimate,
+// POST /admin/reload, /metrics (obs registry snapshot), /healthz, and
+// /debug/pprof/*; it shuts down gracefully on SIGINT/SIGTERM. Router fronts
+// N serve replicas with cache-affine consistent-hash routing on x alone
+// (every τ of a query goes to the replica caching its curve), health
+// probing with ejection, bounded failover on 503/connect errors, graceful drain, and
 // canary model rollout via POST /admin/rollout (tune with -replicas/-vnodes/
 // -probe-interval/-eject-after/-failover-retries/-rollout-*). The router
 // propagates a fleet-wide trace ID to its replicas (X-Trace-Id, with the

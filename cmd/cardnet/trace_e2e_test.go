@@ -77,31 +77,32 @@ func TestRouterE2ETraceAssembly(t *testing.T) {
 	front := httptest.NewServer(rt.Handler())
 	t.Cleanup(func() { front.Close(); rt.Close() })
 
-	// Drive traffic across distinct keys (three x variants × nine taus) so
-	// both replicas own ring segments; collect the response trace IDs.
+	// Drive traffic across 27 distinct queries (the router keys on x alone)
+	// so both replicas own ring segments; collect the response trace IDs.
 	xs := binXStrings(m)
 	responded := map[string]bool{}
 	calls := 0
-	for variant := 0; variant < 3; variant++ {
+	for variant := 0; variant < 27; variant++ {
 		x := append([]string(nil), xs...)
-		x[variant] = "1"
-		for tau := 0; tau <= 8; tau++ {
-			body := fmt.Sprintf(`{"x":[%s],"tau":%d}`, strings.Join(x, ","), tau)
-			resp, err := http.Post(front.URL+"/estimate", "application/json", bytes.NewBufferString(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("variant=%d tau=%d status=%d", variant, tau, resp.StatusCode)
-			}
-			tid := resp.Header.Get(obs.TraceHeader)
-			if tid == "" {
-				t.Fatal("response missing X-Trace-Id")
-			}
-			responded[tid] = true
-			calls++
+		for b := 0; b < 5; b++ {
+			x[b] = fmt.Sprint(variant >> b & 1)
 		}
+		tau := variant % 9
+		body := fmt.Sprintf(`{"x":[%s],"tau":%d}`, strings.Join(x, ","), tau)
+		resp, err := http.Post(front.URL+"/estimate", "application/json", bytes.NewBufferString(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("variant=%d tau=%d status=%d", variant, tau, resp.StatusCode)
+		}
+		tid := resp.Header.Get(obs.TraceHeader)
+		if tid == "" {
+			t.Fatal("response missing X-Trace-Id")
+		}
+		responded[tid] = true
+		calls++
 	}
 	if rejected.Load() < 3 {
 		t.Fatalf("replica B rejected only %d requests; failover not exercised", rejected.Load())
