@@ -84,10 +84,12 @@ race-autopilot:
 
 # Short native-fuzzing pass over every fuzz target (seed corpora live in each
 # package's testdata/fuzz/; plain `go test` replays them too): the router's
-# routing-key extraction and the serving cache's packed curve key.
+# routing-key extraction, the serving cache's packed curve key, and the ABT
+# kernels against the per-element dot products.
 fuzz-smoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzExtractKey$$' -fuzztime=10s
 	$(GO) test ./internal/serving -run '^$$' -fuzz '^FuzzCurveKey$$' -fuzztime=10s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMulABT$$' -fuzztime=10s
 
 # The benchmark's own helper tests. perfbench/ is a separate Go module, so
 # the root `go test ./...` does not reach it.
@@ -130,7 +132,8 @@ bench-autopilot:
 		-calls 1500 -benchout results/BENCH_autopilot.json
 
 # Kernel-level GFLOP/s table for the inference fast path: the f64/f32/int8
-# ABT kernels, int8 activation quantization, and the zero-skip-vs-branch-free
-# dense matmul comparison, all at the trainbench harness shape.
+# ABT kernels (at the trainbench batch of 256 rows and at the 1- and 2-row
+# serving batches), int8 activation quantization, and the
+# zero-skip-vs-branch-free dense matmul comparison.
 bench-kernels:
 	$(GO) test ./internal/tensor -run '^$$' -bench 'KernelABT|KernelInt8|ZeroSkip' -benchmem

@@ -209,7 +209,6 @@ func newBenchFleet(m *core.Model, n, cacheEntries int, probe time.Duration, ejec
 	for i := 0; i < n; i++ {
 		eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{
 			MaxBatch:     32,
-			MaxWait:      200 * time.Microsecond,
 			QueueDepth:   4096,
 			CacheEntries: cacheEntries,
 		})

@@ -101,9 +101,9 @@ func main() {
 	benchOut := flag.String("benchout", "results/BENCH_obs.json", "obsbench/servebench: output JSON path")
 	benchCalls := flag.Int("calls", 2000, "obsbench/servebench: measured estimate calls per configuration")
 	maxBatch := flag.Int("maxbatch", 32, "serve: max requests coalesced into one forward pass")
-	maxWait := flag.Duration("maxwait", time.Millisecond, "serve: batch flush deadline")
+	maxWait := flag.Duration("maxwait", 0, "serve: batch flush deadline (0 = flush what is queued at once)")
 	queueDepth := flag.Int("queue", 256, "serve: admission queue depth (full queue -> 503)")
-	workers := flag.Int("workers", 0, "train/update: data-parallel training shards (0 = all CPUs); serve: batch workers (0 = half the CPUs)")
+	workers := flag.Int("workers", 0, "train/update: data-parallel training shards (0 = all CPUs); serve: batch workers (0 = GOMAXPROCS)")
 	benchEpochs := flag.Int("benchepochs", 8, "trainbench: training epochs per worker configuration")
 	cacheEntries := flag.Int("cache", 4096, "serve: estimate cache capacity in query curves (negative disables)")
 	precision := flag.String("precision", "f64", "serve: inference precision tier (f64 | f32 | int8); compiled tiers serve only if the accuracy gate passes, else f64")

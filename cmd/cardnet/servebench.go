@@ -276,7 +276,6 @@ func benchTracing(m *core.Model, testX *tensor.Matrix, calls int, tauOf func(int
 	}
 	cfg := serving.Config{
 		MaxBatch:     32,
-		MaxWait:      200 * time.Microsecond,
 		QueueDepth:   4096,
 		CacheEntries: -1,
 	}
@@ -460,7 +459,6 @@ func benchEngine(m *core.Model, testX *tensor.Matrix, calls int, tauOf func(int)
 		reg := serving.NewRegistry(m)
 		eng := serving.NewEngine(reg, serving.Config{
 			MaxBatch:     32,
-			MaxWait:      200 * time.Microsecond,
 			QueueDepth:   4096,
 			CacheEntries: cacheEntries,
 		})

@@ -19,14 +19,19 @@ type Config struct {
 	// (default 32). 1 disables batching.
 	MaxBatch int
 	// MaxWait bounds how long a formed batch waits for more requests before
-	// flushing (default 1ms).
+	// flushing. The default 0 (like any value ≤ 0) waits for nothing: a
+	// worker takes what is already queued and flushes at once, so requests
+	// that arrive during a forward pass form the next batch. A positive
+	// MaxWait trades that latency for larger batches.
 	MaxWait time.Duration
 	// QueueDepth bounds the admission queue; a full queue rejects with
 	// ErrOverloaded (default 256).
 	QueueDepth int
-	// Workers is the number of batch-running goroutines (default half the
-	// CPUs, at least 1). Each worker forms and runs its own batches; the
-	// model forward pass is goroutine-safe.
+	// Workers is the number of batch-running goroutines (default
+	// GOMAXPROCS). Each worker forms and runs its own batches; the model
+	// forward pass is goroutine-safe. With no flush deadline a single worker
+	// would serialise lone requests, while one per CPU runs them in
+	// parallel; idle workers only block on the queue.
 	Workers int
 	// CacheEntries is the estimate-cache capacity in query curves (TauMax+1
 	// float64 each); 0 uses the default 4096, negative disables the cache.
@@ -58,17 +63,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
 	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = time.Millisecond
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
 	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0) / 2
-		if c.Workers < 1 {
-			c.Workers = 1
-		}
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
@@ -304,7 +303,9 @@ func (e *Engine) worker() {
 // collect forms a batch starting from first: it keeps pulling queued
 // requests until the batch is full (size flush) or MaxWait has passed since
 // the batch started forming (deadline flush, which bounds the latency a
-// lone request pays for batching). The returned reason names which condition
+// lone request pays for batching). With MaxWait 0 the deadline has already
+// passed, so the batch takes only what is queued and flushes as soon as the
+// queue is empty, without a timer. The returned reason names which condition
 // flushed the batch; every flush is counted under its reason.
 func (e *Engine) collect(first *request) ([]*request, string) {
 	batch := []*request{first}
@@ -312,20 +313,35 @@ func (e *Engine) collect(first *request) ([]*request, string) {
 		mFlushSize.Inc()
 		return batch, FlushSize
 	}
-	timer := time.NewTimer(e.cfg.MaxWait)
-	defer timer.Stop()
+	var deadline <-chan time.Time
+	if e.cfg.MaxWait > 0 {
+		timer := time.NewTimer(e.cfg.MaxWait)
+		defer timer.Stop()
+		deadline = timer.C
+	}
 	for len(batch) < e.cfg.MaxBatch {
-		select {
-		case r, ok := <-e.q:
-			if !ok { // Close drained the queue: flush what we have
-				mFlushShutdown.Inc()
-				return batch, FlushShutdown
+		var r *request
+		var ok bool
+		if deadline == nil {
+			select {
+			case r, ok = <-e.q:
+			default:
+				mFlushDeadline.Inc()
+				return batch, FlushDeadline
 			}
-			batch = append(batch, r)
-		case <-timer.C:
-			mFlushDeadline.Inc()
-			return batch, FlushDeadline
+		} else {
+			select {
+			case r, ok = <-e.q:
+			case <-deadline:
+				mFlushDeadline.Inc()
+				return batch, FlushDeadline
+			}
 		}
+		if !ok { // Close drained the queue: flush what we have
+			mFlushShutdown.Inc()
+			return batch, FlushShutdown
+		}
+		batch = append(batch, r)
 	}
 	mFlushSize.Inc()
 	return batch, FlushSize

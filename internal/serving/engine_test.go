@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -183,6 +184,71 @@ func TestBatcherCoalesces(t *testing.T) {
 	}
 	if gotCalls := calls - callsBefore; gotCalls >= n {
 		t.Fatalf("no coalescing: %d forward passes for %d requests", gotCalls, n)
+	}
+}
+
+// Zero-wait batching under the default Config: a lone request flushes at
+// once as a (zero) deadline flush, and requests that queue while every
+// worker is busy all ride the next batch. Each worker is parked inside its
+// forward pass by a blocking CurveCheck, so no outcome depends on timing.
+func TestZeroWaitBatchesWhatQueued(t *testing.T) {
+	m := testModel(1)
+	const n = 8
+	// Sized to every request the test sends (one per worker, then n), so
+	// neither a CurveCheck signal nor a result send ever blocks.
+	sends := runtime.GOMAXPROCS(0) + n
+	entered := make(chan struct{}, sends)
+	gate := make(chan struct{})
+	e := NewEngine(NewRegistry(m), Config{CacheEntries: -1, CurveCheck: func([]float64) {
+		entered <- struct{}{}
+		<-gate
+	}})
+	defer e.Close()
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	if e.cfg.MaxWait != 0 {
+		t.Fatalf("default MaxWait %v, want 0", e.cfg.MaxWait)
+	}
+
+	errs := make(chan error, sends)
+	estimate := func(seed int64) {
+		go func() {
+			_, err := e.Estimate(context.Background(), binVec(seed, m.InDim), 0)
+			errs <- err
+		}()
+	}
+	// Park every worker on a lone request; each must flush as a deadline.
+	for w := 0; w < e.cfg.Workers; w++ {
+		deadline, size := testObsCounter("serving.batch.flush_deadline"), testObsCounter("serving.batch.flush_size")
+		estimate(int64(w))
+		<-entered
+		if got := testObsCounter("serving.batch.flush_deadline") - deadline; got != 1 {
+			t.Fatalf("lone request %d: %d deadline flushes, want 1", w, got)
+		}
+		if testObsCounter("serving.batch.flush_size") != size {
+			t.Fatalf("lone request %d flushed on size", w)
+		}
+	}
+
+	for i := 0; i < n; i++ {
+		estimate(int64(100 + i))
+	}
+	for len(e.q) < n {
+		time.Sleep(100 * time.Microsecond)
+	}
+	callsBefore, rowsBefore := coreBatchCounters()
+	gate <- struct{}{} // free one worker; the rest stay parked
+	<-entered          // it has run its next forward pass
+	calls, rows := coreBatchCounters()
+	if calls-callsBefore != 1 || rows-rowsBefore != n {
+		t.Fatalf("next batch: %d forwards over %d rows, want 1 over %d", calls-callsBefore, rows-rowsBefore, n)
+	}
+
+	release()
+	for i := 0; i < e.cfg.Workers+n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

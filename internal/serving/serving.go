@@ -8,9 +8,12 @@
 //
 //   - Micro-batching: concurrent estimate requests are queued and coalesced
 //     into a single B×d forward pass through the shared Φ/Φ′ networks
-//     (core.EstimateAllTausBatch), flushed when the batch reaches
-//     Config.MaxBatch or the oldest request has waited Config.MaxWait.
-//     Batched results are bit-identical to the per-sample paths.
+//     (core.EstimateAllTausBatch). By default a free worker takes whatever
+//     is queued and runs it at once, so requests that arrive during one
+//     forward pass form the next batch; a batch flushes early only when it
+//     reaches Config.MaxBatch. A positive Config.MaxWait instead holds a
+//     batch open until it is full or that old. Batched results are
+//     bit-identical to the per-sample paths.
 //   - Admission control: a bounded queue with per-request context deadlines.
 //     When the queue is full, Estimate fails fast with ErrOverloaded (the
 //     HTTP layer maps it to 503) instead of piling up goroutines.
@@ -76,7 +79,7 @@ const E2EHistogram = "serving.e2e.seconds"
 // "serving.batch.flush_<reason>".
 const (
 	FlushSize     = "size"     // batch reached Config.MaxBatch
-	FlushDeadline = "deadline" // oldest request waited Config.MaxWait
+	FlushDeadline = "deadline" // MaxWait passed; with MaxWait 0, the queue ran empty
 	FlushShutdown = "shutdown" // Close drained the queue mid-batch
 )
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -12,48 +13,60 @@ const (
 	benchN = 512
 )
 
+// abtBenchRows are the left-operand row counts of the ABT kernel benches:
+// the trainbench batch, plus the 1- and 2-row batches a lightly loaded
+// server forms, which run the leftover-row path rather than 4-row tiles.
+var abtBenchRows = []int{benchM, 2, 1}
+
 // reportGFLOPS attaches a GFLOP/s metric (2·M·N·K flops per op) so
 // `make bench-kernels` can print the f64/f32/int8 table straight from the
 // benchmark output.
-func reportGFLOPS(b *testing.B) {
-	flops := 2 * float64(benchM) * float64(benchN) * float64(benchK)
+func reportGFLOPS(b *testing.B, m int) {
+	flops := 2 * float64(m) * float64(benchN) * float64(benchK)
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
-func BenchmarkKernelABT_f64(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := randMatrix(rng, benchM, benchK)
-	w := randMatrix(rng, benchN, benchK)
-	out := NewMatrix(benchM, benchN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulABT(a, w, out)
+// benchABT times the call setup returns, as one sub-benchmark per
+// abtBenchRows entry; setup builds an M×benchK input and benchN×benchK
+// weights from a fresh seeded source.
+func benchABT(b *testing.B, setup func(rng *rand.Rand, m int) func()) {
+	for _, m := range abtBenchRows {
+		b.Run(fmt.Sprintf("M=%d", m), func(b *testing.B) {
+			kernel := setup(rand.New(rand.NewSource(1)), m)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kernel()
+			}
+			reportGFLOPS(b, m)
+		})
 	}
-	reportGFLOPS(b)
+}
+
+func BenchmarkKernelABT_f64(b *testing.B) {
+	benchABT(b, func(rng *rand.Rand, m int) func() {
+		a := randMatrix(rng, m, benchK)
+		w := randMatrix(rng, benchN, benchK)
+		out := NewMatrix(m, benchN)
+		return func() { MatMulABT(a, w, out) }
+	})
 }
 
 func BenchmarkKernelABT_f32(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := Demote32(randMatrix(rng, benchM, benchK))
-	w := Demote32(randMatrix(rng, benchN, benchK))
-	out := NewMatrix32(benchM, benchN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulABT32(a, w, out)
-	}
-	reportGFLOPS(b)
+	benchABT(b, func(rng *rand.Rand, m int) func() {
+		a := Demote32(randMatrix(rng, m, benchK))
+		w := Demote32(randMatrix(rng, benchN, benchK))
+		out := NewMatrix32(m, benchN)
+		return func() { MatMulABT32(a, w, out) }
+	})
 }
 
 func BenchmarkKernelABT_int8(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := QuantizeRows(Demote32(randMatrix(rng, benchM, benchK)), nil)
-	w := QuantizeRows(Demote32(randMatrix(rng, benchN, benchK)), nil)
-	out := NewMatrix32(benchM, benchN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulABTQ8(a, w, out)
-	}
-	reportGFLOPS(b)
+	benchABT(b, func(rng *rand.Rand, m int) func() {
+		a := QuantizeRows(Demote32(randMatrix(rng, m, benchK)), nil)
+		w := QuantizeRows(Demote32(randMatrix(rng, benchN, benchK)), nil)
+		out := NewMatrix32(m, benchN)
+		return func() { MatMulABTQ8(a, w, out) }
+	})
 }
 
 // BenchmarkKernelInt8Quantize isolates the dynamic activation-quantization
@@ -104,7 +117,7 @@ func BenchmarkZeroSkip(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c.kernel(a, bm, out)
 			}
-			reportGFLOPS(b)
+			reportGFLOPS(b, benchM)
 		})
 	}
 }

@@ -108,11 +108,11 @@ func matMulABTQ8(a, b *QuantMatrix, out *Matrix32, add bool) *Matrix32 {
 		if i1 > a.Rows {
 			i1 = a.Rows
 		}
-		for j := 0; j < b.Rows; j++ {
+		i4 := i0 + (i1-i0)&^3
+		for j := 0; j < b.Rows && i0 < i4; j++ {
 			bj := b.Row(j)
 			bs := b.Scale[j]
-			i := i0
-			for ; i+3 < i1; i += 4 {
+			for i := i0; i < i4; i += 4 {
 				s0, s1, s2, s3 := dotq4(a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3), bj)
 				if add {
 					out.Row(i)[j] += float32(s0) * a.Scale[i] * bs
@@ -126,12 +126,33 @@ func matMulABTQ8(a, b *QuantMatrix, out *Matrix32, add bool) *Matrix32 {
 					out.Row(i + 3)[j] = float32(s3) * a.Scale[i+3] * bs
 				}
 			}
-			for ; i < i1; i++ {
-				s := DotQ8(a.Row(i), bj)
+		}
+		// Leftover rows run against four weight rows at a time (see
+		// matMulABTRows); int32 sums are exact, and each element keeps the
+		// same scale expression.
+		for i := i4; i < i1; i++ {
+			ai, oi, as := a.Row(i), out.Row(i), a.Scale[i]
+			j := 0
+			for ; j+3 < b.Rows; j += 4 {
+				s0, s1, s2, s3 := dotq4(b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3), ai)
 				if add {
-					out.Row(i)[j] += float32(s) * a.Scale[i] * bs
+					oi[j] += float32(s0) * as * b.Scale[j]
+					oi[j+1] += float32(s1) * as * b.Scale[j+1]
+					oi[j+2] += float32(s2) * as * b.Scale[j+2]
+					oi[j+3] += float32(s3) * as * b.Scale[j+3]
 				} else {
-					out.Row(i)[j] = float32(s) * a.Scale[i] * bs
+					oi[j] = float32(s0) * as * b.Scale[j]
+					oi[j+1] = float32(s1) * as * b.Scale[j+1]
+					oi[j+2] = float32(s2) * as * b.Scale[j+2]
+					oi[j+3] = float32(s3) * as * b.Scale[j+3]
+				}
+			}
+			for ; j < b.Rows; j++ {
+				s := DotQ8(ai, b.Row(j))
+				if add {
+					oi[j] += float32(s) * as * b.Scale[j]
+				} else {
+					oi[j] = float32(s) * as * b.Scale[j]
 				}
 			}
 		}

@@ -167,12 +167,15 @@ const abtRowTile = 8
 // regardless of batch size — so a B-row product is bit-identical to B
 // separate single-row products.
 //
-// Multi-row products run dot4: four dot products over a shared weight row in
-// one loop. Each accumulator performs exactly the per-row Dot sequence, but
-// the four addition chains are independent, so the CPU overlaps them instead
-// of stalling on one chain's add latency — the batched path's throughput win
-// over per-request calls. Row tiling additionally streams each weight row
-// once per tile rather than once per input row.
+// Every product runs dot4: four dot products over a shared row in one loop.
+// Each accumulator performs exactly the per-row Dot sequence, but the four
+// addition chains are independent, so the CPU overlaps them instead of
+// stalling on one chain's add latency. Groups of four input rows share each
+// weight row; the rows left over (a whole serving batch of 1–3 rows, or the
+// tail of a larger one) each share themselves with four weight rows at a
+// time instead, so a lone request gets the same overlap. Row tiling
+// additionally streams each weight row once per tile rather than once per
+// input row.
 func MatMulABT(a, b, out *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic("tensor: matmulABT shape mismatch")
@@ -187,25 +190,34 @@ func MatMulABT(a, b, out *Matrix) *Matrix {
 // matMulABTRows runs the tiled MatMulABT loops over output rows [lo, hi).
 // Each output element is a per-row Dot whose accumulation order is
 // independent of the tile boundaries, so any row sharding (including the
-// parallel variant's) produces bit-identical results.
+// parallel variant's) produces bit-identical results. Leftover rows pass the
+// weight rows as dot4's four left operands: products commute exactly, so
+// dot4(b_j…, a_i) still equals Dot(a_i, b_j) bit for bit.
 func matMulABTRows(a, b, out *Matrix, lo, hi int) {
 	for i0 := lo; i0 < hi; i0 += abtRowTile {
 		i1 := i0 + abtRowTile
 		if i1 > hi {
 			i1 = hi
 		}
-		for j := 0; j < b.Rows; j++ {
+		i4 := i0 + (i1-i0)&^3
+		for j := 0; j < b.Rows && i0 < i4; j++ {
 			bj := b.Row(j)
-			i := i0
-			for ; i+3 < i1; i += 4 {
+			for i := i0; i < i4; i += 4 {
 				s0, s1, s2, s3 := dot4(a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3), bj)
 				out.Row(i)[j] = s0
 				out.Row(i + 1)[j] = s1
 				out.Row(i + 2)[j] = s2
 				out.Row(i + 3)[j] = s3
 			}
-			for ; i < i1; i++ {
-				out.Row(i)[j] = Dot(a.Row(i), bj)
+		}
+		for i := i4; i < i1; i++ {
+			ai, oi := a.Row(i), out.Row(i)
+			j := 0
+			for ; j+3 < b.Rows; j += 4 {
+				oi[j], oi[j+1], oi[j+2], oi[j+3] = dot4(b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3), ai)
+			}
+			for ; j < b.Rows; j++ {
+				oi[j] = Dot(ai, b.Row(j))
 			}
 		}
 	}

@@ -89,10 +89,10 @@ func matMulABT32(a, b, out *Matrix32, add bool) *Matrix32 {
 		if i1 > a.Rows {
 			i1 = a.Rows
 		}
-		for j := 0; j < b.Rows; j++ {
+		i4 := i0 + (i1-i0)&^3
+		for j := 0; j < b.Rows && i0 < i4; j++ {
 			bj := b.Row(j)
-			i := i0
-			for ; i+3 < i1; i += 4 {
+			for i := i0; i < i4; i += 4 {
 				s0, s1, s2, s3 := dot4_32(a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3), bj)
 				if add {
 					out.Row(i)[j] += s0
@@ -106,12 +106,29 @@ func matMulABT32(a, b, out *Matrix32, add bool) *Matrix32 {
 					out.Row(i + 3)[j] = s3
 				}
 			}
-			for ; i < i1; i++ {
-				s := Dot32(a.Row(i), bj)
+		}
+		// Leftover rows run against four weight rows at a time (see
+		// matMulABTRows), keeping each element's Dot32 order.
+		for i := i4; i < i1; i++ {
+			ai, oi := a.Row(i), out.Row(i)
+			j := 0
+			for ; j+3 < b.Rows; j += 4 {
+				s0, s1, s2, s3 := dot4_32(b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3), ai)
 				if add {
-					out.Row(i)[j] += s
+					oi[j] += s0
+					oi[j+1] += s1
+					oi[j+2] += s2
+					oi[j+3] += s3
 				} else {
-					out.Row(i)[j] = s
+					oi[j], oi[j+1], oi[j+2], oi[j+3] = s0, s1, s2, s3
+				}
+			}
+			for ; j < b.Rows; j++ {
+				s := Dot32(ai, b.Row(j))
+				if add {
+					oi[j] += s
+				} else {
+					oi[j] = s
 				}
 			}
 		}
