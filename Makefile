@@ -8,7 +8,7 @@ VERSION ?= dev
 GITSHA ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 LDFLAGS = -X main.buildVersion=$(VERSION) -X main.buildSHA=$(GITSHA)
 
-.PHONY: ci lint staticcheck vet build test docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test perfbench bench-obs bench-serving bench-train bench-kernels bench-autopilot
+.PHONY: ci lint staticcheck vet build test docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test perfbench bench-kernels
 
 ci: lint staticcheck vet build test docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test
 
@@ -83,13 +83,15 @@ race-autopilot:
 	$(GO) test -race -count=2 ./cmd/cardnet -run 'Autopilot|HealthzShape'
 
 # Short native-fuzzing pass over every fuzz target (seed corpora live in each
-# package's testdata/fuzz/; plain `go test` replays them too): the router's
-# routing-key extraction, the serving cache's packed curve key, and the ABT
-# kernels against the per-element dot products.
+# package's testdata/fuzz/ or in the target's f.Add seeds; plain `go test`
+# replays them too): the router's routing-key extraction, the serving cache's
+# packed curve key, the ABT kernels against the per-element dot products, and
+# model-file loading.
 fuzz-smoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzExtractKey$$' -fuzztime=10s
 	$(GO) test ./internal/serving -run '^$$' -fuzz '^FuzzCurveKey$$' -fuzztime=10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMulABT$$' -fuzztime=10s
+	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime=10s
 
 # The benchmark's own helper tests. perfbench/ is a separate Go module, so
 # the root `go test ./...` does not reach it.
@@ -106,34 +108,9 @@ perfbench:
 		[ $$rc -eq 0 ] || exit $$rc; \
 	done
 
-# Regenerate the instrumentation-overhead baseline (results/BENCH_obs.json).
-bench-obs:
-	$(GO) run ./cmd/cardnet -mode obsbench -dataset HM-ImageNet -n 1200 \
-		-calls 4000 -benchout results/BENCH_obs.json
-
-# Regenerate the serving-throughput baseline (results/BENCH_serving.json):
-# batched vs per-request forward passes, the estimate cache, admission
-# control under overload, and the router scaling/failover experiments.
-bench-serving:
-	$(GO) run ./cmd/cardnet -mode servebench -dataset HM-ImageNet -n 1200 \
-		-calls 4000 -cluster -benchout results/BENCH_serving.json
-
-# Regenerate the training-scalability baseline (results/BENCH_train.json):
-# full training runs at workers 1/2/4/NumCPU plus parallel-kernel GFLOP/s.
-bench-train:
-	$(GO) run ./cmd/cardnet -mode trainbench -dataset HM-ImageNet -n 1200 \
-		-benchepochs 8 -benchout results/BENCH_train.json
-
-# Regenerate the closed-loop baseline (results/BENCH_autopilot.json): trigger
-# latency over the dwell window, shadow-tap overhead on the all-τ estimate
-# path, and client-visible downtime across the hot swap (must be 0 errors).
-bench-autopilot:
-	$(GO) run ./cmd/cardnet -mode autopilotbench -dataset HM-ImageNet -n 1200 \
-		-calls 1500 -benchout results/BENCH_autopilot.json
-
-# Kernel-level GFLOP/s table for the inference fast path: the f64/f32/int8
-# ABT kernels (at the trainbench batch of 256 rows and at the 1- and 2-row
-# serving batches), int8 activation quantization, and the
-# zero-skip-vs-branch-free dense matmul comparison.
+# Kernel-level GFLOP/s table: the f64/f32 ABT inference kernels (at a
+# 256-row batch and at the 1- and 2-row serving batches), the training
+# backward kernels MatMul (dX) and MatMulATBAdd (dW) at 32 and 256 rows, and
+# the zero-skip-vs-branch-free dense matmul comparison.
 bench-kernels:
-	$(GO) test ./internal/tensor -run '^$$' -bench 'KernelABT|KernelInt8|ZeroSkip' -benchmem
+	$(GO) test ./internal/tensor -run '^$$' -bench 'KernelABT|KernelMatMul|KernelATBAdd|ZeroSkip' -benchmem

@@ -12,10 +12,6 @@
 //	cardnet -mode serve -model model.gob -addr :8089
 //	cardnet -mode router -addr :8088 -replicas http://127.0.0.1:8089,http://127.0.0.1:8090
 //	cardnet -mode tracescan -scan-top 10 router.trace.jsonl replica1.trace.jsonl replica2.trace.jsonl
-//	cardnet -mode obsbench -dataset HM-ImageNet -benchout results/BENCH_obs.json
-//	cardnet -mode servebench -dataset HM-ImageNet -benchout results/BENCH_serving.json
-//	cardnet -mode trainbench -dataset HM-ImageNet -benchout results/BENCH_train.json
-//	cardnet -mode autopilotbench -dataset HM-ImageNet -benchout results/BENCH_autopilot.json
 //
 // Train and update write a per-epoch JSONL training log (default
 // <model>.train.jsonl; -trainlog off disables) and durable checkpoints
@@ -40,17 +36,8 @@
 // (-trace-sample-rate/-tracelog, same flags as serve); tracescan joins the
 // router's and replicas' trace JSONL files into end-to-end cross-process
 // traces and reports critical-path attribution, retry amplification, and the
-// slowest traces (tune with -scan-top/-scan-skew/-scan-json). Obsbench
-// records estimate-path latency
-// with instrumentation on vs. off; servebench records batched vs per-request
-// throughput and the estimate cache's effect (and with -cluster, router
-// scaling efficiency vs. replica count plus a mid-bench replica-kill failover
-// run); trainbench sweeps the
-// data-parallel training engine over worker counts and records epoch/total
-// speedups plus tensor-kernel GFLOP/s. Autopilotbench drives one full
-// closed-loop cycle (drift → retrain → shadow → swap) against a live engine
-// and records trigger latency, shadow-tap overhead, and client-visible swap
-// downtime.
+// slowest traces (tune with -scan-top/-scan-skew/-scan-json). Performance is
+// measured by the separate perfbench harness (see BENCHMARK.json), not here.
 package main
 
 import (
@@ -89,7 +76,7 @@ var (
 
 func main() {
 	log.SetFlags(0)
-	mode := flag.String("mode", "train", "train | estimate | update | serve | router | tracescan | fleetstat | obsbench | servebench | trainbench | autopilotbench")
+	mode := flag.String("mode", "train", "train | estimate | update | serve | router | tracescan | fleetstat")
 	dsName := flag.String("dataset", "HM-ImageNet", "dataset name from the Table 2 registry")
 	modelPath := flag.String("model", "cardnet-model.gob", "model file (input for estimate/update/serve, output for train)")
 	n := flag.Int("n", 1200, "dataset size")
@@ -98,15 +85,12 @@ func main() {
 	seed := flag.Int64("seed", 7, "random seed")
 	addr := flag.String("addr", ":8089", "serve: HTTP listen address")
 	trainLog := flag.String("trainlog", "", `train/update: JSONL epoch-event log path ("" = <model>.train.jsonl, "off" = disabled)`)
-	benchOut := flag.String("benchout", "results/BENCH_obs.json", "obsbench/servebench: output JSON path")
-	benchCalls := flag.Int("calls", 2000, "obsbench/servebench: measured estimate calls per configuration")
 	maxBatch := flag.Int("maxbatch", 32, "serve: max requests coalesced into one forward pass")
 	maxWait := flag.Duration("maxwait", 0, "serve: batch flush deadline (0 = flush what is queued at once)")
 	queueDepth := flag.Int("queue", 256, "serve: admission queue depth (full queue -> 503)")
 	workers := flag.Int("workers", 0, "train/update: data-parallel training shards (0 = all CPUs); serve: batch workers (0 = GOMAXPROCS)")
-	benchEpochs := flag.Int("benchepochs", 8, "trainbench: training epochs per worker configuration")
 	cacheEntries := flag.Int("cache", 4096, "serve: estimate cache capacity in query curves (negative disables)")
-	precision := flag.String("precision", "f64", "serve: inference precision tier (f64 | f32 | int8); compiled tiers serve only if the accuracy gate passes, else f64")
+	precision := flag.String("precision", "f64", "serve: inference precision tier (f64 | f32); compiled tiers serve only if the accuracy gate passes, else f64")
 	precisionGateDelta := flag.Float64("precision-gate-delta", infer.DefaultGateMaxDelta, "serve: max q-error p99 delta vs f64 a compiled precision tier may add before falling back")
 	precisionGateSweep := flag.Int("precision-gate-sweep", infer.DefaultGateSweep, "serve: validation queries the precision gate evaluates per (re)lowering")
 	traceRate := flag.Float64("trace-sample-rate", 0.01, "serve/router: fraction of requests whose traces are written to -tracelog")
@@ -150,7 +134,6 @@ func main() {
 	rolloutMaxRegression := flag.Float64("rollout-max-regression", 0.25, "router: tolerated canary q-error overshoot vs the fleet median before rollback")
 	rolloutMinSamples := flag.Int("rollout-min-samples", 20, "router: q-error samples the canary window needs before its EWMA is trusted")
 	rolloutJournal := flag.String("rollout-journal", "off", `router: JSONL rollout-decision journal path ("off" = disabled)`)
-	clusterBench := flag.Bool("cluster", false, "servebench: also measure router scaling (1/2/4 replicas) and mid-bench failover")
 	scanTop := flag.Int("scan-top", 10, "tracescan: slow-trace table size")
 	scanSkew := flag.Duration("scan-skew", 5*time.Millisecond, "tracescan: clock-skew tolerance for the cross-process tiling check")
 	scanJSON := flag.String("scan-json", "", `tracescan: machine-readable report path ("" = text only, "-" = JSON to stdout)`)
@@ -429,159 +412,6 @@ func main() {
 		if err := runFleetstat(os.Stdout, splitPeers(*peersFlag), *fleetInterval, nil); err != nil {
 			log.Fatalf("fleetstat: %v", err)
 		}
-	case "obsbench":
-		b := buildBundle()
-		cfg := core.DefaultConfig(b.TauMax)
-		cfg.Accel = *accel
-		cfg.Seed = *seed
-		// Latency does not depend on trained weights, so an untrained model
-		// of the production architecture measures the same hot path.
-		m := core.New(cfg, b.Train.X.Cols)
-		rep, err := runObsBench(m, b.TestX, b.TauMax, *benchCalls)
-		if err != nil {
-			log.Fatalf("obsbench: %v", err)
-		}
-		rep.Dataset = *dsName
-		rep.Records = *n
-		if err := rep.write(*benchOut); err != nil {
-			log.Fatalf("obsbench: %v", err)
-		}
-		log.Printf("obs on  : p50=%.1fµs p99=%.1fµs", rep.On.P50Micros, rep.On.P99Micros)
-		log.Printf("obs off : p50=%.1fµs p99=%.1fµs", rep.Off.P50Micros, rep.Off.P99Micros)
-		log.Printf("overhead: p50=%+.2f%% p99=%+.2f%% mean=%+.2f%% -> %s",
-			rep.OverheadP50Pct, rep.OverheadP99Pct, rep.OverheadMeanPct, *benchOut)
-		log.Printf("telemetry (sampler+slo at %.0fµs cadence): p50=%+.2f%% p99=%+.2f%% mean=%+.2f%%",
-			rep.Telemetry.IntervalMicros, rep.Telemetry.OverheadP50Pct,
-			rep.Telemetry.OverheadP99Pct, rep.Telemetry.OverheadMeanPct)
-	case "servebench":
-		b := buildBundle()
-		// Serving throughput is measured at the paper's production
-		// architecture (Section 9.1.3): at that size the Φ weights exceed
-		// per-core cache, which is exactly the regime batching exists for.
-		// Throughput does not depend on trained weights, so an untrained
-		// model of that architecture measures the same hot path.
-		cfg := core.PaperConfig(b.TauMax, 16)
-		cfg.Accel = *accel
-		cfg.Seed = *seed
-		m := core.New(cfg, b.Train.X.Cols)
-		out := *benchOut
-		if out == "results/BENCH_obs.json" { // flag default belongs to obsbench
-			out = "results/BENCH_serving.json"
-		}
-		rep, err := runServeBench(m, b.TestX, *benchCalls)
-		if err != nil {
-			log.Fatalf("servebench: %v", err)
-		}
-		rep.Dataset = *dsName
-		rep.Records = *n
-		if *clusterBench {
-			cl, fo, err := runClusterBench(m, b.TestX)
-			if err != nil {
-				log.Fatalf("servebench -cluster: %v", err)
-			}
-			rep.Cluster, rep.Failover = cl, fo
-			ct, err := runTracingOverheadBench(m, b.TestX, *benchCalls)
-			if err != nil {
-				log.Fatalf("servebench -cluster tracing: %v", err)
-			}
-			rep.ClusterTracing = ct
-		}
-		if err := rep.write(out); err != nil {
-			log.Fatalf("servebench: %v", err)
-		}
-		log.Printf("per-request: %.0f est/s", rep.PerRequest.QPS)
-		for _, b := range rep.Batched {
-			log.Printf("batch %2d   : %.0f est/s (%.2fx), identical=%v", b.Size, b.QPS, b.Speedup, b.Identical)
-		}
-		log.Printf("engine cache off/on: %.0f / %.0f req/s (hit ratio %.2f)",
-			rep.Engine.ColdQPS, rep.Engine.WarmQPS, rep.Engine.HitRatio)
-		log.Printf("tracing overhead: p50 %+.2f%% (untraced %.0fus, traced %.0fus)",
-			rep.Tracing.OverheadP50Pct, rep.Tracing.Untraced.P50Micros, rep.Tracing.Traced.P50Micros)
-		log.Printf("queue wait p50/p95: %.0f/%.0fus, mean batch %.1f, flush mix %v -> %s",
-			rep.Tracing.QueueWaitP50Us, rep.Tracing.QueueWaitP95Us, rep.Tracing.MeanBatchSize, rep.Tracing.FlushMix, out)
-		if rep.Precision != nil {
-			for _, tier := range rep.Precision.Tiers {
-				for _, p := range tier.Points {
-					log.Printf("precision %-4s (serves %-4s, gate pass=%v Δq=%.4f) batch %2d: p50 %7.1fus p99 %7.1fus %8.0f est/s (%.2fx)",
-						tier.Tier, tier.Served, tier.GatePass, tier.QErrP99Delta,
-						p.Batch, p.P50Us, p.P99Us, p.QPS, p.SpeedupP50)
-				}
-			}
-		}
-		if rep.Admission != nil {
-			log.Printf("admission: %d/%d rejected 503 (%.1f%%), Retry-After on %d",
-				rep.Admission.Rejected503, rep.Admission.Calls,
-				100*rep.Admission.RejectedFraction, rep.Admission.RetryAfterSeen)
-		}
-		if rep.Cluster != nil {
-			for _, r := range rep.Cluster.Runs {
-				log.Printf("cluster %d replica(s): %.0f req/s (%.2fx, efficiency %.2f, hit ratio %.2f)",
-					r.Replicas, r.QPS, r.Speedup, r.Efficiency, r.HitRatio)
-			}
-		}
-		if rep.Failover != nil {
-			log.Printf("failover: killed 1 of %d replicas mid-bench: %d client 5xx over %d calls, %d failovers, ejected=%v",
-				rep.Failover.Replicas, rep.Failover.Client5xx, rep.Failover.Calls,
-				rep.Failover.Failovers, rep.Failover.Ejected)
-		}
-		if ct := rep.ClusterTracing; ct != nil {
-			for _, run := range ct.Runs {
-				log.Printf("cluster tracing rate %.2f: p50 %+.2f%% p99 %+.2f%% (off %.0fus, on %.0fus); %d traces assembled, %d joined, %d tiling violations, %d dropped",
-					run.Rate, run.OverheadP50Pct, run.OverheadP99Pct,
-					ct.Off.P50Micros, run.On.P50Micros,
-					run.TracesAssembled, run.TracesJoined, run.TilingViolations, run.SamplerDropped)
-			}
-		}
-	case "autopilotbench":
-		b := buildBundle()
-		rep, err := runAutopilotBench(b.TestX, b.TauMax, *benchCalls, *accel, *seed)
-		if err != nil {
-			log.Fatalf("autopilotbench: %v", err)
-		}
-		rep.Dataset = *dsName
-		rep.Records = *n
-		out := *benchOut
-		if out == "results/BENCH_obs.json" { // flag default belongs to obsbench
-			out = "results/BENCH_autopilot.json"
-		}
-		if err := rep.write(out); err != nil {
-			log.Fatalf("autopilotbench: %v", err)
-		}
-		log.Printf("trigger  : %.1fms observed (dwell %.0fms, excess %.1fms)",
-			rep.TriggerLatencyMillis, rep.DwellMillis, rep.TriggerExcessMillis)
-		log.Printf("retrain  : %.2fs   shadow: %.2fs   full cycle: %.2fs",
-			rep.TrainSeconds, rep.ShadowSeconds, rep.CycleSeconds)
-		log.Printf("shadow tap: p50 %+.2f%% p99 %+.2f%% (on %.0fus/%.0fus, off %.0fus/%.0fus)",
-			rep.OverheadP50Pct, rep.OverheadP99Pct,
-			rep.ShadowOn.P50Micros, rep.ShadowOn.P99Micros,
-			rep.ShadowOff.P50Micros, rep.ShadowOff.P99Micros)
-		log.Printf("swap     : %d client calls, %d errors, max stall %.0fus, version %d -> %d -> %s",
-			rep.Swap.ClientCalls, rep.Swap.ClientErrors, rep.Swap.MaxStallMicro,
-			rep.Swap.VersionBefore, rep.Swap.VersionAfter, out)
-	case "trainbench":
-		b := buildBundle()
-		rep := runTrainBench(b, *accel, *seed, *benchEpochs)
-		rep.Dataset = *dsName
-		rep.Records = *n
-		out := *benchOut
-		if out == "results/BENCH_obs.json" { // flag default belongs to obsbench
-			out = "results/BENCH_train.json"
-		}
-		if err := rep.write(out); err != nil {
-			log.Fatalf("trainbench: %v", err)
-		}
-		if rep.Note != "" {
-			log.Printf("note: %s", rep.Note)
-		}
-		for _, r := range rep.Runs {
-			log.Printf("workers %2d: total %6.2fs  epoch mean %6.3fs  speedup %.2fx/%.2fx  best MSLE %.4f",
-				r.Workers, r.TotalSeconds, r.EpochSecondsMean, r.SpeedupTotal, r.SpeedupEpoch, r.BestValidMSLE)
-		}
-		for _, kb := range rep.Kernels {
-			log.Printf("kernel %-16s %dx%dx%d workers %2d: %6.2f GFLOP/s",
-				kb.Kernel, kb.M, kb.K, kb.N, kb.Workers, kb.GFLOPS)
-		}
-		log.Printf("wrote %s", out)
 	default:
 		log.Fatalf("unknown mode %q", *mode)
 	}
@@ -607,6 +437,15 @@ func resolveCkptDir(flagVal, modelPath string) string {
 	default:
 		return flagVal
 	}
+}
+
+// resolveTrainWorkers maps the -workers flag to a training shard count:
+// values below one mean "use every core".
+func resolveTrainWorkers(flagVal int) int {
+	if flagVal < 1 {
+		return runtime.NumCPU()
+	}
+	return flagVal
 }
 
 // resolveAutopilotDir maps -autopilot-dir to the staging directory the pilot

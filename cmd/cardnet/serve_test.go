@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -388,103 +387,6 @@ func TestServeHealthzAndPprof(t *testing.T) {
 	pp.Body.Close()
 	if pp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof status=%d", pp.StatusCode)
-	}
-}
-
-func TestObsBenchReport(t *testing.T) {
-	m := tinyModel(3)
-	x := make([]float64, m.InDim*4)
-	for i := range x {
-		x[i] = float64(i % 2)
-	}
-	testX := matrixFromData(m.InDim, x)
-	rep, err := runObsBench(m, testX, m.Cfg.TauMax, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.On.Calls == 0 || rep.Off.Calls == 0 {
-		t.Fatalf("empty report: %+v", rep)
-	}
-	if rep.On.P50Micros <= 0 || rep.Off.P50Micros <= 0 {
-		t.Fatalf("non-positive latencies: %+v", rep)
-	}
-	if !obs.Enabled() {
-		t.Fatal("obsbench left instrumentation disabled")
-	}
-	if rep.Telemetry.On.Calls == 0 || rep.Telemetry.Off.Calls == 0 {
-		t.Fatalf("telemetry overhead section empty: %+v", rep.Telemetry)
-	}
-	if rep.Telemetry.On.P50Micros <= 0 || rep.Telemetry.Off.P50Micros <= 0 {
-		t.Fatalf("telemetry overhead non-positive latencies: %+v", rep.Telemetry)
-	}
-	path := t.TempDir() + "/BENCH_obs.json"
-	if err := rep.write(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back obsBenchReport
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.On.Calls != rep.On.Calls {
-		t.Fatalf("round trip mismatch: %+v", back)
-	}
-}
-
-func TestServeBenchReport(t *testing.T) {
-	m := tinyModel(3)
-	x := make([]float64, m.InDim*40)
-	for i := range x {
-		x[i] = float64((i / 3) % 2)
-	}
-	testX := matrixFromData(m.InDim, x)
-	rep, err := runServeBench(m, testX, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PerRequest.QPS <= 0 || len(rep.Batched) == 0 {
-		t.Fatalf("empty report: %+v", rep)
-	}
-	for _, b := range rep.Batched {
-		if !b.Identical {
-			t.Fatalf("batch size %d: batched estimates diverged from per-sample", b.Size)
-		}
-		if b.QPS <= 0 {
-			t.Fatalf("batch size %d: non-positive throughput", b.Size)
-		}
-	}
-	if rep.Engine.ColdQPS <= 0 || rep.Engine.WarmQPS <= 0 {
-		t.Fatalf("engine bench empty: %+v", rep.Engine)
-	}
-	if rep.Engine.HitRatio <= 0 {
-		t.Fatalf("warm run recorded no cache hits: %+v", rep.Engine)
-	}
-	if rep.Tracing.Traced.Calls == 0 || rep.Tracing.Untraced.Calls == 0 {
-		t.Fatalf("tracing bench empty: %+v", rep.Tracing)
-	}
-	if rep.Tracing.MeanBatchSize <= 0 {
-		t.Fatalf("tracing bench recorded no batch sizes: %+v", rep.Tracing)
-	}
-	path := t.TempDir() + "/BENCH_serving.json"
-	if err := rep.write(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back serveBenchReport
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Batched) != len(rep.Batched) {
-		t.Fatalf("round trip mismatch: %+v", back)
-	}
-	if back.Tracing.Traced.Calls != rep.Tracing.Traced.Calls {
-		t.Fatalf("tracing round trip mismatch: %+v", back.Tracing)
 	}
 }
 

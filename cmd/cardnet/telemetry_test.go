@@ -140,7 +140,6 @@ func TestHealthzCarriesBuildAndSLO(t *testing.T) {
 }
 
 func TestMetricsFederateEndpoint(t *testing.T) {
-	obs.SetEnabled(true)
 	m := tinyModel(3)
 	peer, _ := newTestServer(t, m, serving.Config{})
 	// Drive one estimate through the peer so its exposition has serving
@@ -189,7 +188,6 @@ func TestMetricsFederateEndpoint(t *testing.T) {
 }
 
 func TestRunFleetstat(t *testing.T) {
-	obs.SetEnabled(true)
 	m := tinyModel(3)
 	a, _ := newTestServer(t, m, serving.Config{})
 	b, _ := newTestServer(t, tinyModel(5), serving.Config{})

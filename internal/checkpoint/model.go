@@ -24,12 +24,18 @@ func SaveModel(path string, m *core.Model) error {
 // from before the framing format (bare gob, as core.Model.Save emits) are
 // still accepted: anything without the frame magic is handed to the legacy
 // decoder, which fails loudly on truncation rather than yielding a partial
-// model.
+// model. A file that fails the frame check, does not decode, or whose config
+// does not match its weights is reported as ErrCorrupt.
 func LoadModel(path string) (*core.Model, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return decodeModel(path, raw)
+}
+
+// decodeModel is LoadModel on the file's bytes; path only labels errors.
+func decodeModel(path string, raw []byte) (*core.Model, error) {
 	if len(raw) >= 4 && string(raw[0:4]) == fileMagic {
 		payload, kind, err := decodeFrame(raw)
 		if err != nil {
@@ -38,11 +44,15 @@ func LoadModel(path string) (*core.Model, error) {
 		if kind != KindModel {
 			return nil, fmt.Errorf("checkpoint: %s holds a %q frame, not a model — point -model at a published model file", path, kind)
 		}
-		return core.Load(bytes.NewReader(payload))
+		m, err := core.Load(bytes.NewReader(payload))
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
+		}
+		return m, nil
 	}
 	m, err := core.Load(bytes.NewReader(raw))
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %s is neither a framed nor a legacy model file: %w", path, err)
+		return nil, fmt.Errorf("%w: %s is neither a framed nor a legacy model file: %v", ErrCorrupt, path, err)
 	}
 	return m, nil
 }

@@ -284,24 +284,18 @@ func (m *Model) EstimateEncoded(x []float64, tau int) float64 {
 	if tau > m.Cfg.TauMax {
 		tau = m.Cfg.TauMax
 	}
-	traced := obs.Enabled()
-	var tm obs.Timer
-	if traced {
-		tm = obs.StartTimer(estLatency)
-	}
+	tm := obs.StartTimer(estLatency)
 	xm := &tensor.Matrix{Rows: 1, Cols: len(x), Data: x}
 	f := m.inferForward(xm)
 	var sum float64
 	for i := 0; i <= tau; i++ {
 		sum += f.c.At(0, i)
 	}
-	if traced {
-		tm.Stop()
-		estCalls.Inc()
-		estTauDist.Observe(float64(tau))
-		if estSeq.Add(1)%monoSampleEvery == 0 {
-			spotCheckMonotone(f.c.Row(0))
-		}
+	tm.Stop()
+	estCalls.Inc()
+	estTauDist.Observe(float64(tau))
+	if estSeq.Add(1)%monoSampleEvery == 0 {
+		spotCheckMonotone(f.c.Row(0))
 	}
 	return sum
 }
@@ -342,11 +336,7 @@ func CurveMonotone(curve []float64) bool {
 // EstimateAllTaus returns the estimate at every τ in [0, TauMax] for one
 // encoded query with a single forward pass (the prefix sums of ĉᵢ).
 func (m *Model) EstimateAllTaus(x []float64) []float64 {
-	traced := obs.Enabled()
-	var tm obs.Timer
-	if traced {
-		tm = obs.StartTimer(estAllLatency)
-	}
+	tm := obs.StartTimer(estAllLatency)
 	xm := &tensor.Matrix{Rows: 1, Cols: len(x), Data: x}
 	f := m.inferForward(xm)
 	out := make([]float64, m.tauCount())
@@ -355,12 +345,10 @@ func (m *Model) EstimateAllTaus(x []float64) []float64 {
 		sum += f.c.At(0, i)
 		out[i] = sum
 	}
-	if traced {
-		tm.Stop()
-		estAllCalls.Inc()
-		if estSeq.Add(1)%monoSampleEvery == 0 {
-			spotCheckMonotone(f.c.Row(0))
-		}
+	tm.Stop()
+	estAllCalls.Inc()
+	if estSeq.Add(1)%monoSampleEvery == 0 {
+		spotCheckMonotone(f.c.Row(0))
 	}
 	return out
 }
@@ -384,11 +372,7 @@ func (m *Model) EstimateAllTausBatch(xs *tensor.Matrix) *tensor.Matrix {
 	if xs.Cols != m.InDim {
 		panic(fmt.Sprintf("core: feature dim %d, model expects %d", xs.Cols, m.InDim))
 	}
-	traced := obs.Enabled()
-	var tm obs.Timer
-	if traced {
-		tm = obs.StartTimer(estBatchLatency)
-	}
+	tm := obs.StartTimer(estBatchLatency)
 	t := m.tauCount()
 	out := tensor.NewMatrix(xs.Rows, t)
 	var c0 []float64 // decoder outputs of row 0, for the monotonicity spot check
@@ -407,13 +391,11 @@ func (m *Model) EstimateAllTausBatch(xs *tensor.Matrix) *tensor.Matrix {
 			c0 = f.c.Row(0)
 		}
 	})
-	if traced {
-		tm.Stop()
-		estBatchCalls.Inc()
-		estBatchRows.Add(uint64(xs.Rows))
-		if estSeq.Add(1)%monoSampleEvery == 0 && c0 != nil {
-			spotCheckMonotone(c0)
-		}
+	tm.Stop()
+	estBatchCalls.Inc()
+	estBatchRows.Add(uint64(xs.Rows))
+	if estSeq.Add(1)%monoSampleEvery == 0 && c0 != nil {
+		spotCheckMonotone(c0)
 	}
 	return out
 }
@@ -429,11 +411,7 @@ func (m *Model) EstimateEncodedBatch(xs *tensor.Matrix, taus []int) []float64 {
 	if xs.Cols != m.InDim {
 		panic(fmt.Sprintf("core: feature dim %d, model expects %d", xs.Cols, m.InDim))
 	}
-	traced := obs.Enabled()
-	var tm obs.Timer
-	if traced {
-		tm = obs.StartTimer(estBatchLatency)
-	}
+	tm := obs.StartTimer(estBatchLatency)
 	out := make([]float64, xs.Rows)
 	var c0 []float64
 	tensor.ParallelRows(xs.Rows, estMinShardRows, func(lo, hi int) {
@@ -456,13 +434,11 @@ func (m *Model) EstimateEncodedBatch(xs *tensor.Matrix, taus []int) []float64 {
 			c0 = f.c.Row(0)
 		}
 	})
-	if traced {
-		tm.Stop()
-		estBatchCalls.Inc()
-		estBatchRows.Add(uint64(xs.Rows))
-		if estSeq.Add(1)%monoSampleEvery == 0 && c0 != nil {
-			spotCheckMonotone(c0)
-		}
+	tm.Stop()
+	estBatchCalls.Inc()
+	estBatchRows.Add(uint64(xs.Rows))
+	if estSeq.Add(1)%monoSampleEvery == 0 && c0 != nil {
+		spotCheckMonotone(c0)
 	}
 	return out
 }
@@ -685,12 +661,10 @@ func updateOmega(omega, deltas, perDist, prevPerDist []float64, top int) {
 // only: nothing here feeds back into training state.
 func emitEpoch(cfg Config, ev TrainEvent, start time.Time) {
 	ev.EpochTime = time.Since(start)
-	if obs.Enabled() {
-		trainEpochs.Inc()
-		trainEpochTime.ObserveDuration(ev.EpochTime)
-		if ev.HasValid {
-			trainValidMSLE.Set(ev.ValidMSLE)
-		}
+	trainEpochs.Inc()
+	trainEpochTime.ObserveDuration(ev.EpochTime)
+	if ev.HasValid {
+		trainValidMSLE.Set(ev.ValidMSLE)
 	}
 	if cfg.Hook != nil {
 		cfg.Hook(ev)
@@ -1105,16 +1079,115 @@ func (m *Model) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(&st)
 }
 
-// Load reconstructs a model saved with Save.
+// Load reconstructs a model saved with Save. The bytes are untrusted: a
+// config that does not match the decoded weights is an error, never a panic
+// or an allocation beyond the weights actually read.
 func Load(r io.Reader) (*Model, error) {
 	var st modelState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return nil, err
 	}
-	m := New(st.Cfg, st.InDim)
-	m.TauTop = st.TauTop
-	if err := st.Snap.Restore(m.Params()); err != nil {
+	return restore(st.Cfg, st.InDim, st.TauTop, st.Snap)
+}
+
+// restore rebuilds a model from a decoded config and weight snapshot, the
+// shared tail of Load and RestoreTrainer. checkShapes runs first, so New
+// only ever allocates the shapes the snapshot already holds.
+func restore(cfg Config, inDim, tauTop int, snap *nn.Snapshot) (*Model, error) {
+	if err := checkShapes(cfg, inDim, snap); err != nil {
+		return nil, err
+	}
+	m := New(cfg, inDim)
+	m.TauTop = tauTop
+	if err := snap.Restore(m.Params()); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// checkShapes verifies, without allocating them, that the parameters
+// New(cfg, inDim) would build have exactly the lengths of snap's values in
+// Params() order. Widths must be positive and τmax, the VAE latent and the
+// distance embedding non-negative; CardNet-A needs at least one hidden layer.
+// Every dimension must also fit within the snapshot's total length, which
+// keeps the size arithmetic below free of overflow.
+func checkShapes(cfg Config, inDim int, snap *nn.Snapshot) error {
+	if snap == nil {
+		return fmt.Errorf("core: model has no weight snapshot")
+	}
+	limit := 0
+	for _, v := range snap.Values {
+		limit += len(v)
+	}
+	dims := append([]int{inDim, cfg.ZDim}, cfg.VAEHidden...)
+	dims = append(dims, cfg.PhiHidden...)
+	for _, d := range dims {
+		if d < 1 || d > limit {
+			return fmt.Errorf("core: model width %d outside [1, %d]", d, limit)
+		}
+	}
+	for _, d := range []int{cfg.TauMax, cfg.VAELatent, cfg.EmbDim} {
+		if d < 0 || d >= limit {
+			return fmt.Errorf("core: model size %d outside [0, %d)", d, limit)
+		}
+	}
+	if cfg.Accel && len(cfg.PhiHidden) == 0 {
+		return fmt.Errorf("core: CardNet-A config has no hidden layers")
+	}
+
+	// mul saturates at limit+1, a length no snapshot value can have.
+	mul := func(a, b int) int {
+		if a != 0 && b > limit/a {
+			return limit + 1
+		}
+		return a * b
+	}
+	var want []int
+	dense := func(in, out int) { want = append(want, mul(in, out), out) }
+	mlp := func(dims []int) {
+		for i := 0; i+1 < len(dims); i++ {
+			dense(dims[i], dims[i+1])
+		}
+	}
+	if cfg.VAELatent > 0 { // nn.NewVAE
+		enc := append([]int{inDim}, cfg.VAEHidden...)
+		mlp(enc)
+		dense(enc[len(enc)-1], cfg.VAELatent)
+		dense(enc[len(enc)-1], cfg.VAELatent)
+		dec := []int{cfg.VAELatent}
+		for i := len(cfg.VAEHidden) - 1; i >= 0; i-- {
+			dec = append(dec, cfg.VAEHidden[i])
+		}
+		mlp(append(dec, inDim))
+	}
+	tauCount := cfg.TauMax + 1
+	want = append(want, mul(tauCount, cfg.EmbDim))
+	xpDim := inDim + cfg.VAELatent
+	if cfg.Accel { // newAccelEncoder
+		n := len(cfg.PhiHidden)
+		prev := xpDim
+		for j, h := range cfg.PhiHidden {
+			region := cfg.ZDim / n
+			if j < cfg.ZDim%n {
+				region++
+			}
+			dense(prev, h)
+			dense(h, mul(tauCount, region))
+			prev = h
+		}
+	} else {
+		dims := append([]int{xpDim + cfg.EmbDim}, cfg.PhiHidden...)
+		mlp(append(dims, cfg.ZDim))
+	}
+	want = append(want, mul(tauCount, cfg.ZDim), tauCount)
+
+	if len(want) != len(snap.Values) {
+		return fmt.Errorf("core: config implies %d weight tensors, snapshot has %d", len(want), len(snap.Values))
+	}
+	for i, n := range want {
+		if got := len(snap.Values[i]); got != n {
+			return fmt.Errorf("core: weight tensor %d has %d values, config implies %d", i, got, n)
+		}
+	}
+	return nil
 }

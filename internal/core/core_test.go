@@ -11,7 +11,6 @@ import (
 	"cardnet/internal/dist"
 	"cardnet/internal/feature"
 	"cardnet/internal/nn"
-	"cardnet/internal/obs"
 	"cardnet/internal/simselect"
 	"cardnet/internal/tensor"
 )
@@ -657,16 +656,4 @@ func TestEstimateRecordsObsMetrics(t *testing.T) {
 		t.Fatal("healthy model reported monotonicity violations")
 	}
 
-	// Disabled instrumentation must record nothing and not change results.
-	want := m.EstimateEncoded(recs[0].Floats(), 5)
-	obs.SetEnabled(false)
-	got := m.EstimateEncoded(recs[0].Floats(), 5)
-	callsOff := estCalls.Value()
-	obs.SetEnabled(true)
-	if got != want {
-		t.Fatalf("estimate changed with obs off: %v vs %v", got, want)
-	}
-	if m.EstimateEncoded(recs[0].Floats(), 5); estCalls.Value() != callsOff+1 {
-		t.Fatal("counter did not pause while disabled")
-	}
 }

@@ -26,16 +26,10 @@ func NewEstimator[R any](ext feature.Extractor[R], m *Model) *Estimator[R] {
 
 // Estimate returns the estimated cardinality of the selection (q, θ).
 func (e *Estimator[R]) Estimate(q R, theta float64) float64 {
-	traced := obs.Enabled()
-	var tm obs.Timer
-	if traced {
-		tm = obs.StartTimer(encodeLatency)
-	}
+	tm := obs.StartTimer(encodeLatency)
 	x := e.Ext.Encode(q)
 	tau := e.Ext.Threshold(theta)
-	if traced {
-		tm.Stop()
-	}
+	tm.Stop()
 	return e.Model.EstimateEncoded(x, tau)
 }
 

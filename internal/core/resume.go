@@ -75,9 +75,8 @@ func RestoreTrainer(st *TrainerState) (*Model, error) {
 	if st == nil {
 		return nil, fmt.Errorf("core: nil trainer state")
 	}
-	m := New(st.Cfg, st.InDim)
-	m.TauTop = st.TauTop
-	if err := st.Params.Restore(m.Params()); err != nil {
+	m, err := restore(st.Cfg, st.InDim, st.TauTop, st.Params)
+	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint does not match its own config (corrupt state?): %w", err)
 	}
 	return m, nil

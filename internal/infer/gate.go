@@ -172,11 +172,11 @@ func Compile(m *core.Model, tier Precision, gc GateConfig) (*Plan, GateResult, e
 	case res.MonoViolations > 0:
 		res.Reason = fmt.Sprintf("%d of %d curves violate Lemma 2 monotonicity; falling back to f64", res.MonoViolations, gc.Sweep)
 	case res.QErrP99Delta > gc.MaxQErrP99Delta:
-		res.Reason = fmt.Sprintf("q-error p99 delta %.4f exceeds bound %.4f; falling back to f64", res.QErrP99Delta, gc.MaxQErrP99Delta)
+		res.Reason = fmt.Sprintf("q-error p99 delta %.3g exceeds bound %.3g; falling back to f64", res.QErrP99Delta, gc.MaxQErrP99Delta)
 	default:
 		res.Pass = true
 		res.Tier = tier
-		res.Reason = fmt.Sprintf("q-error p99 delta %.4f within bound %.4f, 0 monotonicity violations", res.QErrP99Delta, gc.MaxQErrP99Delta)
+		res.Reason = fmt.Sprintf("q-error p99 delta %.3g within bound %.3g, 0 monotonicity violations", res.QErrP99Delta, gc.MaxQErrP99Delta)
 	}
 	if !res.Pass {
 		return nil, res, nil

@@ -22,7 +22,6 @@ func newPeer(t *testing.T, r *Registry) *httptest.Server {
 }
 
 func TestGatherRemoteAndWriteFederated(t *testing.T) {
-	SetEnabled(true)
 	r1 := NewRegistry()
 	r1.Counter("serving.requests").Add(10)
 	r1.Histogram("serving.e2e.seconds", []float64{0.01, 0.1}).Observe(0.05)

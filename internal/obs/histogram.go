@@ -44,9 +44,6 @@ func NewHistogram(bounds []float64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if !enabled.Load() {
-		return
-	}
 	i := sort.SearchFloat64s(h.bounds, v) // first bound ≥ v
 	h.counts[i].Add(1)
 	h.n.Add(1)
@@ -66,9 +63,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 // exemplar-linked histograms stay hot-path safe. An empty traceID degrades
 // to a plain Observe.
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	if !enabled.Load() {
-		return
-	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	if traceID != "" {
 		h.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: v})

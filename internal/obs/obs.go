@@ -2,13 +2,12 @@
 // stack: named counters, gauges, and fixed-bucket histograms collected in a
 // Registry, a lightweight span/timer API, and a JSONL structured-event sink.
 // Everything is safe for concurrent use and cheap enough for the estimation
-// hot path (an atomic load plus a handful of atomic adds per observation).
+// hot path (a handful of atomic adds per observation).
 //
 // A process-wide Default registry is what the core model, the bench harness,
-// and the `cardnet serve` /metrics endpoint share. Instrumentation can be
-// switched off globally with SetEnabled(false), which turns every record
-// call into a single atomic load — the `cardnet -mode obsbench` baseline
-// measures the difference.
+// and the `cardnet serve` /metrics endpoint share. Instrumentation is always
+// on; perfbench's obs.trace_overhead_pct measures what request tracing adds
+// on top.
 package obs
 
 import (
@@ -20,17 +19,6 @@ import (
 	"sync/atomic"
 )
 
-// enabled gates every metric mutation. Snapshots still work when disabled.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled switches metric collection on or off process-wide.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether metric collection is active.
-func Enabled() bool { return enabled.Load() }
-
 // Counter is a monotonically increasing event count.
 type Counter struct {
 	v atomic.Uint64
@@ -40,12 +28,7 @@ type Counter struct {
 func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n.
-func (c *Counter) Add(n uint64) {
-	if !enabled.Load() {
-		return
-	}
-	c.v.Add(n)
-}
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
@@ -56,12 +39,7 @@ type Gauge struct {
 }
 
 // Set stores v.
-func (g *Gauge) Set(v float64) {
-	if !enabled.Load() {
-		return
-	}
-	g.bits.Store(floatBits(v))
-}
+func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
 
 // Value returns the stored value (0 before the first Set).
 func (g *Gauge) Value() float64 { return bitsFloat(g.bits.Load()) }

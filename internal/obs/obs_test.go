@@ -173,24 +173,6 @@ func TestSpanAndTimer(t *testing.T) {
 	}
 }
 
-func TestSetEnabled(t *testing.T) {
-	r := NewRegistry()
-	SetEnabled(false)
-	defer SetEnabled(true)
-	r.Counter("off").Inc()
-	r.Gauge("off.g").Set(3)
-	h := r.Histogram("off.h", []float64{1})
-	h.Observe(0.5)
-	if r.Counter("off").Value() != 0 || r.Gauge("off.g").Value() != 0 || h.Count() != 0 {
-		t.Fatal("disabled metrics still recorded")
-	}
-	SetEnabled(true)
-	r.Counter("off").Inc()
-	if r.Counter("off").Value() != 1 {
-		t.Fatal("re-enabled counter did not record")
-	}
-}
-
 func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("reqs").Add(3)

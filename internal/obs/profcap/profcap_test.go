@@ -42,7 +42,6 @@ func listProfiles(t *testing.T, dir string) []string {
 }
 
 func TestCaptureWritesReadablePair(t *testing.T) {
-	obs.SetEnabled(true)
 	reg := obs.NewRegistry()
 	c := fastCapturer(t, reg, 4)
 	c.Trigger("page")
@@ -84,7 +83,6 @@ func TestCaptureWritesReadablePair(t *testing.T) {
 }
 
 func TestRetentionPrunesOldestPairs(t *testing.T) {
-	obs.SetEnabled(true)
 	reg := obs.NewRegistry()
 	c := fastCapturer(t, reg, 2)
 	for i := 0; i < 5; i++ {
@@ -102,7 +100,6 @@ func TestRetentionPrunesOldestPairs(t *testing.T) {
 }
 
 func TestCooldownDropsTriggers(t *testing.T) {
-	obs.SetEnabled(true)
 	reg := obs.NewRegistry()
 	c, err := New(Config{
 		Dir:         t.TempDir(),
@@ -136,7 +133,6 @@ func TestCooldownDropsTriggers(t *testing.T) {
 }
 
 func TestTriggerNonBlockingWhileBusy(t *testing.T) {
-	obs.SetEnabled(true)
 	reg := obs.NewRegistry()
 	c, err := New(Config{
 		Dir:         t.TempDir(),

@@ -29,7 +29,6 @@ func promFixture() *Registry {
 }
 
 func TestWritePrometheusGolden(t *testing.T) {
-	SetEnabled(true)
 	var buf bytes.Buffer
 	if err := promFixture().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -53,7 +52,6 @@ func TestWritePrometheusGolden(t *testing.T) {
 }
 
 func TestWritePrometheusRoundTrip(t *testing.T) {
-	SetEnabled(true)
 	var buf bytes.Buffer
 	if err := promFixture().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -159,7 +157,6 @@ func TestParsePrometheusEscapedLabelsRoundTrip(t *testing.T) {
 
 func TestParsePrometheusExtremeBucketBounds(t *testing.T) {
 	r := NewRegistry()
-	SetEnabled(true)
 	h := r.Histogram("wide.seconds", []float64{1e-9, 1e300, math.Inf(1)})
 	h.Observe(0.5)
 	h.Observe(math.MaxFloat64)

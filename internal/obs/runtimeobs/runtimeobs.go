@@ -3,8 +3,7 @@
 // picks up heap pressure, GC pauses, goroutine counts, and process uptime
 // with zero new wire code. The sampler costs one runtime.ReadMemStats per
 // interval (a stop-the-world on the order of tens of microseconds), which at
-// the default 10s cadence is far below the serving layer's noise floor —
-// `cardnet -mode obsbench` measures it.
+// the default 10s cadence is far below the serving layer's noise floor.
 //
 // Metric names (registry form → Prometheus form):
 //

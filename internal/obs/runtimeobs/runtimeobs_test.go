@@ -10,7 +10,6 @@ import (
 )
 
 func TestSamplerPublishesRuntimeMetrics(t *testing.T) {
-	obs.SetEnabled(true)
 	reg := obs.NewRegistry()
 	s := New(Config{Registry: reg})
 	// Force a GC so the pause histogram and GC counter have something to see.
@@ -58,7 +57,6 @@ func TestSamplerPublishesRuntimeMetrics(t *testing.T) {
 }
 
 func TestSamplerStartStopAndExposition(t *testing.T) {
-	obs.SetEnabled(true)
 	reg := obs.NewRegistry()
 	s := Start(Config{Interval: time.Millisecond, Registry: reg})
 	deadline := time.Now().Add(2 * time.Second)
@@ -94,7 +92,6 @@ func TestSamplerStartStopAndExposition(t *testing.T) {
 }
 
 func TestConcurrentSampleSafe(t *testing.T) {
-	obs.SetEnabled(true)
 	reg := obs.NewRegistry()
 	s := New(Config{Registry: reg})
 	done := make(chan struct{})

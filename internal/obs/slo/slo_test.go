@@ -35,7 +35,6 @@ func availabilityTracker(t *testing.T, reg *obs.Registry, sink *obs.Sink, transi
 }
 
 func TestAvailabilityBurnRampOKWarnPageOK(t *testing.T) {
-	obs.SetEnabled(true)
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
 	sink := obs.NewSink(&buf)
@@ -110,7 +109,6 @@ func TestAvailabilityBurnRampOKWarnPageOK(t *testing.T) {
 }
 
 func TestStatusAndGauges(t *testing.T) {
-	obs.SetEnabled(true)
 	reg := obs.NewRegistry()
 	var seen []Transition
 	tr := availabilityTracker(t, reg, nil, &seen)
@@ -157,7 +155,6 @@ func TestStatusAndGauges(t *testing.T) {
 }
 
 func TestLatencyObjectiveAndP99Trigger(t *testing.T) {
-	obs.SetEnabled(true)
 	reg := obs.NewRegistry()
 	var p99Calls []float64
 	tr := New(Config{
@@ -221,7 +218,6 @@ func TestLatencyObjectiveAndP99Trigger(t *testing.T) {
 // latency objective degrading names a concrete traced request beyond the
 // bound, in the transition event, the JSONL sink line, and Status.
 func TestLatencyTransitionCarriesExemplar(t *testing.T) {
-	obs.SetEnabled(true)
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
 	var seen []Transition
@@ -279,7 +275,6 @@ func TestLatencyTransitionCarriesExemplar(t *testing.T) {
 }
 
 func TestZeroTrafficStaysOK(t *testing.T) {
-	obs.SetEnabled(true)
 	reg := obs.NewRegistry()
 	var seen []Transition
 	tr := availabilityTracker(t, reg, nil, &seen)
@@ -295,7 +290,6 @@ func TestZeroTrafficStaysOK(t *testing.T) {
 }
 
 func TestTrackerStartStop(t *testing.T) {
-	obs.SetEnabled(true)
 	reg := obs.NewRegistry()
 	tr := New(Config{
 		Registry: reg,

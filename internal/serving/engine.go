@@ -45,8 +45,8 @@ type Config struct {
 	// must be cheap: it runs on the batch worker's hot path.
 	CurveCheck func(curve []float64)
 	// Precision selects the inference tier: "f64" (default) is the exact
-	// legacy forward; "f32" and "int8" serve through a compiled fused plan —
-	// but only after the accuracy-delta gate passes. A failed gate falls back
+	// legacy forward; "f32" serves through a compiled fused plan — but only
+	// after the accuracy-delta gate passes. A failed gate falls back
 	// to f64 (see Engine.Precision for the verdict).
 	Precision infer.Precision
 	// GateMaxDelta bounds the q-error p99 inflation a compiled tier may show

@@ -18,16 +18,12 @@ type planState struct {
 
 // precisionBits maps a tier to the gauge encoding of
 // "serving.precision.active_bits": the weight width actually serving
-// (64, 32, or 8).
+// (64 or 32).
 func precisionBits(p infer.Precision) float64 {
-	switch p {
-	case infer.PrecisionF32:
+	if p == infer.PrecisionF32 {
 		return 32
-	case infer.PrecisionInt8:
-		return 8
-	default:
-		return 64
 	}
+	return 64
 }
 
 // relower compiles the current registry model to the configured precision

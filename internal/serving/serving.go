@@ -27,10 +27,10 @@
 //     validates shape compatibility (InDim, TauMax) and replaces the model
 //     without failing in-flight requests — batches already formed finish on
 //     the model they started with.
-//   - Precision tiers: Config.Precision selects f64 (exact legacy forward),
-//     f32, or int8. Compiled tiers run the fused internal/infer plan,
-//     re-lowered on every swap, and serve only after the accuracy-delta gate
-//     passes (q-error p99 delta within bound, zero Lemma-2 monotonicity
+//   - Precision tiers: Config.Precision selects f64 (exact legacy forward)
+//     or f32. The f32 tier runs the fused internal/infer plan, re-lowered on
+//     every swap, and serves only after the accuracy-delta gate passes
+//     (q-error p99 delta within bound, zero Lemma-2 monotonicity
 //     violations); a failed gate falls back to f64.
 //
 // Everything is instrumented on obs.Default under the "serving." prefix.

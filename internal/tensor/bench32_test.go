@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// benchDims matches the trainbench GFLOP/s harness (M×K · (N×K)ᵀ).
+// Kernel bench dimensions: an M-row batch through a K×N (or N×K) weight.
 const (
 	benchM = 256
 	benchK = 512
@@ -14,23 +14,22 @@ const (
 )
 
 // abtBenchRows are the left-operand row counts of the ABT kernel benches:
-// the trainbench batch, plus the 1- and 2-row batches a lightly loaded
+// the 256-row harness batch, plus the 1- and 2-row batches a lightly loaded
 // server forms, which run the leftover-row path rather than 4-row tiles.
 var abtBenchRows = []int{benchM, 2, 1}
 
 // reportGFLOPS attaches a GFLOP/s metric (2·M·N·K flops per op) so
-// `make bench-kernels` can print the f64/f32/int8 table straight from the
+// `make bench-kernels` can print the kernel table straight from the
 // benchmark output.
 func reportGFLOPS(b *testing.B, m int) {
 	flops := 2 * float64(m) * float64(benchN) * float64(benchK)
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
-// benchABT times the call setup returns, as one sub-benchmark per
-// abtBenchRows entry; setup builds an M×benchK input and benchN×benchK
-// weights from a fresh seeded source.
-func benchABT(b *testing.B, setup func(rng *rand.Rand, m int) func()) {
-	for _, m := range abtBenchRows {
+// benchKernel times the call setup returns, as one sub-benchmark per entry
+// of rows; setup builds M-row operands from a fresh seeded source.
+func benchKernel(b *testing.B, rows []int, setup func(rng *rand.Rand, m int) func()) {
+	for _, m := range rows {
 		b.Run(fmt.Sprintf("M=%d", m), func(b *testing.B) {
 			kernel := setup(rand.New(rand.NewSource(1)), m)
 			b.ResetTimer()
@@ -43,7 +42,7 @@ func benchABT(b *testing.B, setup func(rng *rand.Rand, m int) func()) {
 }
 
 func BenchmarkKernelABT_f64(b *testing.B) {
-	benchABT(b, func(rng *rand.Rand, m int) func() {
+	benchKernel(b, abtBenchRows, func(rng *rand.Rand, m int) func() {
 		a := randMatrix(rng, m, benchK)
 		w := randMatrix(rng, benchN, benchK)
 		out := NewMatrix(m, benchN)
@@ -52,7 +51,7 @@ func BenchmarkKernelABT_f64(b *testing.B) {
 }
 
 func BenchmarkKernelABT_f32(b *testing.B) {
-	benchABT(b, func(rng *rand.Rand, m int) func() {
+	benchKernel(b, abtBenchRows, func(rng *rand.Rand, m int) func() {
 		a := Demote32(randMatrix(rng, m, benchK))
 		w := Demote32(randMatrix(rng, benchN, benchK))
 		out := NewMatrix32(m, benchN)
@@ -60,25 +59,30 @@ func BenchmarkKernelABT_f32(b *testing.B) {
 	})
 }
 
-func BenchmarkKernelABT_int8(b *testing.B) {
-	benchABT(b, func(rng *rand.Rand, m int) func() {
-		a := QuantizeRows(Demote32(randMatrix(rng, m, benchK)), nil)
-		w := QuantizeRows(Demote32(randMatrix(rng, benchN, benchK)), nil)
-		out := NewMatrix32(m, benchN)
-		return func() { MatMulABTQ8(a, w, out) }
+// trainBenchRows are the row counts of the training-backward kernel benches:
+// the default training minibatch and the 256-row harness batch.
+var trainBenchRows = []int{32, benchM}
+
+// BenchmarkKernelMatMul times the Dense backward dX = dY·W product (MatMul,
+// zero-skip included) on dense operands.
+func BenchmarkKernelMatMul(b *testing.B) {
+	benchKernel(b, trainBenchRows, func(rng *rand.Rand, m int) func() {
+		dy := randMatrix(rng, m, benchK)
+		w := randMatrix(rng, benchK, benchN)
+		out := NewMatrix(m, benchN)
+		return func() { MatMul(dy, w, out) }
 	})
 }
 
-// BenchmarkKernelInt8Quantize isolates the dynamic activation-quantization
-// cost the int8 tier pays per layer on top of the matmul itself.
-func BenchmarkKernelInt8Quantize(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := Demote32(randMatrix(rng, benchM, benchK))
-	q := NewQuantMatrix(benchM, benchK)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		QuantizeRows(a, q)
-	}
+// BenchmarkKernelATBAdd times the Dense weight-gradient accumulation
+// dW += dYᵀ·X (MatMulATBAdd) over an M-row batch.
+func BenchmarkKernelATBAdd(b *testing.B) {
+	benchKernel(b, trainBenchRows, func(rng *rand.Rand, m int) func() {
+		dy := randMatrix(rng, m, benchK)
+		x := randMatrix(rng, m, benchN)
+		dw := NewMatrix(benchK, benchN)
+		return func() { MatMulATBAdd(dy, x, dw) }
+	})
 }
 
 // zeroSkipOperands builds a MatMul left operand with the given fraction of

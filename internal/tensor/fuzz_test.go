@@ -7,12 +7,12 @@ import (
 )
 
 // FuzzMatMulABT pins every ABT kernel element to the per-element dot product
-// bit for bit: MatMulABT and the forced-parallel PMatMulABT to Dot,
-// MatMulABT32/MatMulABTAdd32 to Dot32, and MatMulABTQ8/MatMulABTQ8Add to the
-// DotQ8 sum times both row scales. The add variants must add onto the prior
-// out exactly once. Shapes span 1–9 input rows, 0–70 columns and 0–9 weight
-// rows, which reaches every remainder of the 4-row tiles, the 8-row blocks
-// and the 4-wide weight groups. Seeds live in testdata/fuzz/FuzzMatMulABT.
+// bit for bit: MatMulABT and the forced-parallel PMatMulABT to Dot, and
+// MatMulABT32/MatMulABTAdd32 to Dot32. The add variant must add onto the
+// prior out exactly once. Shapes span 1–9 input rows, 0–70 columns and 0–9
+// weight rows, which reaches every remainder of the 4-row tiles, the 8-row
+// blocks and the 4-wide weight groups. Seeds live in
+// testdata/fuzz/FuzzMatMulABT.
 func FuzzMatMulABT(f *testing.F) {
 	f.Add(uint8(0), uint8(64), uint8(4), int64(1))
 	f.Add(uint8(8), uint8(70), uint8(9), int64(2))
@@ -39,18 +39,11 @@ func FuzzMatMulABT(f *testing.F) {
 		got32 := MatMulABT32(a32, b32, nil)
 		add32 := &Matrix32{Rows: r, Cols: c, Data: append([]float32(nil), prior.Data...)}
 		MatMulABTAdd32(a32, b32, add32)
-		aq, bq := QuantizeRows(a32, nil), QuantizeRows(b32, nil)
-		gotQ := MatMulABTQ8(aq, bq, nil)
-		addQ := &Matrix32{Rows: r, Cols: c, Data: append([]float32(nil), prior.Data...)}
-		MatMulABTQ8Add(aq, bq, addQ)
 		for i := 0; i < r; i++ {
 			for j := 0; j < c; j++ {
 				d := Dot32(a32.Row(i), b32.Row(j))
 				checkBits32(t, "MatMulABT32", i, j, got32.At(i, j), d)
 				checkBits32(t, "MatMulABTAdd32", i, j, add32.At(i, j), prior.At(i, j)+d)
-				q := float32(DotQ8(aq.Row(i), bq.Row(j))) * aq.Scale[i] * bq.Scale[j]
-				checkBits32(t, "MatMulABTQ8", i, j, gotQ.At(i, j), q)
-				checkBits32(t, "MatMulABTQ8Add", i, j, addQ.At(i, j), prior.At(i, j)+q)
 			}
 		}
 	})

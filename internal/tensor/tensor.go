@@ -110,8 +110,8 @@ func MatMul(a, b, out *Matrix) *Matrix {
 // gradients, where entire inner sweeps vanish often enough to pay for the
 // test. On dense inference activations the skip almost never fires and the
 // data-dependent branch defeats the predictor; dense callers use the
-// branch-free MatMulDense (and the float32/int8 inference kernels, which
-// never zero-skip). BenchmarkZeroSkip measures the gap both ways.
+// branch-free MatMulDense (and the float32 inference kernels, which never
+// zero-skip). BenchmarkZeroSkip measures the gap both ways.
 func matMulRows(a, b, out *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		ai := a.Row(i)
