@@ -70,7 +70,7 @@ race-cluster:
 
 # Stress the compiled inference path under the race detector: one plan shared
 # by concurrent estimators (the scratch pool), engine precision tiers, and
-# plan re-lowering racing hot swaps.
+# plan compilation racing hot swaps.
 race-infer:
 	$(GO) test -race -count=3 ./internal/infer -run 'Concurrent|Plan|Gate'
 	$(GO) test -race -count=3 ./internal/serving -run 'Precision|GateFallback|SwapRelowers'
@@ -85,13 +85,14 @@ race-autopilot:
 # Short native-fuzzing pass over every fuzz target (seed corpora live in each
 # package's testdata/fuzz/ or in the target's f.Add seeds; plain `go test`
 # replays them too): the router's routing-key extraction, the serving cache's
-# packed curve key, the ABT kernels against the per-element dot products, and
-# model-file loading.
+# packed curve key, the ABT kernels against the per-element dot products,
+# model-file loading, and the f64/f32 plans against the nn forward.
 fuzz-smoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzExtractKey$$' -fuzztime=10s
 	$(GO) test ./internal/serving -run '^$$' -fuzz '^FuzzCurveKey$$' -fuzztime=10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMulABT$$' -fuzztime=10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime=10s
+	$(GO) test ./internal/infer -run '^$$' -fuzz '^FuzzPlanTiers$$' -fuzztime=10s
 
 # The benchmark's own helper tests. perfbench/ is a separate Go module, so
 # the root `go test ./...` does not reach it.

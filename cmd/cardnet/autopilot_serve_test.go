@@ -17,6 +17,7 @@ import (
 
 	"cardnet/internal/autopilot"
 	"cardnet/internal/core"
+	"cardnet/internal/infer"
 	"cardnet/internal/obs"
 	"cardnet/internal/obs/monitor"
 	"cardnet/internal/serving"
@@ -69,7 +70,7 @@ func fastPilotConfig(dir string) autopilot.Config {
 func newAutopilotServer(t *testing.T, cfg autopilot.Config, label autopilot.Labeler) (*httptest.Server, *serving.Engine, *autopilot.Pilot) {
 	t.Helper()
 	m := tinyModel(3)
-	eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{
+	eng := testEngine(t, m, serving.Config{
 		MaxBatch: 8, MaxWait: time.Millisecond, CacheEntries: -1,
 	})
 	mon := monitor.New(monitor.Config{Window: 64, BaselineN: 4, EWMAAlpha: 0.5}, obs.NewRegistry())
@@ -135,7 +136,8 @@ func TestAutopilotE2EDriftToSwap(t *testing.T) {
 	cfg.Journal = sink
 	cfg.PublishPath = filepath.Join(dir, "published.gob")
 	ts, eng, pilot := newAutopilotServer(t, cfg, apTruth)
-	m, v0 := eng.Registry().Current()
+	cur := eng.Registry().Current()
+	m, v0 := cur.Model, cur.Version
 
 	// Concurrent estimate clients run through the whole cycle — drift,
 	// retrain, shadow, swap — and must never see a non-200.
@@ -202,7 +204,7 @@ func TestAutopilotE2EDriftToSwap(t *testing.T) {
 	if st.Swaps != 1 || st.Rejects != 0 || st.LastDecision == nil || st.LastDecision.Event != "swap" {
 		t.Fatalf("cycle did not end in a swap: %+v (last %+v)", st, st.LastDecision)
 	}
-	if _, v := eng.Registry().Current(); v != v0+1 {
+	if v := eng.Registry().Current().Version; v != v0+1 {
 		t.Fatalf("registry version %d, want %d", v, v0+1)
 	}
 	// The swapped model was published for restart.
@@ -279,26 +281,28 @@ func TestAutopilotE2EDriftToSwap(t *testing.T) {
 // and enter cooldown without touching the registry.
 func TestAutopilotRejectsRegressionCandidate(t *testing.T) {
 	var shadowMode atomic.Bool // false: garbage labels; true: live-curve labels
-	live := tinyModel(3)
+	live, err := infer.Lower(tinyModel(3), infer.PrecisionF64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	label := func(x []float64, tauTop int) ([]float64, error) {
-		curve := make([]float64, tauTop+1)
-		if !shadowMode.Load() {
-			for tau := range curve {
-				curve[tau] = 1000
-			}
-			return curve, nil
+		if shadowMode.Load() {
+			return live.EstimateAllTaus(x)[:tauTop+1], nil
 		}
+		curve := make([]float64, tauTop+1)
 		for tau := range curve {
-			curve[tau] = live.EstimateEncoded(x, tau)
+			curve[tau] = 1000
 		}
 		return curve, nil
 	}
 
 	cfg := fastPilotConfig(t.TempDir())
 	ts, eng, pilot := newAutopilotServer(t, cfg, label)
-	// The server's registry serves the same weights as `live` (same seed), so
-	// the shadow-phase labels equal what the engine serves.
-	m, v0 := eng.Registry().Current()
+	// The server's registry serves the same weights as `live` (same seed)
+	// through the same f64 plan, so the shadow-phase labels equal what the
+	// engine serves.
+	cur := eng.Registry().Current()
+	m, v0 := cur.Model, cur.Version
 
 	for i := 0; i < 16; i++ {
 		pilot.Observe(apX(m, i), i%(m.Cfg.TauMax+1))
@@ -329,7 +333,7 @@ func TestAutopilotRejectsRegressionCandidate(t *testing.T) {
 	if st.LastDecision == nil || st.LastDecision.CandQGeoMean <= st.LastDecision.LiveQGeoMean {
 		t.Fatalf("reject decision does not show the regression: %+v", st.LastDecision)
 	}
-	if _, v := eng.Registry().Current(); v != v0 {
+	if v := eng.Registry().Current().Version; v != v0 {
 		t.Fatalf("registry swapped to a regressed candidate (version %d)", v)
 	}
 }

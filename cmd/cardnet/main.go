@@ -90,9 +90,9 @@ func main() {
 	queueDepth := flag.Int("queue", 256, "serve: admission queue depth (full queue -> 503)")
 	workers := flag.Int("workers", 0, "train/update: data-parallel training shards (0 = all CPUs); serve: batch workers (0 = GOMAXPROCS)")
 	cacheEntries := flag.Int("cache", 4096, "serve: estimate cache capacity in query curves (negative disables)")
-	precision := flag.String("precision", "f64", "serve: inference precision tier (f64 | f32); compiled tiers serve only if the accuracy gate passes, else f64")
-	precisionGateDelta := flag.Float64("precision-gate-delta", infer.DefaultGateMaxDelta, "serve: max q-error p99 delta vs f64 a compiled precision tier may add before falling back")
-	precisionGateSweep := flag.Int("precision-gate-sweep", infer.DefaultGateSweep, "serve: validation queries the precision gate evaluates per (re)lowering")
+	precision := flag.String("precision", "f64", "serve: inference plan tier (f64 | f32); the f32 plan serves only if the accuracy gate passes, else the f64 plan")
+	precisionGateDelta := flag.Float64("precision-gate-delta", infer.DefaultGateMaxDelta, "serve: max q-error p99 delta vs the nn forward the f32 plan may add before falling back to f64")
+	precisionGateSweep := flag.Int("precision-gate-sweep", infer.DefaultGateSweep, "serve: validation queries the f32 gate evaluates per compile")
 	traceRate := flag.Float64("trace-sample-rate", 0.01, "serve/router: fraction of requests whose traces are written to -tracelog")
 	traceLog := flag.String("tracelog", "off", `serve/router: JSONL request-trace log path ("off" = disabled)`)
 	auditRate := flag.Float64("audit-sample-rate", 0, "serve: fraction of estimates replayed against the exact oracle (Hamming datasets only; 0 = off)")
@@ -159,10 +159,10 @@ func main() {
 		QueueDepth:   *queueDepth,
 		Workers:      *workers,
 		CacheEntries: *cacheEntries,
-		Precision:    precTier,
-		GateMaxDelta: *precisionGateDelta,
-		GateSweep:    *precisionGateSweep,
-		GateSeed:     *seed,
+	}
+	planCfg := serving.PlanConfig{
+		Precision: precTier,
+		Gate:      infer.GateConfig{MaxQErrP99Delta: *precisionGateDelta, Sweep: *precisionGateSweep, Seed: *seed},
 	}
 
 	spec, ok := dataset.DefaultsByName()[*dsName]
@@ -374,7 +374,7 @@ func main() {
 			}
 			opts.autopilotCfg = &cfg
 		}
-		err := runServe(m, *addr, serveCfg, opts)
+		err := runServe(m, *addr, serveCfg, planCfg, opts)
 		closeTraces()
 		closeSLOLog()
 		closeAutopilotJournal()

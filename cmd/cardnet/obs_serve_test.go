@@ -181,7 +181,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 func TestFeedbackDriftTransition(t *testing.T) {
 	m := tinyModel(3)
 	mon := monitor.New(monitor.Config{BaselineN: 8, EWMAAlpha: 0.5}, obs.Default)
-	eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{MaxBatch: 2, MaxWait: time.Millisecond})
+	eng := testEngine(t, m, serving.Config{MaxBatch: 2, MaxWait: time.Millisecond})
 	ts := httptest.NewServer(newServeMux(eng, serveOptions{mon: mon}))
 	t.Cleanup(func() { ts.Close(); eng.Close() })
 
@@ -323,15 +323,16 @@ func TestFeedbackValidation(t *testing.T) {
 
 // A numerically corrupted model breaks the prefix-sum guarantee of Lemma 2
 // and trips the monitor's violation counter on the very first served batch.
-// NaN pre-activations are absorbed by the decoder ReLU, so the corruption
-// that actually escapes is an overflowed (+Inf) decoder bias.
+// Compilation refuses NaN and infinite weights, so the corruption that still
+// reaches serving is a finite decoder bias so large that the prefix sum
+// overflows to +Inf.
 func TestMonotonicityViolationCounted(t *testing.T) {
 	m := tinyModel(5)
 	corrupted := false
 	for _, p := range m.Params() {
 		if p.Name == "decB" {
 			for i := range p.Value {
-				p.Value[i] = math.Inf(1)
+				p.Value[i] = math.MaxFloat64
 			}
 			corrupted = true
 		}
@@ -340,7 +341,7 @@ func TestMonotonicityViolationCounted(t *testing.T) {
 		t.Fatal("decoder bias param not found")
 	}
 	mon := monitor.New(monitor.Config{}, obs.NewRegistry())
-	eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{
+	eng := testEngine(t, m, serving.Config{
 		MaxBatch: 1, CacheEntries: -1,
 		CurveCheck: func(c []float64) { mon.CheckCurve(c) },
 	})
@@ -357,7 +358,7 @@ func TestMonotonicityViolationCounted(t *testing.T) {
 
 	// A healthy model through the same wiring stays clean.
 	mon2 := monitor.New(monitor.Config{}, obs.NewRegistry())
-	eng2 := serving.NewEngine(serving.NewRegistry(tinyModel(5)), serving.Config{
+	eng2 := testEngine(t, tinyModel(5), serving.Config{
 		MaxBatch: 1, CacheEntries: -1,
 		CurveCheck: func(c []float64) { mon2.CheckCurve(c) },
 	})
@@ -379,7 +380,7 @@ func TestTraceSamplingWritesJSONL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{MaxBatch: 2, MaxWait: time.Millisecond})
+	eng := testEngine(t, m, serving.Config{MaxBatch: 2, MaxWait: time.Millisecond})
 	sampler := obs.NewTraceSampler(1, sink)
 	ts := httptest.NewServer(newServeMux(eng, serveOptions{sampler: sampler}))
 	t.Cleanup(func() { ts.Close(); eng.Close() })
@@ -446,7 +447,7 @@ func TestAuditSamplingFeedsMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon := monitor.New(monitor.Config{}, obs.Default)
-	eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{MaxBatch: 2, MaxWait: time.Millisecond})
+	eng := testEngine(t, m, serving.Config{MaxBatch: 2, MaxWait: time.Millisecond})
 	ts := httptest.NewServer(newServeMux(eng, serveOptions{mon: mon, oracle: oracle, auditRate: 1}))
 	t.Cleanup(func() { ts.Close(); eng.Close() })
 

@@ -109,7 +109,7 @@ func defaultSLOObjectives(latencyBound, latencyTarget, availTarget float64) []sl
 // runServe blocks serving the estimation API on addr until SIGINT/SIGTERM,
 // then shuts down gracefully: stop accepting connections, let in-flight
 // HTTP requests finish, and drain the engine's queued batches before exit.
-func runServe(m *core.Model, addr string, scfg serving.Config, opts serveOptions) error {
+func runServe(m *core.Model, addr string, scfg serving.Config, pcfg serving.PlanConfig, opts serveOptions) error {
 	if opts.mon == nil {
 		opts.mon = monitor.New(monitor.Config{}, obs.Default)
 	}
@@ -119,7 +119,10 @@ func runServe(m *core.Model, addr string, scfg serving.Config, opts serveOptions
 	// Every τ-sweep the batch workers compute is checked against the Lemma 2
 	// monotonicity contract, and a model swap re-baselines the drift monitor.
 	scfg.CurveCheck = func(curve []float64) { opts.mon.CheckCurve(curve) }
-	reg := serving.NewRegistry(m)
+	reg, err := serving.NewRegistry(m, pcfg)
+	if err != nil {
+		return fmt.Errorf("compile model: %w", err)
+	}
 	reg.OnSwap(opts.mon.ResetBaseline)
 	eng := serving.NewEngine(reg, scfg)
 
@@ -190,7 +193,7 @@ func runServe(m *core.Model, addr string, scfg serving.Config, opts serveOptions
 	log.Printf("shutting down: draining connections and queued batches")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	err := srv.Shutdown(shutCtx)
+	err = srv.Shutdown(shutCtx)
 	eng.Close() // after Shutdown: no new requests, drain what is queued
 	if err != nil {
 		return fmt.Errorf("shutdown: %w", err)
@@ -286,7 +289,8 @@ func handleEstimate(eng *serving.Engine, sampler *obs.TraceSampler, aud *auditor
 			finish()
 			return
 		}
-		m, version := eng.Registry().Current()
+		cur := eng.Registry().Current()
+		m, version := cur.Model, cur.Version
 		if err := validateEstimateRequest(req, m); err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			finish()
@@ -464,7 +468,7 @@ func handleFeedback(eng *serving.Engine, mon *monitor.Monitor, pilot *autopilot.
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad JSON body: %v", err))
 			return
 		}
-		m, _ := eng.Registry().Current()
+		m := eng.Registry().Current().Model
 		if err := validateEstimateRequest(&estimateRequest{X: req.X, Tau: req.Tau}, m); err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
@@ -505,7 +509,7 @@ func handleFeedback(eng *serving.Engine, mon *monitor.Monitor, pilot *autopilot.
 // and the ok/warn/retrain-recommended verdict.
 func handleDrift(eng *serving.Engine, mon *monitor.Monitor) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		_, version := eng.Registry().Current()
+		version := eng.Registry().Current().Version
 		writeJSON(w, struct {
 			monitor.Status
 			ModelVersion uint64 `json:"model_version"`
@@ -562,7 +566,8 @@ func handleReload(eng *serving.Engine) http.HandlerFunc {
 
 func handleHealthz(eng *serving.Engine, mon *monitor.Monitor, tracker *slo.Tracker, pilot *autopilot.Pilot) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		m, version := eng.Registry().Current()
+		cur := eng.Registry().Current()
+		m, version := cur.Model, cur.Version
 		// Subsystem verdicts are nested objects of uniform shape — a "status"
 		// (or "state") verdict plus that subsystem's key numbers — matching
 		// the precision block, so fleet tooling indexes "<block>.status"
@@ -590,7 +595,7 @@ func handleHealthz(eng *serving.Engine, mon *monitor.Monitor, tracker *slo.Track
 			"model_bytes":        m.SizeBytes(),
 			"model_version":      version,
 			"cache_entries":      eng.CacheLen(),
-			"precision":          eng.Precision(),
+			"precision":          cur.Gate,
 		}
 		if pilot != nil {
 			body["autopilot"] = pilot.Status()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"cardnet/internal/core"
+	"cardnet/internal/infer"
 	"cardnet/internal/obs"
 	"cardnet/internal/serving"
 	"cardnet/internal/tensor"
@@ -31,10 +33,31 @@ func tinyModel(seed int64) *core.Model {
 	return core.New(cfg, 16)
 }
 
+// testEngine starts an engine over m published at the default f64 tier.
+func testEngine(t testing.TB, m *core.Model, cfg serving.Config) *serving.Engine {
+	t.Helper()
+	reg, err := serving.NewRegistry(m, serving.PlanConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serving.NewEngine(reg, cfg)
+}
+
+// planCurve is m's estimate curve for x through its f64 plan, the bits the
+// default engine serves.
+func planCurve(t testing.TB, m *core.Model, x []float64) []float64 {
+	t.Helper()
+	p, err := infer.Lower(m, infer.PrecisionF64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.EstimateAllTaus(x)
+}
+
 // newTestServer stands up the full handler tree over a fresh engine.
 func newTestServer(t *testing.T, m *core.Model, cfg serving.Config) (*httptest.Server, *serving.Engine) {
 	t.Helper()
-	eng := serving.NewEngine(serving.NewRegistry(m), cfg)
+	eng := testEngine(t, m, cfg)
 	ts := httptest.NewServer(newServeMux(eng, serveOptions{}))
 	t.Cleanup(func() { ts.Close(); eng.Close() })
 	return ts, eng
@@ -79,7 +102,7 @@ func TestServeEstimateAndMetrics(t *testing.T) {
 	if er.Estimate == nil || *er.Estimate < 0 || er.Tau != 3 {
 		t.Fatalf("estimate response: %+v", er)
 	}
-	want := m.EstimateEncoded(parseFloats(t, x), 3)
+	want := planCurve(t, m, parseFloats(t, x))[3]
 	if *er.Estimate != want {
 		t.Fatalf("HTTP estimate %v != direct %v", *er.Estimate, want)
 	}
@@ -125,11 +148,8 @@ func TestServeEstimateAndMetrics(t *testing.T) {
 	if snap.Counters["serving.requests"] == 0 {
 		t.Fatal("metrics: no serving requests recorded")
 	}
-	if snap.Counters["core.estimate_batch.rows"] == 0 {
+	if b := snap.Histograms["serving.batch.size"]; b.Count == 0 || b.Sum == 0 {
 		t.Fatal("metrics: no batched rows recorded")
-	}
-	if snap.Histograms["serving.batch.size"].Count == 0 {
-		t.Fatal("metrics: empty batch-size histogram")
 	}
 	if snap.Histograms["http.estimate.seconds"].Count == 0 || snap.Counters["http.estimate.calls"] == 0 {
 		t.Fatal("metrics: HTTP span not recorded")
@@ -206,7 +226,7 @@ func TestServeEstimateValidation(t *testing.T) {
 // overload degradation path, deterministic flavor).
 func TestServeUnavailableAfterEngineClose(t *testing.T) {
 	m := tinyModel(3)
-	eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{})
+	eng := testEngine(t, m, serving.Config{})
 	ts := httptest.NewServer(newServeMux(eng, serveOptions{}))
 	defer ts.Close()
 	eng.Close()
@@ -246,6 +266,12 @@ func TestServeAdminReload(t *testing.T) {
 	if err := saveModel(wrongShape, wrongPath); err != nil {
 		t.Fatal(err)
 	}
+	nonFinite := tinyModel(19)
+	nonFinite.Params()[0].Value[0] = math.NaN()
+	nanPath := dir + "/nan.gob"
+	if err := saveModel(nonFinite, nanPath); err != nil {
+		t.Fatal(err)
+	}
 
 	postReload := func(body string) *http.Response {
 		t.Helper()
@@ -256,7 +282,8 @@ func TestServeAdminReload(t *testing.T) {
 		return resp
 	}
 
-	// Rejections: bad JSON, missing path, missing file, incompatible shape.
+	// Rejections: bad JSON, missing path, missing file, incompatible shape,
+	// a NaN weight (it would serve silent all-zero curves).
 	for _, tc := range []struct {
 		body string
 		want int
@@ -265,6 +292,7 @@ func TestServeAdminReload(t *testing.T) {
 		{`{}`, http.StatusBadRequest},
 		{`{"path":"` + dir + `/missing.gob"}`, http.StatusBadRequest},
 		{`{"path":"` + wrongPath + `"}`, http.StatusConflict},
+		{`{"path":"` + nanPath + `"}`, http.StatusConflict},
 	} {
 		resp := postReload(tc.body)
 		resp.Body.Close()
@@ -272,7 +300,7 @@ func TestServeAdminReload(t *testing.T) {
 			t.Fatalf("reload %q: status=%d, want %d", tc.body, resp.StatusCode, tc.want)
 		}
 	}
-	if _, v := eng.Registry().Current(); v != 1 {
+	if v := eng.Registry().Current().Version; v != 1 {
 		t.Fatalf("rejected reloads advanced version to %d", v)
 	}
 
@@ -280,8 +308,8 @@ func TestServeAdminReload(t *testing.T) {
 	xs := binXStrings(m1)
 	xCSV := strings.Join(xs, ",")
 	xv := parseFloats(t, xs)
-	want1 := m1.EstimateEncoded(xv, 2)
-	want2 := m2.EstimateEncoded(xv, 2)
+	want1 := planCurve(t, m1, xv)[2]
+	want2 := planCurve(t, m2, xv)[2]
 	if want1 == want2 {
 		t.Fatal("fixture models agree; swap would be unobservable")
 	}
@@ -345,7 +373,7 @@ func TestServeAdminReload(t *testing.T) {
 	if *er.Estimate != want2 {
 		t.Fatalf("post-reload estimate %v, want new model's %v", *er.Estimate, want2)
 	}
-	if _, v := eng.Registry().Current(); v != 2 {
+	if v := eng.Registry().Current().Version; v != 2 {
 		t.Fatalf("registry version %d after reload, want 2", v)
 	}
 
@@ -401,4 +429,23 @@ func parseFloats(t *testing.T, ss []string) []float64 {
 
 func matrixFromData(cols int, data []float64) *tensor.Matrix {
 	return &tensor.Matrix{Rows: len(data) / cols, Cols: cols, Data: data}
+}
+
+// TestRunServeRefusesNonFiniteModel: `cardnet serve` must fail at startup on
+// a model with a NaN weight instead of serving silent all-zero curves.
+func TestRunServeRefusesNonFiniteModel(t *testing.T) {
+	m := tinyModel(3)
+	m.Params()[0].Value[0] = math.NaN()
+	errc := make(chan error, 1)
+	go func() {
+		errc <- runServe(m, "127.0.0.1:0", serving.Config{}, serving.PlanConfig{}, serveOptions{})
+	}()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Fatalf("runServe = %v, want a NaN-weight compile error", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("runServe started serving a model with a NaN weight")
+	}
 }

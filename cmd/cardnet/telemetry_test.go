@@ -149,7 +149,7 @@ func TestMetricsFederateEndpoint(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	eng := serving.NewEngine(serving.NewRegistry(tinyModel(5)), serving.Config{})
+	eng := testEngine(t, tinyModel(5), serving.Config{})
 	fed := httptest.NewServer(newServeMux(eng, serveOptions{peers: []string{peer.URL + "/metrics"}}))
 	t.Cleanup(func() { fed.Close(); eng.Close() })
 

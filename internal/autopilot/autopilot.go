@@ -533,7 +533,7 @@ func (p *Pilot) waitTrigger() bool {
 // ring, labels it through the ground-truth labeler, and persists it to the
 // staging directory so a resumed process retrains on byte-identical data.
 func (p *Pilot) stageTrainSet() (train, valid *core.TrainSet, ok bool) {
-	live, _ := p.reg.Current()
+	live := p.reg.Current().Model
 	if n := p.store.Len(); n < p.cfg.MinSamples {
 		p.transition(StateIdle, "trigger declined: too few samples", map[string]any{
 			"samples": n, "min_samples": p.cfg.MinSamples,
@@ -564,8 +564,7 @@ func (p *Pilot) trainCandidate(train, valid *core.TrainSet, st *core.TrainerStat
 		cand, err = core.RestoreTrainer(st)
 		fields["resumed_epoch"] = st.Epoch
 	} else {
-		live, _ := p.reg.Current()
-		cand, err = cloneModel(live)
+		cand, err = cloneModel(p.reg.Current().Model)
 		if cand != nil {
 			cand.Cfg.Workers = p.cfg.TrainWorkers
 		}
@@ -627,14 +626,23 @@ func (p *Pilot) trainCandidate(train, valid *core.TrainSet, st *core.TrainerStat
 	return cand, false
 }
 
-// shadowAndDecide dual-runs sampled live traffic through the candidate,
-// scores both models against ground truth, runs the monotonicity sweep, and
-// either hot-swaps the registry or rejects the candidate. It reports false
-// when the pilot closed before a verdict was reached — the candidate then
-// stays staged so a restart resumes straight into shadow.
+// shadowAndDecide compiles the candidate into the snapshot the registry
+// would publish, dual-runs sampled live traffic through that snapshot's plan,
+// scores both against ground truth, runs the monotonicity sweep on the same
+// plan, and either publishes the snapshot or rejects the candidate. It
+// reports false when the pilot closed before a verdict was reached — the
+// candidate then stays staged so a restart resumes straight into shadow.
 func (p *Pilot) shadowAndDecide(cand *core.Model) bool {
 	p.setState(StateShadow)
-	ev := newShadowEval(cand, p.label, p.cfg.ShadowRate, p.cfg.ShadowMin)
+	d := &Decision{Event: "reject", CandidateEpochs: int(p.candEpochs.Load())}
+	next, err := p.reg.Prepare(cand)
+	if err != nil {
+		d.Reason = fmt.Sprintf("registry refused swap: %v", err)
+		p.transition(StateReject, d.Reason, nil)
+		p.recordDecision(d)
+		return true
+	}
+	ev := newShadowEval(next.Plan, p.label, p.cfg.ShadowRate, p.cfg.ShadowMin)
 	p.eng.SetShadowTap(ev.tap)
 	defer func() {
 		p.eng.SetShadowTap(nil)
@@ -648,39 +656,27 @@ func (p *Pilot) shadowAndDecide(cand *core.Model) bool {
 		return false
 	}
 	rows, liveG, candG := ev.summary()
-
-	d := &Decision{
-		Event:           "reject",
-		ShadowRows:      rows,
-		LiveQGeoMean:    liveG,
-		CandQGeoMean:    candG,
-		CandidateEpochs: int(p.candEpochs.Load()),
-	}
+	d.ShadowRows, d.LiveQGeoMean, d.CandQGeoMean = rows, liveG, candG
 	switch {
 	case rows < p.cfg.ShadowMin:
 		d.Reason = fmt.Sprintf("insufficient shadow traffic: %d of %d rows before timeout", rows, p.cfg.ShadowMin)
 	case candG > liveG*p.cfg.WinRatio:
 		d.Reason = fmt.Sprintf("candidate q-error geomean %.4f exceeds live %.4f × win ratio %.2f", candG, liveG, p.cfg.WinRatio)
 	default:
-		d.MonoViolations = infer.MonoSweep(cand, p.cfg.GateSweep, p.cfg.GateSeed)
+		d.MonoViolations = infer.MonoSweep(next.Plan, p.cfg.GateSweep, p.cfg.GateSeed)
 		if d.MonoViolations > 0 {
 			d.Reason = fmt.Sprintf("%d of %d monotonicity sweep curves violate Lemma 2", d.MonoViolations, p.cfg.GateSweep)
 		} else if p.Inhibited() {
 			d.Reason = "swap inhibited by operator"
 		} else {
-			version, err := p.reg.Swap(cand)
-			if err != nil {
-				d.Reason = fmt.Sprintf("registry refused swap: %v", err)
-			} else {
-				d.Event = "swap"
-				d.Reason = fmt.Sprintf("candidate q-error geomean %.4f ≤ live %.4f, 0 monotonicity violations", candG, liveG)
-				d.ModelVersion = version
-				if p.cfg.PublishPath != "" {
-					if err := checkpoint.SaveModel(p.cfg.PublishPath, cand); err != nil {
-						// The swap already happened; publication failure only
-						// affects the next restart. Journal it.
-						p.transition(StateSwap, "publish after swap failed", map[string]any{"error": err.Error()})
-					}
+			d.Event = "swap"
+			d.Reason = fmt.Sprintf("candidate q-error geomean %.4f ≤ live %.4f, 0 monotonicity violations", candG, liveG)
+			d.ModelVersion = p.reg.Publish(next)
+			if p.cfg.PublishPath != "" {
+				if err := checkpoint.SaveModel(p.cfg.PublishPath, cand); err != nil {
+					// The swap already happened; publication failure only
+					// affects the next restart. Journal it.
+					p.transition(StateSwap, "publish after swap failed", map[string]any{"error": err.Error()})
 				}
 			}
 		}

@@ -2,8 +2,10 @@ package autopilot
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -54,7 +56,11 @@ func binX(i int) []float64 {
 func newTestPilot(t *testing.T, dir string, cfg Config) (*Pilot, *serving.Engine, *monitor.Monitor) {
 	t.Helper()
 	m := tinyModel(3)
-	eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{CacheEntries: -1})
+	reg, err := serving.NewRegistry(m, serving.PlanConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := serving.NewEngine(reg, serving.Config{CacheEntries: -1})
 	t.Cleanup(eng.Close)
 	mon := monitor.New(monitor.Config{Window: 64, BaselineN: 4, EWMAAlpha: 0.5}, obs.NewRegistry())
 	cfg.Dir = dir
@@ -165,7 +171,7 @@ func TestForcedCycleSwaps(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		p.Observe(binX(i), i%9)
 	}
-	_, v0 := eng.Registry().Current()
+	v0 := eng.Registry().Current().Version
 	p.Start()
 	defer p.Close()
 	p.Force()
@@ -193,7 +199,7 @@ func TestForcedCycleSwaps(t *testing.T) {
 	if st.LastDecision.CandQGeoMean > st.LastDecision.LiveQGeoMean {
 		t.Fatalf("swap with candidate worse than live: %+v", st.LastDecision)
 	}
-	if _, v := eng.Registry().Current(); v != v0+1 {
+	if v := eng.Registry().Current().Version; v != v0+1 {
 		t.Fatalf("registry version %d, want %d", v, v0+1)
 	}
 	// Staging is cleaned after a completed cycle.
@@ -213,7 +219,7 @@ func TestInhibitedWinRejects(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		p.Observe(binX(i), i%9)
 	}
-	_, v0 := eng.Registry().Current()
+	v0 := eng.Registry().Current().Version
 	p.Start()
 	defer p.Close()
 	p.Force() // force fires even while inhibit only blocks autonomous triggers
@@ -235,7 +241,7 @@ func TestInhibitedWinRejects(t *testing.T) {
 	if st.Rejects != 1 || st.Swaps != 0 {
 		t.Fatalf("inhibited cycle: %+v (last: %+v)", st, st.LastDecision)
 	}
-	if _, v := eng.Registry().Current(); v != v0 {
+	if v := eng.Registry().Current().Version; v != v0 {
 		t.Fatalf("registry swapped while inhibited (version %d)", v)
 	}
 }
@@ -314,5 +320,38 @@ func TestStartFromStagedCandidate(t *testing.T) {
 	waitState(t, p1, StateShadow, 60*time.Second)
 	if st := p1.Status(); st.Triggers != 0 || st.Resumes != 1 {
 		t.Fatalf("staged-candidate start: %+v", st)
+	}
+}
+
+// TestNonFiniteCandidateRefused: a staged candidate with a NaN weight serves
+// all-zero curves, which pass the monotonicity sweep. The registry must
+// refuse to compile it, so the cycle ends in a reject that says so and the
+// live version stays put.
+func TestNonFiniteCandidateRefused(t *testing.T) {
+	dir := t.TempDir()
+	p, eng, _ := newTestPilot(t, dir, Config{
+		Poll: 2 * time.Millisecond, MinSamples: 8, ShadowRate: 1.0,
+		ShadowMin: 8, ShadowTimeout: 20 * time.Second, Cooldown: time.Hour,
+		GateSweep: 32,
+	})
+	bad := tinyModel(9)
+	bad.Params()[0].Value[0] = math.NaN()
+	if err := checkpoint.SaveModel(p.candPath(), bad); err != nil {
+		t.Fatal(err)
+	}
+	v0 := eng.Registry().Current().Version
+	p.Start()
+	defer p.Close()
+	waitState(t, p, StateCooldown, 60*time.Second)
+
+	st := p.Status()
+	if st.Rejects != 1 || st.Swaps != 0 || st.LastDecision == nil {
+		t.Fatalf("NaN candidate cycle: %+v (last: %+v)", st, st.LastDecision)
+	}
+	if !strings.Contains(st.LastDecision.Reason, "registry refused swap") {
+		t.Fatalf("reject reason %q, want a registry refusal", st.LastDecision.Reason)
+	}
+	if v := eng.Registry().Current().Version; v != v0 {
+		t.Fatalf("registry version %d after a refused candidate, want %d", v, v0)
 	}
 }

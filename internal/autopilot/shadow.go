@@ -5,7 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cardnet/internal/core"
+	"cardnet/internal/infer"
 	"cardnet/internal/metrics"
 	"cardnet/internal/tensor"
 )
@@ -19,7 +19,7 @@ type shadowBatch struct {
 }
 
 // shadowEval dual-runs a sampled fraction of live traffic through a retrained
-// candidate and scores both models against ground truth. The tap side is the
+// candidate's plan and scores both against ground truth. The tap side is the
 // engine's hot path, so it does the minimum — counter sampling, two row
 // copies, a non-blocking channel send (full channel drops the batch and
 // counts it). The expensive work — the candidate's forward pass and the
@@ -27,7 +27,7 @@ type shadowBatch struct {
 // responses are never touched: shadow evaluation observes traffic, it does
 // not sit in front of it.
 type shadowEval struct {
-	cand  *core.Model
+	cand  *infer.Plan
 	label Labeler
 	every uint64 // sample 1 in every batches
 	min   int
@@ -48,7 +48,7 @@ type shadowEval struct {
 	candLogSum float64
 }
 
-func newShadowEval(cand *core.Model, label Labeler, rate float64, min int) *shadowEval {
+func newShadowEval(cand *infer.Plan, label Labeler, rate float64, min int) *shadowEval {
 	every := uint64(math.Round(1 / rate))
 	if every < 1 {
 		every = 1

@@ -41,7 +41,7 @@ func ensureDir(dir string) error {
 // no longer matches the live serving shape is discarded: the operator swapped
 // in an incompatible model between runs, so the old cycle's work is moot.
 func (p *Pilot) detectStaging() (cand *core.Model, st *core.TrainerState, train, valid *core.TrainSet, phase int) {
-	live, _ := p.reg.Current()
+	live := p.reg.Current().Model
 
 	if c, err := checkpoint.LoadModel(p.candPath()); err == nil {
 		if c.InDim == live.InDim && c.Cfg.TauMax == live.Cfg.TauMax {

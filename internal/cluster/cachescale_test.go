@@ -56,7 +56,11 @@ func TestFleetCacheHitRatioScalesWithReplicas(t *testing.T) {
 		for i := 0; i < n; i++ {
 			name := fmt.Sprintf("replica-%d", i)
 			ring.Add(name)
-			engines[name] = serving.NewEngine(serving.NewRegistry(m), serving.Config{
+			reg, err := serving.NewRegistry(m, serving.PlanConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			engines[name] = serving.NewEngine(reg, serving.Config{
 				Workers:      1,
 				CacheEntries: cacheEntries,
 			})

@@ -19,9 +19,9 @@ func randomBinaryBatch(seed int64, b, dim int) *tensor.Matrix {
 	return xs
 }
 
-// The batched paths must be bit-identical to the per-sample paths — the
-// serving engine relies on this to coalesce requests without changing
-// answers.
+// The batched path must be bit-identical to the per-sample paths: every row
+// of EstimateAllTausBatch equals EstimateAllTaus, and EstimateEncoded equals
+// that curve at the clamped τ (0 below zero).
 func TestBatchedEstimatesBitIdentical(t *testing.T) {
 	for _, accel := range []bool{false, true} {
 		m := New(tinyConfig(7, accel), 20)
@@ -32,12 +32,6 @@ func TestBatchedEstimatesBitIdentical(t *testing.T) {
 		if all.Rows != b || all.Cols != m.Cfg.TauMax+1 {
 			t.Fatalf("accel=%v: batch all-taus shape %d×%d", accel, all.Rows, all.Cols)
 		}
-		taus := make([]int, b)
-		for e := 0; e < b; e++ {
-			taus[e] = e % (m.Cfg.TauMax + 3) // exercises clamping too
-		}
-		single := m.EstimateEncodedBatch(xs, taus)
-
 		for e := 0; e < b; e++ {
 			want := m.EstimateAllTaus(xs.Row(e))
 			for i, v := range want {
@@ -45,22 +39,15 @@ func TestBatchedEstimatesBitIdentical(t *testing.T) {
 					t.Fatalf("accel=%v: row %d τ=%d batched %v != per-sample %v", accel, e, i, all.At(e, i), v)
 				}
 			}
-			if w := m.EstimateEncoded(xs.Row(e), taus[e]); single[e] != w {
-				t.Fatalf("accel=%v: row %d tau=%d batched %v != per-sample %v", accel, e, taus[e], single[e], w)
+			tau := e%(m.Cfg.TauMax+3) - 1 // exercises negative τ and clamping too
+			want1 := 0.0
+			if tau >= 0 {
+				want1 = all.At(e, min(tau, m.Cfg.TauMax))
+			}
+			if got := m.EstimateEncoded(xs.Row(e), tau); got != want1 {
+				t.Fatalf("accel=%v: row %d tau=%d EstimateEncoded %v != batched %v", accel, e, tau, got, want1)
 			}
 		}
-	}
-}
-
-func TestBatchedEstimateNegativeTauIsZero(t *testing.T) {
-	m := New(tinyConfig(5, true), 16)
-	xs := randomBinaryBatch(3, 2, m.InDim)
-	got := m.EstimateEncodedBatch(xs, []int{-1, 2})
-	if got[0] != 0 {
-		t.Fatalf("negative tau: got %v, want 0", got[0])
-	}
-	if want := m.EstimateEncoded(xs.Row(1), 2); got[1] != want {
-		t.Fatalf("row 1: got %v, want %v", got[1], want)
 	}
 }
 
@@ -75,7 +62,6 @@ func TestBatchedEstimateShapePanics(t *testing.T) {
 		f()
 	}
 	assertPanics("wrong dim", func() { m.EstimateAllTausBatch(tensor.NewMatrix(2, 5)) })
-	assertPanics("tau count", func() { m.EstimateEncodedBatch(tensor.NewMatrix(2, 8), []int{1}) })
 }
 
 // Concurrent inference on one shared model must be race-free and return the
@@ -119,18 +105,16 @@ func TestEstimateConcurrentMatchesSerial(t *testing.T) {
 					}
 					if rep%5 == 0 {
 						sub := tensor.NewMatrix(4, m.InDim)
-						taus := make([]int, 4)
 						for r := 0; r < 4; r++ {
 							copy(sub.Row(r), xs.Row((e+r)%nq))
-							taus[r] = (e + r) % (m.Cfg.TauMax + 1)
 						}
-						batch := m.EstimateEncodedBatch(sub, taus)
+						batch := m.EstimateAllTausBatch(sub)
 						for r := 0; r < 4; r++ {
-							// The single-τ estimate is the prefix sum at τ, so it
-							// must match the precomputed all-τ row exactly.
-							if batch[r] != wantAll[(e+r)%nq][taus[r]] {
-								errs <- "EstimateEncodedBatch diverged under concurrency"
-								return
+							for i, v := range wantAll[(e+r)%nq] {
+								if batch.At(r, i) != v {
+									errs <- "EstimateAllTausBatch diverged under concurrency"
+									return
+								}
 							}
 						}
 					}

@@ -361,9 +361,10 @@ const estMinShardRows = 16
 // EstimateAllTausBatch runs one forward pass over a whole batch: xs is
 // B×InDim (one encoded query per row) and the result is B×(TauMax+1), row e
 // holding the prefix-sum estimates of query e at every τ. Stacking rows
-// through the shared Φ/Φ′ matmuls amortizes weight-matrix memory traffic, so
-// this is the serving hot path; wide batches additionally shard their rows
-// across the tensor worker pool. Because the inference forward treats every
+// through the shared Φ/Φ′ matmuls amortizes weight-matrix memory traffic;
+// wide batches additionally shard their rows across the tensor worker pool.
+// Serving answers through compiled internal/infer plans instead; this unfused
+// nn forward is their reference (the f32 gate compares against it). Because the inference forward treats every
 // row independently, every output element stays bit-identical to the
 // corresponding per-sample EstimateAllTaus / EstimateEncoded result at any
 // worker count. Safe for concurrent callers (the inference forward writes no
@@ -386,49 +387,6 @@ func (m *Model) EstimateAllTausBatch(xs *tensor.Matrix) *tensor.Matrix {
 				sum += crow[i]
 				row[i] = sum
 			}
-		}
-		if lo == 0 {
-			c0 = f.c.Row(0)
-		}
-	})
-	tm.Stop()
-	estBatchCalls.Inc()
-	estBatchRows.Add(uint64(xs.Rows))
-	if estSeq.Add(1)%monoSampleEvery == 0 && c0 != nil {
-		spotCheckMonotone(c0)
-	}
-	return out
-}
-
-// EstimateEncodedBatch estimates a batch of (query, τ) pairs in one forward
-// pass: xs is B×InDim and taus[e] is query e's transformed threshold
-// (negative τ yields 0, τ above TauMax clamps, matching EstimateEncoded).
-// Results are bit-identical to calling EstimateEncoded per row.
-func (m *Model) EstimateEncodedBatch(xs *tensor.Matrix, taus []int) []float64 {
-	if len(taus) != xs.Rows {
-		panic(fmt.Sprintf("core: %d taus for %d rows", len(taus), xs.Rows))
-	}
-	if xs.Cols != m.InDim {
-		panic(fmt.Sprintf("core: feature dim %d, model expects %d", xs.Cols, m.InDim))
-	}
-	tm := obs.StartTimer(estBatchLatency)
-	out := make([]float64, xs.Rows)
-	var c0 []float64
-	tensor.ParallelRows(xs.Rows, estMinShardRows, func(lo, hi int) {
-		f := m.inferForward(xs.RowSlice(lo, hi))
-		for e := lo; e < hi; e++ {
-			tau := taus[e]
-			if tau < 0 {
-				continue
-			}
-			if tau > m.Cfg.TauMax {
-				tau = m.Cfg.TauMax
-			}
-			var sum float64
-			for i := 0; i <= tau; i++ {
-				sum += f.c.At(e-lo, i)
-			}
-			out[e] = sum
 		}
 		if lo == 0 {
 			c0 = f.c.Row(0)

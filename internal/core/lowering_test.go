@@ -1,102 +1,12 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"cardnet/internal/nn"
 	"cardnet/internal/tensor"
 )
-
-// lowerTestConfigs sweeps both encoder families, VAE on/off, uneven region
-// splits (ZDim not divisible by the layer count), and different depths.
-func lowerTestConfigs() []Config {
-	accel := DefaultConfig(6)
-	accel.Accel = true
-	accel.PhiHidden = []int{24, 16, 8}
-	accel.ZDim = 10 // 3 regions of 4/3/3: exercises the remainder path
-	accel.VAEHidden = []int{20, 12}
-	accel.VAELatent = 6
-
-	accelNoVAE := accel
-	accelNoVAE.VAELatent = 0
-	accelNoVAE.Seed = 2
-
-	std := DefaultConfig(5)
-	std.PhiHidden = []int{18, 12}
-	std.ZDim = 7
-	std.VAEHidden = []int{16}
-	std.VAELatent = 4
-	std.Seed = 3
-
-	stdNoVAE := std
-	stdNoVAE.VAELatent = 0
-	stdNoVAE.Seed = 4
-
-	return []Config{accel, accelNoVAE, std, stdNoVAE}
-}
-
-// randomBinary returns a rows×cols matrix of random 0/1 features.
-func randomBinary(rng *rand.Rand, rows, cols int) *tensor.Matrix {
-	xs := tensor.NewMatrix(rows, cols)
-	for i := range xs.Data {
-		if rng.Intn(2) == 1 {
-			xs.Data[i] = 1
-		}
-	}
-	return xs
-}
-
-// TestLoweredModelMatchesLegacy checks the fusion algebra: the lowered f64
-// evaluator must reproduce the un-fused forward to float64 reassociation
-// error on both encoder families.
-func TestLoweredModelMatchesLegacy(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for ci, cfg := range lowerTestConfigs() {
-		m := New(cfg, 12)
-		lm := m.Lower()
-		xs := randomBinary(rng, 9, 12)
-		want := m.EstimateAllTausBatch(xs)
-		got := lm.EstimateAllTausBatch(xs)
-		if got.Rows != want.Rows || got.Cols != want.Cols {
-			t.Fatalf("cfg %d: shape %d×%d, want %d×%d", ci, got.Rows, got.Cols, want.Rows, want.Cols)
-		}
-		for i := range got.Data {
-			w, g := want.Data[i], got.Data[i]
-			if math.Abs(g-w) > 1e-9*(1+math.Abs(w)) {
-				t.Fatalf("cfg %d (accel=%v): elem %d = %.15g, want %.15g", ci, cfg.Accel, i, g, w)
-			}
-		}
-		for e := 0; e < got.Rows; e++ {
-			if !CurveMonotone(got.Row(e)) {
-				t.Fatalf("cfg %d: lowered curve %d not monotone", ci, e)
-			}
-		}
-	}
-}
-
-// TestLoweredModelImmutable checks that lowering deep-copies: mutating the
-// source model must not change an already-lowered plan's outputs.
-func TestLoweredModelImmutable(t *testing.T) {
-	cfg := lowerTestConfigs()[0]
-	m := New(cfg, 12)
-	lm := m.Lower()
-	rng := rand.New(rand.NewSource(7))
-	xs := randomBinary(rng, 3, 12)
-	before := lm.EstimateAllTausBatch(xs)
-	for _, p := range m.Params() {
-		for i := range p.Value {
-			p.Value[i] += 0.5
-		}
-	}
-	after := lm.EstimateAllTausBatch(xs)
-	for i := range before.Data {
-		if before.Data[i] != after.Data[i] {
-			t.Fatalf("lowered output changed after model mutation: elem %d %g -> %g", i, before.Data[i], after.Data[i])
-		}
-	}
-}
 
 // TestAccelScratchBitIdentical checks that the scratch-buffer forward (reused
 // context) produces bit-identical embeddings to the legacy allocating path,

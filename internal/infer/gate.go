@@ -11,9 +11,9 @@ import (
 
 // Default gate parameters, used when GateConfig fields are zero.
 const (
-	// DefaultGateMaxDelta bounds the allowed q-error p99 inflation of a
-	// compiled tier relative to the exact f64 path: the tier is eligible only
-	// if p99(q-error vs f64) − 1 stays within this bound over the sweep.
+	// DefaultGateMaxDelta bounds the allowed q-error p99 inflation of the f32
+	// tier relative to the model's nn forward: the tier is eligible only if
+	// p99(q-error vs nn) − 1 stays within this bound over the sweep.
 	DefaultGateMaxDelta = 0.1
 	// DefaultGateSweep is the number of pseudo-random validation queries the
 	// gate evaluates.
@@ -23,8 +23,8 @@ const (
 // GateConfig parameterizes the accuracy-delta gate Compile runs before a
 // compiled tier may serve.
 type GateConfig struct {
-	// MaxQErrP99Delta is the bound on p99 q-error minus one versus the f64
-	// path (0 selects DefaultGateMaxDelta).
+	// MaxQErrP99Delta is the bound on p99 q-error minus one versus the
+	// model's nn forward (0 selects DefaultGateMaxDelta).
 	MaxQErrP99Delta float64
 	// Sweep is the number of validation queries (0 selects DefaultGateSweep).
 	Sweep int
@@ -56,8 +56,8 @@ type GateResult struct {
 	Tier Precision `json:"tier"`
 	// Pass reports whether the requested tier is eligible to serve.
 	Pass bool `json:"pass"`
-	// QErrP99Delta is the measured p99 q-error minus one versus the f64 path
-	// over the sweep (zero for the f64 tier itself).
+	// QErrP99Delta is the measured p99 q-error minus one versus the model's
+	// nn forward over the sweep (zero for the f64 tier itself).
 	QErrP99Delta float64 `json:"q_err_p99_delta"`
 	// MaxQErrP99Delta echoes the bound the measurement was judged against.
 	MaxQErrP99Delta float64 `json:"max_q_err_p99_delta"`
@@ -94,45 +94,54 @@ func qErrP99(got, want *tensor.Matrix) float64 {
 	return qs[idx]
 }
 
-// MonoSweep evaluates sweep seeded pseudo-random binary queries through m and
-// returns how many of the resulting τ-sweep curves violate Lemma 2
-// monotonicity (core.CurveMonotone). It is the model-level half of the gate
-// Compile runs on compiled plans: the autopilot runs it over every retrained
-// candidate before a swap, because incremental training preserves the
-// architecture's monotone construction but a verification sweep is what turns
-// that argument into a checked invariant (zero violations required to swap).
-// The sweep generation matches Compile's, so sweep/seed pairs are comparable
-// across both gates.
-func MonoSweep(m *core.Model, sweep int, seed int64) int {
-	if sweep <= 0 {
-		sweep = DefaultGateSweep
-	}
+// sweepInputs returns the gate's seeded pseudo-random binary query sweep.
+func sweepInputs(sweep, inDim int, seed int64) *tensor.Matrix {
 	rng := rand.New(rand.NewSource(seed))
-	xs := tensor.NewMatrix(sweep, m.InDim)
+	xs := tensor.NewMatrix(sweep, inDim)
 	for i := range xs.Data {
 		if rng.Intn(2) == 1 {
 			xs.Data[i] = 1
 		}
 	}
-	all := m.EstimateAllTausBatch(xs)
-	violations := 0
-	for r := 0; r < all.Rows; r++ {
-		if !core.CurveMonotone(all.Row(r)) {
-			violations++
-		}
-	}
-	return violations
+	return xs
 }
 
-// Compile lowers m to the requested tier and runs the accuracy-delta gate: a
-// seeded pseudo-random binary query sweep is evaluated through both the exact
-// f64 model path and the compiled plan, and the plan is eligible only if the
-// q-error p99 delta stays within the bound AND every plan curve passes
-// core.CurveMonotone (zero Lemma-2 violations). On a gate failure Compile
-// returns a nil plan and a GateResult directing the caller back to the f64
-// path — the compiled tier never serves estimates the gate has not vouched
-// for. Requesting PrecisionF64 trivially passes with a nil plan (f64 is the
-// legacy exact path, not a compiled plan).
+// violations counts the rows of a curve matrix that fail core.CurveMonotone.
+func violations(curves *tensor.Matrix) int {
+	n := 0
+	for r := 0; r < curves.Rows; r++ {
+		if !core.CurveMonotone(curves.Row(r)) {
+			n++
+		}
+	}
+	return n
+}
+
+// MonoSweep evaluates sweep seeded pseudo-random binary queries through p and
+// returns how many of the resulting τ-sweep curves violate Lemma 2
+// monotonicity (core.CurveMonotone). The autopilot runs it over the plan a
+// retrained candidate would serve before a swap: incremental training
+// preserves the architecture's monotone construction, but a verification
+// sweep of the serving artifact is what turns that argument into a checked
+// invariant (zero violations required to swap). The sweep generation matches
+// Compile's, so sweep/seed pairs are comparable across both gates.
+func MonoSweep(p *Plan, sweep int, seed int64) int {
+	if sweep <= 0 {
+		sweep = DefaultGateSweep
+	}
+	return violations(p.EstimateAllTausBatch(sweepInputs(sweep, p.InDim(), seed)))
+}
+
+// Compile lowers m to the requested tier and, for f32, runs the
+// accuracy-delta gate: a seeded pseudo-random binary query sweep is
+// evaluated through both the model's own nn forward and the f32 plan, and the
+// plan is eligible only if the q-error p99 delta stays within the bound AND
+// every plan curve passes core.CurveMonotone (zero Lemma-2 violations). On a
+// gate failure Compile returns the f64 plan and a GateResult naming f64 as
+// the serving tier — the f32 tier never serves estimates the gate has not
+// vouched for. The f64 plan needs no gate: fusion only reassociates float64
+// sums. Compile returns a non-nil plan whenever err is nil; err reports an
+// unknown tier or a model with a NaN or infinite weight.
 func Compile(m *core.Model, tier Precision, gc GateConfig) (*Plan, GateResult, error) {
 	gc = gc.WithDefaults()
 	res := GateResult{
@@ -143,30 +152,19 @@ func Compile(m *core.Model, tier Precision, gc GateConfig) (*Plan, GateResult, e
 	}
 	if tier == PrecisionF64 {
 		res.Pass = true
-		res.Reason = "f64 is the exact path; no gate required"
-		return nil, res, nil
+		res.Reason = "f64 plan: fusion only reassociates float64 sums; no gate required"
+		p, err := Lower(m, PrecisionF64)
+		return p, res, err
 	}
 	p, err := Lower(m, tier)
 	if err != nil {
 		return nil, res, err
 	}
 
-	rng := rand.New(rand.NewSource(gc.Seed))
-	xs := tensor.NewMatrix(gc.Sweep, m.InDim)
-	for i := range xs.Data {
-		if rng.Intn(2) == 1 {
-			xs.Data[i] = 1
-		}
-	}
-	want := m.EstimateAllTausBatch(xs)
+	xs := sweepInputs(gc.Sweep, m.InDim, gc.Seed)
 	got := p.EstimateAllTausBatch(xs)
-
-	res.QErrP99Delta = qErrP99(got, want) - 1
-	for e := 0; e < got.Rows; e++ {
-		if !core.CurveMonotone(got.Row(e)) {
-			res.MonoViolations++
-		}
-	}
+	res.QErrP99Delta = qErrP99(got, m.EstimateAllTausBatch(xs)) - 1
+	res.MonoViolations = violations(got)
 
 	switch {
 	case res.MonoViolations > 0:
@@ -177,9 +175,8 @@ func Compile(m *core.Model, tier Precision, gc GateConfig) (*Plan, GateResult, e
 		res.Pass = true
 		res.Tier = tier
 		res.Reason = fmt.Sprintf("q-error p99 delta %.3g within bound %.3g, 0 monotonicity violations", res.QErrP99Delta, gc.MaxQErrP99Delta)
+		return p, res, nil
 	}
-	if !res.Pass {
-		return nil, res, nil
-	}
-	return p, res, nil
+	p, err = Lower(m, PrecisionF64)
+	return p, res, err
 }

@@ -97,48 +97,57 @@ func TestF32PlanMatchesF64(t *testing.T) {
 	}
 }
 
-// TestPlanCurvesMonotone is the Lemma 2 property: every curve out of the
-// compiled plan must pass core.CurveMonotone, across fuzzed inputs.
+// TestPlanCurvesMonotone is the Lemma 2 property: every curve out of either
+// plan tier must pass core.CurveMonotone, across fuzzed inputs.
 func TestPlanCurvesMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for ci, cfg := range testConfigs() {
 		m := core.New(cfg, 12)
-		p, err := Lower(m, PrecisionF32)
-		if err != nil {
-			t.Fatalf("cfg %d: Lower: %v", ci, err)
-		}
-		xs := randomBinary(rng, 16, 12)
-		got := p.EstimateAllTausBatch(xs)
-		for e := 0; e < got.Rows; e++ {
-			if !core.CurveMonotone(got.Row(e)) {
-				t.Fatalf("cfg %d: curve %d not monotone: %v", ci, e, got.Row(e))
+		for _, tier := range []Precision{PrecisionF64, PrecisionF32} {
+			p, err := Lower(m, tier)
+			if err != nil {
+				t.Fatalf("cfg %d %s: Lower: %v", ci, tier, err)
+			}
+			xs := randomBinary(rng, 16, 12)
+			got := p.EstimateAllTausBatch(xs)
+			for e := 0; e < got.Rows; e++ {
+				if !core.CurveMonotone(got.Row(e)) {
+					t.Fatalf("cfg %d %s: curve %d not monotone: %v", ci, tier, e, got.Row(e))
+				}
 			}
 		}
 	}
 }
 
 // TestEstimateAllTausMatchesBatch checks the single-query entry point is the
-// one-row batch.
+// one-row batch, and that every row of a batch is bit-equal to that row run
+// alone (the curve cache relies on it), at both tiers.
 func TestEstimateAllTausMatchesBatch(t *testing.T) {
-	cfg := testConfigs()[0]
-	m := core.New(cfg, 12)
-	p, err := Lower(m, PrecisionF32)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(17))
-	xs := randomBinary(rng, 1, 12)
-	want := p.EstimateAllTausBatch(xs).Row(0)
-	got := p.EstimateAllTaus(xs.Row(0))
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("elem %d = %g, want %g", i, got[i], want[i])
+	for ci, cfg := range testConfigs() {
+		m := core.New(cfg, 12)
+		for _, tier := range []Precision{PrecisionF64, PrecisionF32} {
+			p, err := Lower(m, tier)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xs := randomBinary(rng, 11, 12)
+			batch := p.EstimateAllTausBatch(xs)
+			for e := 0; e < xs.Rows; e++ {
+				got := p.EstimateAllTaus(xs.Row(e))
+				for i, v := range batch.Row(e) {
+					if math.Float64bits(got[i]) != math.Float64bits(v) {
+						t.Fatalf("cfg %d %s: row %d elem %d = %g alone, %g in batch", ci, tier, e, i, got[i], v)
+					}
+				}
+			}
 		}
 	}
 }
 
-// TestPlanImmutable checks compiled plans hold deep copies: mutating the
-// source model must not change an already-compiled plan's outputs.
+// TestPlanImmutable checks the f32 plan holds its own (demoted) weights:
+// mutating the source model must not change an already-compiled f32 plan's
+// outputs.
 func TestPlanImmutable(t *testing.T) {
 	cfg := testConfigs()[0]
 	m := core.New(cfg, 12)
@@ -162,40 +171,71 @@ func TestPlanImmutable(t *testing.T) {
 	}
 }
 
-// TestPlanConcurrent runs one plan from many goroutines (the serving usage)
-// and checks results stay deterministic; under -race this also exercises the
-// scratch pool for data races.
-func TestPlanConcurrent(t *testing.T) {
-	cfg := testConfigs()[0]
-	m := core.New(cfg, 12)
-	p, err := Lower(m, PrecisionF32)
+// TestF64PlanSharesModelWeights pins the heap contract of the f64 plan: its
+// unfused layers are views of the model's weights, not copies, so a model
+// that has been published must never be trained again.
+func TestF64PlanSharesModelWeights(t *testing.T) {
+	m := core.New(testConfigs()[0], 12)
+	p, err := Lower(m, PrecisionF64)
 	if err != nil {
 		t.Fatal(err)
 	}
+	xs := randomBinary(rand.New(rand.NewSource(19)), 2, 12)
+	before := p.EstimateAllTausBatch(xs)
+	for _, prm := range m.Params() {
+		for i := range prm.Value {
+			prm.Value[i] *= 2
+		}
+	}
+	after := p.EstimateAllTausBatch(xs)
+	same := true
+	for i := range before.Data {
+		same = same && before.Data[i] == after.Data[i]
+	}
+	if same {
+		t.Fatal("f64 plan ignored a model mutation: its layers are copies, not views")
+	}
+}
+
+// TestPlanConcurrent runs one plan per tier from many goroutines (the
+// serving usage) and checks results stay deterministic; under -race this
+// also exercises the scratch pool for data races.
+func TestPlanConcurrent(t *testing.T) {
+	cfg := testConfigs()[0]
+	m := core.New(cfg, 12)
 	rng := rand.New(rand.NewSource(23))
 	xs := randomBinary(rng, 8, 12)
-	want := p.EstimateAllTausBatch(xs)
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for iter := 0; iter < 20; iter++ {
-				got := p.EstimateAllTausBatch(xs)
-				for i := range want.Data {
-					if got.Data[i] != want.Data[i] {
-						errs <- "concurrent result diverged"
-						return
+	for _, tier := range []Precision{PrecisionF64, PrecisionF32} {
+		p, err := Lower(m, tier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := p.EstimateAllTausBatch(xs)
+		var wg sync.WaitGroup
+		errs := make(chan string, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for iter := 0; iter < 20; iter++ {
+					// Alternate batch shapes so pooled scratch is resized
+					// between calls.
+					sub := xs.RowSlice(0, 1+(g+iter)%xs.Rows)
+					got := p.EstimateAllTausBatch(sub)
+					for i := range got.Data {
+						if got.Data[i] != want.Data[i] {
+							errs <- "concurrent result diverged"
+							return
+						}
 					}
 				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	if msg, ok := <-errs; ok {
-		t.Fatal(msg)
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		if msg, ok := <-errs; ok {
+			t.Fatalf("%s: %s", tier, msg)
+		}
 	}
 }
 
@@ -217,19 +257,23 @@ func TestCompileGatePasses(t *testing.T) {
 	}
 }
 
-// TestCompileF64NoPlan checks that requesting f64 yields no plan and a
-// trivially passing gate — f64 names the legacy exact path.
-func TestCompileF64NoPlan(t *testing.T) {
+// TestCompileF64Plan checks that requesting f64 yields the f64 plan and a
+// trivially passing gate, with no nn sweep run.
+func TestCompileF64Plan(t *testing.T) {
 	m := core.New(testConfigs()[0], 12)
 	p, res, err := Compile(m, PrecisionF64, GateConfig{})
-	if err != nil || p != nil || !res.Pass || res.Tier != PrecisionF64 {
-		t.Fatalf("Compile f64 = (%v, %+v, %v), want nil plan, pass, f64", p, res, err)
+	if err != nil || p == nil || p.Tier() != PrecisionF64 || !res.Pass || res.Tier != PrecisionF64 {
+		t.Fatalf("Compile f64 = (%v, %+v, %v), want f64 plan, pass, f64", p, res, err)
+	}
+	if res.QErrP99Delta != 0 || res.MonoViolations != 0 {
+		t.Fatalf("f64 compile ran a gate sweep: %+v", res)
 	}
 }
 
 // TestCompileGateFallback is the acceptance-required fallback property: with
 // a q-error bound tighter than float32 demotion can meet, the f32 gate must
-// fail and fall back to f64, while the same model clears the default bound.
+// fail and Compile must return the f64 plan, while the same model clears the
+// default bound.
 // f32 rounding moves this model's curves by about 1e-7 in q-error, so any
 // bound at or below 1e-9 fails.
 func TestCompileGateFallback(t *testing.T) {
@@ -240,11 +284,11 @@ func TestCompileGateFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Pass || p != nil {
+	if res.Pass {
 		t.Fatalf("f32 gate passed a %g bound: %+v", gc.MaxQErrP99Delta, res)
 	}
-	if res.Tier != PrecisionF64 || res.Requested != PrecisionF32 {
-		t.Fatalf("gate failure must fall back to f64: %+v", res)
+	if res.Tier != PrecisionF64 || res.Requested != PrecisionF32 || p == nil || p.Tier() != PrecisionF64 {
+		t.Fatalf("gate failure must fall back to the f64 plan: plan %v, %+v", p, res)
 	}
 	if res.QErrP99Delta <= res.MaxQErrP99Delta {
 		t.Fatalf("expected q-error delta above bound, got %+v", res)
@@ -257,7 +301,36 @@ func TestCompileGateFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res32.Pass || p32 == nil {
+	if !res32.Pass || p32 == nil || p32.Tier() != PrecisionF32 {
 		t.Fatalf("f32 should pass the default bound: %+v", res32)
+	}
+}
+
+// TestLowerRejectsNonFinite is the silent-zero bug: a NaN or infinite weight
+// turns every curve into zeros through the ReLU clamps, which CurveMonotone,
+// the f32 gate and MonoSweep all accept. Lowering must refuse the model at
+// every tier, wherever the bad value lands: an unfused VAE layer, a fused
+// CardNet-A head, or the standard encoder's folded per-distance bias.
+func TestLowerRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   core.Config
+		param int // index into Params()
+		bad   float64
+	}{
+		{"vae weight NaN", testConfigs()[0], 0, math.NaN()},
+		{"head weight +Inf", testConfigs()[1], 3, math.Inf(1)}, // E, trunk 0 W, trunk 0 B, head 0 W
+		{"embedding -Inf", testConfigs()[3], 0, math.Inf(-1)},
+	} {
+		m := core.New(tc.cfg, 12)
+		m.Params()[tc.param].Value[0] = tc.bad
+		for _, tier := range []Precision{PrecisionF64, PrecisionF32} {
+			if _, err := Lower(m, tier); err == nil {
+				t.Fatalf("%s: Lower(%s) accepted the model", tc.name, tier)
+			}
+			if p, _, err := Compile(m, tier, GateConfig{}); err == nil || p != nil {
+				t.Fatalf("%s: Compile(%s) = (%v, %v), want an error and no plan", tc.name, tier, p, err)
+			}
+		}
 	}
 }

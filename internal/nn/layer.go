@@ -249,9 +249,6 @@ type Sequential struct {
 	Layers []Layer
 }
 
-// NewSequential chains the given layers.
-func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
-
 // NewMLP builds Dense+activation stacks: dims = [in, h1, ..., out]. The
 // final layer gets outAct (use Identity for linear regression heads).
 func NewMLP(rng *rand.Rand, dims []int, hidden, outAct ActKind) *Sequential {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cardnet/internal/core"
+	"cardnet/internal/infer"
 	"cardnet/internal/tensor"
 )
 
@@ -18,15 +19,25 @@ func benchModel() *core.Model {
 	return core.New(cfg, 48)
 }
 
+// benchPlan compiles benchModel to the default f64 plan the engine serves.
+func benchPlan(b *testing.B) (*core.Model, *infer.Plan) {
+	m := benchModel()
+	p, err := infer.Lower(m, infer.PrecisionF64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m, p
+}
+
 // BenchmarkEstimatePerRequest is the baseline the batcher must beat: one
 // forward pass per estimate.
 func BenchmarkEstimatePerRequest(b *testing.B) {
-	m := benchModel()
+	m, p := benchPlan(b)
 	x := binVec(1, m.InDim)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.EstimateEncoded(x, i%(m.Cfg.TauMax+1))
+		p.EstimateAllTaus(x)
 	}
 }
 
@@ -36,17 +47,15 @@ func BenchmarkEstimatePerRequest(b *testing.B) {
 func BenchmarkEstimateBatched(b *testing.B) {
 	for _, size := range []int{8, 16, 32} {
 		b.Run(strconv.Itoa(size), func(b *testing.B) {
-			m := benchModel()
+			m, p := benchPlan(b)
 			xs := tensor.NewMatrix(size, m.InDim)
-			taus := make([]int, size)
 			for r := 0; r < size; r++ {
 				copy(xs.Row(r), binVec(int64(r), m.InDim))
-				taus[r] = r % (m.Cfg.TauMax + 1)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i += size {
-				m.EstimateEncodedBatch(xs, taus)
+				p.EstimateAllTausBatch(xs)
 			}
 		})
 	}
@@ -61,7 +70,7 @@ func BenchmarkEngineEstimate(b *testing.B) {
 	}{{"cache_off", -1}, {"cache_on", 4096}} {
 		b.Run(tc.name, func(b *testing.B) {
 			m := benchModel()
-			e := NewEngine(NewRegistry(m), Config{
+			e := NewEngine(testRegistry(b, m), Config{
 				MaxBatch:     32,
 				MaxWait:      200 * time.Microsecond,
 				QueueDepth:   4096,

@@ -145,7 +145,7 @@ func mustPack(t *testing.T, x []float64) curveKey {
 // post-swap answers come from the new model.
 func TestEngineCacheHitAndInvalidateOnSwap(t *testing.T) {
 	m1, m2 := testModel(10), testModel(20)
-	reg := NewRegistry(m1)
+	reg := testRegistry(t, m1)
 	e := NewEngine(reg, Config{MaxBatch: 4, MaxWait: time.Millisecond, CacheEntries: 128})
 	defer e.Close()
 
@@ -154,8 +154,8 @@ func TestEngineCacheHitAndInvalidateOnSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := m1.EstimateEncoded(x, 3); v1 != want {
-		t.Fatalf("cold estimate %v != model %v", v1, want)
+	if want := planCurve(t, m1, x)[3]; v1 != want {
+		t.Fatalf("cold estimate %v != f64 plan %v", v1, want)
 	}
 	if e.CacheLen() == 0 {
 		t.Fatal("nothing cached after a miss")
@@ -183,8 +183,8 @@ func TestEngineCacheHitAndInvalidateOnSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := m2.EstimateEncoded(x, 3); v2 != want {
-		t.Fatalf("post-swap estimate %v != new model %v (stale cache?)", v2, want)
+	if want := planCurve(t, m2, x)[3]; v2 != want {
+		t.Fatalf("post-swap estimate %v != new model's f64 plan %v (stale cache?)", v2, want)
 	}
 	if v2 == v1 {
 		t.Fatal("post-swap estimate identical to old model's — swap had no effect")
@@ -210,31 +210,29 @@ func TestEngineCacheHitAndInvalidateOnSwap(t *testing.T) {
 // every answer bit-equal to the tier's direct evaluation.
 func TestEngineSweepCostsOneForward(t *testing.T) {
 	m := testModel(1)
-	plan, gate, err := infer.Compile(m, infer.PrecisionF32, infer.GateConfig{})
-	if err != nil || !gate.Pass {
-		t.Fatalf("f32 compile: %v %+v", err, gate)
-	}
-	tiers := []struct {
-		prec infer.Precision
-		want func(x []float64, tau int) float64
-	}{
-		{infer.PrecisionF64, m.EstimateEncoded},
-		{infer.PrecisionF32, func(x []float64, tau int) float64 { return plan.EstimateAllTaus(x)[tau] }},
-	}
 	batches := obs.Default.Histogram("serving.batch.size", obs.LinearBuckets(1, 1, 64))
-	for i, tc := range tiers {
-		t.Run(string(tc.prec), func(t *testing.T) {
-			e := NewEngine(NewRegistry(m), Config{MaxBatch: 4, MaxWait: time.Millisecond, Precision: tc.prec})
+	for i, prec := range []infer.Precision{infer.PrecisionF64, infer.PrecisionF32} {
+		t.Run(string(prec), func(t *testing.T) {
+			plan, err := infer.Lower(m, prec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := mustRegistry(t, m, PlanConfig{Precision: prec})
+			if tier := reg.Current().Plan.Tier(); tier != prec {
+				t.Fatalf("registry serves %s, want %s", tier, prec)
+			}
+			e := NewEngine(reg, Config{MaxBatch: 4, MaxWait: time.Millisecond})
 			defer e.Close()
 			x := binVec(int64(100+i), m.InDim)
+			want := plan.EstimateAllTaus(x)
 			forwards, hits := batches.Count(), testObsCounter("serving.cache.hits")
 			for tau := 0; tau <= m.Cfg.TauMax; tau++ {
 				got, err := e.Estimate(context.Background(), x, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := tc.want(x, tau); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("τ=%d: engine %v, direct %v", tau, got, want)
+				if math.Float64bits(got) != math.Float64bits(want[tau]) {
+					t.Fatalf("τ=%d: engine %v, direct %v", tau, got, want[tau])
 				}
 			}
 			if n := batches.Count() - forwards; n != 1 {

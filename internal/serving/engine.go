@@ -44,19 +44,6 @@ type Config struct {
 	// monotonicity validator here. The callback must not retain the slice and
 	// must be cheap: it runs on the batch worker's hot path.
 	CurveCheck func(curve []float64)
-	// Precision selects the inference tier: "f64" (default) is the exact
-	// legacy forward; "f32" serves through a compiled fused plan — but only
-	// after the accuracy-delta gate passes. A failed gate falls back
-	// to f64 (see Engine.Precision for the verdict).
-	Precision infer.Precision
-	// GateMaxDelta bounds the q-error p99 inflation a compiled tier may show
-	// versus f64 before it is refused (0 = infer.DefaultGateMaxDelta).
-	GateMaxDelta float64
-	// GateSweep is the number of validation queries the gate evaluates
-	// (0 = infer.DefaultGateSweep).
-	GateSweep int
-	// GateSeed seeds the gate's pseudo-random validation sweep.
-	GateSeed int64
 }
 
 func (c Config) withDefaults() Config {
@@ -74,9 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheShards <= 0 {
 		c.CacheShards = 8
-	}
-	if c.Precision == "" {
-		c.Precision = infer.PrecisionF64
 	}
 	return c
 }
@@ -106,7 +90,6 @@ type Engine struct {
 	cfg    Config
 	reg    *Registry
 	cache  *curveCache
-	plan   atomic.Pointer[planState] // compiled precision plan (nil plan = f64)
 	shadow atomic.Pointer[ShadowTap] // optional dual-run tap (nil = off)
 
 	q      chan *request
@@ -127,8 +110,8 @@ type Engine struct {
 // of each curve, so the tap never aliases delivered data.
 type ShadowTap func(xs, live *tensor.Matrix)
 
-// NewEngine starts cfg.Workers batch workers over the registry's model and
-// hooks cache invalidation to registry swaps.
+// NewEngine starts cfg.Workers batch workers over the registry's published
+// plan and hooks cache invalidation to registry swaps.
 func NewEngine(reg *Registry, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
@@ -140,12 +123,6 @@ func NewEngine(reg *Registry, cfg Config) *Engine {
 	if e.cache != nil {
 		reg.OnSwap(e.cache.Invalidate)
 	}
-	// Lower the initial model to the configured precision tier, and re-lower
-	// on every hot swap. Relowering runs inside Swap after the new model is
-	// installed; until it publishes, batches see a version mismatch and serve
-	// through the exact f64 path.
-	e.relower()
-	reg.OnSwap(e.relower)
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go e.worker()
@@ -155,6 +132,11 @@ func NewEngine(reg *Registry, cfg Config) *Engine {
 
 // Registry exposes the engine's model registry (for the reload endpoint).
 func (e *Engine) Registry() *Registry { return e.reg }
+
+// Precision reports the gate verdict of the published plan: which tier was
+// requested, which tier is actually serving, and the measured q-error delta.
+// Exposed through /healthz.
+func (e *Engine) Precision() infer.GateResult { return e.reg.Current().Gate }
 
 // SetShadowTap installs (or, with nil, removes) the batch shadow tap. Safe to
 // call concurrently with serving; the next batch sees the new tap.
@@ -187,7 +169,7 @@ func (e *Engine) Estimate(ctx context.Context, x []float64, tau int) (float64, e
 // marks the cache, queue.wait, batch.form, and forward stages on it and
 // annotates batch size and flush reason. A nil trace costs nothing.
 func (e *Engine) EstimateTraced(ctx context.Context, x []float64, tau int, tr *obs.Trace) (float64, error) {
-	if m, _ := e.reg.Current(); tau < 0 || tau > m.Cfg.TauMax {
+	if m := e.reg.Current().Model; tau < 0 || tau > m.Cfg.TauMax {
 		return 0, fmt.Errorf("%w: tau %d outside [0, %d]", ErrBadInput, tau, m.Cfg.TauMax)
 	}
 	curve, err := e.curve(ctx, x, tr)
@@ -213,7 +195,7 @@ func (e *Engine) EstimateAllTraced(ctx context.Context, x []float64, tr *obs.Tra
 // and pack x, answer from the cached curve, or queue x for a batched forward
 // pass whose curve the worker caches.
 func (e *Engine) curve(ctx context.Context, x []float64, tr *obs.Trace) ([]float64, error) {
-	if m, _ := e.reg.Current(); len(x) != m.InDim {
+	if m := e.reg.Current().Model; len(x) != m.InDim {
 		return nil, fmt.Errorf("%w: x has %d features, model expects %d", ErrBadInput, len(x), m.InDim)
 	}
 	key, err := packX(x)
@@ -348,10 +330,10 @@ func (e *Engine) collect(first *request) ([]*request, string) {
 }
 
 // run executes one batch: expired requests are failed individually, the
-// rest share a single stacked forward pass on the current model, and each
-// row is copied out once as that query's curve, delivered and cached (so a
-// cached curve never pins the batch matrix). The model pointer and cache
-// generation are snapshotted together so a concurrent swap can neither fail
+// rest share a single stacked forward pass through the current snapshot's
+// plan, and each row is copied out once as that query's curve, delivered and
+// cached (so a cached curve never pins the batch matrix). The snapshot and
+// cache generation are loaded together so a concurrent swap can neither fail
 // the batch nor let its results poison the post-swap cache.
 //
 // For traced requests the batching interval is split per request at
@@ -365,9 +347,9 @@ func (e *Engine) run(batch []*request, batchStart time.Time, reason string) {
 	mQueueDepth.Set(float64(len(e.q)))
 	var gen uint64
 	if e.cache != nil {
-		gen = e.cache.Gen() // before the model load: stale Puts must lose
+		gen = e.cache.Gen() // before the snapshot load: stale Puts must lose
 	}
-	m, ver := e.reg.Current()
+	plan := e.reg.Current().Plan
 
 	live := make([]*request, 0, len(batch))
 	for _, r := range batch {
@@ -403,19 +385,11 @@ func (e *Engine) run(batch []*request, batchStart time.Time, reason string) {
 		r.tr.Annotate("flush", reason)
 	}
 
-	xs := tensor.NewMatrix(len(live), m.InDim)
+	xs := tensor.NewMatrix(len(live), plan.InDim())
 	for i, r := range live {
 		copy(xs.Row(i), r.x)
 	}
-	// The compiled precision plan serves only when it was lowered from the
-	// exact model version this batch snapshotted; during the swap→relower
-	// window the versions differ and the batch takes the exact f64 path.
-	var all *tensor.Matrix
-	if ps := e.plan.Load(); ps != nil && ps.plan != nil && ps.version == ver {
-		all = ps.plan.EstimateAllTausBatch(xs)
-	} else {
-		all = m.EstimateAllTausBatch(xs)
-	}
+	all := plan.EstimateAllTausBatch(xs)
 	fwdEnd := time.Now()
 	for _, r := range live {
 		if r.tr != nil {

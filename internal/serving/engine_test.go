@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cardnet/internal/core"
+	"cardnet/internal/infer"
 )
 
 // testModel returns a small untrained model; serving behaviour does not
@@ -28,6 +29,32 @@ func testModel(seed int64) *core.Model {
 	return core.New(cfg, 24)
 }
 
+// testRegistry publishes m at the default f64 tier.
+func testRegistry(t testing.TB, m *core.Model) *Registry {
+	t.Helper()
+	return mustRegistry(t, m, PlanConfig{})
+}
+
+func mustRegistry(t testing.TB, m *core.Model, pc PlanConfig) *Registry {
+	t.Helper()
+	reg, err := NewRegistry(m, pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// planCurve is m's estimate curve for x through its f64 plan, the bits the
+// default engine serves.
+func planCurve(t testing.TB, m *core.Model, x []float64) []float64 {
+	t.Helper()
+	p, err := infer.Lower(m, infer.PrecisionF64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.EstimateAllTaus(x)
+}
+
 func binVec(seed int64, dim int) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	x := make([]float64, dim)
@@ -39,7 +66,7 @@ func binVec(seed int64, dim int) []float64 {
 
 func TestEngineMatchesDirectModel(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(NewRegistry(m), Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 4, MaxWait: time.Millisecond})
 	defer e.Close()
 
 	for i := 0; i < 10; i++ {
@@ -49,17 +76,17 @@ func TestEngineMatchesDirectModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := m.EstimateEncoded(x, tau); got != want {
-			t.Fatalf("query %d: engine %v != model %v", i, got, want)
+		want := planCurve(t, m, x)
+		if got != want[tau] {
+			t.Fatalf("query %d: engine %v != f64 plan %v", i, got, want[tau])
 		}
 		all, err := e.EstimateAll(context.Background(), x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := m.EstimateAllTaus(x)
 		for j := range want {
 			if all[j] != want[j] {
-				t.Fatalf("query %d τ=%d: engine %v != model %v", i, j, all[j], want[j])
+				t.Fatalf("query %d τ=%d: engine %v != f64 plan %v", i, j, all[j], want[j])
 			}
 		}
 	}
@@ -67,7 +94,7 @@ func TestEngineMatchesDirectModel(t *testing.T) {
 
 func TestEngineRejectsBadInput(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(NewRegistry(m), Config{})
+	e := NewEngine(testRegistry(t, m), Config{})
 	defer e.Close()
 
 	if _, err := e.Estimate(context.Background(), make([]float64, m.InDim-1), 0); !errors.Is(err, ErrBadInput) {
@@ -88,7 +115,7 @@ func TestEngineRejectsBadInput(t *testing.T) {
 // packed key relies on, for both entry points.
 func TestEngineRejectsNonBinaryX(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(NewRegistry(m), Config{})
+	e := NewEngine(testRegistry(t, m), Config{})
 	defer e.Close()
 	for _, v := range []float64{0.5, 2, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		x := binVec(1, m.InDim)
@@ -108,7 +135,7 @@ func TestEngineRejectsNonBinaryX(t *testing.T) {
 func TestBatcherFlushesOnSize(t *testing.T) {
 	m := testModel(1)
 	const batch = 4
-	e := NewEngine(NewRegistry(m), Config{
+	e := NewEngine(testRegistry(t, m), Config{
 		MaxBatch: batch, MaxWait: time.Hour, Workers: 1, CacheEntries: -1,
 	})
 	defer e.Close()
@@ -142,7 +169,7 @@ func TestBatcherFlushesOnSize(t *testing.T) {
 // complete in roughly MaxWait, not wait for peers that never come.
 func TestBatcherFlushesOnDeadline(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(NewRegistry(m), Config{
+	e := NewEngine(testRegistry(t, m), Config{
 		MaxBatch: 1024, MaxWait: 5 * time.Millisecond, Workers: 1, CacheEntries: -1,
 	})
 	defer e.Close()
@@ -160,12 +187,12 @@ func TestBatcherFlushesOnDeadline(t *testing.T) {
 // batches (the whole point of the subsystem).
 func TestBatcherCoalesces(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(NewRegistry(m), Config{
+	e := NewEngine(testRegistry(t, m), Config{
 		MaxBatch: 8, MaxWait: time.Second, Workers: 1, CacheEntries: -1,
 	})
 	defer e.Close()
 
-	callsBefore, rowsBefore := coreBatchCounters()
+	callsBefore, rowsBefore := batchCounters()
 	const n = 8
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -178,7 +205,7 @@ func TestBatcherCoalesces(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	calls, rows := coreBatchCounters()
+	calls, rows := batchCounters()
 	if gotRows := rows - rowsBefore; gotRows != n {
 		t.Fatalf("batched rows: %d, want %d", gotRows, n)
 	}
@@ -199,7 +226,7 @@ func TestZeroWaitBatchesWhatQueued(t *testing.T) {
 	sends := runtime.GOMAXPROCS(0) + n
 	entered := make(chan struct{}, sends)
 	gate := make(chan struct{})
-	e := NewEngine(NewRegistry(m), Config{CacheEntries: -1, CurveCheck: func([]float64) {
+	e := NewEngine(testRegistry(t, m), Config{CacheEntries: -1, CurveCheck: func([]float64) {
 		entered <- struct{}{}
 		<-gate
 	}})
@@ -236,10 +263,10 @@ func TestZeroWaitBatchesWhatQueued(t *testing.T) {
 	for len(e.q) < n {
 		time.Sleep(100 * time.Microsecond)
 	}
-	callsBefore, rowsBefore := coreBatchCounters()
+	callsBefore, rowsBefore := batchCounters()
 	gate <- struct{}{} // free one worker; the rest stay parked
 	<-entered          // it has run its next forward pass
-	calls, rows := coreBatchCounters()
+	calls, rows := batchCounters()
 	if calls-callsBefore != 1 || rows-rowsBefore != n {
 		t.Fatalf("next batch: %d forwards over %d rows, want 1 over %d", calls-callsBefore, rows-rowsBefore, n)
 	}
@@ -252,15 +279,17 @@ func TestZeroWaitBatchesWhatQueued(t *testing.T) {
 	}
 }
 
-func coreBatchCounters() (calls, rows uint64) {
-	return testObsCounter("core.estimate_batch.calls"), testObsCounter("core.estimate_batch.rows")
+// batchCounters reads the forwards run and rows served so far from the
+// serving.batch.size histogram (one observation of the row count per batch).
+func batchCounters() (calls, rows uint64) {
+	return mBatchSize.Count(), uint64(mBatchSize.Sum())
 }
 
 // Admission control: a full queue rejects instead of blocking. Built without
 // workers so the rejection is deterministic.
 func TestSubmitOverloadedWhenQueueFull(t *testing.T) {
 	m := testModel(1)
-	e := &Engine{cfg: Config{QueueDepth: 1}.withDefaults(), reg: NewRegistry(m), q: make(chan *request, 1)}
+	e := &Engine{cfg: Config{QueueDepth: 1}.withDefaults(), reg: testRegistry(t, m), q: make(chan *request, 1)}
 	r := func() *request { return &request{x: binVec(1, m.InDim), done: make(chan result, 1)} }
 	if err := e.submit(r()); err != nil {
 		t.Fatal(err)
@@ -277,7 +306,7 @@ func TestSubmitOverloadedWhenQueueFull(t *testing.T) {
 // is rejected with ErrOverloaded; nothing hangs or fails another way.
 func TestEngineSaturationDegradesGracefully(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(NewRegistry(m), Config{
+	e := NewEngine(testRegistry(t, m), Config{
 		MaxBatch: 2, MaxWait: 100 * time.Microsecond, QueueDepth: 2, Workers: 1, CacheEntries: -1,
 	})
 	defer e.Close()
@@ -315,7 +344,7 @@ func TestEngineSaturationDegradesGracefully(t *testing.T) {
 // never occupies forward-pass capacity.
 func TestEngineHonorsContextDeadline(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(NewRegistry(m), Config{CacheEntries: -1})
+	e := NewEngine(testRegistry(t, m), Config{CacheEntries: -1})
 	defer e.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -327,7 +356,7 @@ func TestEngineHonorsContextDeadline(t *testing.T) {
 
 func TestEngineClosedRejects(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(NewRegistry(m), Config{})
+	e := NewEngine(testRegistry(t, m), Config{})
 	e.Close()
 	e.Close() // idempotent
 	if _, err := e.Estimate(context.Background(), binVec(1, m.InDim), 0); !errors.Is(err, ErrClosed) {
@@ -340,7 +369,7 @@ func TestEngineClosedRejects(t *testing.T) {
 // answers must always come from one of the installed models.
 func TestSwapUnderLoadZeroFailures(t *testing.T) {
 	models := []*core.Model{testModel(1), testModel(2), testModel(3)}
-	reg := NewRegistry(models[0])
+	reg := testRegistry(t, models[0])
 	e := NewEngine(reg, Config{MaxBatch: 8, MaxWait: 200 * time.Microsecond, QueueDepth: 4096})
 	defer e.Close()
 
@@ -352,7 +381,7 @@ func TestSwapUnderLoadZeroFailures(t *testing.T) {
 		xs[i] = binVec(int64(i), dim)
 		want[i] = map[float64]bool{}
 		for _, m := range models {
-			want[i][m.EstimateEncoded(xs[i], i%(models[0].Cfg.TauMax+1))] = true
+			want[i][planCurve(t, m, xs[i])[i%(models[0].Cfg.TauMax+1)]] = true
 		}
 	}
 
@@ -405,7 +434,7 @@ func TestSwapUnderLoadZeroFailures(t *testing.T) {
 	if served.Load() == 0 {
 		t.Fatal("no traffic served during the swap storm")
 	}
-	if _, v := reg.Current(); v != 7 {
+	if v := reg.Current().Version; v != 7 {
 		t.Fatalf("registry version %d, want 7", v)
 	}
 }

@@ -10,14 +10,13 @@ import (
 )
 
 // TestEnginePrecisionF32 checks the compiled f32 tier end to end: the gate
-// passes, the plan serves, and estimates track the exact model within float32
+// passes, the plan serves, and estimates track the model within float32
 // tolerance.
 func TestEnginePrecisionF32(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(NewRegistry(m), Config{
+	e := NewEngine(mustRegistry(t, m, PlanConfig{Precision: infer.PrecisionF32}), Config{
 		MaxBatch:     4,
 		MaxWait:      time.Millisecond,
-		Precision:    infer.PrecisionF32,
 		CacheEntries: -1,
 	})
 	defer e.Close()
@@ -48,15 +47,16 @@ func TestEnginePrecisionF32(t *testing.T) {
 
 // TestEngineGateFallback is the acceptance property: when the f32 gate
 // fails (a q-error bound tighter than float32 rounding can meet), the engine
-// must keep serving — bit-identical to the exact f64 path — and report the
+// must keep serving — bit-identical to the f64 plan — and report the
 // fallback.
 func TestEngineGateFallback(t *testing.T) {
 	m := testModel(3)
-	e := NewEngine(NewRegistry(m), Config{
+	e := NewEngine(mustRegistry(t, m, PlanConfig{
+		Precision: infer.PrecisionF32,
+		Gate:      infer.GateConfig{MaxQErrP99Delta: 1e-12},
+	}), Config{
 		MaxBatch:     4,
 		MaxWait:      time.Millisecond,
-		Precision:    infer.PrecisionF32,
-		GateMaxDelta: 1e-12,
 		CacheEntries: -1,
 	})
 	defer e.Close()
@@ -74,25 +74,24 @@ func TestEngineGateFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := m.EstimateAllTaus(x)
+		want := planCurve(t, m, x)
 		for j := range want {
 			if all[j] != want[j] {
-				t.Fatalf("fallback must serve the exact path: query %d τ=%d engine %v != model %v", i, j, all[j], want[j])
+				t.Fatalf("fallback must serve the f64 plan: query %d τ=%d engine %v != plan %v", i, j, all[j], want[j])
 			}
 		}
 	}
 }
 
-// TestEngineSwapRelowers checks that a hot swap re-lowers the plan: after
-// Swap the engine serves the new model's estimates through a fresh compiled
-// plan, not the old plan or the old model.
+// TestEngineSwapRelowers checks that a hot swap publishes a freshly compiled
+// plan: after Swap the engine serves the new model's estimates, not the old
+// plan's.
 func TestEngineSwapRelowers(t *testing.T) {
 	m1, m2 := testModel(1), testModel(2)
-	reg := NewRegistry(m1)
+	reg := mustRegistry(t, m1, PlanConfig{Precision: infer.PrecisionF32})
 	e := NewEngine(reg, Config{
-		MaxBatch:  4,
-		MaxWait:   time.Millisecond,
-		Precision: infer.PrecisionF32,
+		MaxBatch: 4,
+		MaxWait:  time.Millisecond,
 	})
 	defer e.Close()
 

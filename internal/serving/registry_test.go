@@ -2,16 +2,18 @@ package serving
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"cardnet/internal/core"
+	"cardnet/internal/infer"
 )
 
 func TestRegistrySwapValidatesShapes(t *testing.T) {
 	base := testModel(1)
-	reg := NewRegistry(base)
+	reg := testRegistry(t, base)
 
-	if _, v := reg.Current(); v != 1 {
+	if v := reg.Current().Version; v != 1 {
 		t.Fatalf("initial version %d", v)
 	}
 
@@ -39,8 +41,8 @@ func TestRegistrySwapValidatesShapes(t *testing.T) {
 	}
 
 	// Rejected swaps must not advance the version or change the model.
-	if m, v := reg.Current(); v != 1 || m != base {
-		t.Fatalf("registry changed by rejected swaps: v=%d", v)
+	if cur := reg.Current(); cur.Version != 1 || cur.Model != base {
+		t.Fatalf("registry changed by rejected swaps: v=%d", cur.Version)
 	}
 
 	// A compatible model (different weights, same shape) swaps fine.
@@ -52,13 +54,13 @@ func TestRegistrySwapValidatesShapes(t *testing.T) {
 	if v != 2 {
 		t.Fatalf("swap version %d, want 2", v)
 	}
-	if m, _ := reg.Current(); m != next {
+	if m := reg.Current().Model; m != next {
 		t.Fatal("Current did not return the swapped model")
 	}
 }
 
 func TestRegistryOnSwapFiresPerSuccessfulSwap(t *testing.T) {
-	reg := NewRegistry(testModel(1))
+	reg := testRegistry(t, testModel(1))
 	var fired int
 	reg.OnSwap(func() { fired++ })
 
@@ -76,5 +78,29 @@ func TestRegistryOnSwapFiresPerSuccessfulSwap(t *testing.T) {
 	}
 	if fired != 2 {
 		t.Fatalf("OnSwap fired %d times, want 2", fired)
+	}
+}
+
+// TestRegistryRefusesNonFiniteModel: a model with a NaN weight would serve
+// all-zero curves that pass every monotonicity check, so the registry must
+// refuse it both at construction and on Swap, leaving the live snapshot and
+// version untouched.
+func TestRegistryRefusesNonFiniteModel(t *testing.T) {
+	bad := testModel(2)
+	bad.Params()[0].Value[0] = math.NaN()
+	for _, prec := range []infer.Precision{infer.PrecisionF64, infer.PrecisionF32} {
+		if _, err := NewRegistry(bad, PlanConfig{Precision: prec}); !errors.Is(err, ErrBadInput) {
+			t.Fatalf("%s: NewRegistry accepted a NaN model: err=%v", prec, err)
+		}
+		reg := mustRegistry(t, testModel(1), PlanConfig{Precision: prec})
+		fired := 0
+		reg.OnSwap(func() { fired++ })
+		before := reg.Current()
+		if _, err := reg.Swap(bad); !errors.Is(err, ErrBadInput) {
+			t.Fatalf("%s: Swap accepted a NaN model: err=%v", prec, err)
+		}
+		if reg.Current() != before || fired != 0 {
+			t.Fatalf("%s: refused swap changed the registry (version %d, %d swap callbacks)", prec, reg.Current().Version, fired)
+		}
 	}
 }

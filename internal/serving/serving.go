@@ -7,13 +7,13 @@
 // Four cooperating parts:
 //
 //   - Micro-batching: concurrent estimate requests are queued and coalesced
-//     into a single B×d forward pass through the shared Φ/Φ′ networks
-//     (core.EstimateAllTausBatch). By default a free worker takes whatever
-//     is queued and runs it at once, so requests that arrive during one
-//     forward pass form the next batch; a batch flushes early only when it
-//     reaches Config.MaxBatch. A positive Config.MaxWait instead holds a
-//     batch open until it is full or that old. Batched results are
-//     bit-identical to the per-sample paths.
+//     into a single B×d forward pass through the published plan
+//     (infer.Plan.EstimateAllTausBatch). By default a free worker takes
+//     whatever is queued and runs it at once, so requests that arrive during
+//     one forward pass form the next batch; a batch flushes early only when
+//     it reaches Config.MaxBatch. A positive Config.MaxWait instead holds a
+//     batch open until it is full or that old. Each row of a batch is
+//     bit-equal to the same query run alone.
 //   - Admission control: a bounded queue with per-request context deadlines.
 //     When the queue is full, Estimate fails fast with ErrOverloaded (the
 //     HTTP layer maps it to 503) instead of piling up goroutines.
@@ -23,15 +23,15 @@
 //     so one forward answers every τ of that query, point or full curve. It
 //     is invalidated on model swap via a generation counter so results
 //     computed against a replaced model can never be served afterwards.
-//   - Model registry: a versioned atomic pointer to the live model. Swap
-//     validates shape compatibility (InDim, TauMax) and replaces the model
-//     without failing in-flight requests — batches already formed finish on
-//     the model they started with.
-//   - Precision tiers: Config.Precision selects f64 (exact legacy forward)
-//     or f32. The f32 tier runs the fused internal/infer plan, re-lowered on
-//     every swap, and serves only after the accuracy-delta gate passes
-//     (q-error p99 delta within bound, zero Lemma-2 monotonicity
-//     violations); a failed gate falls back to f64.
+//   - Model registry: an atomic pointer to one immutable Snapshot — model,
+//     compiled plan, gate verdict, version. Swap validates shape
+//     compatibility (InDim, TauMax), compiles the new model's plan, and only
+//     then publishes, without failing in-flight requests — batches already
+//     formed finish on the snapshot they loaded. PlanConfig.Precision picks
+//     the plan's tier: the fused f64 plan (default) or the f32 plan, which
+//     serves only after the accuracy-delta gate passes (q-error p99 delta
+//     within bound, zero Lemma-2 monotonicity violations); a failed gate
+//     serves the f64 plan.
 //
 // Everything is instrumented on obs.Default under the "serving." prefix.
 package serving

@@ -14,7 +14,7 @@ import (
 // trace's total exactly, and carry the batch annotations.
 func TestEstimateTracedStages(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(NewRegistry(m), Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 4, MaxWait: time.Millisecond})
 	defer e.Close()
 
 	tr := obs.NewTrace()
@@ -60,7 +60,7 @@ func TestEstimateTracedStages(t *testing.T) {
 // as a hit.
 func TestEstimateTracedCacheHit(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(NewRegistry(m), Config{MaxBatch: 1})
+	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 1})
 	defer e.Close()
 
 	x := binVec(7, m.InDim)
@@ -84,7 +84,7 @@ func TestEstimateTracedCacheHit(t *testing.T) {
 // interval, so they add up to the engine-observed wall time per request.
 func TestTracedRequestsFeedStageHistograms(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(NewRegistry(m), Config{MaxBatch: 2, MaxWait: 100 * time.Microsecond, CacheEntries: -1})
+	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 2, MaxWait: 100 * time.Microsecond, CacheEntries: -1})
 	defer e.Close()
 
 	names := []string{
@@ -123,7 +123,7 @@ func TestTracedRequestsFeedStageHistograms(t *testing.T) {
 // you-go) and still succeed.
 func TestUntracedRequestsSkipStageHistograms(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(NewRegistry(m), Config{MaxBatch: 1, CacheEntries: -1})
+	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 1, CacheEntries: -1})
 	defer e.Close()
 
 	h := obs.Default.Histogram(StageHistName(StageForward), obs.TimeBuckets())
@@ -146,7 +146,7 @@ func TestFlushReasonCounters(t *testing.T) {
 	deadlineBefore := testObsCounter("serving.batch.flush_deadline")
 
 	// MaxBatch 1: every request is its own size-flushed batch.
-	e := NewEngine(NewRegistry(m), Config{MaxBatch: 1, CacheEntries: -1})
+	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 1, CacheEntries: -1})
 	for i := 0; i < 3; i++ {
 		if _, err := e.Estimate(context.Background(), binVec(int64(i), m.InDim), 0); err != nil {
 			t.Fatal(err)
@@ -158,7 +158,7 @@ func TestFlushReasonCounters(t *testing.T) {
 	}
 
 	// A lone request in a huge batch flushes on the deadline.
-	e = NewEngine(NewRegistry(m), Config{MaxBatch: 1024, MaxWait: time.Millisecond, Workers: 1, CacheEntries: -1})
+	e = NewEngine(testRegistry(t, m), Config{MaxBatch: 1024, MaxWait: time.Millisecond, Workers: 1, CacheEntries: -1})
 	if _, err := e.Estimate(context.Background(), binVec(9, m.InDim), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestShutdownFlushCounted(t *testing.T) {
 	// No standing workers: requests pile up in the queue, then Close's
 	// drain (run by a worker started here) flushes them with reason
 	// "shutdown" because the channel closes before MaxBatch is reached.
-	e := NewEngine(NewRegistry(m), Config{MaxBatch: 64, MaxWait: time.Hour, Workers: 1, QueueDepth: 16})
+	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 64, MaxWait: time.Hour, Workers: 1, QueueDepth: 16})
 
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -205,7 +205,7 @@ func TestCurveCheckInvoked(t *testing.T) {
 	var mu sync.Mutex
 	var rows int
 	var badLen bool
-	e := NewEngine(NewRegistry(m), Config{MaxBatch: 4, MaxWait: time.Millisecond, CacheEntries: -1,
+	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 4, MaxWait: time.Millisecond, CacheEntries: -1,
 		CurveCheck: func(curve []float64) {
 			mu.Lock()
 			rows++
@@ -235,7 +235,7 @@ func TestCurveCheckInvoked(t *testing.T) {
 // The cache-size gauge tracks Puts.
 func TestCacheSizeGauge(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(NewRegistry(m), Config{MaxBatch: 1, CacheEntries: 64})
+	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 1, CacheEntries: 64})
 	defer e.Close()
 
 	for i := 0; i < 5; i++ {

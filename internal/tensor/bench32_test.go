@@ -105,23 +105,39 @@ func BenchmarkZeroSkip(b *testing.B) {
 	cases := []struct {
 		name     string
 		zeroFrac float64
-		kernel   func(a, b, out *Matrix) *Matrix
+		abt      bool // branch-free MatMulABT against the transposed operand
 	}{
 		// Dense activations: the skip is pure branch-misprediction overhead.
-		{"dense/branchy", 0, MatMul},
-		{"dense/branchfree", 0, MatMulDense},
+		{"dense/branchy", 0, false},
+		{"dense/branchfree", 0, true},
 		// Sparse training-style operands: the skip elides whole inner sweeps.
-		{"sparse90/branchy", 0.9, MatMul},
-		{"sparse90/branchfree", 0.9, MatMulDense},
+		{"sparse90/branchy", 0.9, false},
+		{"sparse90/branchfree", 0.9, true},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			a, bm, out := zeroSkipOperands(c.zeroFrac)
+			bt := transpose(bm)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.kernel(a, bm, out)
+				if c.abt {
+					MatMulABT(a, bt, out)
+				} else {
+					MatMul(a, bm, out)
+				}
 			}
 			reportGFLOPS(b, benchM)
 		})
 	}
+}
+
+// transpose returns mᵀ as a new matrix.
+func transpose(m *Matrix) *Matrix {
+	t := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			t.Set(j, i, v)
+		}
+	}
+	return t
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // FuzzMatMulABT pins every ABT kernel element to the per-element dot product
-// bit for bit: MatMulABT and the forced-parallel PMatMulABT to Dot, and
-// MatMulABT32/MatMulABTAdd32 to Dot32. The add variant must add onto the
-// prior out exactly once. Shapes span 1–9 input rows, 0–70 columns and 0–9
+// bit for bit: MatMulABT, MatMulABTAdd and the forced-parallel PMatMulABT to
+// Dot, and MatMulABT32/MatMulABTAdd32 to Dot32. The add variants must add
+// onto the prior out exactly once. Shapes span 1–9 input rows, 0–70 columns and 0–9
 // weight rows, which reaches every remainder of the 4-row tiles, the 8-row
 // blocks and the 4-wide weight groups. Seeds live in
 // testdata/fuzz/FuzzMatMulABT.
@@ -22,14 +22,21 @@ func FuzzMatMulABT(f *testing.F) {
 		a, b := randMat(rng, r, k), randMat(rng, c, k)
 
 		got := MatMulABT(a, b, nil)
+		prior64 := randMat(rng, r, c)
+		add := prior64.Clone()
+		MatMulABTAdd(a, b, add)
 		forceParallel(t, 3)
 		pgot := PMatMulABT(a, b, NewMatrix(r, c))
 		for i := 0; i < r; i++ {
 			for j := 0; j < c; j++ {
-				want := math.Float64bits(Dot(a.Row(i), b.Row(j)))
+				d := Dot(a.Row(i), b.Row(j))
+				want := math.Float64bits(d)
 				if math.Float64bits(got.At(i, j)) != want || math.Float64bits(pgot.At(i, j)) != want {
 					t.Fatalf("%d×%d·(%d×%d)ᵀ f64 (%d,%d): MatMulABT %v, PMatMulABT %v, Dot %v",
-						r, k, c, k, i, j, got.At(i, j), pgot.At(i, j), math.Float64frombits(want))
+						r, k, c, k, i, j, got.At(i, j), pgot.At(i, j), d)
+				}
+				if sum := prior64.At(i, j) + d; math.Float64bits(add.At(i, j)) != math.Float64bits(sum) {
+					t.Fatalf("MatMulABTAdd (%d,%d): %v, want %v", i, j, add.At(i, j), sum)
 				}
 			}
 		}

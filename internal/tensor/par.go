@@ -58,7 +58,7 @@ func PMatMulABT(a, b, out *Matrix) *Matrix {
 		out = NewMatrix(a.Rows, b.Rows)
 	}
 	ParallelRows(a.Rows, 1, func(lo, hi int) {
-		matMulABTRows(a, b, out, lo, hi)
+		matMulABTRows(a, b, out, lo, hi, false)
 	})
 	return out
 }

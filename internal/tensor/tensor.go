@@ -109,9 +109,9 @@ func MatMul(a, b, out *Matrix) *Matrix {
 // operands on the training path are binary feature rows and ReLU-gated
 // gradients, where entire inner sweeps vanish often enough to pay for the
 // test. On dense inference activations the skip almost never fires and the
-// data-dependent branch defeats the predictor; dense callers use the
-// branch-free MatMulDense (and the float32 inference kernels, which never
-// zero-skip). BenchmarkZeroSkip measures the gap both ways.
+// data-dependent branch defeats the predictor; the inference kernels
+// (MatMulABT and its float32 twin) never zero-skip. BenchmarkZeroSkip
+// measures the gap both ways.
 func matMulRows(a, b, out *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		ai := a.Row(i)
@@ -183,17 +183,29 @@ func MatMulABT(a, b, out *Matrix) *Matrix {
 	if out == nil {
 		out = NewMatrix(a.Rows, b.Rows)
 	}
-	matMulABTRows(a, b, out, 0, a.Rows)
+	matMulABTRows(a, b, out, 0, a.Rows, false)
 	return out
 }
 
-// matMulABTRows runs the tiled MatMulABT loops over output rows [lo, hi).
-// Each output element is a per-row Dot whose accumulation order is
-// independent of the tile boundaries, so any row sharding (including the
-// parallel variant's) produces bit-identical results. Leftover rows pass the
-// weight rows as dot4's four left operands: products commute exactly, so
-// dot4(b_j…, a_i) still equals Dot(a_i, b_j) bit for bit.
-func matMulABTRows(a, b, out *Matrix, lo, hi int) {
+// MatMulABTAdd is MatMulABT accumulating into out (out += a·bᵀ, out must be
+// preallocated r×c): each element gains exactly one Dot(a.Row(i), b.Row(j)).
+// The compiled CardNet-A plan uses it to sum the fused per-layer head
+// products into one pre-activation matrix.
+func MatMulABTAdd(a, b, out *Matrix) {
+	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
+		panic("tensor: matmulABTAdd shape mismatch")
+	}
+	matMulABTRows(a, b, out, 0, a.Rows, true)
+}
+
+// matMulABTRows runs the tiled MatMulABT loops over output rows [lo, hi),
+// storing each product (or, with add, adding it onto out). Each output
+// element is a per-row Dot whose accumulation order is independent of the
+// tile boundaries, so any row sharding (including the parallel variant's)
+// produces bit-identical results. Leftover rows pass the weight rows as
+// dot4's four left operands: products commute exactly, so dot4(b_j…, a_i)
+// still equals Dot(a_i, b_j) bit for bit.
+func matMulABTRows(a, b, out *Matrix, lo, hi int, add bool) {
 	for i0 := lo; i0 < hi; i0 += abtRowTile {
 		i1 := i0 + abtRowTile
 		if i1 > hi {
@@ -204,20 +216,39 @@ func matMulABTRows(a, b, out *Matrix, lo, hi int) {
 			bj := b.Row(j)
 			for i := i0; i < i4; i += 4 {
 				s0, s1, s2, s3 := dot4(a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3), bj)
-				out.Row(i)[j] = s0
-				out.Row(i + 1)[j] = s1
-				out.Row(i + 2)[j] = s2
-				out.Row(i + 3)[j] = s3
+				if add {
+					out.Row(i)[j] += s0
+					out.Row(i + 1)[j] += s1
+					out.Row(i + 2)[j] += s2
+					out.Row(i + 3)[j] += s3
+				} else {
+					out.Row(i)[j] = s0
+					out.Row(i + 1)[j] = s1
+					out.Row(i + 2)[j] = s2
+					out.Row(i + 3)[j] = s3
+				}
 			}
 		}
 		for i := i4; i < i1; i++ {
 			ai, oi := a.Row(i), out.Row(i)
 			j := 0
 			for ; j+3 < b.Rows; j += 4 {
-				oi[j], oi[j+1], oi[j+2], oi[j+3] = dot4(b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3), ai)
+				s0, s1, s2, s3 := dot4(b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3), ai)
+				if add {
+					oi[j] += s0
+					oi[j+1] += s1
+					oi[j+2] += s2
+					oi[j+3] += s3
+				} else {
+					oi[j], oi[j+1], oi[j+2], oi[j+3] = s0, s1, s2, s3
+				}
 			}
 			for ; j < b.Rows; j++ {
-				oi[j] = Dot(ai, b.Row(j))
+				if add {
+					oi[j] += Dot(ai, b.Row(j))
+				} else {
+					oi[j] = Dot(ai, b.Row(j))
+				}
 			}
 		}
 	}

@@ -166,71 +166,3 @@ func Dot32(a, b []float32) float32 {
 	}
 	return s
 }
-
-// AddBias32 adds the bias vector to every row of m in place.
-func AddBias32(m *Matrix32, bias []float32) {
-	if len(bias) != m.Cols {
-		panic("tensor: bias32 length mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		ri := m.Row(i)
-		for j, b := range bias {
-			ri[j] += b
-		}
-	}
-}
-
-// MatMulDense computes out = a·b like MatMul but with a branch-free inner
-// loop: no zero-skip test on a's elements. The skip in matMulRows wins on the
-// sparse operands of the training path (binary inputs, ReLU-gated gradients)
-// but on dense inference activations it only adds a data-dependent branch the
-// predictor cannot learn — see BenchmarkZeroSkip for the measured gap.
-// Inference-side callers that multiply dense activations (the lowered f64
-// reference path in internal/core) use this kernel; training keeps MatMul.
-func MatMulDense(a, b, out *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmuldense shape mismatch %d×%d · %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if out == nil {
-		out = NewMatrix(a.Rows, b.Cols)
-	} else {
-		if out.Rows != a.Rows || out.Cols != b.Cols {
-			panic("tensor: matmuldense out has wrong shape")
-		}
-		out.Zero()
-	}
-	for i := 0; i < a.Rows; i++ {
-		ai := a.Row(i)
-		oi := out.Row(i)
-		k := 0
-		// Four k-values per sweep: each pass over oi folds in four rows of b,
-		// quartering the out-row read/modify/write traffic relative to the
-		// training kernel's one-row-at-a-time sweep.
-		for ; k+3 < a.Cols; k += 4 {
-			a0, a1, a2, a3 := ai[k], ai[k+1], ai[k+2], ai[k+3]
-			b0, b1, b2, b3 := b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3)
-			_ = b0[len(oi)-1]
-			_ = b1[len(oi)-1]
-			_ = b2[len(oi)-1]
-			_ = b3[len(oi)-1]
-			for j := range oi {
-				// Left-associated like the k-at-a-time loop, so results stay
-				// bit-identical to MatMul on zero-free operands.
-				s := oi[j]
-				s += a0 * b0[j]
-				s += a1 * b1[j]
-				s += a2 * b2[j]
-				s += a3 * b3[j]
-				oi[j] = s
-			}
-		}
-		for ; k < a.Cols; k++ {
-			aik := ai[k]
-			bk := b.Row(k)
-			for j := range bk {
-				oi[j] += aik * bk[j]
-			}
-		}
-	}
-	return out
-}

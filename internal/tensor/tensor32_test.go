@@ -63,35 +63,3 @@ func TestMatMulABTAdd32Accumulates(t *testing.T) {
 		}
 	}
 }
-
-func TestMatMulDenseMatchesMatMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, s := range kernelShapes {
-		a := randMatrix(rng, s.r, s.k)
-		// Sprinkle exact zeros so the zero-skip in MatMul actually fires.
-		for i := range a.Data {
-			if rng.Intn(3) == 0 {
-				a.Data[i] = 0
-			}
-		}
-		b := randMatrix(rng, s.k, s.c)
-		want := MatMul(a, b, nil)
-		got := MatMulDense(a, b, nil)
-		for i := range got.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("shape %v: elem %d = %g, want %g", s, i, got.Data[i], want.Data[i])
-			}
-		}
-		// Preallocated out must be overwritten, not accumulated.
-		reused := NewMatrix(s.r, s.c)
-		for i := range reused.Data {
-			reused.Data[i] = 99
-		}
-		MatMulDense(a, b, reused)
-		for i := range reused.Data {
-			if reused.Data[i] != want.Data[i] {
-				t.Fatalf("shape %v: reused elem %d = %g, want %g", s, i, reused.Data[i], want.Data[i])
-			}
-		}
-	}
-}
