@@ -1,0 +1,7 @@
+//go:build linux && amd64 && !amd64.v2
+
+package core
+
+// goldenBitsPinned: this target (linux/amd64 at GOAMD64=v1, the default)
+// never fuses multiply-add, so the golden hashes in golden_test.go hold.
+const goldenBitsPinned = true
