@@ -65,8 +65,9 @@ func (m *BiLSTMCard) embed(s string) ([][]float64, []int) {
 	return seq, rows
 }
 
-// forward returns the per-distance increments (post-ReLU), caching
-// everything needed for backward.
+// forward returns the per-distance increments (post-ReLU). In training mode
+// the head's activation caches go to c and the tape holds the LSTM's, so
+// backward can follow.
 type bilstmFwd struct {
 	seqRows []int
 	tape    *nn.BiTape
@@ -75,13 +76,13 @@ type bilstmFwd struct {
 	inc     []float64
 }
 
-func (m *BiLSTMCard) forward(s string, train bool) *bilstmFwd {
+func (m *BiLSTMCard) forward(c *nn.Ctx, s string, train bool) *bilstmFwd {
 	f := &bilstmFwd{}
 	var seq [][]float64
 	seq, f.seqRows = m.embed(s)
 	f.h, f.tape = m.rnn.Forward(seq)
 	hm := &tensor.Matrix{Rows: 1, Cols: len(f.h), Data: f.h}
-	out := m.head.Forward(hm, train)
+	out := m.head.Forward(c, hm, train)
 	f.pre = out.Row(0)
 	f.inc = make([]float64, len(f.pre))
 	for i, v := range f.pre {
@@ -114,12 +115,13 @@ func (m *BiLSTMCard) FitStrings(queries []string, labels *tensor.Matrix, tauTop 
 	params = append(params, m.rnn.Params()...)
 	params = append(params, m.head.Params()...)
 	opt := nn.NewAdam(params, m.Fit_.LR)
+	ctx := nn.NewCtx() // the head's gradients; AddGradsInto empties it per step
 
 	perm := rng.Perm(len(queries))
 	for epoch := 0; epoch < m.Fit_.Epochs; epoch++ {
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		for bi, qi := range perm {
-			f := m.forward(queries[qi], true)
+			f := m.forward(ctx, queries[qi], true)
 			lrow := labels.Row(qi)
 			// MSLE on the cumulative estimate at every τ, tail-summed into
 			// per-increment gradients (as in CardNet's trainBatch).
@@ -144,12 +146,13 @@ func (m *BiLSTMCard) FitStrings(queries []string, labels *tensor.Matrix, tauTop 
 					dpre.Data[i] = dinc[i]
 				}
 			}
-			dh := m.head.Backward(dpre)
+			dh := m.head.Backward(ctx, dpre)
 			dxs := m.rnn.Backward(f.tape, dh.Row(0))
 			for t, r := range f.seqRows {
 				tensor.Axpy(1, dxs[t], m.emb.Grad[r*m.EmbDim:(r+1)*m.EmbDim])
 			}
 			if (bi+1)%m.Fit_.Batch == 0 || bi == len(perm)-1 {
+				ctx.AddGradsInto(params)
 				nn.ClipGradNorm(params, 5)
 				opt.Step()
 			}
@@ -170,7 +173,7 @@ func (m *BiLSTMCard) EstimateString(s string, tau int) float64 {
 	if tau > m.TauMax {
 		tau = m.TauMax
 	}
-	f := m.forward(s, false)
+	f := m.forward(nil, s, false)
 	var sum float64
 	for i := 0; i <= tau; i++ {
 		sum += f.inc[i]

@@ -26,7 +26,9 @@ func fitRegressor(mlp *nn.Sequential, x [][]float64, ylog []float64, cfg fitCfg)
 		return 0
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	opt := nn.NewAdam(mlp.Params(), cfg.LR)
+	params := mlp.Params()
+	opt := nn.NewAdam(params, cfg.LR)
+	ctx := nn.NewCtx() // serves every step: AddGradsInto empties it
 	perm := make([]int, len(x))
 	for i := range perm {
 		perm[i] = i
@@ -48,15 +50,16 @@ func fitRegressor(mlp *nn.Sequential, x [][]float64, ylog []float64, cfg fitCfg)
 				copy(xb.Row(i), x[r])
 				yb[i] = ylog[r]
 			}
-			out := mlp.Forward(xb, true)
+			out := mlp.Forward(ctx, xb, true)
 			grad := tensor.NewMatrix(out.Rows, 1)
 			for i := range yb {
 				grad.Data[i] = nn.MSEGrad(out.Data[i], yb[i], len(yb))
 			}
 			total += nn.MSE(out.Data, yb)
 			batches++
-			mlp.Backward(grad)
-			nn.ClipGradNorm(mlp.Params(), 5)
+			mlp.Backward(ctx, grad)
+			ctx.AddGradsInto(params)
+			nn.ClipGradNorm(params, 5)
 			opt.Step()
 		}
 		if batches > 0 {
@@ -110,7 +113,7 @@ func (d *DNN) Estimate(x []float64, tau int) float64 {
 		row[len(x)] = float64(tau) / float64(d.TauMax)
 	}
 	xm := &tensor.Matrix{Rows: 1, Cols: len(row), Data: row}
-	return fromLog(d.mlp.Forward(xm, false).Data[0])
+	return fromLog(d.mlp.Forward(nil, xm, false).Data[0])
 }
 
 // SizeBytes reports the serialized parameter size.
@@ -179,7 +182,7 @@ func (d *DNNPerTau) Estimate(x []float64, tau int) float64 {
 		return 0
 	}
 	xm := &tensor.Matrix{Rows: 1, Cols: len(x), Data: x}
-	return fromLog(d.nets[tau].Forward(xm, false).Data[0])
+	return fromLog(d.nets[tau].Forward(nil, xm, false).Data[0])
 }
 
 // SizeBytes sums all member networks.

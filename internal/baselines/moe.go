@@ -54,6 +54,7 @@ func (m *MoE) Fit(train, _ *core.TrainSet) {
 		params = append(params, m.experts[k].Params()...)
 	}
 	opt := nn.NewAdam(params, m.Fit_.LR)
+	ctx := nn.NewCtx() // serves every step: AddGradsInto empties it
 
 	perm := make([]int, len(x))
 	for i := range perm {
@@ -75,11 +76,11 @@ func (m *MoE) Fit(train, _ *core.TrainSet) {
 				yb[i] = ylog[r]
 			}
 
-			logits := m.gate.Forward(xb, true)
+			logits := m.gate.Forward(ctx, xb, true)
 			gates := nn.Softmax(logits)
 			outs := make([]*tensor.Matrix, m.Experts)
 			for k := range m.experts {
-				outs[k] = m.experts[k].Forward(xb, true)
+				outs[k] = m.experts[k].Forward(ctx, xb, true)
 			}
 			pred := make([]float64, b)
 			for i := 0; i < b; i++ {
@@ -109,9 +110,10 @@ func (m *MoE) Fit(train, _ *core.TrainSet) {
 				}
 			}
 			for k := range m.experts {
-				m.experts[k].Backward(dOuts[k])
+				m.experts[k].Backward(ctx, dOuts[k])
 			}
-			m.gate.Backward(dLogits)
+			m.gate.Backward(ctx, dLogits)
+			ctx.AddGradsInto(params)
 			nn.ClipGradNorm(params, 5)
 			opt.Step()
 		}
@@ -129,10 +131,10 @@ func (m *MoE) Estimate(x []float64, tau int) float64 {
 		row[len(x)] = float64(tau) / float64(m.TauMax)
 	}
 	xm := &tensor.Matrix{Rows: 1, Cols: len(row), Data: row}
-	gates := nn.Softmax(m.gate.Forward(xm, false))
+	gates := nn.Softmax(m.gate.Forward(nil, xm, false))
 	var pred float64
 	for k, ex := range m.experts {
-		pred += gates.At(0, k) * ex.Forward(xm, false).Data[0]
+		pred += gates.At(0, k) * ex.Forward(nil, xm, false).Data[0]
 	}
 	return fromLog(pred)
 }

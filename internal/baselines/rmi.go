@@ -80,7 +80,7 @@ func (m *RMI) Fit(train, _ *core.TrainSet) {
 	routedY := make([][]float64, m.Leaves)
 	for i := range x {
 		xm := &tensor.Matrix{Rows: 1, Cols: m.inDim, Data: x[i]}
-		k := m.route(m.root.Forward(xm, false).Data[0])
+		k := m.route(m.root.Forward(nil, xm, false).Data[0])
 		routedX[k] = append(routedX[k], x[i])
 		routedY[k] = append(routedY[k], ylog[i])
 	}
@@ -108,12 +108,12 @@ func (m *RMI) Estimate(x []float64, tau int) float64 {
 		row[len(x)] = float64(tau) / float64(m.TauMax)
 	}
 	xm := &tensor.Matrix{Rows: 1, Cols: len(row), Data: row}
-	rootPred := m.root.Forward(xm, false).Data[0]
+	rootPred := m.root.Forward(nil, xm, false).Data[0]
 	k := m.route(rootPred)
 	if m.leaf[k] == nil {
 		return fromLog(rootPred)
 	}
-	return fromLog(m.leaf[k].Forward(xm, false).Data[0])
+	return fromLog(m.leaf[k].Forward(nil, xm, false).Data[0])
 }
 
 // SizeBytes sums root and leaf parameters.

@@ -175,7 +175,7 @@ func newDirectModel(b *Bundle, opts Options) *directModel {
 func (d *directModel) fit(b *Bundle) {
 	rng := rand.New(rand.NewSource(d.cfg.Seed))
 	d.vae = nn.NewVAE(rng, b.Train.X.Cols, d.cfg.VAEHidden, d.cfg.VAELatent)
-	d.vae.Pretrain(b.Train.X, d.cfg.VAEEpochs, d.cfg.Batch, d.cfg.LR, rng)
+	d.vae.Pretrain(b.Train.X, d.cfg.VAEEpochs, d.cfg.Batch, d.cfg.LR, rng, 1)
 
 	inDim := b.Train.X.Cols + d.cfg.VAELatent + 1
 	dims := append([]int{inDim}, d.cfg.PhiHidden...)
@@ -209,7 +209,7 @@ func (d *directModel) estimate(x []float64, tau int) float64 {
 	copy(row[len(x):], latent.Row(0))
 	row[len(row)-1] = float64(tau) / float64(maxI(d.tauMax, 1))
 	rm := &tensor.Matrix{Rows: 1, Cols: len(row), Data: row}
-	return expCount(d.mlp.Forward(rm, false).Data[0])
+	return expCount(d.mlp.Forward(nil, rm, false).Data[0])
 }
 
 func (d *directModel) size() int {
@@ -221,7 +221,9 @@ func (d *directModel) size() int {
 
 // fitMLP trains an MLP on log targets with MSE (shared by ablations).
 func fitMLP(mlp *nn.Sequential, x [][]float64, ylog []float64, epochs, batch int, lr float64, rng *rand.Rand) {
-	opt := nn.NewAdam(mlp.Params(), lr)
+	params := mlp.Params()
+	opt := nn.NewAdam(params, lr)
+	ctx := nn.NewCtx() // serves every step: AddGradsInto empties it
 	perm := make([]int, len(x))
 	for i := range perm {
 		perm[i] = i
@@ -240,13 +242,14 @@ func fitMLP(mlp *nn.Sequential, x [][]float64, ylog []float64, epochs, batch int
 				copy(xb.Row(i), x[r])
 				yb[i] = ylog[r]
 			}
-			out := mlp.Forward(xb, true)
+			out := mlp.Forward(ctx, xb, true)
 			grad := tensor.NewMatrix(out.Rows, 1)
 			for i := range yb {
 				grad.Data[i] = nn.MSEGrad(out.Data[i], yb[i], len(yb))
 			}
-			mlp.Backward(grad)
-			nn.ClipGradNorm(mlp.Params(), 5)
+			mlp.Backward(ctx, grad)
+			ctx.AddGradsInto(params)
+			nn.ClipGradNorm(params, 5)
 			opt.Step()
 		}
 	}

@@ -61,21 +61,17 @@ func (a *accelEncoder) Params() []*nn.Param {
 
 // Forward maps xp (B × inDim) to Z (B·tauCount × zDim), laid out with row
 // e·tauCount + i holding example e's embedding of distance i — the same
-// layout the standard encoder produces, so the decoders are shared.
-func (a *accelEncoder) Forward(xp *tensor.Matrix, train bool) *tensor.Matrix {
-	return a.ForwardCtx(nil, xp, train)
-}
-
-// ForwardCtx is Forward through a per-shard context (nil = legacy layer
-// caches), letting concurrent training shards share one Φ′ instance.
+// layout the standard encoder produces, so the decoders are shared. Training
+// caches go to the per-shard context c, letting concurrent training shards
+// share one Φ′ instance.
 //
 // All transients — the scatter target z, each hidden activation, each head
 // output zj — come from Ctx.Scratch, so a caller that reuses a context (the
-// pooled inference contexts in this package) runs the whole pass without
-// allocating; a nil context degrades to per-call allocation as before. Every
-// scratch buffer is fully overwritten before it is read: z's regions cover
-// all zDim columns, and the dense products write every output element.
-func (a *accelEncoder) ForwardCtx(c *nn.Ctx, xp *tensor.Matrix, train bool) *tensor.Matrix {
+// pooled inference contexts in this package, a trainer's per-shard contexts)
+// runs the pass without reallocating them. Every scratch buffer is fully
+// overwritten before it is read: z's regions cover all zDim columns, and the
+// dense products write every output element.
+func (a *accelEncoder) Forward(c *nn.Ctx, xp *tensor.Matrix, train bool) *tensor.Matrix {
 	accelForwards.Inc()
 	b := xp.Rows
 	z := c.Scratch(a, "z", b*a.tauCount, a.zDim)
@@ -84,8 +80,8 @@ func (a *accelEncoder) ForwardCtx(c *nn.Ctx, xp *tensor.Matrix, train bool) *ten
 	for j := range a.layers {
 		var zj *tensor.Matrix // B × tauCount·w
 		if train {
-			h = a.acts[j].ForwardCtx(c, a.layers[j].ForwardCtx(c, h, true), true)
-			zj = a.heads[j].ForwardCtx(c, h, true)
+			h = a.acts[j].Forward(c, a.layers[j].Forward(c, h, true), true)
+			zj = a.heads[j].Forward(c, h, true)
 		} else {
 			// Inference: dense product into scratch, ReLU applied in place
 			// (bit-identical to the activation layer, which only clamps
@@ -114,12 +110,8 @@ func (a *accelEncoder) ForwardCtx(c *nn.Ctx, xp *tensor.Matrix, train bool) *ten
 // Each head's gradient is combined with the gradient arriving from the next
 // hidden layer, which is what lets every hidden layer learn directly from
 // the final embeddings (the property Section 7 credits for Φ′'s accuracy).
-func (a *accelEncoder) Backward(dz *tensor.Matrix) *tensor.Matrix {
-	return a.BackwardCtx(nil, dz)
-}
-
-// BackwardCtx is Backward through a per-shard context.
-func (a *accelEncoder) BackwardCtx(c *nn.Ctx, dz *tensor.Matrix) *tensor.Matrix {
+// Parameter gradients accumulate into c's buffers.
+func (a *accelEncoder) Backward(c *nn.Ctx, dz *tensor.Matrix) *tensor.Matrix {
 	b := dz.Rows / a.tauCount
 	// dH from the layer above (nil for the last layer).
 	var dhNext *tensor.Matrix
@@ -135,13 +127,13 @@ func (a *accelEncoder) BackwardCtx(c *nn.Ctx, dz *tensor.Matrix) *tensor.Matrix 
 				copy(dst[i*w:(i+1)*w], dz.Row(e*a.tauCount + i)[col:col+w])
 			}
 		}
-		dh := a.heads[j].BackwardCtx(c, dzj)
+		dh := a.heads[j].Backward(c, dzj)
 		if dhNext != nil {
 			for i := range dh.Data {
 				dh.Data[i] += dhNext.Data[i]
 			}
 		}
-		dhNext = a.layers[j].BackwardCtx(c, a.acts[j].BackwardCtx(c, dh))
+		dhNext = a.layers[j].Backward(c, a.acts[j].Backward(c, dh))
 	}
 	return dhNext
 }

@@ -134,32 +134,26 @@ type fwd struct {
 	c      *tensor.Matrix // B × tauCount per-distance predictions ĉᵢ
 }
 
-// forward runs the encoder and decoders. train selects the stochastic VAE
-// path (reparameterized latent); inference uses the deterministic mean
-// latent so the model satisfies Lemma 2's determinism requirement.
-func (m *Model) forward(x *tensor.Matrix, train bool, rng *rand.Rand) *fwd {
-	return m.forwardCtx(nil, x, train, rng)
-}
-
 // inferForward is the inference forward through a pooled context, so repeat
 // calls reuse the fused-encoder scratch buffers instead of reallocating them.
 // The context is returned to the pool before the fwd is consumed, which is
 // safe because callers only read the freshly allocated c/pre matrices — f.z
-// may alias pooled scratch and must not be read after this returns. Results
-// are bit-identical to forward(x, false, nil): contexts only change where
-// transients live, never the arithmetic or its order.
+// may alias pooled scratch and must not be read after this returns. Contexts
+// only change where transients live, never the arithmetic or its order.
 func (m *Model) inferForward(x *tensor.Matrix) *fwd {
 	ctx := inferCtxs.Get().(*nn.Ctx)
-	f := m.forwardCtx(ctx, x, false, nil)
+	f := m.forward(ctx, x, false, nil)
 	inferCtxs.Put(ctx)
 	return f
 }
 
-// forwardCtx is forward with training-mode activation caches kept in ctx
-// (nil ctx = legacy layer-struct caches). Training shards running
-// concurrently over one model must each bring their own ctx and rng;
-// inference (train=false) writes no state either way.
-func (m *Model) forwardCtx(ctx *nn.Ctx, x *tensor.Matrix, train bool, rng *rand.Rand) *fwd {
+// forward runs the encoder and decoders. train selects the stochastic VAE
+// path (reparameterized latent) and keeps activation caches in ctx;
+// inference uses the deterministic mean latent so the model satisfies
+// Lemma 2's determinism requirement, and writes no training state. Training
+// shards running concurrently over one model must each bring their own ctx
+// and rng.
+func (m *Model) forward(ctx *nn.Ctx, x *tensor.Matrix, train bool, rng *rand.Rand) *fwd {
 	f := &fwd{x: x}
 	b := x.Rows
 	if m.vae == nil {
@@ -168,7 +162,7 @@ func (m *Model) forwardCtx(ctx *nn.Ctx, x *tensor.Matrix, train bool, rng *rand.
 	} else {
 		var latent *tensor.Matrix
 		if train {
-			f.vaeOut = m.vae.ForwardTrainCtx(ctx, x, rng)
+			f.vaeOut = m.vae.ForwardTrain(ctx, x, rng)
 			latent = f.vaeOut.Z
 		} else {
 			latent = m.vae.Mean(x)
@@ -182,7 +176,7 @@ func (m *Model) forwardCtx(ctx *nn.Ctx, x *tensor.Matrix, train bool, rng *rand.
 
 	t := m.tauCount()
 	if m.Cfg.Accel {
-		f.z = m.accel.ForwardCtx(ctx, f.xp, train)
+		f.z = m.accel.Forward(ctx, f.xp, train)
 	} else {
 		in := tensor.NewMatrix(b*t, f.xp.Cols+m.Cfg.EmbDim)
 		for e := 0; e < b; e++ {
@@ -192,7 +186,7 @@ func (m *Model) forwardCtx(ctx *nn.Ctx, x *tensor.Matrix, train bool, rng *rand.
 				copy(row[f.xp.Cols:], m.embedding(i))
 			}
 		}
-		f.z = m.phi.ForwardCtx(ctx, in, train)
+		f.z = m.phi.Forward(ctx, in, train)
 	}
 
 	// Decoders: ĉᵢ = ReLU(wᵢᵀ·zᵢ + bᵢ).
@@ -212,16 +206,11 @@ func (m *Model) forwardCtx(ctx *nn.Ctx, x *tensor.Matrix, train bool, rng *rand.
 }
 
 // backward pushes dL/dĉ (B × tauCount) through decoders, encoder, and VAE,
-// accumulating parameter gradients. vaeScale is λ (Eq. 2); zero skips the
-// VAE's own loss but still propagates the regression gradient through it.
-func (m *Model) backward(f *fwd, dc *tensor.Matrix, vaeScale float64) {
-	m.backwardCtx(nil, f, dc, vaeScale, f.x.Rows)
-}
-
-// backwardCtx is backward through a per-shard context (nil ctx = legacy
-// direct Param.Grad accumulation). normRows pins the VAE loss normalization
-// to the global minibatch size when f covers only a shard of it.
-func (m *Model) backwardCtx(ctx *nn.Ctx, f *fwd, dc *tensor.Matrix, vaeScale float64, normRows int) {
+// accumulating parameter gradients into ctx's buffers. vaeScale is λ
+// (Eq. 2); zero skips the VAE's own loss but still propagates the regression
+// gradient through it. normRows pins the VAE loss normalization to the
+// global minibatch size when f covers only a shard of it.
+func (m *Model) backward(ctx *nn.Ctx, f *fwd, dc *tensor.Matrix, vaeScale float64, normRows int) {
 	b := f.x.Rows
 	t := m.tauCount()
 	decWGrad := ctx.GradOf(m.decW)
@@ -244,9 +233,9 @@ func (m *Model) backwardCtx(ctx *nn.Ctx, f *fwd, dc *tensor.Matrix, vaeScale flo
 
 	var dxp *tensor.Matrix
 	if m.Cfg.Accel {
-		dxp = m.accel.BackwardCtx(ctx, dz)
+		dxp = m.accel.Backward(ctx, dz)
 	} else {
-		din := m.phi.BackwardCtx(ctx, dz) // B·t × (xp+emb)
+		din := m.phi.Backward(ctx, dz) // B·t × (xp+emb)
 		dxp = tensor.NewMatrix(b, f.xp.Cols)
 		embGrad := ctx.GradOf(m.emb)
 		for e := 0; e < b; e++ {
@@ -268,7 +257,7 @@ func (m *Model) backwardCtx(ctx *nn.Ctx, f *fwd, dc *tensor.Matrix, vaeScale flo
 	for e := 0; e < b; e++ {
 		copy(dzvae.Row(e), dxp.Row(e)[m.InDim:])
 	}
-	m.vae.BackwardCtx(ctx, f.vaeOut, f.x, vaeScale, dzvae, normRows)
+	m.vae.Backward(ctx, f.vaeOut, f.x, vaeScale, dzvae, normRows)
 }
 
 // EstimateEncoded returns the deterministic cardinality estimate for an
@@ -440,9 +429,10 @@ func (m *Model) runTrain(train, valid *TrainSet, st *TrainerState) (TrainResult,
 	if st == nil {
 		m.TauTop = train.TauTop
 		if m.vae != nil {
-			m.vae.PretrainWorkers(train.X, cfg.VAEEpochs, cfg.Batch, cfg.LR, rng, m.workers())
+			m.vae.Pretrain(train.X, cfg.VAEEpochs, cfg.Batch, cfg.LR, rng, m.workers())
 		}
 	}
+	ctxs := m.shardCtxs()
 
 	params := m.Params()
 	opt := nn.NewAdam(params, cfg.LR)
@@ -516,7 +506,7 @@ func (m *Model) runTrain(train, valid *TrainSet, st *TrainerState) (TrainResult,
 				copy(xv.Row(i), train.X.Row(r))
 				copy(lv.Row(i), train.Labels.Row(r))
 			}
-			loss := m.trainBatch(xv, lv, train.P, omega, top, opt, rng)
+			loss := m.trainBatch(ctxs, xv, lv, train.P, omega, top, opt, rng)
 			epochLoss += loss
 			batches++
 		}
@@ -631,12 +621,24 @@ func emitEpoch(cfg Config, ev TrainEvent, start time.Time) {
 
 // workers returns the normalized data-parallel width of the trainer:
 // cfg.Workers, with everything below one (including the zero value) mapped to
-// the sequential path.
+// a single shard.
 func (m *Model) workers() int {
 	if m.Cfg.Workers < 1 {
 		return 1
 	}
 	return m.Cfg.Workers
+}
+
+// shardCtxs returns the training contexts of one run, one per shard of a full
+// minibatch: min(Workers, Batch) of them. They live for the whole run and
+// are not stored on the Model; AddGradsInto empties each after every step,
+// so reusing them only saves reallocating their buffers.
+func (m *Model) shardCtxs() []*nn.Ctx {
+	ctxs := make([]*nn.Ctx, max(1, min(m.workers(), m.Cfg.Batch)))
+	for k := range ctxs {
+		ctxs[k] = nn.NewCtx()
+	}
+	return ctxs
 }
 
 // batchLossGrad computes the regression loss of one forward pass and
@@ -685,84 +687,57 @@ func (m *Model) batchLossGrad(f *fwd, labels *tensor.Matrix, p, omega []float64,
 	return loss
 }
 
-// trainBatch runs one optimizer step on a batch and returns its loss. With
-// cfg.Workers ≤ 1 it is the sequential single-goroutine step, bit-identical
-// to the pre-parallel implementation. With more workers the batch rows are
-// split into contiguous shards that run forward/backward concurrently over
-// shared weights, each shard carrying its own nn.Ctx (activation caches and
-// gradient buffers) and its own noise stream seeded from the parent rng in
-// shard order; shard gradients are then reduced into Param.Grad in shard
-// order, so a fixed worker count reproduces exactly while different counts
-// are different (equally valid) runs.
-func (m *Model) trainBatch(x, labels *tensor.Matrix, p, omega []float64, top int, opt nn.Optimizer, rng *rand.Rand) float64 {
+// trainBatch runs one optimizer step on a batch and returns its loss. The
+// batch rows are split into min(len(ctxs), rows) contiguous shards that run
+// forward/backward concurrently over shared weights, shard k carrying
+// ctxs[k] (activation caches and gradient buffers) and its own noise stream;
+// shard gradients are then reduced into Param.Grad in shard order, so a
+// fixed worker count reproduces exactly while different counts are
+// different (equally valid) runs.
+func (m *Model) trainBatch(ctxs []*nn.Ctx, x, labels *tensor.Matrix, p, omega []float64, top int, opt nn.Optimizer, rng *rand.Rand) float64 {
 	b := x.Rows
 	t := m.tauCount()
-	w := m.workers()
-	if w > b {
-		w = b
-	}
-	if w <= 1 {
-		f := m.forward(x, true, rng)
-		dc := tensor.NewMatrix(b, t)
-		loss := m.batchLossGrad(f, labels, p, omega, top, b, dc)
-		// VAE loss contribution (for reporting; its gradient is added in
-		// backward via vaeScale=λ).
-		if m.Cfg.Lambda > 0 && m.vae != nil {
-			recon, kl := m.vae.Loss(f.vaeOut, x)
-			loss += m.Cfg.Lambda * (recon + kl)
-		}
-		m.backward(f, dc, m.Cfg.Lambda)
-		if m.Cfg.ClipNorm > 0 {
-			nn.ClipGradNorm(m.Params(), m.Cfg.ClipNorm)
-		}
-		opt.Step()
-		return loss
-	}
-
-	// One seed per shard, drawn in shard order: the epoch's VAE noise is a
-	// pure function of (cfg.Seed, worker count), never of scheduling.
+	w := min(len(ctxs), b)
+	// A lone shard draws its VAE noise from rng itself, as Workers = 1 always
+	// has: drawing a seed would change every trained bit. Two or more shards
+	// each get a seed drawn in shard order, so the epoch's noise is a pure
+	// function of (cfg.Seed, worker count), never of scheduling.
 	seeds := make([]int64, w)
-	for k := range seeds {
-		seeds[k] = rng.Int63()
+	if w > 1 {
+		for k := range seeds {
+			seeds[k] = rng.Int63()
+		}
 	}
 	bounds := tensor.ShardBounds(b, w)
-	ctxs := make([]*nn.Ctx, w)
 	losses := make([]float64, w)
 	vaeSums := make([]float64, w)
 	tensor.RunParts(w, func(k int) {
 		lo, hi := bounds[k], bounds[k+1]
-		if lo == hi {
-			return
+		srng := rng
+		if w > 1 {
+			srng = rand.New(rand.NewSource(seeds[k]))
 		}
-		ctx := nn.NewCtx()
-		ctxs[k] = ctx
-		srng := rand.New(rand.NewSource(seeds[k]))
 		xs := x.RowSlice(lo, hi)
 		ls := labels.RowSlice(lo, hi)
-		f := m.forwardCtx(ctx, xs, true, srng)
+		f := m.forward(ctxs[k], xs, true, srng)
 		dc := tensor.NewMatrix(hi-lo, t)
 		losses[k] = m.batchLossGrad(f, ls, p, omega, top, b, dc)
 		if m.Cfg.Lambda > 0 && m.vae != nil {
 			bce, kl := m.vae.LossSums(f.vaeOut, xs)
 			vaeSums[k] = bce + kl
 		}
-		m.backwardCtx(ctx, f, dc, m.Cfg.Lambda, b)
+		m.backward(ctxs[k], f, dc, m.Cfg.Lambda, b)
 	})
 	// Ordered reduction: shard k's gradients land before shard k+1's.
 	params := m.Params()
-	for _, ctx := range ctxs {
-		if ctx != nil {
-			ctx.AddGradsInto(params)
-		}
-	}
 	var loss, vaeSum float64
 	for k := 0; k < w; k++ {
+		ctxs[k].AddGradsInto(params)
 		loss += losses[k]
 		vaeSum += vaeSums[k]
 	}
 	if m.Cfg.Lambda > 0 && m.vae != nil {
-		// Loss returns (BCE sum + KL sum)/rows; recombine shard sums the
-		// same way over the global batch.
+		// The VAE loss is (BCE sum + KL sum) over the global batch's rows.
 		loss += m.Cfg.Lambda * vaeSum / float64(b)
 	}
 	if m.Cfg.ClipNorm > 0 {
@@ -773,10 +748,10 @@ func (m *Model) trainBatch(x, labels *tensor.Matrix, p, omega []float64, top int
 }
 
 // validate returns the validation MSLE over all (query, τ) pairs weighted by
-// P(τ), plus the per-distance MSLE vector ℓᵢ used by dynamic training. With
-// cfg.Workers > 1 the queries are split into contiguous shards evaluated
+// P(τ), plus the per-distance MSLE vector ℓᵢ used by dynamic training. The
+// queries are split into min(Workers, queries) contiguous shards evaluated
 // concurrently (inference writes no shared state) whose accumulators are
-// reduced in shard order.
+// reduced in shard order; one shard runs inline.
 func (m *Model) validate(valid *TrainSet, top int) (float64, []float64) {
 	t := m.tauCount()
 	nq := valid.NumQueries()
@@ -784,34 +759,21 @@ func (m *Model) validate(valid *TrainSet, top int) (float64, []float64) {
 	if w > nq {
 		w = nq
 	}
-	if w <= 1 {
-		perDistSum := make([]float64, t)
-		perDistN := make([]int, t)
-		total, n := m.validateRange(valid, top, 0, nq, perDistSum, perDistN)
-		return finishValidate(total, n, perDistSum, perDistN)
-	}
 	bounds := tensor.ShardBounds(nq, w)
 	sums := make([][]float64, w)
 	counts := make([][]int, w)
 	totals := make([]float64, w)
 	ns := make([]int, w)
 	tensor.RunParts(w, func(k int) {
-		lo, hi := bounds[k], bounds[k+1]
-		if lo == hi {
-			return
-		}
 		sums[k] = make([]float64, t)
 		counts[k] = make([]int, t)
-		totals[k], ns[k] = m.validateRange(valid, top, lo, hi, sums[k], counts[k])
+		totals[k], ns[k] = m.validateRange(valid, top, bounds[k], bounds[k+1], sums[k], counts[k])
 	})
 	perDistSum := make([]float64, t)
 	perDistN := make([]int, t)
 	var total float64
 	var n int
 	for k := 0; k < w; k++ {
-		if sums[k] == nil {
-			continue
-		}
 		total += totals[k]
 		n += ns[k]
 		for i := 0; i < t; i++ {
@@ -934,6 +896,7 @@ func (m *Model) runIncremental(train, valid *TrainSet, prevValidMSLE float64, st
 	perm := make([]int, train.NumQueries())
 	xb := tensor.NewMatrix(cfg.Batch, train.X.Cols)
 	lb := tensor.NewMatrix(cfg.Batch, train.Labels.Cols)
+	ctxs := m.shardCtxs()
 
 	for epoch := startEpoch; epoch < 4*cfg.Epochs && stable < 3; epoch++ {
 		epochStart := time.Now()
@@ -957,7 +920,7 @@ func (m *Model) runIncremental(train, valid *TrainSet, prevValidMSLE float64, st
 				copy(xv.Row(i), train.X.Row(r))
 				copy(lv.Row(i), train.Labels.Row(r))
 			}
-			epochLoss += m.trainBatch(xv, lv, train.P, omega, top, opt, rng)
+			epochLoss += m.trainBatch(ctxs, xv, lv, train.P, omega, top, opt, rng)
 			batches++
 		}
 		res.Epochs = epoch + 1

@@ -68,8 +68,8 @@ type Config struct {
 	// VAE pretraining: each minibatch is split into Workers shards whose
 	// forward/backward passes run concurrently on the shared worker pool,
 	// with gradients reduced in shard order. ≤ 1 (including the zero value)
-	// is the sequential trainer, bit-identical to the pre-parallel
-	// implementation. A fixed Workers > 1 run is reproducible — per-shard
+	// is the sequential trainer: one shard, drawing its noise from the
+	// parent stream. A fixed Workers > 1 run is reproducible — per-shard
 	// VAE noise streams are seeded deterministically and the reduction order
 	// is fixed — but different worker counts are different (equally valid)
 	// training runs, because sharding regroups floating-point sums and

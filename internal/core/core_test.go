@@ -230,7 +230,7 @@ func TestModelGradCheck(t *testing.T) {
 
 		mkRng := func() *rand.Rand { return rand.New(rand.NewSource(55)) }
 		lossFn := func() float64 {
-			f := m.forward(x, true, mkRng())
+			f := m.forward(nn.NewCtx(), x, true, mkRng())
 			var loss float64
 			top := 3
 			nTotal := x.Rows * (top + 1)
@@ -248,14 +248,15 @@ func TestModelGradCheck(t *testing.T) {
 					loss += m.Cfg.LambdaDelta * omega[tau] * d2 * d2 / float64(x.Rows)
 				}
 			}
-			recon, kl := m.vae.Loss(f.vaeOut, x)
-			return loss + m.Cfg.Lambda*(recon+kl)
+			bce, kl := m.vae.LossSums(f.vaeOut, x)
+			return loss + m.Cfg.Lambda*(bce+kl)/float64(x.Rows)
 		}
 
 		// Analytic gradients via trainBatch's internals: replicate its dc
 		// computation by calling forward+backward directly.
 		nn.NewAdam(m.Params(), 0).ZeroGrad()
-		f := m.forward(x, true, mkRng())
+		ctx := nn.NewCtx()
+		f := m.forward(ctx, x, true, mkRng())
 		dc := tensor.NewMatrix(4, 4)
 		top := 3
 		nTotal := x.Rows * (top + 1)
@@ -278,7 +279,8 @@ func TestModelGradCheck(t *testing.T) {
 				dc.Data[e*4+tau] += m.Cfg.LambdaDelta * omega[tau] * msleGrad(f.c.At(e, tau), ci, x.Rows)
 			}
 		}
-		m.backward(f, dc, m.Cfg.Lambda)
+		m.backward(ctx, f, dc, m.Cfg.Lambda, x.Rows)
+		ctx.AddGradsInto(m.Params())
 
 		params := m.Params()
 		checked := 0

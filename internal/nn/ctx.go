@@ -2,19 +2,18 @@ package nn
 
 import "cardnet/internal/tensor"
 
-// Ctx is a per-goroutine forward/backward context: it owns the activation
-// caches a training pass records for its backward pass, and the gradient
-// buffers that backward accumulates into. The data-parallel trainer gives
-// every minibatch shard its own Ctx so concurrent shards can share one set
-// of layer objects (weights are only read) without sharing any mutable
-// training state; after the shards join, their Ctx gradients are reduced
-// into the real Param.Grad buffers in a fixed shard order.
+// Ctx is a per-goroutine training context: it owns the activation caches a
+// training forward records for its backward pass, the gradient buffers that
+// backward accumulates into, and reusable scratch matrices. Layers hold only
+// their parameters, so every training pass brings a Ctx — a sequential
+// trainer is one shard with one context — and concurrent shards share one set
+// of layer objects (weights are only read) without sharing any mutable state.
+// After the shards join, their gradients are added into the real Param.Grad
+// buffers in a fixed shard order (AddGradsInto), which also empties them, so
+// a trainer keeps one context per shard for a whole run.
 //
-// A nil *Ctx selects the legacy single-goroutine path: layers cache
-// activations in their own struct fields and accumulate gradients directly
-// into Param.Grad, exactly as before the parallel engine existed. The
-// sequential trainer (Workers ≤ 1) passes nil, which is what keeps it
-// bit-identical to the pre-parallel implementation.
+// Inference (train=false) writes nothing into a context; only a forward that
+// draws on Scratch buffers (the fused CardNet-A encoder) reads one.
 type Ctx struct {
 	caches  map[any]any
 	grads   map[*Param][]float64
@@ -50,17 +49,13 @@ type scratchKey struct {
 // Scratch returns a rows×cols matrix cached in the context under
 // (owner, tag), allocating on first use and reusing (growing when needed) the
 // backing array afterwards. The contents are NOT zeroed on reuse — callers
-// must overwrite every element they read. On a nil context it degrades to a
-// fresh allocation, preserving the legacy path's behavior.
+// must overwrite every element they read.
 //
 // This is what makes steady-state inference forwards allocation-free: the
 // serving layer pools contexts, and every transient the fused-encoder forward
 // used to allocate per call (the scatter target z, the per-layer head outputs
 // zj, backward's dzj) lives here instead.
 func (c *Ctx) Scratch(owner any, tag string, rows, cols int) *tensor.Matrix {
-	if c == nil {
-		return tensor.NewMatrix(rows, cols)
-	}
 	key := scratchKey{owner: owner, tag: tag}
 	if m, ok := c.scratch[key]; ok && cap(m.Data) >= rows*cols {
 		m.Rows, m.Cols = rows, cols
@@ -73,12 +68,8 @@ func (c *Ctx) Scratch(owner any, tag string, rows, cols int) *tensor.Matrix {
 }
 
 // GradOf returns the gradient buffer for p in this context, allocating a
-// zeroed one on first use. On a nil context it returns p.Grad itself, so
-// legacy callers keep accumulating in place.
+// zeroed one on first use.
 func (c *Ctx) GradOf(p *Param) []float64 {
-	if c == nil {
-		return p.Grad
-	}
 	g, ok := c.grads[p]
 	if !ok {
 		g = make([]float64, len(p.Value))
@@ -88,10 +79,12 @@ func (c *Ctx) GradOf(p *Param) []float64 {
 }
 
 // AddGradsInto adds this context's accumulated gradients into the real
-// Param.Grad buffers for the given parameters. Callers reduce worker
-// contexts in a fixed order (worker 0, 1, 2, …) so the summation order — and
-// therefore every trained bit — depends only on the worker count, never on
-// goroutine scheduling.
+// Param.Grad buffers for the given parameters and zeroes its own, ready for
+// the next step. Callers reduce worker contexts in a fixed order (worker 0,
+// 1, 2, …) so the summation order — and therefore every trained bit —
+// depends only on the worker count, never on goroutine scheduling. The
+// optimizer leaves Param.Grad at +0 after each step, so with one context
+// Grad = 0 + g holds exactly the bits an in-place accumulation would.
 func (c *Ctx) AddGradsInto(params []*Param) {
 	for _, p := range params {
 		g, ok := c.grads[p]
@@ -101,16 +94,7 @@ func (c *Ctx) AddGradsInto(params []*Param) {
 		dst := p.Grad
 		for i, v := range g {
 			dst[i] += v
+			g[i] = 0
 		}
 	}
-}
-
-// CtxLayer is implemented by layers that can run training passes through an
-// external context instead of their own struct caches, which is what makes
-// one layer instance shareable across concurrent training shards. The legacy
-// Forward/Backward methods are the nil-context special case.
-type CtxLayer interface {
-	Layer
-	ForwardCtx(c *Ctx, x *tensor.Matrix, train bool) *tensor.Matrix
-	BackwardCtx(c *Ctx, grad *tensor.Matrix) *tensor.Matrix
 }

@@ -7,14 +7,16 @@
 // available; everything here uses only the standard library.
 //
 // The framework is batch-oriented: a batch is a tensor.Matrix with one row
-// per example. In training mode (Forward's train=true) layers cache whatever
-// Backward needs, so a layer instance must not be shared across concurrent
-// training passes — data-parallel training shards instead carry a per-shard
-// Ctx holding activation caches and gradient buffers. Inference mode
-// (train=false) writes no layer state at all: concurrent Forward(x, false)
-// calls on a shared instance are safe, which is what lets one loaded model
-// serve many requests at once. Gradients accumulate into Param.Grad until
-// the optimizer steps and zeroes them.
+// per example. Layers hold no training state, only their parameters: a
+// training pass (Forward's train=true) records whatever Backward needs in a
+// per-shard Ctx, and Backward accumulates parameter gradients into that
+// context's buffers. Training therefore shares a layer through contexts — a
+// sequential trainer runs one shard with one context, a data-parallel one a
+// context per shard — and the trainer adds each context's gradients into
+// Param.Grad (Ctx.AddGradsInto) before the optimizer steps and zeroes them.
+// Inference (train=false) writes no state at all: concurrent
+// Forward(nil, x, false) calls on a shared instance are safe, which is what
+// lets one loaded model serve many requests at once.
 //
 // Persistence is split into two halves so callers can compose them: Snapshot
 // (io.go) flattens parameter values for model files, and AdamState captures

@@ -8,7 +8,10 @@ import (
 )
 
 // Param is one learnable parameter tensor, flattened. Grad has the same
-// length as Value and is accumulated by Backward passes.
+// length as Value and holds the gradient the optimizer consumes: trainers add
+// each step's context gradients into it (Ctx.AddGradsInto; the LSTM, which
+// runs one sequence at a time, accumulates into it directly), and Step zeroes
+// it.
 type Param struct {
 	Name  string
 	Value []float64
@@ -22,10 +25,13 @@ func newParam(name string, n int) *Param {
 
 // Layer is one differentiable block. Forward consumes a batch (rows =
 // examples) and returns the output batch; Backward consumes dL/dOutput and
-// returns dL/dInput, accumulating parameter gradients along the way.
+// returns dL/dInput. A layer holds only its parameters: a training forward
+// (train=true) records what Backward needs in c, and Backward accumulates
+// parameter gradients into c's buffers. Inference (train=false) writes
+// nothing into c.
 type Layer interface {
-	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
-	Backward(grad *tensor.Matrix) *tensor.Matrix
+	Forward(c *Ctx, x *tensor.Matrix, train bool) *tensor.Matrix
+	Backward(c *Ctx, grad *tensor.Matrix) *tensor.Matrix
 	Params() []*Param
 	OutDim(inDim int) int
 }
@@ -41,8 +47,6 @@ type Dense struct {
 	// keeps the inference forward allocation-free (a per-call header escapes
 	// to the heap through the kernel call).
 	wm tensor.Matrix
-
-	x *tensor.Matrix // cached input
 }
 
 // NewDense returns a Dense layer with Glorot-uniform weights.
@@ -53,34 +57,13 @@ func NewDense(rng *rand.Rand, in, out int) *Dense {
 	return d
 }
 
-func (d *Dense) weightMatrix() *tensor.Matrix {
-	if d.wm.Data == nil {
-		// Hand-assembled Dense (tests build these around borrowed Params):
-		// fall back to a fresh header rather than caching one lazily, which
-		// would race under concurrent inference.
-		return &tensor.Matrix{Rows: d.Out, Cols: d.In, Data: d.W.Value}
-	}
-	return &d.wm
-}
-
-// Forward computes x·Wᵀ + b. The input is cached for Backward only in
-// training mode; inference leaves the layer untouched (goroutine-safe).
-func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	return d.ForwardCtx(nil, x, train)
-}
-
-// ForwardCtx is Forward with the training cache written into c instead of
-// the layer struct (nil c = legacy struct cache), allowing concurrent
-// training shards to share one Dense instance.
-func (d *Dense) ForwardCtx(c *Ctx, x *tensor.Matrix, train bool) *tensor.Matrix {
+// Forward computes x·Wᵀ + b, caching the input in c for Backward in
+// training mode.
+func (d *Dense) Forward(c *Ctx, x *tensor.Matrix, train bool) *tensor.Matrix {
 	if train {
-		if c == nil {
-			d.x = x
-		} else {
-			c.put(d, x)
-		}
+		c.put(d, x)
 	}
-	y := tensor.PMatMulABT(x, d.weightMatrix(), nil)
+	y := tensor.PMatMulABT(x, &d.wm, nil)
 	tensor.AddBias(y, d.B.Value)
 	return y
 }
@@ -90,33 +73,23 @@ func (d *Dense) ForwardCtx(c *Ctx, x *tensor.Matrix, train bool) *tensor.Matrix 
 // it is inference-only; paired with Ctx.Scratch buffers it is what keeps the
 // serving forward free of per-call allocations.
 func (d *Dense) ForwardInto(x, out *tensor.Matrix) *tensor.Matrix {
-	tensor.PMatMulABT(x, d.weightMatrix(), out)
+	tensor.PMatMulABT(x, &d.wm, out)
 	tensor.AddBias(out, d.B.Value)
 	return out
 }
 
-// Backward accumulates dW = dYᵀ·X, dB = colsums(dY) and returns dX = dY·W.
-func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	return d.BackwardCtx(nil, grad)
-}
-
-// BackwardCtx is Backward reading the activation cache from c and
-// accumulating parameter gradients into c's buffers (nil c = legacy struct
-// cache and direct Param.Grad accumulation).
-func (d *Dense) BackwardCtx(c *Ctx, grad *tensor.Matrix) *tensor.Matrix {
-	x := d.x
-	gwData, gbData := d.W.Grad, d.B.Grad
-	if c != nil {
-		x = c.get(d).(*tensor.Matrix)
-		gwData, gbData = c.GradOf(d.W), c.GradOf(d.B)
-	}
+// Backward accumulates dW = dYᵀ·X and dB = colsums(dY) into c's gradient
+// buffers and returns dX = dY·W.
+func (d *Dense) Backward(c *Ctx, grad *tensor.Matrix) *tensor.Matrix {
+	x := c.get(d).(*tensor.Matrix)
+	gb := c.GradOf(d.B)
 	// dW (Out×In) += gradᵀ (Out×batch) · x (batch×In)
-	gw := &tensor.Matrix{Rows: d.Out, Cols: d.In, Data: gwData}
+	gw := &tensor.Matrix{Rows: d.Out, Cols: d.In, Data: c.GradOf(d.W)}
 	tensor.PMatMulATBAdd(grad, x, gw)
 	for n := 0; n < grad.Rows; n++ {
-		tensor.Axpy(1, grad.Row(n), gbData)
+		tensor.Axpy(1, grad.Row(n), gb)
 	}
-	return tensor.PMatMul(grad, d.weightMatrix(), nil)
+	return tensor.PMatMul(grad, &d.wm, nil)
 }
 
 // Params returns the weight and bias parameters.
@@ -140,7 +113,6 @@ const (
 // Activation is an element-wise nonlinearity layer.
 type Activation struct {
 	Kind ActKind
-	x, y *tensor.Matrix
 }
 
 // NewActivation returns an element-wise activation layer.
@@ -195,45 +167,25 @@ type actCache struct {
 	x, y *tensor.Matrix
 }
 
-// Forward applies the activation element-wise. Input/output are cached for
-// Backward only in training mode; inference writes no layer state.
-func (a *Activation) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	return a.ForwardCtx(nil, x, train)
-}
-
-// ForwardCtx is Forward with the training cache kept in c (nil c = legacy
-// struct cache).
-func (a *Activation) ForwardCtx(c *Ctx, x *tensor.Matrix, train bool) *tensor.Matrix {
+// Forward applies the activation element-wise, caching input and output
+// in c for Backward in training mode.
+func (a *Activation) Forward(c *Ctx, x *tensor.Matrix, train bool) *tensor.Matrix {
 	y := tensor.NewMatrix(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		y.Data[i] = a.Apply(v)
 	}
 	if train {
-		if c == nil {
-			a.x = x
-			a.y = y
-		} else {
-			c.put(a, actCache{x: x, y: y})
-		}
+		c.put(a, actCache{x: x, y: y})
 	}
 	return y
 }
 
 // Backward multiplies the upstream gradient by the activation derivative.
-func (a *Activation) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	return a.BackwardCtx(nil, grad)
-}
-
-// BackwardCtx is Backward reading the forward cache from c.
-func (a *Activation) BackwardCtx(c *Ctx, grad *tensor.Matrix) *tensor.Matrix {
-	x, y := a.x, a.y
-	if c != nil {
-		cache := c.get(a).(actCache)
-		x, y = cache.x, cache.y
-	}
+func (a *Activation) Backward(c *Ctx, grad *tensor.Matrix) *tensor.Matrix {
+	cache := c.get(a).(actCache)
 	out := tensor.NewMatrix(grad.Rows, grad.Cols)
 	for i, g := range grad.Data {
-		out.Data[i] = g * a.deriv(x.Data[i], y.Data[i])
+		out.Data[i] = g * a.deriv(cache.x.Data[i], cache.y.Data[i])
 	}
 	return out
 }
@@ -267,35 +219,17 @@ func NewMLP(rng *rand.Rand, dims []int, hidden, outAct ActKind) *Sequential {
 }
 
 // Forward runs all layers in order.
-func (s *Sequential) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+func (s *Sequential) Forward(c *Ctx, x *tensor.Matrix, train bool) *tensor.Matrix {
 	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+		x = l.Forward(c, x, train)
 	}
 	return x
 }
 
 // Backward runs all layers in reverse.
-func (s *Sequential) Backward(grad *tensor.Matrix) *tensor.Matrix {
+func (s *Sequential) Backward(c *Ctx, grad *tensor.Matrix) *tensor.Matrix {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = s.Layers[i].Backward(grad)
-	}
-	return grad
-}
-
-// ForwardCtx runs all layers in order through the context. Every layer must
-// implement CtxLayer (all layers in this package do); sharing a Sequential
-// across training shards is only safe through per-shard contexts.
-func (s *Sequential) ForwardCtx(c *Ctx, x *tensor.Matrix, train bool) *tensor.Matrix {
-	for _, l := range s.Layers {
-		x = l.(CtxLayer).ForwardCtx(c, x, train)
-	}
-	return x
-}
-
-// BackwardCtx runs all layers in reverse through the context.
-func (s *Sequential) BackwardCtx(c *Ctx, grad *tensor.Matrix) *tensor.Matrix {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = s.Layers[i].(CtxLayer).BackwardCtx(c, grad)
+		grad = s.Layers[i].Backward(c, grad)
 	}
 	return grad
 }

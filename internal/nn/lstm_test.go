@@ -197,17 +197,18 @@ func TestLSTMLearnsOrderSensitiveTask(t *testing.T) {
 		}
 		return seq, 0
 	}
+	c := NewCtx()
 	var lastLoss float64
 	for epoch := 0; epoch < 400; epoch++ {
 		seq, y := sample()
 		h, tape := l.Forward(seq)
-		hm := &Dense{In: 8, Out: 1, W: head.W, B: head.B}
-		pred := hm.Forward(matFromVec(h), true).Data[0]
+		pred := head.Forward(c, matFromVec(h), true).Data[0]
 		lastLoss = (pred - y) * (pred - y)
-		dh := hm.Backward(matFromVec([]float64{2 * (pred - y)}))
+		dh := head.Backward(c, matFromVec([]float64{2 * (pred - y)}))
 		dhs := make([][]float64, tape.Len())
 		dhs[tape.Len()-1] = dh.Row(0)
 		l.Backward(tape, dhs)
+		c.AddGradsInto(head.Params())
 		opt.Step()
 	}
 	// Evaluate accuracy on fresh samples.
@@ -215,7 +216,7 @@ func TestLSTMLearnsOrderSensitiveTask(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		seq, y := sample()
 		h, _ := l.Forward(seq)
-		pred := head.Forward(matFromVec(h), false).Data[0]
+		pred := head.Forward(nil, matFromVec(h), false).Data[0]
 		if (pred > 0.5) == (y == 1) {
 			correct++
 		}

@@ -33,7 +33,7 @@ func TestDenseForwardKnown(t *testing.T) {
 	copy(d.W.Value, []float64{1, 2, 3, 4, 5, 6}) // W = [[1,2],[3,4],[5,6]]
 	copy(d.B.Value, []float64{0.5, -0.5, 1})
 	x := tensor.FromRows([][]float64{{1, 1}})
-	y := d.Forward(x, false)
+	y := d.Forward(nil, x, false)
 	want := []float64{3.5, 6.5, 12}
 	for i, w := range want {
 		if math.Abs(y.Data[i]-w) > 1e-12 {
@@ -50,18 +50,20 @@ func TestDenseGradCheck(t *testing.T) {
 	tensor.RandNormal(rng, x.Data, 0, 1)
 	tensor.RandNormal(rng, target.Data, 0, 1)
 
+	c := NewCtx()
 	loss := func() float64 {
-		y := d.Forward(x, true)
+		y := d.Forward(c, x, true)
 		return MSE(y.Data, target.Data)
 	}
 	// Analytic gradient.
-	y := d.Forward(x, true)
+	y := d.Forward(c, x, true)
 	grad := tensor.NewMatrix(y.Rows, y.Cols)
 	for i := range grad.Data {
 		grad.Data[i] = MSEGrad(y.Data[i], target.Data[i], len(y.Data))
 	}
 	zeroGrads(d.Params())
-	d.Backward(grad)
+	d.Backward(c, grad)
+	c.AddGradsInto(d.Params())
 
 	for _, p := range d.Params() {
 		num := numericalGrad(p, loss)
@@ -81,21 +83,22 @@ func TestDenseBackwardInputGrad(t *testing.T) {
 	target := tensor.NewMatrix(2, 2)
 	tensor.RandNormal(rng, target.Data, 0, 1)
 
-	y := d.Forward(x, true)
+	c := NewCtx()
+	y := d.Forward(c, x, true)
 	grad := tensor.NewMatrix(y.Rows, y.Cols)
 	for i := range grad.Data {
 		grad.Data[i] = MSEGrad(y.Data[i], target.Data[i], len(y.Data))
 	}
-	dx := d.Backward(grad)
+	dx := d.Backward(c, grad)
 
 	// Numerical input gradient.
 	const h = 1e-5
 	for i := range x.Data {
 		orig := x.Data[i]
 		x.Data[i] = orig + h
-		up := MSE(d.Forward(x, true).Data, target.Data)
+		up := MSE(d.Forward(c, x, true).Data, target.Data)
 		x.Data[i] = orig - h
-		down := MSE(d.Forward(x, true).Data, target.Data)
+		down := MSE(d.Forward(c, x, true).Data, target.Data)
 		x.Data[i] = orig
 		num := (up - down) / (2 * h)
 		if math.Abs(num-dx.Data[i]) > 1e-6 {
@@ -113,12 +116,13 @@ func TestActivationsGradCheck(t *testing.T) {
 		target := tensor.NewMatrix(3, 4)
 		tensor.RandNormal(rng, target.Data, 0, 1)
 
-		y := act.Forward(x, true)
+		c := NewCtx()
+		y := act.Forward(c, x, true)
 		grad := tensor.NewMatrix(y.Rows, y.Cols)
 		for i := range grad.Data {
 			grad.Data[i] = MSEGrad(y.Data[i], target.Data[i], len(y.Data))
 		}
-		dx := act.Backward(grad)
+		dx := act.Backward(c, grad)
 
 		const h = 1e-6
 		for i := range x.Data {
@@ -127,9 +131,9 @@ func TestActivationsGradCheck(t *testing.T) {
 			}
 			orig := x.Data[i]
 			x.Data[i] = orig + h
-			up := MSE(act.Forward(x, true).Data, target.Data)
+			up := MSE(act.Forward(c, x, true).Data, target.Data)
 			x.Data[i] = orig - h
-			down := MSE(act.Forward(x, true).Data, target.Data)
+			down := MSE(act.Forward(c, x, true).Data, target.Data)
 			x.Data[i] = orig
 			num := (up - down) / (2 * h)
 			if math.Abs(num-dx.Data[i]) > 1e-4 {
@@ -152,14 +156,16 @@ func TestMLPLearnsLinearFunction(t *testing.T) {
 	for i := 0; i < n; i++ {
 		target[i] = 2*x.At(i, 0) + 3*x.At(i, 1) + 1
 	}
+	c := NewCtx()
 	var last float64
 	for epoch := 0; epoch < 300; epoch++ {
-		y := mlp.Forward(x, true)
+		y := mlp.Forward(c, x, true)
 		grad := tensor.NewMatrix(n, 1)
 		for i := 0; i < n; i++ {
 			grad.Data[i] = MSEGrad(y.Data[i], target[i], n)
 		}
-		mlp.Backward(grad)
+		mlp.Backward(c, grad)
+		c.AddGradsInto(mlp.Params())
 		opt.Step()
 		last = MSE(y.Data, target)
 	}
@@ -306,14 +312,16 @@ func TestVAEGradCheck(t *testing.T) {
 	// rng state each time.
 	mkRng := func() *rand.Rand { return rand.New(rand.NewSource(99)) }
 
+	c := NewCtx()
 	loss := func() float64 {
-		out := v.ForwardTrain(x, mkRng())
-		recon, kl := v.Loss(out, x)
-		return recon + kl
+		out := v.ForwardTrain(c, x, mkRng())
+		bce, kl := v.LossSums(out, x)
+		return (bce + kl) / float64(x.Rows)
 	}
-	out := v.ForwardTrain(x, mkRng())
+	out := v.ForwardTrain(c, x, mkRng())
 	zeroGrads(v.Params())
-	v.Backward(out, x, 1, nil)
+	v.Backward(c, out, x, 1, nil, x.Rows)
+	c.AddGradsInto(v.Params())
 
 	for pi, p := range v.Params() {
 		// Only spot-check a few entries per tensor to keep runtime modest.
@@ -351,8 +359,8 @@ func TestVAEMeanDeterministic(t *testing.T) {
 		}
 	}
 	// Training-mode latents with different noise differ.
-	z1 := v.ForwardTrain(x, rand.New(rand.NewSource(1))).Z
-	z2 := v.ForwardTrain(x, rand.New(rand.NewSource(2))).Z
+	z1 := v.ForwardTrain(NewCtx(), x, rand.New(rand.NewSource(1))).Z
+	z2 := v.ForwardTrain(NewCtx(), x, rand.New(rand.NewSource(2))).Z
 	same := true
 	for i := range z1.Data {
 		if z1.Data[i] != z2.Data[i] {
@@ -385,8 +393,8 @@ func TestVAEPretrainReducesLoss(t *testing.T) {
 		}
 	}
 	v := NewVAE(rng, d, []int{16, 8}, 4)
-	first := v.Pretrain(data, 1, 32, 1e-3, rng)
-	last := v.Pretrain(data, 30, 32, 1e-3, rng)
+	first := v.Pretrain(data, 1, 32, 1e-3, rng, 1)
+	last := v.Pretrain(data, 30, 32, 1e-3, rng, 1)
 	if !(last < first) {
 		t.Fatalf("VAE loss did not decrease: first=%v last=%v", first, last)
 	}
@@ -397,7 +405,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	mlp := NewMLP(rng, []int{3, 5, 2}, ReLU, Identity)
 	x := tensor.NewMatrix(2, 3)
 	tensor.RandNormal(rng, x.Data, 0, 1)
-	before := mlp.Forward(x, false).Clone()
+	before := mlp.Forward(nil, x, false).Clone()
 
 	var buf bytes.Buffer
 	if err := TakeSnapshot(mlp.Params()).Encode(&buf); err != nil {
@@ -415,7 +423,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := snap.Restore(mlp.Params()); err != nil {
 		t.Fatal(err)
 	}
-	after := mlp.Forward(x, false)
+	after := mlp.Forward(nil, x, false)
 	for i := range before.Data {
 		if before.Data[i] != after.Data[i] {
 			t.Fatal("restored model differs")

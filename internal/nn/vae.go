@@ -67,20 +67,15 @@ func (v *VAE) Params() []*Param {
 	return ps
 }
 
-// ForwardTrain runs the stochastic (reparameterized) forward pass.
-func (v *VAE) ForwardTrain(x *tensor.Matrix, rng *rand.Rand) *VAEOutput {
-	return v.ForwardTrainCtx(nil, x, rng)
-}
-
-// ForwardTrainCtx is ForwardTrain with activation caches kept in c (nil c =
-// legacy struct caches), so concurrent training shards can share one VAE.
+// ForwardTrain runs the stochastic (reparameterized) forward pass, keeping
+// activation caches in c so concurrent training shards can share one VAE.
 // Each shard must bring its own rng: the reparameterization noise is the one
 // stochastic input of the whole model, and per-shard seeded streams are what
 // keep a parallel run reproducible for a fixed worker count.
-func (v *VAE) ForwardTrainCtx(c *Ctx, x *tensor.Matrix, rng *rand.Rand) *VAEOutput {
-	h := v.Encoder.ForwardCtx(c, x, true)
-	mu := v.MuHead.ForwardCtx(c, h, true)
-	logvar := v.LogVarHead.ForwardCtx(c, h, true)
+func (v *VAE) ForwardTrain(c *Ctx, x *tensor.Matrix, rng *rand.Rand) *VAEOutput {
+	h := v.Encoder.Forward(c, x, true)
+	mu := v.MuHead.Forward(c, h, true)
+	logvar := v.LogVarHead.Forward(c, h, true)
 	eps := tensor.NewMatrix(mu.Rows, mu.Cols)
 	for i := range eps.Data {
 		eps.Data[i] = rng.NormFloat64()
@@ -89,31 +84,20 @@ func (v *VAE) ForwardTrainCtx(c *Ctx, x *tensor.Matrix, rng *rand.Rand) *VAEOutp
 	for i := range z.Data {
 		z.Data[i] = mu.Data[i] + eps.Data[i]*math.Exp(0.5*logvar.Data[i])
 	}
-	recon := v.Decoder.ForwardCtx(c, z, true)
+	recon := v.Decoder.Forward(c, z, true)
 	return &VAEOutput{H: h, Mu: mu, LogVar: logvar, Eps: eps, Z: z, Recon: recon}
 }
 
 // Mean returns the deterministic latent E[z] = μ for inference.
 func (v *VAE) Mean(x *tensor.Matrix) *tensor.Matrix {
-	h := v.Encoder.Forward(x, false)
-	return v.MuHead.Forward(h, false)
+	h := v.Encoder.Forward(nil, x, false)
+	return v.MuHead.Forward(nil, h, false)
 }
 
-// Loss returns the reconstruction (BCE) and KL components of the ELBO loss,
-// both averaged over the batch.
-func (v *VAE) Loss(out *VAEOutput, x *tensor.Matrix) (recon, kl float64) {
-	recon = BCE(out.Recon.Data, x.Data) * float64(x.Cols) // sum over dims, mean over rows
-	for i := range out.Mu.Data {
-		mu, lv := out.Mu.Data[i], out.LogVar.Data[i]
-		kl += -0.5 * (1 + lv - mu*mu - math.Exp(lv))
-	}
-	kl /= float64(x.Rows)
-	return recon, kl
-}
-
-// LossSums returns the unnormalized BCE and KL sums of one forward pass.
-// Unlike Loss, nothing is averaged, so minibatch shards can report partial
-// sums that the caller combines and divides by the global batch size.
+// LossSums returns the unnormalized BCE and KL sums of one forward pass
+// (BCE summed over dimensions and rows). Nothing is averaged, so minibatch
+// shards can report partial sums that the caller combines and divides by the
+// global batch size.
 func (v *VAE) LossSums(out *VAEOutput, x *tensor.Matrix) (bceSum, klSum float64) {
 	for i, p := range out.Recon.Data {
 		p = clampProb(p)
@@ -127,20 +111,15 @@ func (v *VAE) LossSums(out *VAEOutput, x *tensor.Matrix) (bceSum, klSum float64)
 	return bceSum, klSum
 }
 
-// Backward accumulates gradients of scale·(BCE + KL) plus an optional
-// external gradient dzExtra on the latent z (used when a downstream
-// regression loss flows back into the VAE during joint training). dzExtra
-// may be nil. Gradients land in the VAE parameters; the gradient w.r.t. the
-// binary input is discarded (inputs are data, not learnables).
-func (v *VAE) Backward(out *VAEOutput, x *tensor.Matrix, scale float64, dzExtra *tensor.Matrix) {
-	v.BackwardCtx(nil, out, x, scale, dzExtra, x.Rows)
-}
-
-// BackwardCtx is Backward through a context (nil c = legacy path), with the
-// loss normalization pinned to normRows instead of x.Rows: a shard of a
-// larger minibatch passes the global batch size so its partial gradients
-// add up to exactly one batch-mean gradient across shards.
-func (v *VAE) BackwardCtx(c *Ctx, out *VAEOutput, x *tensor.Matrix, scale float64, dzExtra *tensor.Matrix, normRows int) {
+// Backward accumulates, into c's gradient buffers, the gradients of
+// scale·(BCE + KL) plus an optional external gradient dzExtra on the latent z
+// (used when a downstream regression loss flows back into the VAE during
+// joint training). dzExtra may be nil. The loss normalization is pinned to
+// normRows: a shard of a larger minibatch passes the global batch size so
+// its partial gradients add up to exactly one batch-mean gradient across
+// shards. The gradient w.r.t. the binary input is discarded (inputs are
+// data, not learnables).
+func (v *VAE) Backward(c *Ctx, out *VAEOutput, x *tensor.Matrix, scale float64, dzExtra *tensor.Matrix, normRows int) {
 	batch := float64(normRows)
 
 	dz := tensor.NewMatrix(out.Z.Rows, out.Z.Cols)
@@ -153,7 +132,7 @@ func (v *VAE) BackwardCtx(c *Ctx, out *VAEOutput, x *tensor.Matrix, scale float6
 			// elementwise BCE grad times cols (undo the per-element mean).
 			dRecon.Data[i] = scale * BCEGrad(out.Recon.Data[i], x.Data[i], n) * float64(x.Cols)
 		}
-		dz = v.Decoder.BackwardCtx(c, dRecon)
+		dz = v.Decoder.Backward(c, dRecon)
 	}
 	if dzExtra != nil {
 		for i := range dz.Data {
@@ -177,37 +156,40 @@ func (v *VAE) BackwardCtx(c *Ctx, out *VAEOutput, x *tensor.Matrix, scale float6
 		}
 	}
 
-	dh1 := v.MuHead.BackwardCtx(c, dMu)
-	dh2 := v.LogVarHead.BackwardCtx(c, dLogVar)
+	dh1 := v.MuHead.Backward(c, dMu)
+	dh2 := v.LogVarHead.Backward(c, dLogVar)
 	for i := range dh1.Data {
 		dh1.Data[i] += dh2.Data[i]
 	}
-	v.Encoder.BackwardCtx(c, dh1)
+	v.Encoder.Backward(c, dh1)
 }
 
 // Pretrain trains the VAE unsupervised on the given binary data for the
 // requested epochs (the paper pretrains its VAE for 100 epochs before the
-// regression model trains). It returns the final epoch's mean loss.
-func (v *VAE) Pretrain(data *tensor.Matrix, epochs, batchSize int, lr float64, rng *rand.Rand) float64 {
-	return v.PretrainWorkers(data, epochs, batchSize, lr, rng, 1)
-}
-
-// PretrainWorkers is Pretrain with each minibatch's forward/backward split
-// across `workers` data-parallel shards on the shared worker pool. workers ≤
-// 1 is the sequential path, bit-identical to the pre-parallel Pretrain; a
-// fixed workers > 1 is reproducible (per-shard noise streams are seeded from
-// the parent rng in shard order, and shard gradients are reduced in shard
-// order), but changing the worker count changes which noise each example
-// sees, so different counts are different — equally valid — training runs.
-func (v *VAE) PretrainWorkers(data *tensor.Matrix, epochs, batchSize int, lr float64, rng *rand.Rand, workers int) float64 {
-	opt := NewAdam(v.Params(), lr)
+// regression model trains), splitting each minibatch's forward/backward
+// across `workers` data-parallel shards on the shared worker pool. It returns
+// the final epoch's mean loss. A fixed worker count is reproducible
+// (per-shard noise streams are seeded from the parent rng in shard order,
+// and shard gradients are reduced in shard order), but changing it changes
+// which noise each example sees, so different counts are different — equally
+// valid — training runs.
+func (v *VAE) Pretrain(data *tensor.Matrix, epochs, batchSize int, lr float64, rng *rand.Rand, workers int) float64 {
 	params := v.Params()
+	opt := NewAdam(params, lr)
 	perm := make([]int, data.Rows)
 	if batchSize > data.Rows {
 		batchSize = data.Rows
 	}
+	workers = max(workers, 1)
 	xb := tensor.NewMatrix(batchSize, data.Cols) // reused across steps
+	// One context per non-empty shard for the whole run: AddGradsInto
+	// empties them after every step, so reuse only saves reallocation.
+	ctxs := make([]*Ctx, min(workers, max(batchSize, 1)))
+	for k := range ctxs {
+		ctxs[k] = NewCtx()
+	}
 	seeds := make([]int64, workers)
+	sums := make([]float64, len(ctxs))
 	var last float64
 	for e := 0; e < epochs; e++ {
 		for i := range perm {
@@ -227,48 +209,34 @@ func (v *VAE) PretrainWorkers(data *tensor.Matrix, epochs, batchSize int, lr flo
 				copy(xv.Row(r-start), data.Row(perm[r]))
 			}
 			batches++
-			if workers <= 1 {
-				out := v.ForwardTrain(xv, rng)
-				recon, kl := v.Loss(out, xv)
-				total += recon + kl
-				v.Backward(out, xv, 1, nil)
-			} else {
-				// One seed per shard, drawn in shard order from the parent
-				// stream, so the epoch's noise is a pure function of
-				// (seed, worker count).
+			// A lone shard draws its noise from rng itself, as the sequential
+			// pretrainer always has: drawing a seed would move every bit.
+			if workers > 1 {
 				for k := range seeds {
 					seeds[k] = rng.Int63()
 				}
-				bounds := tensor.ShardBounds(n, workers)
-				ctxs := make([]*Ctx, workers)
-				sums := make([]float64, workers)
-				tensor.RunParts(workers, func(k int) {
-					lo, hi := bounds[k], bounds[k+1]
-					if lo == hi {
-						return
-					}
-					ctx := NewCtx()
-					ctxs[k] = ctx
-					srng := rand.New(rand.NewSource(seeds[k]))
-					xs := xv.RowSlice(lo, hi)
-					out := v.ForwardTrainCtx(ctx, xs, srng)
-					bce, kl := v.LossSums(out, xs)
-					sums[k] = bce + kl
-					v.BackwardCtx(ctx, out, xs, 1, nil, n)
-				})
-				// Ordered reduction: shard k's gradients land before shard
-				// k+1's, independent of goroutine scheduling.
-				for _, ctx := range ctxs {
-					if ctx != nil {
-						ctx.AddGradsInto(params)
-					}
-				}
-				var sum float64
-				for _, s := range sums {
-					sum += s
-				}
-				total += sum / float64(n)
 			}
+			bounds := tensor.ShardBounds(n, workers) // shards ≥ n are empty
+			w := min(workers, n)
+			tensor.RunParts(w, func(k int) {
+				srng := rng
+				if workers > 1 {
+					srng = rand.New(rand.NewSource(seeds[k]))
+				}
+				xs := xv.RowSlice(bounds[k], bounds[k+1])
+				out := v.ForwardTrain(ctxs[k], xs, srng)
+				bce, kl := v.LossSums(out, xs)
+				sums[k] = bce + kl
+				v.Backward(ctxs[k], out, xs, 1, nil, n)
+			})
+			// Ordered reduction: shard k's gradients land before shard
+			// k+1's, independent of goroutine scheduling.
+			var sum float64
+			for k := 0; k < w; k++ {
+				ctxs[k].AddGradsInto(params)
+				sum += sums[k]
+			}
+			total += sum / float64(n)
 			ClipGradNorm(params, 5)
 			opt.Step()
 		}
