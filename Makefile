@@ -86,12 +86,15 @@ race-autopilot:
 # package's testdata/fuzz/ or in the target's f.Add seeds; plain `go test`
 # replays them too): the router's routing-key extraction, the serving cache's
 # packed curve key, the ABT kernels against the per-element dot products,
-# model-file loading, and the f64/f32 plans against the nn forward.
+# model-file loading, trainer-state decode and resume, and the f64/f32 plans
+# against the nn forward. FuzzRestoreTrainer's seeds are 30 KB checkpoints,
+# so it skips minimizing new inputs, which would take its whole budget.
 fuzz-smoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzExtractKey$$' -fuzztime=10s
 	$(GO) test ./internal/serving -run '^$$' -fuzz '^FuzzCurveKey$$' -fuzztime=10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMulABT$$' -fuzztime=10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime=10s
+	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzRestoreTrainer$$' -fuzztime=10s -fuzzminimizetime=1x
 	$(GO) test ./internal/infer -run '^$$' -fuzz '^FuzzPlanTiers$$' -fuzztime=10s
 
 # The benchmark's own helper tests. perfbench/ is a separate Go module, so

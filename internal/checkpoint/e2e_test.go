@@ -16,7 +16,7 @@ import (
 
 // fixture builds a small Hamming workload with exact labels (mirrors the
 // internal/core test fixture).
-func fixture(t *testing.T, n int) (*core.TrainSet, *core.TrainSet) {
+func fixture(t testing.TB, n int) (*core.TrainSet, *core.TrainSet) {
 	t.Helper()
 	recs := dataset.BinaryCodes(n, 32, 4, 0.08, 5)
 	ext := feature.NewHammingExtractor(32, 12, 12)

@@ -113,3 +113,36 @@ func FuzzLoadModel(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRestoreTrainer: any trainer-state bytes either resume into a result or
+// fail with an error, never a panic. Each input takes the path a resume
+// takes — the gob decode LoadLatest applies, core.RestoreTrainer, then
+// ResumeTrain (ResumeIncrementalTrain for an incremental state) — on the
+// 60-record fixture below, with a Stop that ends training after at most one
+// epoch. The seed corpus in testdata/fuzz/FuzzRestoreTrainer holds real
+// epoch-1 checkpoints of a CardNet-A run on that fixture (τmax 2, VAE hidden
+// {2} and latent 1, Φ′ hidden {3}, ZDim 2, EmbDim 1, batch 8, seed 21), one
+// per phase, plus copies of the train-phase one with a short ω and with a
+// best-validation snapshot missing a value.
+func FuzzRestoreTrainer(f *testing.F) {
+	train, valid := fixture(f, 60)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		st, err := decodeTrainerState(raw)
+		if err != nil {
+			return
+		}
+		m, err := core.RestoreTrainer(st)
+		if err != nil {
+			return
+		}
+		m.Cfg.Stop = func() bool { return true }
+		if st.Phase == core.PhaseIncremental {
+			_, err = m.ResumeIncrementalTrain(train, valid, st)
+		} else {
+			_, err = m.ResumeTrain(train, valid, st)
+		}
+		if err == nil && len(m.EstimateAllTaus(make([]float64, m.InDim))) != m.Cfg.TauMax+1 {
+			t.Fatal("resumed model's curve has the wrong length")
+		}
+	})
+}

@@ -103,12 +103,21 @@ func LoadLatest(store *Store) (st *core.TrainerState, seq uint64, skipped []uint
 			skipped = append(skipped, seqs[i])
 			continue
 		}
-		var got core.TrainerState
-		if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&got); derr != nil {
+		got, derr := decodeTrainerState(payload)
+		if derr != nil {
 			skipped = append(skipped, seqs[i])
 			continue
 		}
-		return &got, seqs[i], skipped, nil
+		return got, seqs[i], skipped, nil
 	}
 	return nil, 0, skipped, fmt.Errorf("checkpoint: no usable checkpoint in %s: %w", store.Dir(), os.ErrNotExist)
+}
+
+// decodeTrainerState gob-decodes one checkpoint payload written by SaveState.
+func decodeTrainerState(payload []byte) (*core.TrainerState, error) {
+	var st core.TrainerState
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&st); err != nil {
+		return nil, err
+	}
+	return &st, nil
 }

@@ -432,7 +432,6 @@ func (m *Model) runTrain(train, valid *TrainSet, st *TrainerState) (TrainResult,
 			m.vae.Pretrain(train.X, cfg.VAEEpochs, cfg.Batch, cfg.LR, rng, m.workers())
 		}
 	}
-	ctxs := m.shardCtxs()
 
 	params := m.Params()
 	opt := nn.NewAdam(params, cfg.LR)
@@ -480,8 +479,10 @@ func (m *Model) runTrain(train, valid *TrainSet, st *TrainerState) (TrainResult,
 	perm := make([]int, train.NumQueries())
 	// Minibatch scratch, reused across every step of every epoch (a RowSlice
 	// view trims the final short batch).
-	xb := tensor.NewMatrix(cfg.Batch, train.X.Cols)
-	lb := tensor.NewMatrix(cfg.Batch, train.Labels.Cols)
+	maxRows := min(cfg.Batch, len(perm))
+	xb := tensor.NewMatrix(maxRows, train.X.Cols)
+	lb := tensor.NewMatrix(maxRows, train.Labels.Cols)
+	ctxs := m.shardCtxs(maxRows)
 
 	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
 		epochStart := time.Now()
@@ -629,12 +630,12 @@ func (m *Model) workers() int {
 	return m.Cfg.Workers
 }
 
-// shardCtxs returns the training contexts of one run, one per shard of a full
-// minibatch: min(Workers, Batch) of them. They live for the whole run and
-// are not stored on the Model; AddGradsInto empties each after every step,
-// so reusing them only saves reallocating their buffers.
-func (m *Model) shardCtxs() []*nn.Ctx {
-	ctxs := make([]*nn.Ctx, max(1, min(m.workers(), m.Cfg.Batch)))
+// shardCtxs returns the training contexts of one run, one per shard of its
+// largest minibatch of `rows` rows: min(Workers, rows) of them. They live for
+// the whole run and are not stored on the Model; AddGradsInto empties each
+// after every step, so reusing them only saves reallocating their buffers.
+func (m *Model) shardCtxs(rows int) []*nn.Ctx {
+	ctxs := make([]*nn.Ctx, max(1, min(m.workers(), rows)))
 	for k := range ctxs {
 		ctxs[k] = nn.NewCtx()
 	}
@@ -894,9 +895,10 @@ func (m *Model) runIncremental(train, valid *TrainSet, prevValidMSLE float64, st
 		omega[i] = 1 / float64(top+1)
 	}
 	perm := make([]int, train.NumQueries())
-	xb := tensor.NewMatrix(cfg.Batch, train.X.Cols)
-	lb := tensor.NewMatrix(cfg.Batch, train.Labels.Cols)
-	ctxs := m.shardCtxs()
+	maxRows := min(cfg.Batch, len(perm))
+	xb := tensor.NewMatrix(maxRows, train.X.Cols)
+	lb := tensor.NewMatrix(maxRows, train.Labels.Cols)
+	ctxs := m.shardCtxs(maxRows)
 
 	for epoch := startEpoch; epoch < 4*cfg.Epochs && stable < 3; epoch++ {
 		epochStart := time.Now()

@@ -104,8 +104,8 @@ func TestTrainBatchParallelCloseToSequential(t *testing.T) {
 	xb := train.X.RowSlice(0, b)
 	lb := train.Labels.RowSlice(0, b)
 
-	lossSeq := seq.trainBatch(seq.shardCtxs(), xb, lb, train.P, omega, top, nn.NewAdam(seq.Params(), cfg.LR), rand.New(rand.NewSource(1)))
-	lossPar := par.trainBatch(par.shardCtxs(), xb, lb, train.P, omega, top, nn.NewAdam(par.Params(), cfg.LR), rand.New(rand.NewSource(1)))
+	lossSeq := seq.trainBatch(seq.shardCtxs(b), xb, lb, train.P, omega, top, nn.NewAdam(seq.Params(), cfg.LR), rand.New(rand.NewSource(1)))
+	lossPar := par.trainBatch(par.shardCtxs(b), xb, lb, train.P, omega, top, nn.NewAdam(par.Params(), cfg.LR), rand.New(rand.NewSource(1)))
 
 	if math.Abs(lossSeq-lossPar) > 1e-9*(1+math.Abs(lossSeq)) {
 		t.Fatalf("loss diverged: seq=%v par=%v", lossSeq, lossPar)

@@ -106,7 +106,13 @@ func (m *Model) ResumeIncrementalTrain(train, valid *TrainSet, st *TrainerState)
 // verifyResume checks that a checkpoint is resumable on this model: right
 // phase, identical config (shape and training hyperparameters, including
 // Workers — a different worker count would be a different, non-bit-identical
-// run), matching input dimensionality, and the same training data.
+// run), matching input dimensionality, the same training data, an RNG
+// position the run could have reached, and — for a train-phase state — ω
+// and previous per-distance vectors of length τmax+1 and a best-validation
+// snapshot shaped like the weights. All of it is checked before any
+// training, so a malformed state fails at once instead of zero-padding ω
+// (which disables Eq. 3 at those distances), skipping the stream for hours,
+// or panicking when the resumed run ends.
 func (m *Model) verifyResume(st *TrainerState, phase string, train, valid *TrainSet) error {
 	if st == nil {
 		return fmt.Errorf("core: nil trainer state")
@@ -125,6 +131,29 @@ func (m *Model) verifyResume(st *TrainerState, phase string, train, valid *Train
 	}
 	if h := hashTrainData(train, valid); h != st.DataHash {
 		return fmt.Errorf("core: training data hash %#x differs from the checkpoint's %#x — resume needs the dataset (and split) of the original run", h, st.DataHash)
+	}
+	if m.Cfg.Batch < 1 || st.Epoch < 0 {
+		return fmt.Errorf("core: checkpoint batch size %d or epoch %d is not a training run's", m.Cfg.Batch, st.Epoch)
+	}
+	epochs := st.Epoch
+	if phase == PhaseTrain && m.vae != nil {
+		epochs += max(m.Cfg.VAEEpochs, 0) // pretraining draws from the same stream
+	}
+	if limit := maxDraws(epochs, train.NumQueries(), m.Cfg.VAELatent, m.Cfg.Batch, m.workers()); st.RNGDraws > limit {
+		return fmt.Errorf("core: checkpoint RNG position %d is beyond the %d draws %d epochs can make", st.RNGDraws, limit, epochs)
+	}
+	if phase != PhaseTrain {
+		return nil // the incremental phase restarts ω and keeps no best snapshot
+	}
+	t := m.tauCount()
+	if len(st.Omega) != t || len(st.PrevPerDist) != t {
+		return fmt.Errorf("core: checkpoint ω has %d and previous per-distance losses %d entries, model has τmax+1 = %d",
+			len(st.Omega), len(st.PrevPerDist), t)
+	}
+	if st.Best != nil {
+		if err := st.Best.Check(m.Params()); err != nil {
+			return fmt.Errorf("core: checkpoint best-validation snapshot: %w", err)
+		}
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cardnet/internal/nn"
 	"cardnet/internal/tensor"
 )
 
@@ -283,5 +284,54 @@ func TestResumeRejectsMismatches(t *testing.T) {
 	empty.Opt = nil
 	if _, err := m3.ResumeTrain(train, valid, &empty); err == nil {
 		t.Fatal("resume accepted a state with no optimizer moments")
+	}
+}
+
+// TestResumeRejectsMalformedState: a train-phase state whose ω or previous
+// per-distance vector has the wrong length, or whose best-validation
+// snapshot is shaped unlike the weights, is refused before any training —
+// including a state already at its last epoch, which used to panic in the
+// final best-restore instead. So are an RNG position no run could reach
+// (the skip would run for hours), a batch size below one (the epoch loop
+// would never advance) and a negative epoch.
+func TestResumeRejectsMalformedState(t *testing.T) {
+	train, valid, _, _ := hammingFixture(t, 100)
+	cfg := tinyConfig(train.TauTop, true)
+	cfg.Epochs = 3
+	cfg.Seed = 4
+	tensor.SetWorkers(1)
+	st := runInterrupted(t, cfg, train, valid, 2)
+	if st.Best == nil {
+		t.Fatal("checkpoint has no best-validation snapshot")
+	}
+
+	misshapenBest := *st.Best
+	misshapenBest.Values = append([][]float64(nil), st.Best.Values...)
+	misshapenBest.Values[1] = misshapenBest.Values[1][1:]
+	cases := map[string]func(*TrainerState){
+		"short omega":        func(s *TrainerState) { s.Omega = s.Omega[:len(s.Omega)-1] },
+		"long omega":         func(s *TrainerState) { s.Omega = append(s.Omega, 0.5) },
+		"no prev per-dist":   func(s *TrainerState) { s.PrevPerDist = nil },
+		"misshapen best":     func(s *TrainerState) { s.Best = &misshapenBest },
+		"misshapen best end": func(s *TrainerState) { s.Best = &misshapenBest; s.Epoch = cfg.Epochs },
+		"best missing param": func(s *TrainerState) { s.Best = &nn.Snapshot{Values: s.Best.Values[1:]} },
+		"lying rng position": func(s *TrainerState) { s.RNGDraws = 1 << 62 },
+		"zero batch":         func(s *TrainerState) { s.Cfg.Batch = 0 },
+		"negative epoch":     func(s *TrainerState) { s.Epoch = -1 },
+	}
+	for name, corrupt := range cases {
+		bad := *st
+		corrupt(&bad)
+		m, err := RestoreTrainer(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := saveBytes(t, m)
+		if _, err := m.ResumeTrain(train, valid, &bad); err == nil {
+			t.Errorf("%s: resume accepted the state", name)
+		}
+		if !bytes.Equal(before, saveBytes(t, m)) {
+			t.Errorf("%s: a refused resume changed the weights", name)
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package core
 
-import "math/rand"
+import (
+	"math"
+	"math/bits"
+	"math/rand"
+)
 
 // countingSource wraps the math/rand source behind every training RNG and
 // counts how many values have been drawn from it. The count is the RNG half
@@ -55,4 +59,30 @@ func (c *countingSource) Skip(n uint64) {
 		c.src.Uint64()
 	}
 	c.draws += n
+}
+
+// maxDraws bounds the values a run can draw from its stream in `epochs`
+// passes over n queries: per pass, one shuffle draw and `latent`
+// reparameterization normals per query, plus up to `workers` shard seeds per
+// minibatch of `batch` rows. Shuffle and NormFloat64 retry rarely (about 1 %
+// of normals), so four times that count plus a constant is far beyond any
+// real run, while a lying checkpoint cannot make a resume skip the stream
+// for hours. The arithmetic saturates instead of overflowing.
+func maxDraws(epochs, n, latent, batch, workers int) uint64 {
+	mul := func(a, b uint64) uint64 {
+		if hi, lo := bits.Mul64(a, b); hi == 0 {
+			return lo
+		}
+		return math.MaxUint64
+	}
+	add := func(a, b uint64) uint64 {
+		if s, carry := bits.Add64(a, b, 0); carry == 0 {
+			return s
+		}
+		return math.MaxUint64
+	}
+	nq := uint64(max(n, 0))
+	batches := (nq + uint64(batch) - 1) / uint64(batch)
+	perEpoch := add(mul(nq, uint64(1+max(latent, 0))), mul(batches, uint64(workers)))
+	return add(mul(4, mul(uint64(epochs), perEpoch)), 1024)
 }

@@ -28,9 +28,9 @@ func TakeSnapshot(params []*Param) *Snapshot {
 	return s
 }
 
-// Restore writes snapshot values back into params. It errors when the
-// shapes do not line up, which indicates an architecture mismatch.
-func (s *Snapshot) Restore(params []*Param) error {
+// Check reports whether the snapshot's shapes line up with params, without
+// writing anything; a mismatch indicates a different architecture.
+func (s *Snapshot) Check(params []*Param) error {
 	if len(params) != len(s.Values) {
 		return fmt.Errorf("nn: snapshot has %d params, model has %d", len(s.Values), len(params))
 	}
@@ -39,6 +39,17 @@ func (s *Snapshot) Restore(params []*Param) error {
 			return fmt.Errorf("nn: param %d (%s) has %d values, snapshot has %d",
 				i, p.Name, len(p.Value), len(s.Values[i]))
 		}
+	}
+	return nil
+}
+
+// Restore writes snapshot values back into params. It errors, writing
+// nothing, when the shapes do not line up (see Check).
+func (s *Snapshot) Restore(params []*Param) error {
+	if err := s.Check(params); err != nil {
+		return err
+	}
+	for i, p := range params {
 		copy(p.Value, s.Values[i])
 	}
 	return nil
