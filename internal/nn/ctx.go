@@ -12,8 +12,9 @@ import "cardnet/internal/tensor"
 // buffers in a fixed shard order (AddGradsInto), which also empties them, so
 // a trainer keeps one context per shard for a whole run.
 //
-// Inference (train=false) writes nothing into a context; only a forward that
-// draws on Scratch buffers (the fused CardNet-A encoder) reads one.
+// Inference (train=false) records no caches or gradients: plain layer
+// forwards take a nil context, and only a forward that draws on Scratch
+// buffers (the fused CardNet-A encoder) needs one.
 type Ctx struct {
 	caches  map[any]any
 	grads   map[*Param][]float64
