@@ -8,7 +8,7 @@ VERSION ?= dev
 GITSHA ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 LDFLAGS = -X main.buildVersion=$(VERSION) -X main.buildSHA=$(GITSHA)
 
-.PHONY: ci lint staticcheck vet build test docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test perfbench bench-kernels
+.PHONY: ci lint staticcheck vet build test docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test perfbench bench-kernels loc
 
 ci: lint staticcheck vet build test docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test
 
@@ -84,17 +84,22 @@ race-autopilot:
 
 # Short native-fuzzing pass over every fuzz target (seed corpora live in each
 # package's testdata/fuzz/ or in the target's f.Add seeds; plain `go test`
-# replays them too): the router's routing-key extraction, the serving cache's
-# packed curve key, the ABT kernels against the per-element dot products,
-# model-file loading, trainer-state decode and resume, and the f64/f32 plans
-# against the nn forward. FuzzRestoreTrainer's seeds are 30 KB checkpoints,
-# so it skips minimizing new inputs, which would take its whole budget.
+# replays them too): the router's routing-key extraction, the replica's
+# /estimate request parsing and validation, the serving cache's packed curve
+# key, the ABT kernels against the per-element dot products, model-file
+# loading, trainer-state decode and resume, staged train-set loading and
+# retraining, and the f64/f32 plans against the nn forward.
+# FuzzRestoreTrainer's seeds are 30 KB checkpoints and every FuzzLoadTrainSet
+# input runs a retrain, so both skip minimizing new inputs, which would take
+# their whole budget.
 fuzz-smoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzExtractKey$$' -fuzztime=10s
+	$(GO) test ./cmd/cardnet -run '^$$' -fuzz '^FuzzEstimateRequest$$' -fuzztime=10s
 	$(GO) test ./internal/serving -run '^$$' -fuzz '^FuzzCurveKey$$' -fuzztime=10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMulABT$$' -fuzztime=10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime=10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzRestoreTrainer$$' -fuzztime=10s -fuzzminimizetime=1x
+	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzLoadTrainSet$$' -fuzztime=10s -fuzzminimizetime=1x
 	$(GO) test ./internal/infer -run '^$$' -fuzz '^FuzzPlanTiers$$' -fuzztime=10s
 
 # The benchmark's own helper tests. perfbench/ is a separate Go module, so
@@ -111,6 +116,12 @@ perfbench:
 		echo "$$w: $$(echo "$$out" | tail -n 1)"; \
 		[ $$rc -eq 0 ] || exit $$rc; \
 	done
+
+# Go line counts, the figures every CHANGES.md entry records: non-test and
+# test files, excluding perfbench/ (its own module) and hidden directories.
+loc:
+	@printf 'non-test Go lines: '; find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.*' -exec cat {} + | wc -l
+	@printf 'test Go lines:     '; find . -name '*_test.go' ! -path './perfbench/*' ! -path './.*' -exec cat {} + | wc -l
 
 # Kernel-level GFLOP/s table: the f64/f32 ABT inference kernels (at a
 # 256-row batch and at the 1- and 2-row serving batches), the training

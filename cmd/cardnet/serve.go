@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"cardnet/internal/autopilot"
+	"cardnet/internal/cluster"
 	"cardnet/internal/core"
 	"cardnet/internal/infer"
 	"cardnet/internal/obs"
@@ -394,17 +395,11 @@ func parseEstimateRequest(r *http.Request) (*estimateRequest, error) {
 		}
 	case http.MethodGet:
 		q := r.URL.Query()
-		for _, s := range strings.Split(q.Get("x"), ",") {
-			s = strings.TrimSpace(s)
-			if s == "" {
-				continue
-			}
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad x component %q", s)
-			}
-			req.X = append(req.X, v)
+		x, err := cluster.ParseX(q.Get("x"))
+		if err != nil {
+			return nil, err
 		}
+		req.X = x
 		if ts := q.Get("tau"); ts != "" {
 			tau, err := strconv.Atoi(ts)
 			if err != nil {

@@ -11,7 +11,8 @@ import (
 
 // FuzzExtractKey: any POST body or GET query yields a routing key or an
 // error, never a panic, and rewriting only its tau/all fields changes
-// neither the outcome nor the key. Seeds live in testdata/fuzz/FuzzExtractKey.
+// neither the outcome nor the key. A GET routes on KeyHash(ParseX(x)), the
+// vector the replica serves. Seeds live in testdata/fuzz/FuzzExtractKey.
 func FuzzExtractKey(f *testing.F) {
 	f.Add([]byte(`{"x":[1,0,1,1],"tau":3}`), "x=1,0,1,1&tau=3", 7, false)
 	f.Add([]byte(`{"x":[0,1],"all":true}`), "x=0,1&all=true", 0, true)
@@ -32,6 +33,10 @@ func FuzzExtractKey(f *testing.F) {
 
 		_, key, err = extractKey(getRequest(query))
 		q, _ := url.ParseQuery(query) // keeps the pairs URL.Query keeps
+		// A GET routes on ParseX of its x, the vector the replica serves.
+		if x, perr := ParseX(q.Get("x")); (err == nil) != (perr == nil) || err == nil && key != KeyHash(x) {
+			t.Fatalf("GET key %x (err %v) is not KeyHash(ParseX(x)) (err %v)", key, err, perr)
+		}
 		q.Set("tau", strconv.Itoa(tau))
 		q.Set("all", strconv.FormatBool(all))
 		_, key2, err2 := extractKey(getRequest(q.Encode()))

@@ -387,22 +387,34 @@ func extractKey(r *http.Request) ([]byte, uint64, error) {
 		}
 		return body, KeyHash(rk.X), nil
 	case http.MethodGet:
-		q := r.URL.Query()
-		for _, s := range strings.Split(q.Get("x"), ",") {
-			s = strings.TrimSpace(s)
-			if s == "" {
-				continue
-			}
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return nil, 0, fmt.Errorf("bad x component %q", s)
-			}
-			rk.X = append(rk.X, v)
+		x, err := ParseX(r.URL.Query().Get("x"))
+		if err != nil {
+			return nil, 0, err
 		}
-		return nil, KeyHash(rk.X), nil
+		return nil, KeyHash(x), nil
 	default:
 		return nil, 0, fmt.Errorf("method %s not allowed", r.Method)
 	}
+}
+
+// ParseX parses the x parameter of a GET /estimate query: comma-separated
+// numbers, surrounding spaces trimmed and empty components skipped. The
+// router routes a GET on the vector it returns and the replica serves that
+// same vector, so a GET query's route key is KeyHash of it.
+func ParseX(s string) ([]float64, error) {
+	var x []float64
+	for _, tok := range strings.Split(s, ",") {
+		tok = strings.TrimSpace(tok)
+		if tok == "" {
+			continue
+		}
+		v, err := strconv.ParseFloat(tok, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad x component %q", tok)
+		}
+		x = append(x, v)
+	}
+	return x, nil
 }
 
 // orderCandidates moves candidates inside a Retry-After cooloff to the back

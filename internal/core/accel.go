@@ -4,14 +4,8 @@ import (
 	"math/rand"
 
 	"cardnet/internal/nn"
-	"cardnet/internal/obs"
 	"cardnet/internal/tensor"
 )
-
-// accelForwards counts fused Φ′ passes; compared against
-// core.estimate.calls it shows the batch amplification the accelerated
-// encoder saves over the τ+1-pass standard encoder.
-var accelForwards = obs.Default.Counter("core.accel.forwards")
 
 // accelEncoder is the fused network Φ′ of Section 7 (CardNet-A). It is an
 // FNN of n hidden layers f_1..f_n where hidden layer f_j, in addition to
@@ -63,37 +57,19 @@ func (a *accelEncoder) Params() []*nn.Param {
 // e·tauCount + i holding example e's embedding of distance i — the same
 // layout the standard encoder produces, so the decoders are shared. Training
 // caches go to the per-shard context c, letting concurrent training shards
-// share one Φ′ instance.
+// share one Φ′ instance. Both modes run the same layer forwards.
 //
-// All transients — the scatter target z, each hidden activation, each head
-// output zj — come from Ctx.Scratch, so a caller that reuses a context (the
-// pooled inference contexts in this package, a trainer's per-shard contexts)
-// runs the pass without reallocating them. Every scratch buffer is fully
-// overwritten before it is read: z's regions cover all zDim columns, and the
-// dense products write every output element.
+// The scatter target z comes from Ctx.Scratch, so a trainer's per-shard
+// context reuses it across steps. It is fully overwritten before it is read:
+// z's regions cover all zDim columns.
 func (a *accelEncoder) Forward(c *nn.Ctx, xp *tensor.Matrix, train bool) *tensor.Matrix {
-	accelForwards.Inc()
 	b := xp.Rows
 	z := c.Scratch(a, "z", b*a.tauCount, a.zDim)
 	h := xp
 	col := 0
 	for j := range a.layers {
-		var zj *tensor.Matrix // B × tauCount·w
-		if train {
-			h = a.acts[j].Forward(c, a.layers[j].Forward(c, h, true), true)
-			zj = a.heads[j].Forward(c, h, true)
-		} else {
-			// Inference: dense product into scratch, ReLU applied in place
-			// (bit-identical to the activation layer, which only clamps
-			// negatives), head product into scratch.
-			h = a.layers[j].ForwardInto(h, c.Scratch(a.layers[j], "h", b, a.layers[j].Out))
-			for i, v := range h.Data {
-				if v < 0 {
-					h.Data[i] = 0
-				}
-			}
-			zj = a.heads[j].ForwardInto(h, c.Scratch(a.heads[j], "zj", b, a.heads[j].Out))
-		}
+		h = a.acts[j].Forward(c, a.layers[j].Forward(c, h, train), train)
+		zj := a.heads[j].Forward(c, h, train) // B × tauCount·w
 		w := a.regions[j]
 		for e := 0; e < b; e++ {
 			src := zj.Row(e)

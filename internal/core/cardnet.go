@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,37 +18,21 @@ import (
 // bench harness and `cardnet serve` /metrics expose them without extra
 // plumbing.
 var (
-	estLatency    = obs.Default.Histogram("core.estimate.seconds", obs.TimeBuckets())
-	estAllLatency = obs.Default.Histogram("core.estimate_all.seconds", obs.TimeBuckets())
-	estTauDist    = obs.Default.Histogram("core.estimate.tau", obs.LinearBuckets(0, 1, 32))
-	estCalls      = obs.Default.Counter("core.estimate.calls")
-	estAllCalls   = obs.Default.Counter("core.estimate_all.calls")
-	monoChecks    = obs.Default.Counter("core.estimate.mono.checks")
-	monoViolate   = obs.Default.Counter("core.estimate.mono.violations")
-	estSeq        atomic.Uint64
+	estBatchLatency = obs.Default.Histogram("core.estimate_batch.seconds", obs.TimeBuckets())
+	estBatchCalls   = obs.Default.Counter("core.estimate_batch.calls")
+	estBatchRows    = obs.Default.Counter("core.estimate_batch.rows")
+	monoChecks      = obs.Default.Counter("core.estimate.mono.checks")
+	monoViolate     = obs.Default.Counter("core.estimate.mono.violations")
+	estSeq          atomic.Uint64
 
 	trainEpochTime = obs.Default.Histogram("core.train.epoch_seconds", obs.TimeBuckets())
 	trainEpochs    = obs.Default.Counter("core.train.epochs")
 	trainValidMSLE = obs.Default.Gauge("core.train.valid_msle")
-
-	estBatchLatency = obs.Default.Histogram("core.estimate_batch.seconds", obs.TimeBuckets())
-	estBatchCalls   = obs.Default.Counter("core.estimate_batch.calls")
-	estBatchRows    = obs.Default.Counter("core.estimate_batch.rows")
 )
 
-// inferCtxs pools inference contexts across estimate calls. An inference
-// forward writes no training caches or gradients into its context — only
-// Ctx.Scratch buffers — so a pooled context makes the fused-encoder
-// transients (z, per-layer activations, head outputs) reusable across calls:
-// steady-state serving forwards on the CardNet-A path allocate nothing on
-// that path. Safe because every scratch buffer is fully overwritten per
-// forward and nothing read from a returned fwd (the freshly allocated c/pre
-// matrices) aliases the context.
-var inferCtxs = sync.Pool{New: func() any { return nn.NewCtx() }}
-
-// monoSampleEvery sets the monotonicity spot-check rate on the estimate
-// path: one in every monoSampleEvery instrumented calls re-validates the
-// Lemma 2 invariant on the decoder outputs.
+// monoSampleEvery sets the monotonicity spot-check rate of the nn reference
+// forward: one in every monoSampleEvery EstimateAllTausBatch calls
+// re-validates the Lemma 2 invariant on the decoder outputs.
 const monoSampleEvery = 64
 
 // Model is a trained (or trainable) CardNet / CardNet-A regressor over
@@ -132,19 +115,6 @@ type fwd struct {
 	z      *tensor.Matrix // B·tauCount × ZDim embeddings
 	pre    *tensor.Matrix // B × tauCount decoder pre-activations
 	c      *tensor.Matrix // B × tauCount per-distance predictions ĉᵢ
-}
-
-// inferForward is the inference forward through a pooled context, so repeat
-// calls reuse the fused-encoder scratch buffers instead of reallocating them.
-// The context is returned to the pool before the fwd is consumed, which is
-// safe because callers only read the freshly allocated c/pre matrices — f.z
-// may alias pooled scratch and must not be read after this returns. Contexts
-// only change where transients live, never the arithmetic or its order.
-func (m *Model) inferForward(x *tensor.Matrix) *fwd {
-	ctx := inferCtxs.Get().(*nn.Ctx)
-	f := m.forward(ctx, x, false, nil)
-	inferCtxs.Put(ctx)
-	return f
 }
 
 // forward runs the encoder and decoders. train selects the stochastic VAE
@@ -261,32 +231,15 @@ func (m *Model) backward(ctx *nn.Ctx, f *fwd, dc *tensor.Matrix, vaeScale float6
 }
 
 // EstimateEncoded returns the deterministic cardinality estimate for an
-// already-encoded binary feature vector and transformed threshold τ. The
-// result is monotonically non-decreasing in τ.
+// already-encoded binary feature vector and transformed threshold τ: the
+// single-row EstimateAllTaus curve at τ clamped to TauMax, or 0 for τ < 0.
+// The result is monotonically non-decreasing in τ.
 func (m *Model) EstimateEncoded(x []float64, tau int) float64 {
-	if len(x) != m.InDim {
-		panic(fmt.Sprintf("core: feature dim %d, model expects %d", len(x), m.InDim))
-	}
+	curve := m.EstimateAllTaus(x)
 	if tau < 0 {
 		return 0
 	}
-	if tau > m.Cfg.TauMax {
-		tau = m.Cfg.TauMax
-	}
-	tm := obs.StartTimer(estLatency)
-	xm := &tensor.Matrix{Rows: 1, Cols: len(x), Data: x}
-	f := m.inferForward(xm)
-	var sum float64
-	for i := 0; i <= tau; i++ {
-		sum += f.c.At(0, i)
-	}
-	tm.Stop()
-	estCalls.Inc()
-	estTauDist.Observe(float64(tau))
-	if estSeq.Add(1)%monoSampleEvery == 0 {
-		spotCheckMonotone(f.c.Row(0))
-	}
-	return sum
+	return curve[min(tau, m.Cfg.TauMax)]
 }
 
 // spotCheckMonotone re-validates the invariant behind Lemma 2 on one set of
@@ -323,41 +276,25 @@ func CurveMonotone(curve []float64) bool {
 }
 
 // EstimateAllTaus returns the estimate at every τ in [0, TauMax] for one
-// encoded query with a single forward pass (the prefix sums of ĉᵢ).
+// encoded query: a single-row EstimateAllTausBatch.
 func (m *Model) EstimateAllTaus(x []float64) []float64 {
-	tm := obs.StartTimer(estAllLatency)
-	xm := &tensor.Matrix{Rows: 1, Cols: len(x), Data: x}
-	f := m.inferForward(xm)
-	out := make([]float64, m.tauCount())
-	var sum float64
-	for i := range out {
-		sum += f.c.At(0, i)
-		out[i] = sum
-	}
-	tm.Stop()
-	estAllCalls.Inc()
-	if estSeq.Add(1)%monoSampleEvery == 0 {
-		spotCheckMonotone(f.c.Row(0))
-	}
-	return out
+	return m.EstimateAllTausBatch(&tensor.Matrix{Rows: 1, Cols: len(x), Data: x}).Row(0)
 }
 
-// estMinShardRows gates the parallel sharding of the batch estimators: a
+// estMinShardRows gates the parallel sharding of EstimateAllTausBatch: a
 // batch only fans out across the worker pool when every shard keeps at least
-// this many rows, so small serving batches never pay dispatch overhead.
+// this many rows, so single-row calls never pay dispatch overhead.
 const estMinShardRows = 16
 
-// EstimateAllTausBatch runs one forward pass over a whole batch: xs is
-// B×InDim (one encoded query per row) and the result is B×(TauMax+1), row e
-// holding the prefix-sum estimates of query e at every τ. Stacking rows
-// through the shared Φ/Φ′ matmuls amortizes weight-matrix memory traffic;
-// wide batches additionally shard their rows across the tensor worker pool.
-// Serving answers through compiled internal/infer plans instead; this unfused
-// nn forward is their reference (the f32 gate compares against it). Because the inference forward treats every
-// row independently, every output element stays bit-identical to the
-// corresponding per-sample EstimateAllTaus / EstimateEncoded result at any
-// worker count. Safe for concurrent callers (the inference forward writes no
-// shared state).
+// EstimateAllTausBatch is the model's one nn inference body: xs is B×InDim
+// (one encoded query per row) and the result is B×(TauMax+1), row e holding
+// the prefix-sum estimates of query e at every τ. Wide batches shard their
+// rows across the tensor worker pool. Serving answers through compiled
+// internal/infer plans instead; this nn forward is their reference (the f32
+// gate compares against it) and also answers library calls and training
+// validation. The inference forward treats every row independently, so each
+// output row is bit-identical to its single-row call at any worker count.
+// Safe for concurrent callers (the inference forward writes no shared state).
 func (m *Model) EstimateAllTausBatch(xs *tensor.Matrix) *tensor.Matrix {
 	if xs.Cols != m.InDim {
 		panic(fmt.Sprintf("core: feature dim %d, model expects %d", xs.Cols, m.InDim))
@@ -367,7 +304,7 @@ func (m *Model) EstimateAllTausBatch(xs *tensor.Matrix) *tensor.Matrix {
 	out := tensor.NewMatrix(xs.Rows, t)
 	var c0 []float64 // decoder outputs of row 0, for the monotonicity spot check
 	tensor.ParallelRows(xs.Rows, estMinShardRows, func(lo, hi int) {
-		f := m.inferForward(xs.RowSlice(lo, hi))
+		f := m.forward(nn.NewCtx(), xs.RowSlice(lo, hi), false, nil)
 		for e := lo; e < hi; e++ {
 			crow := f.c.Row(e - lo)
 			row := out.Row(e)
@@ -437,16 +374,9 @@ func (m *Model) runTrain(train, valid *TrainSet, st *TrainerState) (TrainResult,
 	opt := nn.NewAdam(params, cfg.LR)
 
 	t := m.tauCount()
-	top := train.TauTop
-	if top > cfg.TauMax {
-		top = cfg.TauMax
-	}
+	top := min(train.TauTop, cfg.TauMax)
 
-	// Dynamic per-distance weights ω, uniform at start (Σω = 1).
-	omega := make([]float64, t)
-	for i := 0; i <= top; i++ {
-		omega[i] = 1 / float64(top+1)
-	}
+	omega := uniformOmega(t, top) // dynamic per-distance weights ω (Section 6.2)
 	prevValidPerDist := make([]float64, t)
 	deltas := make([]float64, t)
 	havePrev := false
@@ -457,14 +387,10 @@ func (m *Model) runTrain(train, valid *TrainSet, st *TrainerState) (TrainResult,
 	startEpoch := 0
 
 	if st != nil {
-		if err := st.Params.Restore(params); err != nil {
-			return res, fmt.Errorf("core: restore weights: %w", err)
-		}
-		if err := opt.SetState(st.Opt); err != nil {
-			return res, fmt.Errorf("core: restore optimizer: %w", err)
+		if err := st.restoreRun(params, opt, src); err != nil {
+			return res, err
 		}
 		m.TauTop = st.TauTop
-		src.Skip(st.RNGDraws) // replay the stream to the interruption point
 		copy(omega, st.Omega)
 		copy(prevValidPerDist, st.PrevPerDist)
 		havePrev = st.HavePrev
@@ -476,44 +402,10 @@ func (m *Model) runTrain(train, valid *TrainSet, st *TrainerState) (TrainResult,
 		startEpoch = st.Epoch
 	}
 
-	perm := make([]int, train.NumQueries())
-	// Minibatch scratch, reused across every step of every epoch (a RowSlice
-	// view trims the final short batch).
-	maxRows := min(cfg.Batch, len(perm))
-	xb := tensor.NewMatrix(maxRows, train.X.Cols)
-	lb := tensor.NewMatrix(maxRows, train.Labels.Cols)
-	ctxs := m.shardCtxs(maxRows)
-
+	loop := m.newEpochLoop(train)
 	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
 		epochStart := time.Now()
-		// The epoch's visit order is a pure function of the RNG stream
-		// position (identity reshuffled, not a cumulative shuffle), so a
-		// resumed run reproduces it exactly from the skipped-ahead stream.
-		for e := range perm {
-			perm[e] = e
-		}
-		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		var epochLoss float64
-		var batches int
-		for start := 0; start < len(perm); start += cfg.Batch {
-			end := start + cfg.Batch
-			if end > len(perm) {
-				end = len(perm)
-			}
-			rows := perm[start:end]
-			xv := xb.RowSlice(0, len(rows))
-			lv := lb.RowSlice(0, len(rows))
-			for i, r := range rows {
-				copy(xv.Row(i), train.X.Row(r))
-				copy(lv.Row(i), train.Labels.Row(r))
-			}
-			loss := m.trainBatch(ctxs, xv, lv, train.P, omega, top, opt, rng)
-			epochLoss += loss
-			batches++
-		}
-		if batches > 0 {
-			res.FinalTrainLoss = epochLoss / float64(batches)
-		}
+		res.FinalTrainLoss = loop.run(omega, top, opt, rng)
 		res.Epochs = epoch + 1
 
 		ev := TrainEvent{Phase: PhaseTrain, Epoch: epoch + 1,
@@ -579,6 +471,16 @@ func (m *Model) runTrain(train, valid *TrainSet, st *TrainerState) (TrainResult,
 	return res, nil
 }
 
+// uniformOmega returns the starting dynamic per-distance weights ω over t
+// decoders: uniform over [0, top] (Σω = 1), zero above.
+func uniformOmega(t, top int) []float64 {
+	omega := make([]float64, t)
+	for i := 0; i <= top; i++ {
+		omega[i] = 1 / float64(top+1)
+	}
+	return omega
+}
+
 // updateOmega recomputes the dynamic per-distance weights ω from the change
 // in per-distance validation loss (Section 6.2): all weight mass moves to the
 // distances whose loss regressed since the previous epoch, proportional to
@@ -640,6 +542,58 @@ func (m *Model) shardCtxs(rows int) []*nn.Ctx {
 		ctxs[k] = nn.NewCtx()
 	}
 	return ctxs
+}
+
+// epochLoop is the minibatch loop Train and IncrementalTrain share: one
+// run's visit order, minibatch scratch (a RowSlice view trims the final
+// short batch) and shard contexts, all reused across every step of every
+// epoch.
+type epochLoop struct {
+	m      *Model
+	train  *TrainSet
+	perm   []int
+	xb, lb *tensor.Matrix
+	ctxs   []*nn.Ctx
+}
+
+// newEpochLoop allocates the loop's scratch for minibatches of train.
+func (m *Model) newEpochLoop(train *TrainSet) *epochLoop {
+	n := train.NumQueries()
+	rows := min(m.Cfg.Batch, n)
+	return &epochLoop{m: m, train: train, perm: make([]int, n),
+		xb:   tensor.NewMatrix(rows, train.X.Cols),
+		lb:   tensor.NewMatrix(rows, train.Labels.Cols),
+		ctxs: m.shardCtxs(rows)}
+}
+
+// run trains one epoch, one optimizer step per minibatch, and returns the
+// mean minibatch loss (0 when there are no queries). The visit order is a
+// pure function of the RNG stream position (identity reshuffled, not a
+// cumulative shuffle), so a resumed run reproduces it exactly from the
+// skipped-ahead stream.
+func (l *epochLoop) run(omega []float64, top int, opt nn.Optimizer, rng *rand.Rand) float64 {
+	perm, batch := l.perm, l.m.Cfg.Batch
+	for e := range perm {
+		perm[e] = e
+	}
+	rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	var loss float64
+	var batches int
+	for start := 0; start < len(perm); start += batch {
+		rows := perm[start:min(start+batch, len(perm))]
+		xv := l.xb.RowSlice(0, len(rows))
+		lv := l.lb.RowSlice(0, len(rows))
+		for i, r := range rows {
+			copy(xv.Row(i), l.train.X.Row(r))
+			copy(lv.Row(i), l.train.Labels.Row(r))
+		}
+		loss += l.m.trainBatch(l.ctxs, xv, lv, l.train.P, omega, top, opt, rng)
+		batches++
+	}
+	if batches == 0 {
+		return 0
+	}
+	return loss / float64(batches)
 }
 
 // batchLossGrad computes the regression loss of one forward pass and
@@ -787,10 +741,12 @@ func (m *Model) validate(valid *TrainSet, top int) (float64, []float64) {
 
 // validateRange accumulates validation statistics over queries [lo, hi) into
 // the given per-distance buffers, returning the weighted squared-error total
-// and pair count of the range.
+// and pair count of the range. The range's estimates come from one batched
+// forward, row-for-row bit-identical to single-query calls.
 func (m *Model) validateRange(valid *TrainSet, top, lo, hi int, perDistSum []float64, perDistN []int) (total float64, n int) {
+	all := m.EstimateAllTausBatch(valid.X.RowSlice(lo, hi))
 	for e := lo; e < hi; e++ {
-		ests := m.EstimateAllTaus(valid.X.Row(e))
+		ests := all.Row(e - lo)
 		lrow := valid.Labels.Row(e)
 		var prevL, prevE float64
 		for tau := 0; tau <= top && tau < len(lrow); tau++ {
@@ -851,10 +807,7 @@ func (m *Model) IncrementalTrain(train, valid *TrainSet, prevValidMSLE float64) 
 // stream position, continuing bit-identically).
 func (m *Model) runIncremental(train, valid *TrainSet, prevValidMSLE float64, st *TrainerState) (IncrementalResult, error) {
 	cfg := m.Cfg
-	top := train.TauTop
-	if top > cfg.TauMax {
-		top = cfg.TauMax
-	}
+	top := min(train.TauTop, cfg.TauMax)
 	dataHash := hashTrainData(train, valid)
 
 	var res IncrementalResult
@@ -876,13 +829,9 @@ func (m *Model) runIncremental(train, valid *TrainSet, prevValidMSLE float64, st
 	opt := nn.NewAdam(params, cfg.LR)
 
 	if st != nil {
-		if err := st.Params.Restore(params); err != nil {
-			return res, fmt.Errorf("core: restore weights: %w", err)
+		if err := st.restoreRun(params, opt, src); err != nil {
+			return res, err
 		}
-		if err := opt.SetState(st.Opt); err != nil {
-			return res, fmt.Errorf("core: restore optimizer: %w", err)
-		}
-		src.Skip(st.RNGDraws)
 		stable = st.Stable
 		last = st.LastValid
 		res.ValidMSLE = st.ValidMSLE
@@ -890,41 +839,11 @@ func (m *Model) runIncremental(train, valid *TrainSet, prevValidMSLE float64, st
 		startEpoch = st.Epoch
 	}
 
-	omega := make([]float64, m.tauCount())
-	for i := 0; i <= top; i++ {
-		omega[i] = 1 / float64(top+1)
-	}
-	perm := make([]int, train.NumQueries())
-	maxRows := min(cfg.Batch, len(perm))
-	xb := tensor.NewMatrix(maxRows, train.X.Cols)
-	lb := tensor.NewMatrix(maxRows, train.Labels.Cols)
-	ctxs := m.shardCtxs(maxRows)
-
+	omega := uniformOmega(m.tauCount(), top)
+	loop := m.newEpochLoop(train)
 	for epoch := startEpoch; epoch < 4*cfg.Epochs && stable < 3; epoch++ {
 		epochStart := time.Now()
-		// Identity reshuffled each epoch (see runTrain): the visit order is a
-		// pure function of the RNG stream position, so resume reproduces it.
-		for i := range perm {
-			perm[i] = i
-		}
-		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		var epochLoss float64
-		var batches int
-		for start := 0; start < len(perm); start += cfg.Batch {
-			end := start + cfg.Batch
-			if end > len(perm) {
-				end = len(perm)
-			}
-			rows := perm[start:end]
-			xv := xb.RowSlice(0, len(rows))
-			lv := lb.RowSlice(0, len(rows))
-			for i, r := range rows {
-				copy(xv.Row(i), train.X.Row(r))
-				copy(lv.Row(i), train.Labels.Row(r))
-			}
-			epochLoss += m.trainBatch(ctxs, xv, lv, train.P, omega, top, opt, rng)
-			batches++
-		}
+		trainLoss := loop.run(omega, top, opt, rng)
 		res.Epochs = epoch + 1
 		vl, _ := m.validate(valid, top)
 		if math.Abs(vl-last) < 1e-2*(1+last) {
@@ -935,13 +854,11 @@ func (m *Model) runIncremental(train, valid *TrainSet, prevValidMSLE float64, st
 		last = vl
 		res.ValidMSLE = vl
 
-		ev := TrainEvent{Phase: PhaseIncremental, Epoch: epoch + 1, LR: cfg.LR,
+		ev := TrainEvent{Phase: PhaseIncremental, Epoch: epoch + 1,
+			TrainLoss: trainLoss, LR: cfg.LR,
 			HasValid: true, ValidMSLE: vl, BestMSLE: vl,
 			Omega:     append([]float64(nil), omega[:top+1]...),
 			EarlyStop: stable >= 3}
-		if batches > 0 {
-			ev.TrainLoss = epochLoss / float64(batches)
-		}
 		ev.Snapshot = func() *TrainerState {
 			return &TrainerState{
 				Phase:     PhaseIncremental,

@@ -624,17 +624,18 @@ func seqInts(n int) []int {
 	return out
 }
 
-// TestEstimateRecordsObsMetrics verifies the estimate-path instrumentation:
-// latency histogram counts, τ-distribution observations, and the sampled
-// monotonicity spot-check all advance on obs.Default.
+// TestEstimateRecordsObsMetrics verifies the nn reference forward's
+// instrumentation: every single-query call is one batch call of one row on
+// the batch latency histogram, and the sampled monotonicity spot-check
+// advances on obs.Default without reporting a violation.
 func TestEstimateRecordsObsMetrics(t *testing.T) {
 	train, _, _, recs := hammingFixture(t, 100)
 	cfg := tinyConfig(12, true)
 	m := New(cfg, train.X.Cols)
 
-	lat0 := estLatency.Count()
-	calls0 := estCalls.Value()
-	tau0 := estTauDist.Count()
+	lat0 := estBatchLatency.Count()
+	calls0 := estBatchCalls.Value()
+	rows0 := estBatchRows.Value()
 	checks0 := monoChecks.Value()
 	viol0 := monoViolate.Value()
 
@@ -642,14 +643,14 @@ func TestEstimateRecordsObsMetrics(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.EstimateEncoded(recs[i%len(recs)].Floats(), i%13)
 	}
-	if got := estCalls.Value() - calls0; got != n {
-		t.Fatalf("estimate calls recorded=%d", got)
+	if got := estBatchCalls.Value() - calls0; got != n {
+		t.Fatalf("batch calls recorded=%d, want %d", got, n)
 	}
-	if got := estLatency.Count() - lat0; got != n {
-		t.Fatalf("latency observations=%d", got)
+	if got := estBatchRows.Value() - rows0; got != n {
+		t.Fatalf("batch rows recorded=%d, want %d", got, n)
 	}
-	if got := estTauDist.Count() - tau0; got != n {
-		t.Fatalf("tau observations=%d", got)
+	if got := estBatchLatency.Count() - lat0; got != n {
+		t.Fatalf("latency observations=%d, want %d", got, n)
 	}
 	if monoChecks.Value() == checks0 {
 		t.Fatal("monotonicity spot-check never sampled")
@@ -657,5 +658,4 @@ func TestEstimateRecordsObsMetrics(t *testing.T) {
 	if monoViolate.Value() != viol0 {
 		t.Fatal("healthy model reported monotonicity violations")
 	}
-
 }

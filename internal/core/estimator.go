@@ -6,8 +6,8 @@ import (
 )
 
 // encodeLatency times the feature-extraction half of the composed estimate
-// ĉ = g∘h, so serving dashboards can split end-to-end latency between h
-// (encode) and g (core.estimate.seconds).
+// ĉ = g∘h, so dashboards can split an Estimate's latency between h (encode)
+// and g (core.estimate_batch.seconds).
 var encodeLatency = obs.Default.Histogram("core.encode.seconds", obs.TimeBuckets())
 
 // Estimator binds a trained Model to a feature extractor, yielding the

@@ -43,21 +43,3 @@ func TestAccelScratchBitIdentical(t *testing.T) {
 		ctx.AddGradsInto(a.Params()) // empty the reused context for the next step
 	}
 }
-
-// TestAccelForwardAllocFree pins the satellite guarantee: once a context's
-// scratch buffers are warm, the fused-encoder inference forward performs zero
-// allocations.
-func TestAccelForwardAllocFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := newAccelEncoder(rng, 10, []int{14, 9}, 8, 5)
-	xp := tensor.NewMatrix(4, 10)
-	tensor.RandNormal(rng, xp.Data, 0, 1)
-	ctx := nn.NewCtx()
-	a.Forward(ctx, xp, false) // warm the scratch buffers
-	allocs := testing.AllocsPerRun(20, func() {
-		a.Forward(ctx, xp, false)
-	})
-	if allocs != 0 {
-		t.Fatalf("accel inference forward allocates %v objects per call, want 0", allocs)
-	}
-}

@@ -103,6 +103,20 @@ func (m *Model) ResumeIncrementalTrain(train, valid *TrainSet, st *TrainerState)
 	return m.runIncremental(train, valid, 0, st)
 }
 
+// restoreRun puts a verified state's weights and Adam moments back and
+// replays the run's RNG stream to the interruption point — the restore
+// steps Train and IncrementalTrain share.
+func (st *TrainerState) restoreRun(params []*nn.Param, opt *nn.Adam, src *countingSource) error {
+	if err := st.Params.Restore(params); err != nil {
+		return fmt.Errorf("core: restore weights: %w", err)
+	}
+	if err := opt.SetState(st.Opt); err != nil {
+		return fmt.Errorf("core: restore optimizer: %w", err)
+	}
+	src.Skip(st.RNGDraws)
+	return nil
+}
+
 // verifyResume checks that a checkpoint is resumable on this model: right
 // phase, identical config (shape and training hyperparameters, including
 // Workers — a different worker count would be a different, non-bit-identical

@@ -24,8 +24,11 @@
 // weight, which would otherwise be clamped into silent all-zero curves.
 //
 // Plans are immutable after compilation and safe for concurrent use; per-call
-// transients come from an internal sync.Pool, so steady-state forwards do not
-// allocate beyond the returned result matrix.
+// transients come from an internal sync.Pool. A steady-state f32 forward
+// allocates only the returned result matrix. So does an f64 forward on one
+// tensor worker; on more, each f64 layer wide enough to split across the
+// worker pool (tensor.PMatMulABT) adds its dispatch's allocations, a few
+// dozen per call at paper-scale widths. TestPlanForwardAllocs pins both.
 package infer
 
 import (
@@ -254,7 +257,7 @@ func (b *body[T]) finite() bool {
 
 // scratch holds the per-call transient buffers of one forward. Buffers grow
 // to the high-water mark of the batch sizes seen and are reused via the
-// body's pool, so steady-state forwards allocate only the returned result.
+// body's pool, so they are not reallocated per forward.
 type scratch[T num] struct {
 	x      *mat[T] // input batch in the tier's type
 	a, b   *mat[T] // ping-pong chain buffers (B rows)

@@ -14,7 +14,7 @@ import "cardnet/internal/tensor"
 //
 // Inference (train=false) records no caches or gradients: plain layer
 // forwards take a nil context, and only a forward that draws on Scratch
-// buffers (the fused CardNet-A encoder) needs one.
+// buffers (the fused CardNet-A encoder's scatter target) needs one.
 type Ctx struct {
 	caches  map[any]any
 	grads   map[*Param][]float64
@@ -41,7 +41,7 @@ func (c *Ctx) get(layer any) any { return c.caches[layer] }
 // comparable identity) plus a tag distinguishing the buffers one owner needs.
 // Scratch buffers live in their own typed map — separate from the activation
 // caches — so lookups never box the key into an interface (the map[any]any
-// would allocate per access, defeating the allocation-free forward).
+// would allocate per access).
 type scratchKey struct {
 	owner any
 	tag   string
@@ -52,10 +52,9 @@ type scratchKey struct {
 // backing array afterwards. The contents are NOT zeroed on reuse — callers
 // must overwrite every element they read.
 //
-// This is what makes steady-state inference forwards allocation-free: the
-// serving layer pools contexts, and every transient the fused-encoder forward
-// used to allocate per call (the scatter target z, the per-layer head outputs
-// zj, backward's dzj) lives here instead.
+// A trainer keeps one context per shard for a whole run, so the fused-encoder
+// transients that live here (the scatter target z, backward's dzj) are
+// allocated once per run rather than once per step.
 func (c *Ctx) Scratch(owner any, tag string, rows, cols int) *tensor.Matrix {
 	key := scratchKey{owner: owner, tag: tag}
 	if m, ok := c.scratch[key]; ok && cap(m.Data) >= rows*cols {

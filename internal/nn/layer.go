@@ -43,9 +43,9 @@ type Dense struct {
 
 	// wm is a reusable Out×In matrix header over W.Value, valid for the
 	// layer's lifetime because parameter updates and snapshot restores write
-	// into the slice in place. Handing out &wm instead of a fresh header
-	// keeps the inference forward allocation-free (a per-call header escapes
-	// to the heap through the kernel call).
+	// into the slice in place. Forward and Backward hand out &wm instead of
+	// building a header per call (one that would escape to the heap through
+	// the kernel call).
 	wm tensor.Matrix
 }
 
@@ -66,16 +66,6 @@ func (d *Dense) Forward(c *Ctx, x *tensor.Matrix, train bool) *tensor.Matrix {
 	y := tensor.PMatMulABT(x, &d.wm, nil)
 	tensor.AddBias(y, d.B.Value)
 	return y
-}
-
-// ForwardInto computes x·Wᵀ + b into out, which must be preallocated as
-// x.Rows×d.Out and is fully overwritten. It records no activation cache, so
-// it is inference-only; paired with Ctx.Scratch buffers it is what keeps the
-// serving forward free of per-call allocations.
-func (d *Dense) ForwardInto(x, out *tensor.Matrix) *tensor.Matrix {
-	tensor.PMatMulABT(x, &d.wm, out)
-	tensor.AddBias(out, d.B.Value)
-	return out
 }
 
 // Backward accumulates dW = dYᵀ·X and dB = colsums(dY) into c's gradient
