@@ -86,7 +86,8 @@ race-autopilot:
 # package's testdata/fuzz/ or in the target's f.Add seeds; plain `go test`
 # replays them too): the router's routing-key extraction, the replica's
 # /estimate request parsing and validation, the serving cache's packed curve
-# key, the ABT kernels against the per-element dot products, model-file
+# key, scraped Prometheus text through the federation round trip, the
+# generic ABT kernel against the per-element dot products, model-file
 # loading, trainer-state decode and resume, staged train-set loading and
 # retraining, and the f64/f32 plans against the nn forward.
 # FuzzRestoreTrainer's seeds are 30 KB checkpoints and every FuzzLoadTrainSet
@@ -96,6 +97,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzExtractKey$$' -fuzztime=10s
 	$(GO) test ./cmd/cardnet -run '^$$' -fuzz '^FuzzEstimateRequest$$' -fuzztime=10s
 	$(GO) test ./internal/serving -run '^$$' -fuzz '^FuzzCurveKey$$' -fuzztime=10s
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParsePrometheus$$' -fuzztime=10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMulABT$$' -fuzztime=10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime=10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzRestoreTrainer$$' -fuzztime=10s -fuzzminimizetime=1x
@@ -123,7 +125,7 @@ loc:
 	@printf 'non-test Go lines: '; find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.*' -exec cat {} + | wc -l
 	@printf 'test Go lines:     '; find . -name '*_test.go' ! -path './perfbench/*' ! -path './.*' -exec cat {} + | wc -l
 
-# Kernel-level GFLOP/s table: the f64/f32 ABT inference kernels (at a
+# Kernel-level GFLOP/s table: the generic ABT kernel at f64 and f32 (at a
 # 256-row batch and at the 1- and 2-row serving batches), the training
 # backward kernels MatMul (dX) and MatMulATBAdd (dW) at 32 and 256 rows, and
 # the zero-skip-vs-branch-free dense matmul comparison.

@@ -19,27 +19,25 @@ type fitCfg struct {
 
 func defaultFit() fitCfg { return fitCfg{Epochs: 40, Batch: 64, LR: 1e-3, Seed: 1} }
 
-// fitRegressor trains an MLP on rows → scalar log1p-count targets with MSE
-// in log space (equivalent to MSLE on counts) and returns the final loss.
-func fitRegressor(mlp *nn.Sequential, x [][]float64, ylog []float64, cfg fitCfg) float64 {
+// FitRegressor trains an MLP on rows → scalar log-count targets with MSE in
+// log space (equivalent to MSLE on counts): epochs passes over x in
+// rng-shuffled minibatches of batch rows, Adam at lr, gradient norm clipped
+// at 5. The deep baselines and the bench ablations share it.
+func FitRegressor(mlp *nn.Sequential, x [][]float64, ylog []float64, epochs, batch int, lr float64, rng *rand.Rand) {
 	if len(x) == 0 {
-		return 0
+		return
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	params := mlp.Params()
-	opt := nn.NewAdam(params, cfg.LR)
+	opt := nn.NewAdam(params, lr)
 	ctx := nn.NewCtx() // serves every step: AddGradsInto empties it
 	perm := make([]int, len(x))
 	for i := range perm {
 		perm[i] = i
 	}
-	var last float64
-	for e := 0; e < cfg.Epochs; e++ {
+	for e := 0; e < epochs; e++ {
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		var total float64
-		var batches int
-		for start := 0; start < len(perm); start += cfg.Batch {
-			end := start + cfg.Batch
+		for start := 0; start < len(perm); start += batch {
+			end := start + batch
 			if end > len(perm) {
 				end = len(perm)
 			}
@@ -55,18 +53,12 @@ func fitRegressor(mlp *nn.Sequential, x [][]float64, ylog []float64, cfg fitCfg)
 			for i := range yb {
 				grad.Data[i] = nn.MSEGrad(out.Data[i], yb[i], len(yb))
 			}
-			total += nn.MSE(out.Data, yb)
-			batches++
 			mlp.Backward(ctx, grad)
 			ctx.AddGradsInto(params)
 			nn.ClipGradNorm(params, 5)
 			opt.Step()
 		}
-		if batches > 0 {
-			last = total / float64(batches)
-		}
 	}
-	return last
 }
 
 // DNN is DL-DNN: one vanilla FNN with four hidden layers on the
@@ -99,7 +91,8 @@ func (d *DNN) Fit(train, _ *core.TrainSet) {
 	dims := append([]int{d.inDim}, d.Hidden...)
 	dims = append(dims, 1)
 	d.mlp = nn.NewMLP(rng, dims, nn.ReLU, nn.Identity)
-	fitRegressor(d.mlp, x, log1pTargets(y), d.Fit_)
+	c := d.Fit_
+	FitRegressor(d.mlp, x, log1pTargets(y), c.Epochs, c.Batch, c.LR, rand.New(rand.NewSource(c.Seed)))
 }
 
 // Estimate runs the FNN.
@@ -162,7 +155,7 @@ func (d *DNNPerTau) Fit(train, _ *core.TrainSet) {
 		if cfg.Epochs < 5 {
 			cfg.Epochs = 5
 		}
-		fitRegressor(net, x, log1pTargets(y), cfg)
+		FitRegressor(net, x, log1pTargets(y), cfg.Epochs, cfg.Batch, cfg.LR, rand.New(rand.NewSource(cfg.Seed)))
 		d.nets[t] = net
 	}
 }

@@ -73,7 +73,8 @@ func (m *RMI) Fit(train, _ *core.TrainSet) {
 	dims := append([]int{m.inDim}, m.Hidden...)
 	dims = append(dims, 1)
 	m.root = nn.NewMLP(rng, dims, nn.ReLU, nn.Identity)
-	fitRegressor(m.root, x, ylog, m.Fit_)
+	c := m.Fit_
+	FitRegressor(m.root, x, ylog, c.Epochs, c.Batch, c.LR, rand.New(rand.NewSource(c.Seed)))
 
 	// Route and train leaves.
 	routedX := make([][][]float64, m.Leaves)
@@ -92,8 +93,7 @@ func (m *RMI) Fit(train, _ *core.TrainSet) {
 		ldims := append([]int{m.inDim}, m.Hidden...)
 		ldims = append(ldims, 1)
 		m.leaf[k] = nn.NewMLP(rng, ldims, nn.ReLU, nn.Identity)
-		cfg := m.Fit_
-		fitRegressor(m.leaf[k], routedX[k], routedY[k], cfg)
+		FitRegressor(m.leaf[k], routedX[k], routedY[k], c.Epochs, c.Batch, c.LR, rand.New(rand.NewSource(c.Seed)))
 	}
 }
 

@@ -195,7 +195,7 @@ func (d *directModel) fit(b *Bundle) {
 			y = append(y, logCount(b.Train.Labels.At(q, tau)))
 		}
 	}
-	fitMLP(d.mlp, x, y, d.cfg.Epochs, d.cfg.Batch, d.cfg.LR, rng)
+	baselines.FitRegressor(d.mlp, x, y, d.cfg.Epochs, d.cfg.Batch, d.cfg.LR, rng)
 }
 
 func (d *directModel) estimate(x []float64, tau int) float64 {
@@ -217,42 +217,6 @@ func (d *directModel) size() int {
 		return 0
 	}
 	return nn.ParamBytes(d.mlp.Params()) + nn.ParamBytes(d.vae.Params())
-}
-
-// fitMLP trains an MLP on log targets with MSE (shared by ablations).
-func fitMLP(mlp *nn.Sequential, x [][]float64, ylog []float64, epochs, batch int, lr float64, rng *rand.Rand) {
-	params := mlp.Params()
-	opt := nn.NewAdam(params, lr)
-	ctx := nn.NewCtx() // serves every step: AddGradsInto empties it
-	perm := make([]int, len(x))
-	for i := range perm {
-		perm[i] = i
-	}
-	for e := 0; e < epochs; e++ {
-		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		for start := 0; start < len(perm); start += batch {
-			end := start + batch
-			if end > len(perm) {
-				end = len(perm)
-			}
-			rows := perm[start:end]
-			xb := tensor.NewMatrix(len(rows), len(x[0]))
-			yb := make([]float64, len(rows))
-			for i, r := range rows {
-				copy(xb.Row(i), x[r])
-				yb[i] = ylog[r]
-			}
-			out := mlp.Forward(ctx, xb, true)
-			grad := tensor.NewMatrix(out.Rows, 1)
-			for i := range yb {
-				grad.Data[i] = nn.MSEGrad(out.Data[i], yb[i], len(yb))
-			}
-			mlp.Backward(ctx, grad)
-			ctx.AddGradsInto(params)
-			nn.ClipGradNorm(params, 5)
-			opt.Step()
-		}
-	}
 }
 
 // fitProfile returns the baseline fit profile for the options.

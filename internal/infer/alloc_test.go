@@ -6,22 +6,19 @@ import (
 	"testing"
 
 	"cardnet/internal/core"
-	"cardnet/internal/tensor"
 )
 
 // TestPlanForwardAllocs pins the plan allocation contract: once a plan's
-// scratch pool is warm, a forward allocates only its result, a matrix header
-// and its data. The f32 tier holds this at any worker count. The f64 tier
-// holds it on one tensor worker; on more, its parallel ABT dispatch adds a
-// few allocations per call.
+// scratch pool is warm, a forward at either tier allocates only its result,
+// a matrix header and its data, at the default tensor worker count.
 func TestPlanForwardAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratch at random, so forwards reallocate")
 	}
 	const want = 2 // the result's tensor.Matrix header and its Data
 	for _, accel := range []bool{true, false} {
-		// Paper-width layers, wide enough for the f64 ABT to go parallel; a
-		// small τmax keeps the standard encoder's τ+1 passes quick.
+		// Paper-width layers, wide enough that a sharded ABT would fan out;
+		// a small τmax keeps the standard encoder's τ+1 passes quick.
 		cfg := core.PaperConfig(4, 16)
 		cfg.Accel = accel
 		m := core.New(cfg, 64)
@@ -34,10 +31,6 @@ func TestPlanForwardAllocs(t *testing.T) {
 				xs := randomBinary(rand.New(rand.NewSource(int64(batch))), batch, m.InDim)
 				name := fmt.Sprintf("accel=%v/%s/b%d", accel, tier, batch)
 				t.Run(name, func(t *testing.T) {
-					if tier == PrecisionF64 {
-						prev := tensor.SetWorkers(1)
-						defer tensor.SetWorkers(prev)
-					}
 					got := testing.AllocsPerRun(10, func() { p.EstimateAllTausBatch(xs) })
 					if got != want {
 						t.Fatalf("%v allocations per forward, want %d", got, want)

@@ -6,29 +6,28 @@
 // embedding-region scatter and the per-distance decoders — see
 // internal/core/lowering.go for the algebra) at one of two precision tiers:
 //
-//   - PrecisionF64 runs the fused forward in float64 on tensor.MatMulABT.
-//     Its unfused layers are views of the model's weights, so the model must
-//     stay frozen while the plan serves. Fusion only reassociates float64
-//     sums, so it tracks the model's own nn forward to about 1e-14 relative,
-//     and it needs no gate.
-//   - PrecisionF32 casts the weights to float32 and runs the float32
-//     kernels. That perturbs the learned function, so — following the
-//     paper's Lemma 2 contract and the monotonicity-under-perturbation
-//     argument that motivated this design — an f32 plan may only serve after
-//     Compile's accuracy gate passes: q-error p99 vs the nn forward within a
+//   - PrecisionF64 runs the fused forward in float64. Its unfused layers are
+//     views of the model's weights, so the model must stay frozen while the
+//     plan serves. Fusion only reassociates float64 sums, so it tracks the
+//     model's own nn forward to about 1e-14 relative, and it needs no gate.
+//   - PrecisionF32 casts the weights to float32 and runs in float32. That
+//     perturbs the learned function, so — following the paper's Lemma 2
+//     contract and the monotonicity-under-perturbation argument that
+//     motivated this design — an f32 plan may only serve after Compile's
+//     accuracy gate passes: q-error p99 vs the nn forward within a
 //     configured bound AND zero CurveMonotone violations on the validation
 //     sweep. On a gate failure Compile returns the f64 plan instead.
 //
-// Both tiers share one forward body; only the kernels and the scratch
-// element type differ. Lowering refuses a model with a NaN or infinite
-// weight, which would otherwise be clamped into silent all-zero curves.
+// Both tiers share one forward body over one tier-generic ABT kernel
+// (tensor.ABT); only the element type differs. A forward runs inline on its
+// caller's goroutine, since the serving engine already runs one batch per
+// CPU. Lowering refuses a model with a NaN or infinite weight, which would
+// otherwise be clamped into silent all-zero curves.
 //
 // Plans are immutable after compilation and safe for concurrent use; per-call
-// transients come from an internal sync.Pool. A steady-state f32 forward
-// allocates only the returned result matrix. So does an f64 forward on one
-// tensor worker; on more, each f64 layer wide enough to split across the
-// worker pool (tensor.PMatMulABT) adds its dispatch's allocations, a few
-// dozen per call at paper-scale widths. TestPlanForwardAllocs pins both.
+// transients come from an internal sync.Pool. A steady-state forward at
+// either tier allocates only the returned result matrix;
+// TestPlanForwardAllocs pins that.
 package infer
 
 import (
@@ -94,10 +93,10 @@ func Lower(m *core.Model, tier Precision) (*Plan, error) {
 	var finite bool
 	switch tier {
 	case PrecisionF64:
-		b := build(lm, kernels[float64]{abt: abt64, dot: tensor.Dot}, func(v []float64) []float64 { return v })
+		b := build(lm, func(v []float64) []float64 { return v })
 		p.fwd, finite = b, b.finite()
 	case PrecisionF32:
-		b := build(lm, kernels[float32]{abt: abt32, dot: tensor.Dot32}, tensor.Demote32Vec)
+		b := build(lm, tensor.Demote32Vec)
 		p.fwd, finite = b, b.finite()
 	default:
 		return nil, fmt.Errorf("infer: no plan for tier %q", tier)
@@ -130,54 +129,15 @@ func (p *Plan) EstimateAllTausBatch(xs *tensor.Matrix) *tensor.Matrix {
 	return p.fwd.forward(xs)
 }
 
-// num is the element type of a plan tier.
-type num interface{ float32 | float64 }
-
-// mat is a row-major matrix of one tier. Its layout is identical to
-// tensor.Matrix (float64) and tensor.Matrix32 (float32), so the tier kernels
-// take a *mat by pointer conversion, without a per-call header.
-type mat[T num] struct {
-	Rows, Cols int
-	Data       []T
-}
-
-func (m *mat[T]) row(i int) []T { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// kernels are a tier's primitives: abt computes out = x·wᵀ (or, with add,
-// out += x·wᵀ), and dot is the inner product of two rows.
-type kernels[T num] struct {
-	abt func(x, w, out *mat[T], add bool)
-	dot func(a, b []T) T
-}
-
-func abt64(x, w, out *mat[float64], add bool) {
-	a, b, o := (*tensor.Matrix)(x), (*tensor.Matrix)(w), (*tensor.Matrix)(out)
-	if add {
-		tensor.MatMulABTAdd(a, b, o)
-	} else {
-		tensor.PMatMulABT(a, b, o)
-	}
-}
-
-func abt32(x, w, out *mat[float32], add bool) {
-	a, b, o := (*tensor.Matrix32)(x), (*tensor.Matrix32)(w), (*tensor.Matrix32)(out)
-	if add {
-		tensor.MatMulABTAdd32(a, b, o)
-	} else {
-		tensor.MatMulABT32(a, b, o)
-	}
-}
-
 // dense is one compiled dense layer: out = act(x·wᵀ + b), w Out×In.
-type dense[T num] struct {
-	w   *mat[T]
+type dense[T tensor.Float] struct {
+	w   *tensor.Mat[T]
 	b   []T
 	act nn.ActKind
 }
 
 // body is the tier-generic compiled model and its forward.
-type body[T num] struct {
-	k        kernels[T]
+type body[T tensor.Float] struct {
 	inDim    int
 	xpDim    int
 	tauCount int
@@ -188,15 +148,15 @@ type body[T num] struct {
 	// CardNet-A: ReLU trunk; heads are the fused F_j products (τcount×h_j),
 	// accumulated into one pre-activation matrix before headBias (β).
 	trunk    []dense[T]
-	heads    []*mat[T]
+	heads    []*tensor.Mat[T]
 	headBias []T
 
 	// Standard CardNet: first-layer x′ product, folded per-distance bias,
 	// remaining layers, per-distance decoders.
-	wx      *mat[T]
-	perDist *mat[T]
+	wx      *tensor.Mat[T]
+	perDist *tensor.Mat[T]
 	rest    []dense[T]
-	decW    *mat[T]
+	decW    *tensor.Mat[T]
 	decB    []T
 
 	pool sync.Pool // *scratch[T]
@@ -205,8 +165,10 @@ type body[T num] struct {
 // build compiles the lowered spec into a tier body; conv maps float64
 // storage to the tier's (the identity for f64, so unfused layers stay views
 // of the model's weights).
-func build[T num](lm *core.LoweredModel, k kernels[T], conv func([]float64) []T) *body[T] {
-	m := func(x *tensor.Matrix) *mat[T] { return &mat[T]{Rows: x.Rows, Cols: x.Cols, Data: conv(x.Data)} }
+func build[T tensor.Float](lm *core.LoweredModel, conv func([]float64) []T) *body[T] {
+	m := func(x *tensor.Matrix) *tensor.Mat[T] {
+		return &tensor.Mat[T]{Rows: x.Rows, Cols: x.Cols, Data: conv(x.Data)}
+	}
 	layers := func(ls []core.LoweredDense) []dense[T] {
 		out := make([]dense[T], len(ls))
 		for i, d := range ls {
@@ -214,7 +176,7 @@ func build[T num](lm *core.LoweredModel, k kernels[T], conv func([]float64) []T)
 		}
 		return out
 	}
-	b := &body[T]{k: k, inDim: lm.InDim, xpDim: lm.XpDim, tauCount: lm.TauCount, accel: lm.Accel, vae: layers(lm.VAE)}
+	b := &body[T]{inDim: lm.InDim, xpDim: lm.XpDim, tauCount: lm.TauCount, accel: lm.Accel, vae: layers(lm.VAE)}
 	if lm.Accel {
 		b.trunk = layers(lm.Trunk)
 		for _, h := range lm.Heads {
@@ -240,7 +202,7 @@ func (b *body[T]) finite() bool {
 	for _, m := range b.heads {
 		vecs = append(vecs, m.Data)
 	}
-	for _, m := range []*mat[T]{b.wx, b.perDist, b.decW} {
+	for _, m := range []*tensor.Mat[T]{b.wx, b.perDist, b.decW} {
 		if m != nil {
 			vecs = append(vecs, m.Data)
 		}
@@ -258,20 +220,20 @@ func (b *body[T]) finite() bool {
 // scratch holds the per-call transient buffers of one forward. Buffers grow
 // to the high-water mark of the batch sizes seen and are reused via the
 // body's pool, so they are not reallocated per forward.
-type scratch[T num] struct {
-	x      *mat[T] // input batch in the tier's type
-	a, b   *mat[T] // ping-pong chain buffers (B rows)
-	xp     *mat[T] // concatenated x′
-	pre    *mat[T] // per-distance pre-activations (B × τcount)
-	za, zb *mat[T] // standard-path chain buffers (B·τcount rows)
+type scratch[T tensor.Float] struct {
+	x      *tensor.Mat[T] // input batch in the tier's type
+	a, b   *tensor.Mat[T] // ping-pong chain buffers (B rows)
+	xp     *tensor.Mat[T] // concatenated x′
+	pre    *tensor.Mat[T] // per-distance pre-activations (B × τcount)
+	za, zb *tensor.Mat[T] // standard-path chain buffers (B·τcount rows)
 }
 
 // ensure returns *slot resized to rows×cols, reallocating only on growth.
 // Contents are undefined; callers overwrite fully.
-func ensure[T num](slot **mat[T], rows, cols int) *mat[T] {
+func ensure[T tensor.Float](slot **tensor.Mat[T], rows, cols int) *tensor.Mat[T] {
 	m := *slot
 	if m == nil || cap(m.Data) < rows*cols {
-		m = &mat[T]{Data: make([]T, rows*cols)}
+		m = &tensor.Mat[T]{Data: make([]T, rows*cols)}
 		*slot = m
 	}
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
@@ -279,14 +241,14 @@ func ensure[T num](slot **mat[T], rows, cols int) *mat[T] {
 }
 
 // layer runs d on x into whichever of the two slots does not hold x.
-func (b *body[T]) layer(d *dense[T], x *mat[T], s1, s2 **mat[T]) *mat[T] {
+func (b *body[T]) layer(d *dense[T], x *tensor.Mat[T], s1, s2 **tensor.Mat[T]) *tensor.Mat[T] {
 	if *s1 == x {
 		s1 = s2
 	}
 	out := ensure(s1, x.Rows, d.w.Rows)
-	b.k.abt(x, d.w, out, false)
+	tensor.ABT(x, d.w, out, false)
 	for e := 0; e < out.Rows; e++ {
-		row := out.row(e)
+		row := out.Row(e)
 		for o, v := range d.b {
 			row[o] += v
 		}
@@ -297,7 +259,7 @@ func (b *body[T]) layer(d *dense[T], x *mat[T], s1, s2 **mat[T]) *mat[T] {
 
 // activate applies an activation kind in place, matching
 // nn.Activation.Apply exactly at float64.
-func activate[T num](kind nn.ActKind, data []T) {
+func activate[T tensor.Float](kind nn.ActKind, data []T) {
 	switch kind {
 	case nn.ReLU:
 		for i, v := range data {
@@ -341,8 +303,8 @@ func (b *body[T]) forward(xs *tensor.Matrix) *tensor.Matrix {
 		}
 		xp = ensure(&s.xp, n, b.xpDim)
 		for e := 0; e < n; e++ {
-			copy(xp.row(e)[:b.inDim], x.row(e))
-			copy(xp.row(e)[b.inDim:], h.row(e))
+			copy(xp.Row(e)[:b.inDim], x.Row(e))
+			copy(xp.Row(e)[b.inDim:], h.Row(e))
 		}
 	}
 
@@ -351,22 +313,22 @@ func (b *body[T]) forward(xs *tensor.Matrix) *tensor.Matrix {
 		h := xp
 		for j := range b.trunk {
 			h = b.layer(&b.trunk[j], h, &s.a, &s.b)
-			b.k.abt(h, b.heads[j], pre, j > 0)
+			tensor.ABT(h, b.heads[j], pre, j > 0)
 		}
 		for e := 0; e < n; e++ {
-			row := pre.row(e)
+			row := pre.Row(e)
 			for i, v := range b.headBias {
 				row[i] += v
 			}
 		}
 	} else {
 		u := ensure(&s.a, n, b.wx.Rows)
-		b.k.abt(xp, b.wx, u, false)
+		tensor.ABT(xp, b.wx, u, false)
 		z := ensure(&s.za, n*t, b.wx.Rows)
 		for e := 0; e < n; e++ {
-			ue := u.row(e)
+			ue := u.Row(e)
 			for i := 0; i < t; i++ {
-				row, pd := z.row(e*t+i), b.perDist.row(i)
+				row, pd := z.Row(e*t+i), b.perDist.Row(i)
 				for o := range row {
 					row[o] = ue[o] + pd[o]
 				}
@@ -377,9 +339,9 @@ func (b *body[T]) forward(xs *tensor.Matrix) *tensor.Matrix {
 			z = b.layer(&b.rest[i], z, &s.za, &s.zb)
 		}
 		for e := 0; e < n; e++ {
-			row := pre.row(e)
+			row := pre.Row(e)
 			for i := range row {
-				row[i] = b.k.dot(b.decW.row(i), z.row(e*t+i)) + b.decB[i]
+				row[i] = tensor.Dot(b.decW.Row(i), z.Row(e*t+i)) + b.decB[i]
 			}
 		}
 	}
@@ -389,7 +351,7 @@ func (b *body[T]) forward(xs *tensor.Matrix) *tensor.Matrix {
 	for e := 0; e < n; e++ {
 		orow := out.Row(e)
 		var sum float64
-		for i, v := range pre.row(e) {
+		for i, v := range pre.Row(e) {
 			if v > 0 {
 				sum += float64(v)
 			}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -19,6 +20,12 @@ type RemoteSnapshot struct {
 	Series   map[string]float64
 	Err      error
 }
+
+// maxScrapeBytes caps one peer's /metrics body, the same 8 MiB the cluster
+// router puts on a proxied response. ParsePrometheus bounds line length but
+// not line count, so without the cap one hostile or broken peer could make
+// a scrape allocate without bound.
+const maxScrapeBytes = 8 << 20
 
 // federateClient is the default scrape client: short timeout so one dead
 // peer cannot stall a federation request past its own deadline.
@@ -46,7 +53,8 @@ func GatherRemote(ctx context.Context, client *http.Client, urls []string) []Rem
 	return snaps
 }
 
-// scrapeOne fetches and parses one peer's /metrics.
+// scrapeOne fetches and parses one peer's /metrics. A body longer than
+// maxScrapeBytes is a snapshot error, never a partial series map.
 func scrapeOne(ctx context.Context, client *http.Client, target string) RemoteSnapshot {
 	snap := RemoteSnapshot{Instance: instanceLabel(target)}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
@@ -65,13 +73,25 @@ func scrapeOne(ctx context.Context, client *http.Client, target string) RemoteSn
 		snap.Err = fmt.Errorf("obs: scrape %s: status %d", target, resp.StatusCode)
 		return snap
 	}
-	series, err := ParsePrometheus(resp.Body)
+	series, err := parseScrape(resp.Body)
 	if err != nil {
 		snap.Err = fmt.Errorf("obs: scrape %s: %w", target, err)
 		return snap
 	}
 	snap.Series = series
 	return snap
+}
+
+// parseScrape reads at most maxScrapeBytes of a /metrics body and parses it.
+func parseScrape(r io.Reader) (map[string]float64, error) {
+	body, err := io.ReadAll(io.LimitReader(r, maxScrapeBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(body) > maxScrapeBytes {
+		return nil, fmt.Errorf("body exceeds %d bytes", maxScrapeBytes)
+	}
+	return ParsePrometheus(bytes.NewReader(body))
 }
 
 // instanceLabel derives the instance label from a scrape URL: host:port when
@@ -87,10 +107,11 @@ func instanceLabel(target string) string {
 // series gains an instance label naming its origin (a pre-existing instance
 // label — a peer that itself federates — is renamed exported_instance, the
 // Prometheus convention), and each snapshot contributes a federate_up series
-// (1 scraped clean, 0 errored). Output is sorted, carries no HELP/TYPE
-// headers (per-instance types are the origin's business), and re-parses
-// cleanly through ParsePrometheus — the round trip a downstream federator
-// depends on.
+// (1 scraped clean, 0 errored). That series wins over a peer's own bare
+// federate_up, the one peer id it collides with. Output is sorted, carries
+// no HELP/TYPE headers (per-instance types are the origin's business), and
+// re-parses cleanly through ParsePrometheus — the round trip a downstream
+// federator depends on.
 func WriteFederated(w io.Writer, snaps []RemoteSnapshot) error {
 	merged := make(map[string]float64)
 	for _, s := range snaps {

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -113,5 +115,34 @@ func TestSeriesSnapshotMatchesWriter(t *testing.T) {
 	}
 	if series["serving_requests_total"] != 42 || series["serving_queue_depth"] != 3.5 {
 		t.Fatalf("snapshot drifted: %v", series)
+	}
+}
+
+// TestGatherRemoteCapsBody streams a well-formed exposition past
+// maxScrapeBytes: the scrape fails as a whole (federate_up 0) instead of
+// parsing without bound or returning a partial series map.
+func TestGatherRemoteCapsBody(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		bw := bufio.NewWriter(w)
+		for i, n := 0, 0; n <= maxScrapeBytes; i++ {
+			k, err := fmt.Fprintf(bw, "series_%d %d\n", i, i)
+			if err != nil {
+				return // the scraper hung up at the cap
+			}
+			n += k
+		}
+		bw.Flush()
+	}))
+	t.Cleanup(ts.Close)
+	snap := GatherRemote(context.Background(), nil, []string{ts.URL})[0]
+	if snap.Err == nil || !strings.Contains(snap.Err.Error(), "exceeds") || snap.Series != nil {
+		t.Fatalf("oversized scrape: err %v, %d series", snap.Err, len(snap.Series))
+	}
+	var buf bytes.Buffer
+	if err := WriteFederated(&buf, []RemoteSnapshot{snap}); err != nil {
+		t.Fatal(err)
+	}
+	if want := FormatSeries("federate_up", []Label{{Name: "instance", Value: snap.Instance}}) + " 0\n"; buf.String() != want {
+		t.Fatalf("federated %q, want %q", buf.String(), want)
 	}
 }

@@ -244,3 +244,69 @@ func TestEngineSweepCostsOneForward(t *testing.T) {
 		})
 	}
 }
+
+// TestEngineCacheMatchesNoCache is the cache's differential test: one query
+// stream with repeats, and a Registry.Swap partway through, goes to an
+// engine on the default cache and to one with the cache disabled. Every
+// answer must be bit-equal across the two engines and to the live model's
+// f64 plan, so every post-swap answer comes from the new model.
+func TestEngineCacheMatchesNoCache(t *testing.T) {
+	m1, m2 := testModel(31), testModel(32)
+	regC, regN := testRegistry(t, m1), testRegistry(t, m1)
+	cached := NewEngine(regC, Config{})
+	defer cached.Close()
+	uncached := NewEngine(regN, Config{CacheEntries: -1})
+	defer uncached.Close()
+
+	ctx := context.Background()
+	// answer is x's whole curve for tau < 0, else the one-element curve
+	// {estimate at tau}.
+	answer := func(e *Engine, x []float64, tau int) []float64 {
+		if tau < 0 {
+			curve, err := e.EstimateAll(ctx, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return curve
+		}
+		v, err := e.Estimate(ctx, x, tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []float64{v}
+	}
+	pool := make([][]float64, 6)
+	for i := range pool {
+		pool[i] = binVec(int64(300+i), m1.InDim)
+	}
+	hits := testObsCounter("serving.cache.hits")
+	live := m1
+	for q := 0; q < 120; q++ {
+		if q == 60 {
+			for _, reg := range []*Registry{regC, regN} {
+				if _, err := reg.Swap(m2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			live = m2
+		}
+		x := pool[(q*q+q/7)%len(pool)]
+		tau := q%(live.Cfg.TauMax+2) - 1
+		want := planCurve(t, live, x)
+		if tau >= 0 {
+			want = want[tau : tau+1]
+		}
+		for k, e := range []*Engine{cached, uncached} {
+			got := answer(e, x, tau)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("query %d (τ %d) engine %d element %d: %v, live model's plan %v",
+						q, tau, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if testObsCounter("serving.cache.hits") == hits {
+		t.Fatal("the stream never hit the cache; the differential compared nothing")
+	}
+}

@@ -36,15 +36,15 @@ type Config struct {
 	// CacheEntries is the estimate-cache capacity in query curves (TauMax+1
 	// float64 each); 0 uses the default 4096, negative disables the cache.
 	CacheEntries int
-	// CacheShards is the cache shard count, rounded up to a power of two
-	// (default 8).
-	CacheShards int
 	// CurveCheck, when set, receives every freshly computed τ-sweep estimate
 	// curve (cache hits are not re-checked). The drift monitor wires its
 	// monotonicity validator here. The callback must not retain the slice and
 	// must be cheap: it runs on the batch worker's hot path.
 	CurveCheck func(curve []float64)
 }
+
+// cacheShards is the lock-striping width of the engine's curve cache.
+const cacheShards = 8
 
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
@@ -58,9 +58,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 8
 	}
 	return c
 }
@@ -117,7 +114,7 @@ func NewEngine(reg *Registry, cfg Config) *Engine {
 	e := &Engine{
 		cfg:   cfg,
 		reg:   reg,
-		cache: newCurveCache(cfg.CacheEntries, cfg.CacheShards),
+		cache: newCurveCache(cfg.CacheEntries, cacheShards),
 		q:     make(chan *request, cfg.QueueDepth),
 	}
 	if e.cache != nil {

@@ -43,10 +43,10 @@ func benchKernel(b *testing.B, rows []int, setup func(rng *rand.Rand, m int) fun
 
 func BenchmarkKernelABT_f64(b *testing.B) {
 	benchKernel(b, abtBenchRows, func(rng *rand.Rand, m int) func() {
-		a := randMatrix(rng, m, benchK)
-		w := randMatrix(rng, benchN, benchK)
-		out := NewMatrix(m, benchN)
-		return func() { MatMulABT(a, w, out) }
+		a := (*Mat[float64])(randMatrix(rng, m, benchK))
+		w := (*Mat[float64])(randMatrix(rng, benchN, benchK))
+		out := (*Mat[float64])(NewMatrix(m, benchN))
+		return func() { ABT(a, w, out, false) }
 	})
 }
 
@@ -55,7 +55,7 @@ func BenchmarkKernelABT_f32(b *testing.B) {
 		a := Demote32(randMatrix(rng, m, benchK))
 		w := Demote32(randMatrix(rng, benchN, benchK))
 		out := NewMatrix32(m, benchN)
-		return func() { MatMulABT32(a, w, out) }
+		return func() { ABT(a, w, out, false) }
 	})
 }
 
@@ -105,7 +105,7 @@ func BenchmarkZeroSkip(b *testing.B) {
 	cases := []struct {
 		name     string
 		zeroFrac float64
-		abt      bool // branch-free MatMulABT against the transposed operand
+		abt      bool // branch-free ABT against the transposed operand
 	}{
 		// Dense activations: the skip is pure branch-misprediction overhead.
 		{"dense/branchy", 0, false},
@@ -117,11 +117,11 @@ func BenchmarkZeroSkip(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			a, bm, out := zeroSkipOperands(c.zeroFrac)
-			bt := transpose(bm)
+			x, bt, o := (*Mat[float64])(a), (*Mat[float64])(transpose(bm)), (*Mat[float64])(out)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if c.abt {
-					MatMulABT(a, bt, out)
+					ABT(x, bt, o, false)
 				} else {
 					MatMul(a, bm, out)
 				}

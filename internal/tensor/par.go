@@ -5,8 +5,8 @@ package tensor
 // sequential counterpart: every output element is accumulated by one worker
 // in exactly the sequential order, so no cross-worker reduction (and no
 // floating-point reassociation) ever happens. Inputs below parMinFlops fall
-// through to the sequential kernel so small serving batches don't pay
-// dispatch overhead.
+// through to the sequential kernel so small products don't pay dispatch
+// overhead.
 
 // parMinFlops is the minimum kernel size (in multiply-add flops, counted as
 // 2·m·k·n) worth parallelizing. Dispatching a row block costs on the order
@@ -42,30 +42,30 @@ func PMatMul(a, b, out *Matrix) *Matrix {
 	return out
 }
 
-// PMatMulABT is the parallel variant of MatMulABT (out = a·bᵀ), sharding
-// rows of a across the worker pool. Each output element is a per-row Dot
-// whose accumulation order does not depend on the row tiling, so results
-// are bit-identical to MatMulABT (and to per-row Dot calls) at any worker
-// count.
+// PMatMulABT computes out = a·bᵀ (a r×k, b c×k, out r×c, allocated when
+// nil), sharding rows of a across the worker pool through the ABT body.
+// Each output element is a per-row Dot whose accumulation order does not
+// depend on the row sharding, so results are bit-identical to ABT (and to
+// per-row Dot calls) at any worker count.
 func PMatMulABT(a, b, out *Matrix) *Matrix {
-	if Workers() <= 1 || matFlops(a.Rows, a.Cols, b.Rows) < parMinFlops {
-		return MatMulABT(a, b, out)
-	}
-	if a.Cols != b.Cols {
-		panic("tensor: matmulABT shape mismatch")
-	}
 	if out == nil {
 		out = NewMatrix(a.Rows, b.Rows)
 	}
+	x, w, o := (*Mat[float64])(a), (*Mat[float64])(b), (*Mat[float64])(out)
+	checkABT(x, w, o)
+	if Workers() <= 1 || matFlops(a.Rows, a.Cols, b.Rows) < parMinFlops {
+		abtRows(x, w, o, 0, a.Rows, false)
+		return out
+	}
 	ParallelRows(a.Rows, 1, func(lo, hi int) {
-		matMulABTRows(a, b, out, lo, hi, false)
+		abtRows(x, w, o, lo, hi, false)
 	})
 	return out
 }
 
 // MatMulATBAdd computes out += aᵀ·b where a is n×r and b is n×c (out r×c,
-// must be preallocated). It is the gradient-accumulation form of MatMulATB
-// used by Dense backward passes (dW += dYᵀ·X): the n-outer loop order keeps
+// must be preallocated). It is the weight-gradient accumulation of the
+// Dense backward passes (dW += dYᵀ·X): the n-outer loop order keeps
 // both inputs streaming row-contiguously, and zero entries of a skip whole
 // row updates (ReLU-gated gradients are mostly zero).
 func MatMulATBAdd(a, b, out *Matrix) {
@@ -128,24 +128,4 @@ func PMatMulATBAdd(a, b, out *Matrix) {
 	ParallelRows(a.Cols, 1, func(lo, hi int) {
 		matMulATBAddCols(a, b, out, lo, hi)
 	})
-}
-
-// PMatMulATB is the parallel variant of MatMulATB (out = aᵀ·b), sharding
-// output rows across the worker pool. Bit-identical to MatMulATB.
-func PMatMulATB(a, b, out *Matrix) *Matrix {
-	if Workers() <= 1 || matFlops(a.Rows, a.Cols, b.Cols) < parMinFlops {
-		return MatMulATB(a, b, out)
-	}
-	if a.Rows != b.Rows {
-		panic("tensor: matmulATB shape mismatch")
-	}
-	if out == nil {
-		out = NewMatrix(a.Cols, b.Cols)
-	} else {
-		out.Zero()
-	}
-	ParallelRows(a.Cols, 1, func(lo, hi int) {
-		matMulATBAddCols(a, b, out, lo, hi)
-	})
-	return out
 }

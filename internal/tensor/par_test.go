@@ -33,6 +33,16 @@ func randMat(rng *rand.Rand, rows, cols int) *Matrix {
 	return m
 }
 
+// abtSeq is the sequential ABT body over every row, the reference
+// PMatMulABT must match at any worker count.
+func abtSeq(a, b, out *Matrix) *Matrix {
+	if out == nil {
+		out = NewMatrix(a.Rows, b.Rows)
+	}
+	abtRows((*Mat[float64])(a), (*Mat[float64])(b), (*Mat[float64])(out), 0, a.Rows, false)
+	return out
+}
+
 // bitsEqual compares two matrices for exact bit equality.
 func bitsEqual(t *testing.T, name string, want, got *Matrix) {
 	t.Helper()
@@ -49,7 +59,7 @@ func bitsEqual(t *testing.T, name string, want, got *Matrix) {
 // TestParallelKernelsBitIdenticalFuzz sweeps odd shapes — fewer rows than
 // workers, zero rows, sizes not divisible by the block or tile widths —
 // through every parallel kernel at several worker counts and demands exact
-// bit equality with the sequential kernels.
+// bit equality with the sequential kernels (for ABT, the unexported body).
 func TestParallelKernelsBitIdenticalFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shapes := [][3]int{ // m×k · k×n style dims
@@ -66,11 +76,10 @@ func TestParallelKernelsBitIdenticalFuzz(t *testing.T) {
 				bitsEqual(t, "PMatMul", MatMul(a, b, nil), PMatMul(a, b, nil))
 
 				bt := randMat(rng, n, k) // for ABT: a is m×k, b is n×k
-				bitsEqual(t, "PMatMulABT", MatMulABT(a, bt, nil), PMatMulABT(a, bt, nil))
+				bitsEqual(t, "PMatMulABT", abtSeq(a, bt, nil), PMatMulABT(a, bt, nil))
 
 				at := randMat(rng, k, m) // for ATB: a is k×m, b is k×n
 				b2 := randMat(rng, k, n)
-				bitsEqual(t, "PMatMulATB", MatMulATB(at, b2, nil), PMatMulATB(at, b2, nil))
 
 				accSeq := randMat(rng, m, n)
 				accPar := accSeq.Clone()
@@ -93,9 +102,13 @@ func TestParallelKernelsRandomizedShapes(t *testing.T) {
 		b := randMat(rng, k, n)
 		bitsEqual(t, "PMatMul", MatMul(a, b, nil), PMatMul(a, b, nil))
 		bt := randMat(rng, n, k)
-		bitsEqual(t, "PMatMulABT", MatMulABT(a, bt, nil), PMatMulABT(a, bt, nil))
+		bitsEqual(t, "PMatMulABT", abtSeq(a, bt, nil), PMatMulABT(a, bt, nil))
 		at := randMat(rng, k, m)
-		bitsEqual(t, "PMatMulATB", MatMulATB(at, b, nil), PMatMulATB(at, b, nil))
+		accSeq := randMat(rng, m, n)
+		accPar := accSeq.Clone()
+		MatMulATBAdd(at, b, accSeq)
+		PMatMulATBAdd(at, b, accPar)
+		bitsEqual(t, "PMatMulATBAdd", accSeq, accPar)
 	}
 }
 
@@ -110,10 +123,10 @@ func TestParallelKernelsPreallocatedOut(t *testing.T) {
 	dirtyPar := dirtySeq.Clone()
 	bitsEqual(t, "PMatMul out", MatMul(a, b, dirtySeq), PMatMul(a, b, dirtyPar))
 
-	at := randMat(rng, 12, 9)
+	bt := randMat(rng, 10, 12)
 	dirtySeq2 := randMat(rng, 9, 10)
 	dirtyPar2 := dirtySeq2.Clone()
-	bitsEqual(t, "PMatMulATB out", MatMulATB(at, b, dirtySeq2), PMatMulATB(at, b, dirtyPar2))
+	bitsEqual(t, "PMatMulABT out", abtSeq(a, bt, dirtySeq2), PMatMulABT(a, bt, dirtyPar2))
 }
 
 // TestSetWorkers checks the setter contract: previous value returned, n < 1

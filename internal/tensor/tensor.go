@@ -3,10 +3,11 @@
 // networks of the paper's Sections 5–7 bottom out here). It is deliberately
 // small: the models in this repository only need contiguous row-major
 // matrices, a handful of BLAS-1/2/3 style routines, and seeded random
-// initialization. The heavy kernels (MatMul and friends) optionally fan out
-// over a shared help-first worker pool sized by SetWorkers; internal/core's
-// data-parallel trainer and internal/serving's batch workers share that
-// pool.
+// initialization. The one kernel the float32 inference tier needs, the ABT
+// product, is written once over both element types (ABT, Mat). The training
+// kernels (PMatMul and friends) optionally fan out over a shared help-first
+// worker pool sized by SetWorkers, which internal/core's data-parallel
+// trainer also dispatches on.
 package tensor
 
 import (
@@ -109,9 +110,8 @@ func MatMul(a, b, out *Matrix) *Matrix {
 // operands on the training path are binary feature rows and ReLU-gated
 // gradients, where entire inner sweeps vanish often enough to pay for the
 // test. On dense inference activations the skip almost never fires and the
-// data-dependent branch defeats the predictor; the inference kernels
-// (MatMulABT and its float32 twin) never zero-skip. BenchmarkZeroSkip
-// measures the gap both ways.
+// data-dependent branch defeats the predictor; the inference kernel (ABT)
+// never zero-skips. BenchmarkZeroSkip measures the gap both ways.
 func matMulRows(a, b, out *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		ai := a.Row(i)
@@ -129,44 +129,42 @@ func matMulRows(a, b, out *Matrix, lo, hi int) {
 	}
 }
 
-// MatMulATB computes out = aᵀ·b where a is n×r and b is n×c (out is r×c).
-func MatMulATB(a, b, out *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic("tensor: matmulATB shape mismatch")
-	}
-	if out == nil {
-		out = NewMatrix(a.Cols, b.Cols)
-	} else {
-		out.Zero()
-	}
-	for n := 0; n < a.Rows; n++ {
-		an := a.Row(n)
-		bn := b.Row(n)
-		for i, av := range an {
-			if av == 0 {
-				continue
-			}
-			oi := out.Row(i)
-			for j, bv := range bn {
-				oi[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
-// abtRowTile is the row-block size of MatMulABT: b (typically a weight
+// abtRowTile is the row-block size of the ABT kernel: b (typically a weight
 // matrix larger than L1/L2) is streamed once per block of abtRowTile rows of
 // a instead of once per row, which is what makes batched inference faster
 // than per-sample inference on memory-bound layers. 8 rows of a few hundred
 // float64s stay resident in L1 across the whole sweep of b.
 const abtRowTile = 8
 
-// MatMulABT computes out = a·bᵀ where a is r×k and b is c×k (out is r×c).
+// Float is the element type of a Mat: float64 for training and the f64
+// inference tier, float32 for the f32 tier.
+type Float interface{ float32 | float64 }
+
+// Mat is a dense row-major matrix of either precision, the operand type of
+// the ABT kernel. Matrix has Mat[float64]'s layout, so a *Matrix converts to
+// a *Mat[float64] by pointer without a copy; Matrix stays a distinct type
+// because gob-encoded train sets and checkpoints carry its name.
+type Mat[T Float] struct {
+	Rows, Cols int
+	Data       []T // len == Rows*Cols, row-major
+}
+
+// Row returns row i as a slice aliasing the matrix storage.
+func (m *Mat[T]) Row(i int) []T { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+
+// At returns element (i, j).
+func (m *Mat[T]) At(i, j int) T { return m.Data[i*m.Cols+j] }
+
+// Set assigns element (i, j).
+func (m *Mat[T]) Set(i, j int, v T) { m.Data[i*m.Cols+j] = v }
+
+// ABT computes out = a·bᵀ, or out += a·bᵀ with add, where a is r×k, b is
+// c×k and out is a preallocated r×c. It runs inline on the calling
+// goroutine; PMatMulABT shards the same body across the worker pool.
+//
 // Each element is Dot(a.Row(i), b.Row(j)) — accumulated in the same order
 // regardless of batch size — so a B-row product is bit-identical to B
-// separate single-row products.
-//
+// separate single-row products, and an add gains exactly that one Dot.
 // Every product runs dot4: four dot products over a shared row in one loop.
 // Each accumulator performs exactly the per-row Dot sequence, but the four
 // addition chains are independent, so the CPU overlaps them instead of
@@ -175,37 +173,30 @@ const abtRowTile = 8
 // tail of a larger one) each share themselves with four weight rows at a
 // time instead, so a lone request gets the same overlap. Row tiling
 // additionally streams each weight row once per tile rather than once per
-// input row.
-func MatMulABT(a, b, out *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic("tensor: matmulABT shape mismatch")
-	}
-	if out == nil {
-		out = NewMatrix(a.Rows, b.Rows)
-	}
-	matMulABTRows(a, b, out, 0, a.Rows, false)
-	return out
+// input row. The inner loops carry no data-dependent branches (see
+// matMulRows for why the training kernel zero-skips and this one does not).
+func ABT[T Float](a, b, out *Mat[T], add bool) {
+	checkABT(a, b, out)
+	abtRows(a, b, out, 0, a.Rows, add)
 }
 
-// MatMulABTAdd is MatMulABT accumulating into out (out += a·bᵀ, out must be
-// preallocated r×c): each element gains exactly one Dot(a.Row(i), b.Row(j)).
-// The compiled CardNet-A plan uses it to sum the fused per-layer head
-// products into one pre-activation matrix.
-func MatMulABTAdd(a, b, out *Matrix) {
+// checkABT panics unless a and b share their column count and out is
+// a.Rows×b.Rows.
+func checkABT[T Float](a, b, out *Mat[T]) {
 	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
-		panic("tensor: matmulABTAdd shape mismatch")
+		panic(fmt.Sprintf("tensor: matmulABT shape mismatch %d×%d · (%d×%d)ᵀ into %d×%d",
+			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
-	matMulABTRows(a, b, out, 0, a.Rows, true)
 }
 
-// matMulABTRows runs the tiled MatMulABT loops over output rows [lo, hi),
-// storing each product (or, with add, adding it onto out). Each output
-// element is a per-row Dot whose accumulation order is independent of the
-// tile boundaries, so any row sharding (including the parallel variant's)
-// produces bit-identical results. Leftover rows pass the weight rows as
-// dot4's four left operands: products commute exactly, so dot4(b_j…, a_i)
-// still equals Dot(a_i, b_j) bit for bit.
-func matMulABTRows(a, b, out *Matrix, lo, hi int, add bool) {
+// abtRows runs the tiled ABT loops over output rows [lo, hi), storing each
+// product (or, with add, adding it onto out). Each output element is a
+// per-row Dot whose accumulation order is independent of the tile
+// boundaries, so any row sharding (including PMatMulABT's) produces
+// bit-identical results. Leftover rows pass the weight rows as dot4's four
+// left operands: products commute exactly, so dot4(b_j…, a_i) still equals
+// Dot(a_i, b_j) bit for bit.
+func abtRows[T Float](a, b, out *Mat[T], lo, hi int, add bool) {
 	for i0 := lo; i0 < hi; i0 += abtRowTile {
 		i1 := i0 + abtRowTile
 		if i1 > hi {
@@ -257,7 +248,7 @@ func matMulABTRows(a, b, out *Matrix, lo, hi int, add bool) {
 // dot4 returns (Dot(a0,b), Dot(a1,b), Dot(a2,b), Dot(a3,b)). Each sum uses
 // the identical expression and element order as Dot, so the results are
 // bit-equal to four separate Dot calls.
-func dot4(a0, a1, a2, a3, b []float64) (s0, s1, s2, s3 float64) {
+func dot4[T Float](a0, a1, a2, a3, b []T) (s0, s1, s2, s3 T) {
 	if len(b) == 0 {
 		return
 	}
@@ -275,11 +266,11 @@ func dot4(a0, a1, a2, a3, b []float64) (s0, s1, s2, s3 float64) {
 }
 
 // Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
+func Dot[T Float](a, b []T) T {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("tensor: dot length mismatch %d vs %d", len(a), len(b)))
 	}
-	var s float64
+	var s T
 	for i, v := range a {
 		s += v * b[i]
 	}

@@ -31,7 +31,7 @@ func TestMatMulABT32MatchesF64(t *testing.T) {
 	for _, s := range kernelShapes {
 		a64 := randMatrix(rng, s.r, s.k)
 		b64 := randMatrix(rng, s.c, s.k)
-		want := MatMulABT(a64, b64, nil)
+		want := PMatMulABT(a64, b64, nil)
 		got := MatMulABT32(Demote32(a64), Demote32(b64), nil)
 		if got.Rows != s.r || got.Cols != s.c {
 			t.Fatalf("shape %v: got %d×%d", s, got.Rows, got.Cols)
@@ -55,7 +55,7 @@ func TestMatMulABTAdd32Accumulates(t *testing.T) {
 	for i := range acc.Data {
 		acc.Data[i] = float32(i)
 	}
-	MatMulABTAdd32(a, b, acc)
+	ABT(a, b, acc, true)
 	for i := range acc.Data {
 		want := float32(i) + base.Data[i]
 		if acc.Data[i] != want {

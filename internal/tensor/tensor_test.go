@@ -67,7 +67,7 @@ func TestMatMulVariantsAgree(t *testing.T) {
 		RandNormal(rng, a.Data, 0, 1)
 		RandNormal(rng, b.Data, 0, 1)
 
-		// aᵀ·b via MatMulATB must equal explicit transpose matmul.
+		// aᵀ·b via MatMulATBAdd into zeros must equal explicit transpose matmul.
 		at := NewMatrix(r, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < r; j++ {
@@ -75,10 +75,11 @@ func TestMatMulVariantsAgree(t *testing.T) {
 			}
 		}
 		want := MatMul(at, b, nil)
-		got := MatMulATB(a, b, nil)
+		got := NewMatrix(r, c)
+		MatMulATBAdd(a, b, got)
 		assertClose(t, want.Data, got.Data, 1e-12)
 
-		// a·bᵀ via MatMulABT: a is n×r, b2 is c×r.
+		// a·bᵀ via PMatMulABT: a is n×r, b2 is c×r.
 		b2 := NewMatrix(c, r)
 		RandNormal(rng, b2.Data, 0, 1)
 		b2t := NewMatrix(r, c)
@@ -88,7 +89,7 @@ func TestMatMulVariantsAgree(t *testing.T) {
 			}
 		}
 		want2 := MatMul(a, b2t, nil)
-		got2 := MatMulABT(a, b2, nil)
+		got2 := PMatMulABT(a, b2, nil)
 		assertClose(t, want2.Data, got2.Data, 1e-12)
 	}
 }
@@ -226,26 +227,14 @@ func TestMatMulReusesOutAndChecksShapes(t *testing.T) {
 	}
 	mustPanic(t, func() { MatMul(a, a, nil) })
 	mustPanic(t, func() { MatMul(a, b, NewMatrix(2, 2)) })
-	mustPanic(t, func() { MatMulATB(a, NewMatrix(3, 1), nil) })
-	mustPanic(t, func() { MatMulABT(a, NewMatrix(1, 3), nil) })
+	mustPanic(t, func() { MatMulATBAdd(a, NewMatrix(3, 1), NewMatrix(2, 1)) })
+	mustPanic(t, func() { PMatMulABT(a, NewMatrix(1, 3), nil) })
+	mustPanic(t, func() { PMatMulABT(a, NewMatrix(1, 2), NewMatrix(2, 1)) })
 	mustPanic(t, func() { NewMatrix(-1, 2) })
 	mustPanic(t, func() { Dot([]float64{1}, []float64{1, 2}) })
 	mustPanic(t, func() { Axpy(1, []float64{1}, []float64{1, 2}) })
 	mustPanic(t, func() { AddBias(a, []float64{1, 2, 3}) })
 	mustPanic(t, func() { ColSums(a, make([]float64, 5)) })
-}
-
-func TestMatMulATBReusesOut(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := NewMatrix(3, 2)
-	b := NewMatrix(3, 4)
-	RandNormal(rng, a.Data, 0, 1)
-	RandNormal(rng, b.Data, 0, 1)
-	out := NewMatrix(2, 4)
-	RandNormal(rng, out.Data, 0, 1) // stale values must be cleared
-	got := MatMulATB(a, b, out)
-	want := MatMulATB(a, b, nil)
-	assertClose(t, want.Data, got.Data, 1e-12)
 }
 
 func TestFromRowsEmpty(t *testing.T) {
