@@ -76,7 +76,7 @@ var (
 
 func main() {
 	log.SetFlags(0)
-	mode := flag.String("mode", "train", "train | estimate | update | serve | router | tracescan | fleetstat")
+	mode := flag.String("mode", "train", "train | estimate | update | serve | router | tracescan")
 	dsName := flag.String("dataset", "HM-ImageNet", "dataset name from the Table 2 registry")
 	modelPath := flag.String("model", "cardnet-model.gob", "model file (input for estimate/update/serve, output for train)")
 	n := flag.Int("n", 1200, "dataset size")
@@ -123,8 +123,6 @@ func main() {
 	profileCooldown := flag.Duration("profile-cooldown", time.Minute, "serve: minimum gap between triggered profile captures")
 	profileCPU := flag.Duration("profile-cpu", 2*time.Second, "serve: CPU-profile sampling duration per capture")
 	profileP99 := flag.Duration("profile-p99", 0, "serve: capture a profile when the fast-window p99 exceeds this (0 = only on SLO page)")
-	peersFlag := flag.String("peers", "", "serve/fleetstat: comma-separated peer addresses (host:port or URL) to federate/inspect")
-	fleetInterval := flag.Duration("fleet-interval", time.Second, "fleetstat: gap between the two metric polls that yield QPS")
 	replicasFlag := flag.String("replicas", "", "router: comma-separated replica base URLs to front (host:port or URL)")
 	vnodes := flag.Int("vnodes", cluster.DefaultVNodes, "router: virtual nodes per replica on the consistent-hash ring")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "router: gap between replica health-probe sweeps")
@@ -299,7 +297,6 @@ func main() {
 		m := load(*modelPath)
 		var opts serveOptions
 		opts.obsInterval = *obsInterval
-		opts.peers = peerMetricsURLs(*peersFlag)
 		closeTraces := func() {}
 		if *traceLog != "" && *traceLog != "off" {
 			sink, err := obs.NewFileSink(*traceLog)
@@ -407,10 +404,6 @@ func main() {
 		})
 		if err != nil {
 			log.Fatalf("tracescan: %v", err)
-		}
-	case "fleetstat":
-		if err := runFleetstat(os.Stdout, splitPeers(*peersFlag), *fleetInterval, nil); err != nil {
-			log.Fatalf("fleetstat: %v", err)
 		}
 	default:
 		log.Fatalf("unknown mode %q", *mode)

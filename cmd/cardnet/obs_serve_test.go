@@ -321,6 +321,46 @@ func TestFeedbackValidation(t *testing.T) {
 	}
 }
 
+// TestMetricsJSONAfterNonFiniteFeedback is the regression for a blank
+// /metrics: two valid feedback posts with a huge actual push the
+// monitor.qerror histogram sum past MaxFloat64 to +Inf, which encoding/json
+// refused, so JSON /metrics answered 200 with an empty body from then on.
+func TestMetricsJSONAfterNonFiniteFeedback(t *testing.T) {
+	m := tinyModel(3)
+	ts, _ := newTestServer(t, m, serving.Config{})
+	// tinyModel estimates below 1 at tau 1, so each q-error is the actual.
+	body := `{"x":[` + strings.Join(binXStrings(m), ",") + `],"tau":1,"actual":1.7e308}`
+	for i := 0; i < 2; i++ {
+		resp, err := http.Post(ts.URL+"/feedback", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fb struct {
+			QError float64 `json:"qerror"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&fb)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || fb.QError != 1.7e308 {
+			t.Fatalf("feedback %d: status %d, qerror %v, err %v", i, resp.StatusCode, fb.QError, err)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap struct {
+		Histograms map[string]map[string]any `json:"histograms"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatalf("JSON /metrics after +Inf sum: %v", err)
+	}
+	if got := snap.Histograms["monitor.qerror"]["sum"]; got != "+Inf" {
+		t.Fatalf("monitor.qerror sum = %v, want \"+Inf\"", got)
+	}
+}
+
 // A numerically corrupted model breaks the prefix-sum guarantee of Lemma 2
 // and trips the monitor's violation counter on the very first served batch.
 // Compilation refuses NaN and infinite weights, so the corruption that still

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -39,11 +40,6 @@ type routerSettings struct {
 // then drains gracefully: /healthz flips to "draining", in-flight proxied
 // requests finish, and the prober and rollout controller stop.
 func runRouter(addr string, rs routerSettings) error {
-	replicas := splitPeers(rs.replicas)
-	if len(replicas) == 0 {
-		return fmt.Errorf("router needs -replicas (comma-separated replica base URLs)")
-	}
-
 	var journal *obs.Sink
 	if rs.journalPath != "" && rs.journalPath != "off" {
 		sink, err := obs.NewFileSink(rs.journalPath)
@@ -76,7 +72,7 @@ func runRouter(addr string, rs routerSettings) error {
 	}
 
 	rt, err := cluster.New(cluster.Config{
-		Replicas:      replicas,
+		Replicas:      strings.Split(rs.replicas, ","),
 		VNodes:        rs.vnodes,
 		Retries:       rs.retries,
 		ProbeInterval: rs.probeInterval,
@@ -89,9 +85,13 @@ func runRouter(addr string, rs routerSettings) error {
 			Journal:       journal,
 		},
 	})
+	if errors.Is(err, cluster.ErrNoReplicas) {
+		return fmt.Errorf("router needs -replicas (comma-separated replica base URLs)")
+	}
 	if err != nil {
 		return err
 	}
+	replicas := rt.Ring().Nodes() // before Start: probes may eject some
 	rt.Start()
 	defer rt.Close()
 

@@ -68,7 +68,6 @@ type serveOptions struct {
 
 	slo         *slo.Tracker      // burn-rate SLO tracker (nil → default objectives, unstarted)
 	capturer    *profcap.Capturer // triggered pprof capture (nil → off)
-	peers       []string          // peer /metrics URLs for /metrics/federate
 	obsInterval time.Duration     // runtime sampler cadence (0 → default 10s)
 
 	pilot *autopilot.Pilot // closed-loop retrain pilot (nil → off)
@@ -159,10 +158,7 @@ func runServe(m *core.Model, addr string, scfg serving.Config, pcfg serving.Plan
 	if g := eng.Precision(); g.Requested != infer.PrecisionF64 {
 		log.Printf("precision: requested %s, serving %s — %s", g.Requested, g.Tier, g.Reason)
 	}
-	log.Printf("endpoints: POST/GET /estimate, POST /feedback, POST /admin/reload, /metrics, /metrics/federate, /healthz, /drift, /slo, /debug/pprof/")
-	if len(opts.peers) > 0 {
-		log.Printf("federating %d peers: %s", len(opts.peers), strings.Join(opts.peers, ", "))
-	}
+	log.Printf("endpoints: POST/GET /estimate, POST /feedback, POST /admin/reload, /metrics, /healthz, /drift, /slo, /debug/pprof/")
 	if opts.sampler != nil {
 		log.Printf("trace sampling: 1 in %d requests", opts.sampler.Every())
 	}
@@ -221,7 +217,6 @@ func newServeMux(eng *serving.Engine, opts serveOptions) *http.ServeMux {
 	mux.HandleFunc("/drift", instrument("http.drift", handleDrift(eng, opts.mon)))
 	mux.HandleFunc("/slo", instrument("http.slo", handleSLO(opts.slo)))
 	mux.HandleFunc("/metrics", handleMetrics)
-	mux.HandleFunc("/metrics/federate", instrument("http.federate", handleFederate(opts.peers)))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -658,30 +653,6 @@ func handleSLO(tracker *slo.Tracker) http.HandlerFunc {
 			return
 		}
 		writeJSON(w, tracker.Status())
-	}
-}
-
-// handleFederate scrapes the configured peers' /metrics concurrently and
-// returns the merged exposition with per-peer instance labels plus a
-// federate_up series per peer — one scrape target for a whole fleet. Without
-// -peers the endpoint reports 404 rather than an empty exposition.
-func handleFederate(peers []string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
-		if len(peers) == 0 {
-			httpError(w, http.StatusNotFound, "federation not configured (start with -peers)")
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), 10*time.Second)
-		defer cancel()
-		snaps := obs.GatherRemote(ctx, nil, peers)
-		w.Header().Set("Content-Type", obs.PromContentType)
-		if err := obs.WriteFederated(w, snaps); err != nil {
-			httpErrors.Inc()
-		}
 	}
 }
 

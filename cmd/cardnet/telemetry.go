@@ -2,7 +2,6 @@ package main
 
 import (
 	"log"
-	"strings"
 	"time"
 
 	"cardnet/internal/obs"
@@ -90,31 +89,4 @@ func buildTelemetry(ts telemetrySettings) (*slo.Tracker, *profcap.Capturer, *obs
 		}
 	}
 	return slo.New(cfg), profiler, sink, closeLog
-}
-
-// splitPeers parses the -peers flag into base URLs: comma-separated
-// host:port entries or full URLs, scheme defaulting to http.
-func splitPeers(csv string) []string {
-	var peers []string
-	for _, p := range strings.Split(csv, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		if !strings.Contains(p, "://") {
-			p = "http://" + p
-		}
-		peers = append(peers, strings.TrimSuffix(p, "/"))
-	}
-	return peers
-}
-
-// peerMetricsURLs maps the -peers flag to the peers' /metrics scrape URLs.
-func peerMetricsURLs(csv string) []string {
-	bases := splitPeers(csv)
-	urls := make([]string, len(bases))
-	for i, b := range bases {
-		urls[i] = b + "/metrics"
-	}
-	return urls
 }

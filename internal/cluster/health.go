@@ -2,12 +2,16 @@ package cluster
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"cardnet/internal/obs"
+	"cardnet/internal/obs/slo"
 )
 
 // ReplicaHealth is one replica's probed state as the router sees it.
@@ -25,12 +29,115 @@ type ReplicaHealth struct {
 	Status string `json:"status,omitempty"`
 	Drift  string `json:"drift,omitempty"`
 	SLO    string `json:"slo,omitempty"`
+	// Build is the replica's build identity from its /healthz: version plus
+	// the first 8 characters of git_sha, e.g. "v1.2 (1a2b3c4d)".
+	Build string `json:"build,omitempty"`
 	// ModelVersion is the replica's serving-registry version (rollouts bump
 	// it via /admin/reload).
 	ModelVersion uint64 `json:"model_version"`
 	// EstimateRequests is the replica's cumulative /estimate request counter
 	// from its /metrics exposition.
 	EstimateRequests float64 `json:"estimate_requests"`
+	// QPS is the rate of requests completing on the replica between its
+	// last two successful sweeps: the e2e histogram's count delta over the
+	// measured time between them. 0 until a second sweep lands.
+	QPS float64 `json:"qps"`
+	// P99Seconds is the e2e latency p99 of the requests that completed
+	// between the same two sweeps. Absent before a second sweep, when the
+	// histogram's bucket layout changed between them, and when no request
+	// completed in between.
+	P99Seconds float64 `json:"p99_seconds,omitempty"`
+}
+
+// replicaE2EHistogram is the replica latency histogram QPS and p99 derive
+// from: serving.E2EHistogram, named here so the router does not link the
+// model stack.
+const replicaE2EHistogram = "serving.e2e.seconds"
+
+// replicaState is one replica's health plus the scraped series of its last
+// successful sweep (nil before one) and that sweep's time: the base of the
+// next sweep's QPS and p99.
+type replicaState struct {
+	ReplicaHealth
+	last   map[string]float64
+	lastAt time.Time
+}
+
+// e2eRates derives a replica's QPS and p99 from the e2e histogram in the
+// series of two sweeps dt apart. A counter that went down (the replica
+// restarted between sweeps) clamps to 0; p99 is 0 when the bucket layout
+// changed or nothing completed.
+func e2eRates(prev, cur map[string]float64, dt time.Duration) (qps, p99 float64) {
+	prom := obs.PromName(replicaE2EHistogram)
+	if dt > 0 {
+		qps = math.Max(0, cur[prom+"_count"]-prev[prom+"_count"]) / dt.Seconds()
+	}
+	if bounds, counts := histDelta(prev, cur, prom); counts != nil {
+		p99 = slo.BucketQuantile(bounds, counts, 0.99)
+	}
+	return qps, p99
+}
+
+// histDelta extracts a histogram's per-bucket counts between two sweeps:
+// finite bucket bounds in ascending order and the non-cumulative count
+// deltas with the overflow bucket last — the shape slo.BucketQuantile
+// consumes. Returns nil counts when either sweep lacks the histogram or the
+// bucket layout changed between them.
+func histDelta(prev, cur map[string]float64, promName string) ([]float64, []float64) {
+	cum1, cum2 := bucketCumulatives(prev, promName), bucketCumulatives(cur, promName)
+	if cum1 == nil || cum2 == nil || len(cum1) != len(cum2) {
+		return nil, nil
+	}
+	bounds := make([]float64, 0, len(cum2))
+	for b := range cum2 {
+		if _, ok := cum1[b]; !ok {
+			return nil, nil
+		}
+		bounds = append(bounds, b)
+	}
+	sort.Float64s(bounds)
+	counts := make([]float64, 0, len(bounds)+1)
+	prev1, prev2 := 0.0, 0.0
+	for _, b := range bounds {
+		counts = append(counts, (cum2[b]-prev2)-(cum1[b]-prev1))
+		prev1, prev2 = cum1[b], cum2[b]
+	}
+	countName := promName + "_count"
+	counts = append(counts, (cur[countName]-prev2)-(prev[countName]-prev1))
+	for i, c := range counts {
+		if c < 0 {
+			counts[i] = 0 // replica restarted between sweeps
+		}
+	}
+	return bounds, counts
+}
+
+// bucketCumulatives collects a histogram's finite-bound cumulative bucket
+// counts from a scraped series map, keyed by upper bound; nil when the
+// histogram is absent.
+func bucketCumulatives(series map[string]float64, promName string) map[float64]float64 {
+	prefix := promName + "_bucket"
+	var out map[float64]float64
+	for id, v := range series {
+		name, labels, err := obs.SplitSeries(id)
+		if err != nil || name != prefix {
+			continue
+		}
+		for _, l := range labels {
+			if l.Name != "le" || l.Value == "+Inf" { // overflow derives from _count
+				continue
+			}
+			bound, err := strconv.ParseFloat(l.Value, 64)
+			if err != nil || math.IsInf(bound, 0) || math.IsNaN(bound) {
+				continue
+			}
+			if out == nil {
+				out = map[float64]float64{}
+			}
+			out[bound] = v
+		}
+	}
+	return out
 }
 
 // ProberConfig tunes the health prober. Zero values take the documented
@@ -42,7 +149,7 @@ type ProberConfig struct {
 	// (default 3).
 	EjectAfter int
 	// Client issues the probes; nil uses the shared obs scrape client
-	// (5s timeout), keeping probe semantics identical to fleetstat's.
+	// (5s timeout), the one obs.GatherJSON and obs.GatherRemote default to.
 	Client *http.Client
 	// OnChange, when set, fires on every health transition (ejection and
 	// restoration). The router wires ring membership here. Called without
@@ -62,7 +169,7 @@ type Prober struct {
 	client *http.Client
 
 	mu     sync.Mutex
-	states map[string]*ReplicaHealth
+	states map[string]*replicaState
 
 	stop    chan struct{}
 	done    chan struct{}
@@ -92,7 +199,7 @@ func NewProber(bases []string, cfg ProberConfig) *Prober {
 		cfg:       cfg,
 		bases:     append([]string(nil), bases...),
 		client:    cfg.Client,
-		states:    make(map[string]*ReplicaHealth, len(bases)),
+		states:    make(map[string]*replicaState, len(bases)),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 		mSweeps:   reg.Counter("cluster.probe.sweeps"),
@@ -103,7 +210,7 @@ func NewProber(bases []string, cfg ProberConfig) *Prober {
 	}
 	sort.Strings(p.bases)
 	for _, b := range p.bases {
-		p.states[b] = &ReplicaHealth{Base: b, Healthy: true}
+		p.states[b] = &replicaState{ReplicaHealth: ReplicaHealth{Base: b, Healthy: true}}
 	}
 	p.gReplicas.Set(float64(len(p.bases)))
 	p.gHealthy.Set(float64(len(p.bases)))
@@ -173,6 +280,7 @@ func (p *Prober) ProbeOnce(ctx context.Context) {
 	go func() { defer wg.Done(); hz = obs.GatherJSON(ctx, p.client, hzURLs) }()
 	go func() { defer wg.Done(); met = obs.GatherRemote(ctx, p.client, metURLs) }()
 	wg.Wait()
+	now := time.Now()
 
 	type change struct {
 		base    string
@@ -201,10 +309,15 @@ func (p *Prober) ProbeOnce(ctx context.Context) {
 			st.Status = jsonString(hz[i].Doc, "status")
 			st.Drift = jsonNestedString(hz[i].Doc, "drift", "status")
 			st.SLO = jsonString(hz[i].Doc, "slo")
+			st.Build = buildString(hz[i].Doc)
 			if mv, ok := hz[i].Doc["model_version"].(float64); ok {
 				st.ModelVersion = uint64(mv)
 			}
 			st.EstimateRequests = met[i].Series[obs.PromName("http.estimate.requests")+"_total"]
+			if st.last != nil {
+				st.QPS, st.P99Seconds = e2eRates(st.last, met[i].Series, now.Sub(st.lastAt))
+			}
+			st.last, st.lastAt = met[i].Series, now
 			if !st.Healthy {
 				st.Healthy = true
 				p.mRestore.Inc()
@@ -231,7 +344,7 @@ func (p *Prober) Snapshot() []ReplicaHealth {
 	defer p.mu.Unlock()
 	out := make([]ReplicaHealth, 0, len(p.bases))
 	for _, b := range p.bases {
-		out = append(out, *p.states[b])
+		out = append(out, p.states[b].ReplicaHealth)
 	}
 	return out
 }
@@ -253,6 +366,16 @@ func (p *Prober) Healthy() []string {
 func jsonString(doc map[string]any, key string) string {
 	s, _ := doc[key].(string)
 	return s
+}
+
+// buildString renders a /healthz document's build identity: version, plus
+// git_sha cut to 8 characters in parentheses when the replica reports one.
+func buildString(doc map[string]any) string {
+	b := jsonString(doc, "version")
+	if sha := jsonString(doc, "git_sha"); sha != "" {
+		b = strings.TrimSpace(b + " (" + sha[:min(len(sha), 8)] + ")")
+	}
+	return b
 }
 
 // jsonNestedString reads doc[key][sub] from a nested healthz block (the

@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"cardnet/internal/obs"
+	"cardnet/internal/serving"
 )
 
 // TestProberEjectAndRestore walks a replica through the health lifecycle:
@@ -103,4 +105,34 @@ func TestProberStartStop(t *testing.T) {
 	}
 	p.Stop()
 	p.Stop() // idempotent
+}
+
+// TestE2ERatesRestartAndLayoutChange pins the sweep-delta edge cases: a
+// replica that restarted between sweeps (counters went down) clamps to
+// zero instead of reporting negative rates, and a bucket layout change
+// between sweeps omits p99 rather than differencing unrelated buckets.
+func TestE2ERatesRestartAndLayoutChange(t *testing.T) {
+	if replicaE2EHistogram != serving.E2EHistogram {
+		t.Fatalf("prober reads %q, replicas write %q", replicaE2EHistogram, serving.E2EHistogram)
+	}
+	parse := func(text string) map[string]float64 {
+		series, err := obs.ParsePrometheus(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return series
+	}
+	prev := parse(e2eExposition([3]int{10, 20, 40}, 50))
+	restarted := parse(e2eExposition([3]int{1, 2, 4}, 4))
+	if qps, p99 := e2eRates(prev, restarted, 2*time.Second); qps != 0 || p99 != 0 {
+		t.Fatalf("restart: qps %v p99 %v, want 0 and 0", qps, p99)
+	}
+	relaid := parse(strings.Replace(e2eExposition([3]int{10, 30, 60}, 70), `le="0.1"`, `le="0.2"`, 1))
+	if qps, p99 := e2eRates(prev, relaid, 2*time.Second); qps != 10 || p99 != 0 {
+		t.Fatalf("layout change: qps %v p99 %v, want 10 and no p99", qps, p99)
+	}
+	grown := parse(e2eExposition([3]int{10, 30, 60}, 70) + "serving_e2e_seconds_bucket{le=\"1\"} 70\n")
+	if _, p99 := e2eRates(prev, grown, 2*time.Second); p99 != 0 {
+		t.Fatalf("added bucket: p99 %v, want none", p99)
+	}
 }

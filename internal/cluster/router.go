@@ -19,8 +19,9 @@ import (
 
 // Config tunes the router. Zero values take the documented defaults.
 type Config struct {
-	// Replicas are the fronted replica base URLs (http://host:port).
-	// Required, at least one.
+	// Replicas are the fronted replicas, as base URLs or host:port
+	// entries; New normalizes them and folds duplicates. Required, at
+	// least one non-blank entry.
 	Replicas []string
 	// VNodes is the virtual-node count per replica (default DefaultVNodes).
 	VNodes int
@@ -116,9 +117,12 @@ type Router struct {
 // ErrNoReplicas is returned by New when the config names no replicas.
 var ErrNoReplicas = errors.New("cluster: no replicas configured")
 
-// New builds a router over cfg.Replicas. The prober is not started; call
-// Start (tests drive ProbeOnce instead).
+// New builds a router over cfg.Replicas, each entry trimmed and
+// normalized to a base URL (scheme defaulting to http, trailing slash
+// stripped), blanks dropped and duplicates folded. The prober is not
+// started; call Start (tests drive ProbeOnce instead).
 func New(cfg Config) (*Router, error) {
+	cfg.Replicas = distinctBases(cfg.Replicas)
 	if len(cfg.Replicas) == 0 {
 		return nil, ErrNoReplicas
 	}
@@ -163,8 +167,7 @@ func New(cfg Config) (*Router, error) {
 		hStageProxy:   reg.Histogram(StageHistName(StageProxy), obs.TimeBuckets()),
 		hStageRelay:   reg.Histogram(StageHistName(StageRelay), obs.TimeBuckets()),
 	}
-	for _, b := range cfg.Replicas {
-		base := normalizeBase(b)
+	for _, base := range cfg.Replicas {
 		rt.ring.Add(base)
 		rt.perReplica[base] = &replicaMetrics{
 			requests: reg.Counter("cluster.replica." + sanitizeNode(base) + ".requests"),
@@ -588,14 +591,27 @@ func (rt *Router) handleRollout(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// normalizeBase turns a replica flag value into a base URL: scheme
-// defaulting to http, trailing slash stripped.
-func normalizeBase(s string) string {
-	s = strings.TrimSpace(s)
-	if !strings.Contains(s, "://") {
-		s = "http://" + s
+// distinctBases turns replica flag values into distinct base URLs in first
+// appearance order: each entry trimmed, scheme defaulting to http, trailing
+// slash stripped, blank entries dropped.
+func distinctBases(replicas []string) []string {
+	var out []string
+	seen := make(map[string]bool, len(replicas))
+	for _, s := range replicas {
+		s = strings.TrimSpace(s)
+		if s == "" {
+			continue
+		}
+		if !strings.Contains(s, "://") {
+			s = "http://" + s
+		}
+		s = strings.TrimSuffix(s, "/")
+		if !seen[s] {
+			seen[s] = true
+			out = append(out, s)
+		}
 	}
-	return strings.TrimSuffix(s, "/")
+	return out
 }
 
 // sanitizeNode maps a replica base URL into a metric-name fragment:

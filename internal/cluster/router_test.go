@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"cardnet/internal/obs"
+	"cardnet/internal/obs/slo"
 )
 
 // newTestRouter fronts the given fake replicas with a router whose metrics
@@ -367,6 +369,145 @@ func TestRouterHealthzAndMetrics(t *testing.T) {
 	}
 	if !strings.Contains(body, "cluster.requests") {
 		t.Fatalf("json metrics missing cluster.requests:\n%s", body)
+	}
+}
+
+// e2eExposition renders a replica's serving.e2e.seconds histogram as its
+// /metrics would: cumulative counts at the 1ms, 10ms and 100ms bounds, then
+// the total.
+func e2eExposition(cum [3]int, count int) string {
+	return fmt.Sprintf("serving_e2e_seconds_bucket{le=\"0.001\"} %d\n"+
+		"serving_e2e_seconds_bucket{le=\"0.01\"} %d\n"+
+		"serving_e2e_seconds_bucket{le=\"0.1\"} %d\n"+
+		"serving_e2e_seconds_bucket{le=\"+Inf\"} %d\n"+
+		"serving_e2e_seconds_count %d\n", cum[0], cum[1], cum[2], count, count)
+}
+
+// TestRouterHealthzFleetView checks that one GET of the router's /healthz
+// shows, for every replica: reachability with the probe error, health, SLO,
+// drift, build, model version, and the QPS and p99 of the requests that
+// completed between the last two probe sweeps.
+func TestRouterHealthzFleetView(t *testing.T) {
+	a, b := newFakeReplica(t, "a"), newFakeReplica(t, "b")
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	rt, ts := newTestRouter(t, Config{EjectAfter: 1, Replicas: []string{dead.URL}}, a, b)
+	script := func(f *fakeReplica, hz map[string]any, cum [3]int, count int) {
+		f.mu.Lock()
+		f.hzExtra, f.metExtra = hz, e2eExposition(cum, count)
+		f.mu.Unlock()
+	}
+	hzA := map[string]any{"version": "v1.2", "git_sha": "0123456789abcdef", "slo": "warn",
+		"drift": map[string]any{"status": "retrain-recommended"}}
+	hzB := map[string]any{"version": "dev", "git_sha": "unknown", "slo": "ok",
+		"drift": map[string]any{"status": "ok"}}
+	script(a, hzA, [3]int{10, 20, 30}, 30)
+	script(b, hzB, [3]int{1, 2, 3}, 3)
+
+	ctx := context.Background()
+	t0 := time.Now()
+	rt.Prober().ProbeOnce(ctx)
+	t1 := time.Now()
+	for _, st := range rt.Prober().Snapshot() {
+		if st.QPS != 0 || st.P99Seconds != 0 {
+			t.Fatalf("%s has rates after one sweep: %+v", st.Base, st)
+		}
+	}
+	// Between the sweeps a completes 110 requests (deltas 0, 30, 80 in the
+	// finite buckets, none over 100ms) and b completes 9, two of them slow.
+	script(a, hzA, [3]int{10, 50, 140}, 140)
+	script(b, hzB, [3]int{2, 4, 10}, 12)
+	time.Sleep(20 * time.Millisecond)
+	t2 := time.Now()
+	rt.Prober().ProbeOnce(ctx)
+	t3 := time.Now()
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var hz struct {
+		Configured int              `json:"configured"`
+		Replicas   []map[string]any `json:"replicas"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
+		t.Fatal(err)
+	}
+	if hz.Configured != 3 || len(hz.Replicas) != 3 {
+		t.Fatalf("configured %d, %d replicas", hz.Configured, len(hz.Replicas))
+	}
+	byBase := map[string]map[string]any{}
+	for _, r := range hz.Replicas {
+		byBase[r["base"].(string)] = r
+	}
+
+	bounds := []float64{0.001, 0.01, 0.1}
+	for _, want := range []struct {
+		rep          *fakeReplica
+		build, slo   string
+		drift        string
+		served       float64
+		bucketDeltas []float64
+	}{
+		{a, "v1.2 (01234567)", "warn", "retrain-recommended", 110, []float64{0, 30, 80, 0}},
+		{b, "dev (unknown)", "ok", "ok", 9, []float64{1, 1, 5, 2}},
+	} {
+		r := byBase[want.rep.base()]
+		if r["healthy"] != true || r["status"] != "ok" || r["last_err"] != nil {
+			t.Fatalf("%s reachability: %v", want.rep.id, r)
+		}
+		if r["build"] != want.build || r["slo"] != want.slo || r["drift"] != want.drift || r["model_version"] != 1.0 {
+			t.Fatalf("%s healthz fields: %v", want.rep.id, r)
+		}
+		if p99 := slo.BucketQuantile(bounds, want.bucketDeltas, 0.99); r["p99_seconds"] != p99 {
+			t.Fatalf("%s p99_seconds = %v, want %v", want.rep.id, r["p99_seconds"], p99)
+		}
+		// The prober timed the sweeps somewhere inside [t0, t1] and [t2, t3].
+		qps, _ := r["qps"].(float64)
+		if lo, hi := want.served/t3.Sub(t0).Seconds(), want.served/t2.Sub(t1).Seconds(); qps < lo || qps > hi {
+			t.Fatalf("%s qps = %v, want within [%v, %v]", want.rep.id, qps, lo, hi)
+		}
+	}
+
+	d := byBase[dead.URL]
+	if d["healthy"] != false || d["last_err"] == nil || d["last_err"] == "" {
+		t.Fatalf("dead replica: %v", d)
+	}
+}
+
+// TestNewNormalizesReplicas checks that New trims and normalizes replica
+// entries, drops blanks and folds duplicates, and that /healthz's
+// configured count, the ring, the prober and the configured gauge agree.
+func TestNewNormalizesReplicas(t *testing.T) {
+	reg := obs.NewRegistry()
+	rt, err := New(Config{Registry: reg, Replicas: strings.Split(
+		" host1:8089, http://host2:9/ ,, https://host3 ,host1:8089/,http://host2:9", ",")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	want := []string{"http://host1:8089", "http://host2:9", "https://host3"}
+	if got := rt.Ring().Nodes(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("ring nodes %v, want %v", got, want)
+	}
+	if n := len(rt.Prober().Snapshot()); n != len(want) {
+		t.Fatalf("prober tracks %d replicas, want %d", n, len(want))
+	}
+	if g := reg.Gauge("cluster.replicas.configured").Value(); g != float64(len(want)) {
+		t.Fatalf("configured gauge %v, want %d", g, len(want))
+	}
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	var hz struct {
+		Configured int `json:"configured"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &hz); err != nil || hz.Configured != len(want) {
+		t.Fatalf("healthz configured %d (err %v), want %d", hz.Configured, err, len(want))
+	}
+
+	if _, err := New(Config{Registry: reg, Replicas: []string{" ", ""}}); !errors.Is(err, ErrNoReplicas) {
+		t.Fatalf("blank replica list: err %v, want ErrNoReplicas", err)
 	}
 }
 

@@ -28,6 +28,8 @@ type fakeReplica struct {
 	drift     map[string]any
 	traceIDs  []string
 	parents   []string
+	hzExtra   map[string]any // extra /healthz fields
+	metExtra  string         // extra /metrics exposition lines
 }
 
 func newFakeReplica(t *testing.T, id string) *fakeReplica {
@@ -68,9 +70,12 @@ func newFakeReplica(t *testing.T, id string) *fakeReplica {
 			return
 		}
 		f.mu.Lock()
-		v := f.version
+		doc := map[string]any{"status": "ok", "model_version": f.version}
+		for k, v := range f.hzExtra {
+			doc[k] = v
+		}
 		f.mu.Unlock()
-		json.NewEncoder(w).Encode(map[string]any{"status": "ok", "model_version": v})
+		json.NewEncoder(w).Encode(doc)
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if !f.healthy.Load() {
@@ -78,12 +83,12 @@ func newFakeReplica(t *testing.T, id string) *fakeReplica {
 			return
 		}
 		f.mu.Lock()
-		n := f.estimates
+		n, extra := f.estimates, f.metExtra
 		f.mu.Unlock()
 		// Counters render with a _total suffix in the real Prometheus
 		// exposition (obs.WritePrometheus); the fake must match or the
 		// prober's series lookup silently reads zero.
-		fmt.Fprintf(w, "http_estimate_requests_total %d\n", n)
+		fmt.Fprintf(w, "http_estimate_requests_total %d\n%s", n, extra)
 	})
 	mux.HandleFunc("/drift", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()

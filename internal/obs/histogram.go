@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -134,6 +135,36 @@ type HistSnapshot struct {
 	P95     float64  `json:"p95"`
 	P99     float64  `json:"p99"`
 	Buckets []Bucket `json:"buckets,omitempty"`
+}
+
+// histJSON is HistSnapshot's wire form: its float fields as jsonFloat, so
+// a sum that overflowed to +Inf still yields a well-formed document.
+type histJSON struct {
+	Count   uint64    `json:"count"`
+	Sum     jsonFloat `json:"sum"`
+	Mean    jsonFloat `json:"mean"`
+	P50     jsonFloat `json:"p50"`
+	P95     jsonFloat `json:"p95"`
+	P99     jsonFloat `json:"p99"`
+	Buckets []Bucket  `json:"buckets,omitempty"`
+}
+
+// MarshalJSON implements json.Marshaler through histJSON.
+func (s HistSnapshot) MarshalJSON() ([]byte, error) {
+	return json.Marshal(histJSON{s.Count, jsonFloat(s.Sum), jsonFloat(s.Mean),
+		jsonFloat(s.P50), jsonFloat(s.P95), jsonFloat(s.P99), s.Buckets})
+}
+
+// UnmarshalJSON implements json.Unmarshaler, reading back what MarshalJSON
+// writes, non-finite values included.
+func (s *HistSnapshot) UnmarshalJSON(b []byte) error {
+	var w histJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*s = HistSnapshot{w.Count, float64(w.Sum), float64(w.Mean),
+		float64(w.P50), float64(w.P95), float64(w.P99), w.Buckets}
+	return nil
 }
 
 // Snapshot summarizes the histogram. Concurrent Observes may land between

@@ -10,13 +10,12 @@ import (
 )
 
 // JSONSnapshot is one peer's fetched JSON status document (a /healthz or
-// /drift body): the instance label identifying the peer, the decoded
-// top-level object, and the fetch or decode error if the peer was
-// unreachable or answered garbage (Doc is nil in that case).
+// /drift body): the decoded top-level object, and the fetch or decode
+// error if the peer was unreachable or answered garbage (Doc is nil in
+// that case).
 type JSONSnapshot struct {
-	Instance string
-	Doc      map[string]any
-	Err      error
+	Doc map[string]any
+	Err error
 }
 
 // GatherJSON fetches each URL concurrently and decodes a single top-level
@@ -24,11 +23,11 @@ type JSONSnapshot struct {
 // It is the status-endpoint sibling of GatherRemote and shares its scrape
 // client: a nil client uses the same 5s-timeout default, so fleet health
 // semantics (timeouts, per-peer error isolation) cannot diverge between the
-// fleetstat table, the cluster health prober, and the rollout controller.
+// cluster health prober and the rollout controller.
 // Errors are reported per snapshot, never returned.
 func GatherJSON(ctx context.Context, client *http.Client, urls []string) []JSONSnapshot {
 	if client == nil {
-		client = federateClient
+		client = scrapeClient
 	}
 	snaps := make([]JSONSnapshot, len(urls))
 	var wg sync.WaitGroup
@@ -36,7 +35,6 @@ func GatherJSON(ctx context.Context, client *http.Client, urls []string) []JSONS
 	for i, target := range urls {
 		go func(i int, target string) {
 			defer wg.Done()
-			snaps[i] = JSONSnapshot{Instance: instanceLabel(target)}
 			snaps[i].Doc, snaps[i].Err = FetchJSON(ctx, client, target)
 		}(i, target)
 	}
@@ -49,7 +47,7 @@ func GatherJSON(ctx context.Context, client *http.Client, urls []string) []JSONS
 // bodies (>1 MiB), and malformed JSON are errors.
 func FetchJSON(ctx context.Context, client *http.Client, target string) (map[string]any, error) {
 	if client == nil {
-		client = federateClient
+		client = scrapeClient
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
 	if err != nil {

@@ -11,10 +11,12 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -135,7 +137,9 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 
 // Snapshot returns a JSON-marshalable view of every metric: counter and
 // gauge values plus histogram summaries (count/sum/mean, p50/p95/p99, and
-// per-bucket cumulative counts), in the style of expvar.
+// per-bucket cumulative counts), in the style of expvar. A non-finite gauge
+// or histogram value encodes as the string "+Inf", "-Inf" or "NaN", so the
+// document stays well-formed.
 func (r *Registry) Snapshot() map[string]any {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -143,9 +147,9 @@ func (r *Registry) Snapshot() map[string]any {
 	for name, c := range r.counts {
 		counters[name] = c.Value()
 	}
-	gauges := make(map[string]float64, len(r.gauges))
+	gauges := make(map[string]jsonFloat, len(r.gauges))
 	for name, g := range r.gauges {
-		gauges[name] = g.Value()
+		gauges[name] = jsonFloat(g.Value())
 	}
 	hists := make(map[string]HistSnapshot, len(r.hists))
 	for name, h := range r.hists {
@@ -170,17 +174,26 @@ func (r *Registry) Snapshot() map[string]any {
 	return out
 }
 
-// SeriesSnapshot renders the registry through the Prometheus writer and
-// parses the result straight back with ParsePrometheus, returning the flat
-// canonical-series → value map. Federation merges the local instance through
-// this path so the emitted exposition is provably parseable by the same
-// parser that reads the peers.
-func (r *Registry) SeriesSnapshot() (map[string]float64, error) {
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		return nil, err
+// jsonFloat is a float64 that JSON can always carry: a non-finite value,
+// which encoding/json refuses (failing the whole document), encodes as its
+// Prometheus spelling in a string.
+type jsonFloat float64
+
+// MarshalJSON implements json.Marshaler.
+func (f jsonFloat) MarshalJSON() ([]byte, error) {
+	v := float64(f)
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return []byte(`"` + formatPromValue(v) + `"`), nil
 	}
-	return ParsePrometheus(&buf)
+	return json.Marshal(v)
+}
+
+// UnmarshalJSON implements json.Unmarshaler: a number, or a string
+// holding one, "+Inf", "-Inf" and "NaN" included.
+func (f *jsonFloat) UnmarshalJSON(b []byte) error {
+	v, err := strconv.ParseFloat(strings.Trim(string(b), `"`), 64)
+	*f = jsonFloat(v)
+	return err
 }
 
 // WriteJSON writes the snapshot as indented JSON with sorted keys (the

@@ -204,6 +204,49 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 }
 
+// TestSnapshotJSONNonFinite is the regression for a histogram sum that
+// overflowed to +Inf: encoding/json refused the value, so WriteJSON wrote
+// nothing and /metrics answered 200 with an empty body from then on. The
+// snapshot now carries non-finite values as their Prometheus spelling.
+func TestSnapshotJSONNonFinite(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("big", []float64{1})
+	h.Observe(math.MaxFloat64)
+	h.Observe(math.MaxFloat64) // sum overflows to +Inf
+	r.Gauge("ratio").Set(math.NaN())
+	r.Counter("reqs").Inc()
+
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v (wrote %d bytes)", err, buf.Len())
+	}
+	var snap struct {
+		Counters   map[string]uint64         `json:"counters"`
+		Gauges     map[string]any            `json:"gauges"`
+		Histograms map[string]map[string]any `json:"histograms"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatalf("snapshot not valid JSON: %v\n%s", err, buf.String())
+	}
+	big := snap.Histograms["big"]
+	if big["sum"] != "+Inf" || big["mean"] != "+Inf" || big["count"] != 2.0 {
+		t.Fatalf("overflowed histogram: %v", big)
+	}
+	if snap.Gauges["ratio"] != "NaN" || snap.Counters["reqs"] != 1 {
+		t.Fatalf("gauges %v counters %v", snap.Gauges, snap.Counters)
+	}
+	// A typed reader gets the non-finite values back.
+	var typed struct {
+		Histograms map[string]HistSnapshot `json:"histograms"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &typed); err != nil {
+		t.Fatal(err)
+	}
+	if hs := typed.Histograms["big"]; !math.IsInf(hs.Sum, 1) || hs.Count != 2 || len(hs.Buckets) != 1 {
+		t.Fatalf("typed decode: %+v", hs)
+	}
+}
+
 func TestSinkJSONLShape(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewSink(&buf)

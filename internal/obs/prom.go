@@ -18,7 +18,7 @@ const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
 // Label is one name="value" pair attached to a Prometheus series (an info
-// metric's constant labels, a histogram bucket's le, federation's instance).
+// metric's constant labels, a histogram bucket's le).
 type Label struct {
 	Name  string
 	Value string
@@ -242,8 +242,9 @@ func escapeLabel(s string) string {
 
 // ParsePrometheus parses text-exposition output into a flat map of canonical
 // series id ("name" or `name{a="b",le="…"}`, labels sorted by name) → value.
-// It is the load-bearing half of federation as well as the round-trip
-// validator for tests and scrape self-checks: label sets are fully parsed
+// Its one remote caller is the cluster health prober (through GatherRemote),
+// which reads every replica's /metrics each sweep; tests use it as the
+// round-trip validator of the writer. Label sets are fully parsed
 // (escape sequences \\, \", \n decoded; anything else rejected), a trailing
 // integer timestamp is tolerated, and any malformed line fails with its line
 // and column position. It enforces the 0.0.4 line grammar rather than the

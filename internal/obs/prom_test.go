@@ -140,7 +140,7 @@ func TestParsePrometheusEscapedLabelsRoundTrip(t *testing.T) {
 		t.Fatalf("info series %q missing or != 1 in %v", want, series)
 	}
 	// The decoded label value must be byte-identical to the original.
-	_, labels, err := splitSeriesID(want)
+	_, labels, err := SplitSeries(want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,11 @@ func TestParsePrometheusExtremeBucketBounds(t *testing.T) {
 	h := r.Histogram("wide.seconds", []float64{1e-9, 1e300, math.Inf(1)})
 	h.Observe(0.5)
 	h.Observe(math.MaxFloat64)
-	series, err := r.SeriesSnapshot()
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	series, err := ParsePrometheus(&buf)
 	if err != nil {
 		t.Fatalf("extreme bounds failed to round trip: %v", err)
 	}

@@ -1,6 +1,7 @@
 package runtimeobs
 
 import (
+	"bytes"
 	"runtime"
 	"strings"
 	"testing"
@@ -69,7 +70,11 @@ func TestSamplerStartStopAndExposition(t *testing.T) {
 	}
 
 	// The whole runtime surface must round-trip through the Prometheus path.
-	series, err := reg.SeriesSnapshot()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	series, err := obs.ParsePrometheus(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -485,7 +485,7 @@ func (st *objectiveState) baseline(cutoff time.Time) sample {
 // quantile semantics: linear interpolation within the landing bucket, and
 // the largest finite bound as a lower bound when the quantile lands in the
 // overflow bucket. Exported for consumers computing windowed quantiles from
-// scraped bucket deltas (cardnet fleetstat).
+// scraped bucket deltas (the cluster prober's per-replica p99).
 func BucketQuantile(bounds []float64, counts []float64, q float64) float64 {
 	total := 0.0
 	for _, c := range counts {
