@@ -8,9 +8,9 @@ VERSION ?= dev
 GITSHA ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 LDFLAGS = -X main.buildVersion=$(VERSION) -X main.buildSHA=$(GITSHA)
 
-.PHONY: ci lint staticcheck vet build test docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test perfbench bench-kernels loc
+.PHONY: ci lint staticcheck vet build test purego docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test perfbench bench-kernels loc
 
-ci: lint staticcheck vet build test docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test
+ci: lint staticcheck vet build test purego docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test
 
 lint:
 	@unformatted=$$(gofmt -l .); \
@@ -41,6 +41,13 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+# Keep the generic Go saxpy body tested: -tags purego builds internal/tensor
+# without the AVX assembly, and the goldens, the kernel fuzz seeds and the
+# Axpy table test must still pass bit for bit on the Go loop.
+purego:
+	$(GO) vet -tags purego ./internal/tensor
+	$(GO) test -tags purego ./internal/tensor ./internal/core ./internal/baselines -run 'Golden|MatMul|Axpy|Fuzz'
 
 # Stress the serving engine's concurrency surface under the race detector
 # beyond the plain `test` pass: repeated runs shuffle goroutine schedules.
@@ -88,7 +95,8 @@ race-autopilot:
 # /estimate request parsing and validation and its /feedback handler, the
 # serving cache's packed curve key, scraped Prometheus text through a
 # re-emit round trip, trace JSONL loading and assembly, the generic ABT
-# kernel against the per-element dot products, model-file loading,
+# kernel against the per-element dot products, the MatMul and MatMulATBAdd
+# saxpy kernels against the naive scalar loops, model-file loading,
 # trainer-state decode and resume, staged train-set loading and retraining,
 # and the f64/f32 plans against the nn forward.
 # FuzzRestoreTrainer's seeds are 30 KB checkpoints and every FuzzLoadTrainSet
@@ -102,6 +110,8 @@ fuzz-smoke:
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParsePrometheus$$' -fuzztime=10s
 	$(GO) test ./internal/obs/tracescan -run '^$$' -fuzz '^FuzzLoadTraces$$' -fuzztime=10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMulABT$$' -fuzztime=10s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMul$$' -fuzztime=10s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMulATBAdd$$' -fuzztime=10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime=10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzRestoreTrainer$$' -fuzztime=10s -fuzzminimizetime=1x
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzLoadTrainSet$$' -fuzztime=10s -fuzzminimizetime=1x
@@ -130,7 +140,9 @@ loc:
 
 # Kernel-level GFLOP/s table: the generic ABT kernel at f64 and f32 (at a
 # 256-row batch and at the 1- and 2-row serving batches), the training
-# backward kernels MatMul (dX) and MatMulATBAdd (dW) at 32 and 256 rows, and
+# backward kernels MatMul (dX) and MatMulATBAdd (dW) at 32 and 256 rows,
+# dense and with the 45% zeros of fixture training's dY (skipped flops
+# counted), the Axpy saxpy body at the fixture's 60/315/512-wide rows, and
 # the zero-skip-vs-branch-free dense matmul comparison.
 bench-kernels:
-	$(GO) test ./internal/tensor -run '^$$' -bench 'KernelABT|KernelMatMul|KernelATBAdd|ZeroSkip' -benchmem
+	$(GO) test ./internal/tensor -run '^$$' -bench 'KernelABT|KernelMatMul|KernelATBAdd|Axpy|ZeroSkip' -benchmem

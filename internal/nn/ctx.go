@@ -91,10 +91,7 @@ func (c *Ctx) AddGradsInto(params []*Param) {
 		if !ok {
 			continue
 		}
-		dst := p.Grad
-		for i, v := range g {
-			dst[i] += v
-			g[i] = 0
-		}
+		tensor.Axpy(1, g, p.Grad) // g·1 is exactly g, so this is Grad += g
+		clear(g)
 	}
 }

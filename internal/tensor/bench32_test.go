@@ -63,11 +63,38 @@ func BenchmarkKernelABT_f32(b *testing.B) {
 // the default training minibatch and the 256-row harness batch.
 var trainBenchRows = []int{32, benchM}
 
+// trainZeroFrac is the share of exact zeros in the left operand (dY) of both
+// backward kernels measured during fixture training (ReLU-gated gradients);
+// the zero-skip elides those rows' saxpy sweeps, so the kernels run in this
+// regime rather than the dense one.
+const trainZeroFrac = 0.45
+
+// benchTrainKernel runs benchKernel over trainBenchRows twice: dense, as
+// M=<rows>, and with trainZeroFrac of dY zeroed, as zeros=45%/M=<rows>.
+// GFLOP/s counts the skipped flops too, so the two cases compare directly.
+func benchTrainKernel(b *testing.B, setup func(rng *rand.Rand, m int, zeroFrac float64) func()) {
+	benchKernel(b, trainBenchRows, func(rng *rand.Rand, m int) func() { return setup(rng, m, 0) })
+	b.Run(fmt.Sprintf("zeros=%.0f%%", trainZeroFrac*100), func(b *testing.B) {
+		benchKernel(b, trainBenchRows, func(rng *rand.Rand, m int) func() { return setup(rng, m, trainZeroFrac) })
+	})
+}
+
+// sprinkleZeros sets each element of m to an exact zero with probability
+// frac.
+func sprinkleZeros(rng *rand.Rand, m *Matrix, frac float64) *Matrix {
+	for i := range m.Data {
+		if rng.Float64() < frac {
+			m.Data[i] = 0
+		}
+	}
+	return m
+}
+
 // BenchmarkKernelMatMul times the Dense backward dX = dY·W product (MatMul,
-// zero-skip included) on dense operands.
+// zero-skip included).
 func BenchmarkKernelMatMul(b *testing.B) {
-	benchKernel(b, trainBenchRows, func(rng *rand.Rand, m int) func() {
-		dy := randMatrix(rng, m, benchK)
+	benchTrainKernel(b, func(rng *rand.Rand, m int, zeroFrac float64) func() {
+		dy := sprinkleZeros(rng, randMatrix(rng, m, benchK), zeroFrac)
 		w := randMatrix(rng, benchK, benchN)
 		out := NewMatrix(m, benchN)
 		return func() { MatMul(dy, w, out) }
@@ -77,12 +104,28 @@ func BenchmarkKernelMatMul(b *testing.B) {
 // BenchmarkKernelATBAdd times the Dense weight-gradient accumulation
 // dW += dYᵀ·X (MatMulATBAdd) over an M-row batch.
 func BenchmarkKernelATBAdd(b *testing.B) {
-	benchKernel(b, trainBenchRows, func(rng *rand.Rand, m int) func() {
-		dy := randMatrix(rng, m, benchK)
+	benchTrainKernel(b, func(rng *rand.Rand, m int, zeroFrac float64) func() {
+		dy := sprinkleZeros(rng, randMatrix(rng, m, benchK), zeroFrac)
 		x := randMatrix(rng, m, benchN)
 		dw := NewMatrix(benchK, benchN)
 		return func() { MatMulATBAdd(dy, x, dw) }
 	})
+}
+
+// BenchmarkAxpy times one saxpy (y += alpha·x) at the row lengths fixture
+// training runs it on: a 60-wide head, a 315-wide and a 512-wide layer.
+func BenchmarkAxpy(b *testing.B) {
+	for _, n := range []int{60, 315, 512} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x, y := randMatrix(rng, 1, n).Data, make([]float64, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Axpy(0.5, x, y)
+			}
+			b.ReportMetric(2*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
 }
 
 // zeroSkipOperands builds a MatMul left operand with the given fraction of
@@ -91,12 +134,7 @@ func BenchmarkKernelATBAdd(b *testing.B) {
 // activations, where it only mispredicts).
 func zeroSkipOperands(zeroFrac float64) (a, bm, out *Matrix) {
 	rng := rand.New(rand.NewSource(3))
-	a = randMatrix(rng, benchM, benchK)
-	for i := range a.Data {
-		if rng.Float64() < zeroFrac {
-			a.Data[i] = 0
-		}
-	}
+	a = sprinkleZeros(rng, randMatrix(rng, benchM, benchK), zeroFrac)
 	bm = randMatrix(rng, benchK, benchN)
 	return a, bm, NewMatrix(benchM, benchN)
 }

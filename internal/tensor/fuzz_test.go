@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -57,5 +58,138 @@ func sameBits[T Float](t *testing.T, kernel string, i, j int, got, want T) {
 	t.Helper()
 	if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
 		t.Fatalf("%s %T (%d,%d): %v, want %v", kernel, got, i, j, got, want)
+	}
+}
+
+// FuzzMatMul pins every element of MatMul and the forced-parallel PMatMul to
+// the naive scalar loop bit for bit, NaN payloads included: out starts at +0
+// and takes b_kj·a_ik for each nonzero a_ik in ascending k. Both operands
+// carry exact zeros, −0, ±Inf and NaNs with random payloads; the output
+// column count runs 0–70, which reaches every 16-, 4- and 1-wide tail of the
+// vector Axpy body. Seeds live in testdata/fuzz/FuzzMatMul.
+func FuzzMatMul(f *testing.F) {
+	f.Add(uint8(3), uint8(5), uint8(37), int64(1))
+	f.Fuzz(func(t *testing.T, rows, inner, cols uint8, seed int64) {
+		r, k, c := int(rows)%10, int(inner)%10, int(cols)%71
+		rng := rand.New(rand.NewSource(seed))
+		a, b := specialMat(rng, r, k), specialMat(rng, k, c)
+		// The reference accumulates in memory, as the kernels do: the
+		// compiled add then takes the product as its first operand, which
+		// decides the NaN payload when both operands are NaN.
+		want := NewMatrix(r, c)
+		for i := 0; i < r; i++ {
+			for j := 0; j < c; j++ {
+				w := &want.Data[i*c+j]
+				for n := 0; n < k; n++ {
+					if aik := a.At(i, n); aik != 0 {
+						*w += b.At(n, j) * aik
+					}
+				}
+			}
+		}
+		dirty := specialMat(rng, r, c)
+		sameMatBits(t, "MatMul", MatMul(a, b, dirty.Clone()), want)
+		forceParallel(t, 3)
+		sameMatBits(t, "PMatMul", PMatMul(a, b, dirty.Clone()), want)
+	})
+}
+
+// FuzzMatMulATBAdd pins every element of MatMulATBAdd and the
+// forced-parallel PMatMulATBAdd to the naive scalar loop bit for bit, NaN
+// payloads included: each out_ij takes b_nj·a_ni for each nonzero a_ni in
+// ascending n, on top of its prior value. Both operands and the prior out
+// carry exact zeros, −0, ±Inf and NaNs with random payloads; the output
+// column count runs 0–70. Seeds live in testdata/fuzz/FuzzMatMulATBAdd.
+func FuzzMatMulATBAdd(f *testing.F) {
+	f.Add(uint8(4), uint8(3), uint8(21), int64(1))
+	f.Fuzz(func(t *testing.T, batch, rows, cols uint8, seed int64) {
+		n, r, c := int(batch)%10, int(rows)%10, int(cols)%71
+		rng := rand.New(rand.NewSource(seed))
+		a, b, prior := specialMat(rng, n, r), specialMat(rng, n, c), specialMat(rng, r, c)
+		want := prior.Clone() // accumulated in memory, as in FuzzMatMul
+		for i := 0; i < r; i++ {
+			for j := 0; j < c; j++ {
+				w := &want.Data[i*c+j]
+				for m := 0; m < n; m++ {
+					if av := a.At(m, i); av != 0 {
+						*w += b.At(m, j) * av
+					}
+				}
+			}
+		}
+		seq := prior.Clone()
+		MatMulATBAdd(a, b, seq)
+		sameMatBits(t, "MatMulATBAdd", seq, want)
+		forceParallel(t, 3)
+		par := prior.Clone()
+		PMatMulATBAdd(a, b, par)
+		sameMatBits(t, "PMatMulATBAdd", par, want)
+	})
+}
+
+// TestAxpyBits pins Axpy to the scalar y[j] = x[j]*alpha + y[j] bit for bit
+// at every length 0–40 (every tail of the 16- and 4-wide vector loops), with
+// special values in x and y and an alpha of 0, −0, 1, NaN and a plain
+// finite value.
+func TestAxpyBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, alpha := range []float64{0, math.Copysign(0, -1), 1, randNaN(rng), -0.75} {
+		for n := 0; n <= 40; n++ {
+			x, y := specialMat(rng, 1, n).Data, specialMat(rng, 1, n).Data
+			want := make([]float64, n)
+			for j := range want {
+				want[j] = x[j]*alpha + y[j]
+			}
+			Axpy(alpha, x, y)
+			for j := range want {
+				sameBits(t, fmt.Sprintf("Axpy(%v) n=%d", alpha, n), 0, j, y[j], want[j])
+			}
+		}
+	}
+}
+
+// specialMat returns a rows×cols matrix of values in [-1, 1) salted with
+// exact zeros, −0, ±Inf and NaNs of random sign and payload (quiet and
+// signalling), so the kernels' zero-skips and NaN propagation are exercised.
+func specialMat(rng *rand.Rand, rows, cols int) *Matrix {
+	m := NewMatrix(rows, cols)
+	for i := range m.Data {
+		switch rng.Intn(16) {
+		case 0, 1:
+			m.Data[i] = 0
+		case 2:
+			m.Data[i] = math.Copysign(0, -1)
+		case 3:
+			m.Data[i] = math.Inf(1)
+		case 4:
+			m.Data[i] = math.Inf(-1)
+		case 5:
+			m.Data[i] = randNaN(rng)
+		default:
+			m.Data[i] = rng.Float64()*2 - 1
+		}
+	}
+	return m
+}
+
+// randNaN returns a NaN with a random sign and a random nonzero payload.
+func randNaN(rng *rand.Rand) float64 {
+	mant := rng.Uint64() & (1<<52 - 1)
+	if mant == 0 {
+		mant = 1
+	}
+	return math.Float64frombits(rng.Uint64()&(1<<63) | 0x7FF<<52 | mant)
+}
+
+// sameMatBits fails unless got and want match in shape and bit for bit.
+func sameMatBits(t *testing.T, kernel string, got, want *Matrix) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %d×%d, want %d×%d", kernel, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i := 0; i < got.Rows; i++ {
+		for j := 0; j < got.Cols; j++ {
+			sameBits(t, kernel, i, j, got.At(i, j), want.At(i, j))
+		}
 	}
 }

@@ -65,37 +65,30 @@ func PMatMulABT(a, b, out *Matrix) *Matrix {
 
 // MatMulATBAdd computes out += aᵀ·b where a is n×r and b is n×c (out r×c,
 // must be preallocated). It is the weight-gradient accumulation of the
-// Dense backward passes (dW += dYᵀ·X): the n-outer loop order keeps
-// both inputs streaming row-contiguously, and zero entries of a skip whole
-// row updates (ReLU-gated gradients are mostly zero).
+// Dense backward passes (dW += dYᵀ·X), run by matMulATBAddCols over every
+// output row.
 func MatMulATBAdd(a, b, out *Matrix) {
+	checkATBAdd(a, b, out)
+	matMulATBAddCols(a, b, out, 0, a.Cols)
+}
+
+// checkATBAdd panics unless out += aᵀ·b is well-shaped.
+func checkATBAdd(a, b, out *Matrix) {
 	if a.Rows != b.Rows {
 		panic("tensor: matmulATBAdd shape mismatch")
 	}
 	if out.Rows != a.Cols || out.Cols != b.Cols {
 		panic("tensor: matmulATBAdd out has wrong shape")
 	}
-	for n := 0; n < a.Rows; n++ {
-		an := a.Row(n)
-		bn := b.Row(n)
-		for i, av := range an {
-			if av == 0 {
-				continue
-			}
-			oi := out.Row(i)
-			for j, bv := range bn {
-				oi[j] += av * bv
-			}
-		}
-	}
 }
 
 // matMulATBAddCols accumulates output rows [iLo, iHi) of out += aᵀ·b with an
-// i-outer loop. For each output element (i, j) the additions happen in the
-// same ascending-n order (with the same av == 0 skips) as MatMulATBAdd's
-// n-outer loop, so the result is bit-identical — only the traversal order
-// across elements differs, which is what makes output rows independent and
-// shardable.
+// i-outer loop: row i of out stays in L1 while it takes one saxpy,
+// out_i += a_ni·b_n, per batch row n in ascending order through the vector
+// Axpy body. Zero entries of a skip their whole saxpy (ReLU-gated gradients
+// are often zero). Each element's additions run in ascending n whatever
+// rows a call covers, so output rows are independent and shardable and
+// PMatMulATBAdd is bit-identical to MatMulATBAdd.
 func matMulATBAddCols(a, b, out *Matrix, iLo, iHi int) {
 	for i := iLo; i < iHi; i++ {
 		oi := out.Row(i)
@@ -104,10 +97,7 @@ func matMulATBAddCols(a, b, out *Matrix, iLo, iHi int) {
 			if av == 0 {
 				continue
 			}
-			bn := b.Row(n)
-			for j, bv := range bn {
-				oi[j] += av * bv
-			}
+			Axpy(av, b.Row(n), oi)
 		}
 	}
 }
@@ -115,14 +105,9 @@ func matMulATBAddCols(a, b, out *Matrix, iLo, iHi int) {
 // PMatMulATBAdd is the parallel variant of MatMulATBAdd, sharding output
 // rows (columns of a) across the worker pool. Bit-identical to MatMulATBAdd.
 func PMatMulATBAdd(a, b, out *Matrix) {
-	if a.Rows != b.Rows {
-		panic("tensor: matmulATBAdd shape mismatch")
-	}
-	if out.Rows != a.Cols || out.Cols != b.Cols {
-		panic("tensor: matmulATBAdd out has wrong shape")
-	}
+	checkATBAdd(a, b, out)
 	if Workers() <= 1 || matFlops(a.Rows, a.Cols, b.Cols) < parMinFlops {
-		MatMulATBAdd(a, b, out)
+		matMulATBAddCols(a, b, out, 0, a.Cols)
 		return
 	}
 	ParallelRows(a.Cols, 1, func(lo, hi int) {

@@ -5,9 +5,12 @@
 // matrices, a handful of BLAS-1/2/3 style routines, and seeded random
 // initialization. The one kernel the float32 inference tier needs, the ABT
 // product, is written once over both element types (ABT, Mat). The training
-// kernels (PMatMul and friends) optionally fan out over a shared help-first
-// worker pool sized by SetWorkers, which internal/core's data-parallel
-// trainer also dispatches on.
+// backward kernels (MatMul, MatMulATBAdd) run their inner loops through
+// Axpy, which is AVX assembly where the CPU has it and a Go loop elsewhere, with
+// the same bits either way. The training kernels (PMatMul and friends)
+// optionally fan out over a shared help-first worker pool sized by
+// SetWorkers, which internal/core's data-parallel trainer also dispatches
+// on.
 package tensor
 
 import (
@@ -102,9 +105,11 @@ func MatMul(a, b, out *Matrix) *Matrix {
 }
 
 // matMulRows runs the MatMul inner loops over output rows [lo, hi), which
-// must already be zeroed. The ikj loop order keeps the inner loop contiguous
-// in b and out. Row blocks are independent, so the parallel variant shards
-// this helper and stays bit-identical to the sequential kernel.
+// must already be zeroed. The ikj loop order makes each (i, k) step one
+// contiguous saxpy, out_i += a_ik·b_k, through the vector Axpy body; every
+// output element still adds its products in ascending k. Row blocks are
+// independent, so the parallel variant shards this helper and stays
+// bit-identical to the sequential kernel.
 //
 // The zero-skip below is deliberate and training/sparse-only: MatMul's
 // operands on the training path are binary feature rows and ReLU-gated
@@ -114,17 +119,12 @@ func MatMul(a, b, out *Matrix) *Matrix {
 // never zero-skips. BenchmarkZeroSkip measures the gap both ways.
 func matMulRows(a, b, out *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		ai := a.Row(i)
 		oi := out.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			aik := ai[k]
+		for k, aik := range a.Row(i) {
 			if aik == 0 {
 				continue
 			}
-			bk := b.Row(k)
-			for j := range bk {
-				oi[j] += aik * bk[j]
-			}
+			Axpy(aik, b.Row(k), oi)
 		}
 	}
 }
@@ -277,13 +277,26 @@ func Dot[T Float](a, b []T) T {
 	return s
 }
 
-// Axpy computes y += alpha*x.
+// Axpy computes y += alpha*x, each element as y[i] = x[i]*alpha + y[i]; x
+// and y must not partially overlap. It is the one saxpy body of the
+// training kernels: matMulRows and matMulATBAddCols run through it too.
+//
+// Where the CPU and OS support AVX (amd64, not built with -tags purego) the
+// body is the vector loop in axpy_amd64.s. Each lane runs the two IEEE
+// operations of the Go loop below, a multiply then an add, never a fused
+// multiply-add, with the same operands in the same order (x before alpha,
+// the product before y). So the two bodies agree bit for bit, NaN payloads
+// included, and no trained bit depends on which one ran.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("tensor: axpy length mismatch")
 	}
+	if useAVX {
+		axpyAVX(alpha, x, y)
+		return
+	}
 	for i, v := range x {
-		y[i] += alpha * v
+		y[i] += v * alpha
 	}
 }
 
