@@ -8,9 +8,9 @@ VERSION ?= dev
 GITSHA ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 LDFLAGS = -X main.buildVersion=$(VERSION) -X main.buildSHA=$(GITSHA)
 
-.PHONY: ci lint staticcheck vet build test purego docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test perfbench bench-kernels loc
+.PHONY: ci lint staticcheck vet build test purego examples docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test perfbench bench-kernels loc
 
-ci: lint staticcheck vet build test purego docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test
+ci: lint staticcheck vet build test purego examples docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test
 
 lint:
 	@unformatted=$$(gofmt -l .); \
@@ -29,6 +29,14 @@ staticcheck:
 
 vet:
 	$(GO) vet ./...
+
+# Run the four example programs end to end: each trains a small model,
+# lowers it to its f64 plan and answers through the plan. Nothing else runs
+# their main functions.
+examples:
+	@for d in quickstart updates imagesearch entitymatching; do \
+		echo "examples/$$d"; $(GO) run ./examples/$$d > /dev/null || exit 1; \
+	done
 
 # Documentation contracts: exported identifiers in the ops-facing packages
 # carry doc comments, and docs/RUNBOOK.md's flag reference matches the flags

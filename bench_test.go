@@ -15,6 +15,7 @@ import (
 	"cardnet/internal/core"
 	"cardnet/internal/dataset"
 	"cardnet/internal/dist"
+	"cardnet/internal/infer"
 	"cardnet/internal/simselect"
 )
 
@@ -174,7 +175,9 @@ func BenchmarkTable14to16Policies(b *testing.B) {
 // --- Micro-benchmarks: per-estimate latency (Table 6's unit) and the exact
 // selection algorithms the estimators must beat. ---
 
-func trainedModel(b *testing.B, accel bool) (*core.Model, []float64) {
+// trainedPlan trains a small CardNet (accel: CardNet-A) and returns its f64
+// plan, the thing that answers estimates, with one encoded test query.
+func trainedPlan(b *testing.B, accel bool) (*infer.Plan, []float64) {
 	b.Helper()
 	s := bench.BuildSuite(smallSpec("HM-ImageNet"), benchOpts())
 	bd := s.Bundle
@@ -188,22 +191,26 @@ func trainedModel(b *testing.B, accel bool) (*core.Model, []float64) {
 	cfg.Epochs = 6
 	m := core.New(cfg, bd.Train.X.Cols)
 	m.Train(bd.Train, bd.Valid)
-	return m, bd.TestX.Row(0)
+	p, err := infer.Lower(m, infer.PrecisionF64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p, bd.TestX.Row(0)
 }
 
 func BenchmarkEstimateCardNet(b *testing.B) {
-	m, x := trainedModel(b, false)
+	p, x := trainedPlan(b, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.EstimateEncoded(x, 16)
+		p.Estimate(x, 16)
 	}
 }
 
 func BenchmarkEstimateCardNetA(b *testing.B) {
-	m, x := trainedModel(b, true)
+	p, x := trainedPlan(b, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.EstimateEncoded(x, 16)
+		p.Estimate(x, 16)
 	}
 }
 

@@ -229,11 +229,14 @@ func main() {
 		log.Printf("saved to %s", *modelPath)
 	case "estimate":
 		b := buildBundle()
-		m := load(*modelPath)
+		plan, err := infer.Lower(load(*modelPath), infer.PrecisionF64)
+		if err != nil {
+			log.Fatalf("lower model %s: %v", *modelPath, err)
+		}
 		var actual, est []float64
 		shown := 0
 		for _, p := range b.Points {
-			v := m.EstimateEncoded(b.TestX.Row(p.Query), p.Tau)
+			v := plan.Estimate(b.TestX.Row(p.Query), p.Tau)
 			actual = append(actual, p.Actual)
 			est = append(est, v)
 			if shown < *queries {

@@ -14,6 +14,7 @@ import (
 	"cardnet/internal/bench"
 	"cardnet/internal/core"
 	"cardnet/internal/dataset"
+	"cardnet/internal/infer"
 	"cardnet/internal/optimizer"
 )
 
@@ -31,7 +32,7 @@ func main() {
 	// One CardNet-A estimator per attribute.
 	opts := bench.DefaultOptions()
 	type attrEst struct {
-		model  *core.Model
+		plan   *infer.Plan
 		bundle *bench.Bundle
 	}
 	ests := make([]attrEst, len(attrs))
@@ -39,12 +40,16 @@ func main() {
 		s := bench.BuildEuclideanSuite(attrNames[a], attrs[a], 0.5, opts)
 		m := core.New(quickCfg(s.Bundle.TauMax), s.Bundle.Train.X.Cols)
 		m.Train(s.Bundle.Train, s.Bundle.Valid)
-		ests[a] = attrEst{model: m, bundle: s.Bundle}
+		plan, err := infer.Lower(m, infer.PrecisionF64)
+		if err != nil {
+			log.Fatal(err)
+		}
+		ests[a] = attrEst{plan: plan, bundle: s.Bundle}
 	}
 	planner := &optimizer.FuncAttrEstimator{Label: "CardNet-A",
 		Fn: func(a int, q []float64, theta float64) float64 {
 			b := ests[a].bundle
-			return ests[a].model.EstimateEncoded(b.EncodeRecord(q), b.ThresholdOf(theta))
+			return ests[a].plan.Estimate(b.EncodeRecord(q), b.ThresholdOf(theta))
 		}}
 
 	// Blocking rule: "EU(name) <= 0.25 AND EU(affiliations) <= 0.4 AND

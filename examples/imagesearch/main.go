@@ -14,6 +14,7 @@ import (
 	"cardnet/internal/bench"
 	"cardnet/internal/core"
 	"cardnet/internal/dataset"
+	"cardnet/internal/infer"
 )
 
 // verifyCostPerCandidate models the image-level CNN re-check latency.
@@ -33,6 +34,10 @@ func main() {
 	cfg.Accel = true
 	model := core.New(cfg, b.Train.X.Cols)
 	model.Train(b.Train, b.Valid)
+	plan, err := infer.Lower(model, infer.PrecisionF64)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("query  theta  est.candidates  actual  predicted-verify-time")
 	var worst float64
@@ -40,7 +45,7 @@ func main() {
 		if p.Theta != 16 {
 			continue
 		}
-		est := model.EstimateEncoded(b.TestX.Row(p.Query), p.Tau)
+		est := plan.Estimate(b.TestX.Row(p.Query), p.Tau)
 		budget := time.Duration(est) * verifyCostPerCandidate
 		fmt.Printf("%5d  %5.0f  %14.1f  %6.0f  %v\n", p.Query, p.Theta, est, p.Actual, budget)
 		ratio := (est + 1) / (p.Actual + 1)

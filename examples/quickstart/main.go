@@ -11,6 +11,7 @@ import (
 	"cardnet/internal/dataset"
 	"cardnet/internal/dist"
 	"cardnet/internal/feature"
+	"cardnet/internal/infer"
 	"cardnet/internal/simselect"
 )
 
@@ -62,8 +63,13 @@ func main() {
 	log.Printf("trained in %d epochs, validation MSLE %.4f, model size %d KB\n",
 		res.Epochs, res.BestValidMSLE, model.SizeBytes()/1024)
 
-	// 5. Estimate: the composed estimator is monotone in θ (Lemma 1).
-	est := core.NewEstimator[dist.BitVector](ext, model)
+	// 5. Lower the trained model to its f64 inference plan and estimate
+	//    through it: the composed estimator is monotone in θ (Lemma 1).
+	plan, err := infer.Lower(model, infer.PrecisionF64)
+	if err != nil {
+		log.Fatal(err)
+	}
+	est := &infer.Estimator[dist.BitVector]{Ext: ext, Plan: plan}
 	q := records[split.Test[0]]
 	fmt.Println("theta  actual  estimate")
 	for theta := 0.0; theta <= thetaMax; theta += 4 {

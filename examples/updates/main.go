@@ -13,6 +13,7 @@ import (
 	"cardnet/internal/dataset"
 	"cardnet/internal/dist"
 	"cardnet/internal/feature"
+	"cardnet/internal/infer"
 	"cardnet/internal/simselect"
 )
 
@@ -73,10 +74,16 @@ func main() {
 	fmt.Printf("incremental learning after +600 inserts: %v, %d epochs, validation MSLE %.4f (skipped=%v)\n",
 		time.Since(t1).Round(time.Millisecond), inc.Epochs, inc.ValidMSLE, inc.Skipped)
 
-	// Sanity: the refreshed model tracks the larger cardinalities.
+	// Sanity: the refreshed model tracks the larger cardinalities. Lower
+	// after the retrain, as after every one: a plan lowered earlier would
+	// mix its copied fused heads with the retrained weights.
+	plan, err := infer.Lower(model, infer.PrecisionF64)
+	if err != nil {
+		log.Fatal(err)
+	}
 	ix := simselect.NewHammingIndex(updated)
 	q := trainQ[0]
-	est := core.NewEstimator[dist.BitVector](ext, model)
+	est := &infer.Estimator[dist.BitVector]{Ext: ext, Plan: plan}
 	fmt.Println("theta  actual(updated)  estimate")
 	for theta := 4.0; theta <= thetaMax; theta += 4 {
 		fmt.Printf("%5.0f  %15d  %8.1f\n", theta, ix.Count(q, theta), est.Estimate(q, theta))

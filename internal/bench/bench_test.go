@@ -142,6 +142,17 @@ func TestRunFig7(t *testing.T) {
 	if len(res) != 4 {
 		t.Fatalf("got %d rows", len(res))
 	}
+	// RunFig7 subsets the training rows after the handles are built, so a
+	// handle that trained on the full set would score the same at 50%.
+	mse := map[string][]float64{}
+	for _, r := range res {
+		mse[r.Model] = append(mse[r.Model], r.Report.MSE)
+	}
+	for model, v := range mse {
+		if v[0] == v[1] {
+			t.Fatalf("%s: same MSE %v at 50%% and 100%% of the training rows", model, v[0])
+		}
+	}
 	var buf bytes.Buffer
 	RenderFig7(&buf, res)
 	if !strings.Contains(buf.String(), "@50%") {
@@ -193,6 +204,7 @@ func TestOODSwapChangesWorkload(t *testing.T) {
 	s := BuildSuite(tinySpec("HM-ImageNet"), tinyOpts())
 	b := s.Bundle
 	before := b.Actuals()
+	s.Handle(NameCardNetA).Fit()
 	b.UseOutOfDatasetQueries(100, b.TestX.Rows, 17)
 	after := b.Actuals()
 	if len(after) == 0 {
@@ -214,6 +226,18 @@ func TestOODSwapChangesWorkload(t *testing.T) {
 	for _, p := range b.Points[:5] {
 		if h.Estimate(p) != p.Actual {
 			t.Fatal("SimSelect stale after OOD swap")
+		}
+	}
+	// CardNet-A, fitted before the swap, answers the swapped queries: it
+	// agrees with the same model fitted after the same swap.
+	s2 := BuildSuite(tinySpec("HM-ImageNet"), tinyOpts())
+	s2.Bundle.UseOutOfDatasetQueries(100, s2.Bundle.TestX.Rows, 17)
+	for i, p := range b.Points {
+		if p != s2.Bundle.Points[i] {
+			t.Fatalf("point %d: swap not deterministic: %+v vs %+v", i, p, s2.Bundle.Points[i])
+		}
+		if got, want := s.Handle(NameCardNetA).Estimate(p), s2.Handle(NameCardNetA).Estimate(p); got != want {
+			t.Fatalf("point %d: CardNet-A fitted before the swap estimates %v, after it %v", i, got, want)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"cardnet/internal/dataset"
 	"cardnet/internal/dist"
 	"cardnet/internal/feature"
+	"cardnet/internal/infer"
 	"cardnet/internal/optimizer"
 	"cardnet/internal/tensor"
 )
@@ -71,7 +72,7 @@ func RunFig11(specs []ConjSpec, nQueries int, opts Options) []ConjResult {
 
 		// Train learned estimators per attribute.
 		type attrModels struct {
-			cardnet *core.Model
+			cardnet *infer.Plan
 			xgb     *baselines.Boosted
 			rmi     *baselines.RMI
 			bundle  *Bundle
@@ -81,8 +82,9 @@ func RunFig11(specs []ConjSpec, nQueries int, opts Options) []ConjResult {
 			s := BuildEuclideanSuite(fmt.Sprintf("%s-attr%d", cs.Name, a), attrs[a], thetaMax, opts)
 			b := s.Bundle
 			am := attrModels{bundle: b}
-			am.cardnet = core.New(cardNetConfig(opts, b.TauMax, true), b.Train.X.Cols)
-			am.cardnet.Train(b.Train, b.Valid)
+			cn := core.New(cardNetConfig(opts, b.TauMax, true), b.Train.X.Cols)
+			cn.Train(b.Train, b.Valid)
+			am.cardnet = lowerF64(cn)
 			am.xgb = baselines.NewXGB(b.TauMax)
 			am.xgb.Fit(b.Train, b.Valid)
 			am.rmi = baselines.NewRMI(b.TauMax)
@@ -102,7 +104,7 @@ func RunFig11(specs []ConjSpec, nQueries int, opts Options) []ConjResult {
 			&optimizer.ExactAttrEstimator{DB: db},
 			wrap(NameCardNetA, func(a int, q []float64, theta float64) float64 {
 				b := models[a].bundle
-				return models[a].cardnet.EstimateEncoded(b.EncodeRecord(q), b.ThresholdOf(theta))
+				return models[a].cardnet.Estimate(b.EncodeRecord(q), b.ThresholdOf(theta))
 			}),
 			wrap("DL-RMI", func(a int, q []float64, theta float64) float64 {
 				b := models[a].bundle
@@ -251,6 +253,7 @@ func RunFig13(specs []dataset.Spec, nQueries int, thetas []int, opts Options) []
 
 		cn := core.New(cardNetConfig(opts, 32, true), ext.Dim())
 		cn.Train(train, valid)
+		cnPlan := lowerF64(cn)
 		rmi := baselines.NewRMI(32)
 		rmi.Fit_.Epochs = fitProfile(opts)
 		rmi.Fit(train, valid)
@@ -275,7 +278,7 @@ func RunFig13(specs []dataset.Spec, nQueries int, thetas []int, opts Options) []
 		}{
 			{&optimizer.ExactPartEstimator{G: g}, 0},
 			{&optimizer.FuncPartEstimator{Label: NameCardNetA, Fn: cachedPartFn(g, func(p int, q dist.BitVector) []float64 {
-				return cn.EstimateAllTaus(ext.Encode(g.PartView(q, p)))
+				return cnPlan.EstimateAllTaus(ext.Encode(g.PartView(q, p)))
 			})}, cn.SizeBytes()},
 			{&optimizer.FuncPartEstimator{Label: "Histogram", Fn: func(p int, q dist.BitVector, t int) float64 {
 				if t < 0 {
@@ -397,9 +400,10 @@ func RunFig14(spec dataset.Spec, nQueries int, groupBits []int, opts Options) []
 	split := len(sample) * 9 / 10
 	cn := core.New(cardNetConfig(opts, 32, true), ext.Dim())
 	cn.Train(gphTrainSet(g, ext, sample[:split]), gphTrainSet(g, ext, sample[split:]))
+	cnPlan := lowerF64(cn)
 	run(NameCardNetA, &optimizer.FuncPartEstimator{Label: NameCardNetA,
 		Fn: cachedPartFn(g, func(p int, q dist.BitVector) []float64 {
-			return cn.EstimateAllTaus(ext.Encode(g.PartView(q, p)))
+			return cnPlan.EstimateAllTaus(ext.Encode(g.PartView(q, p)))
 		})}, cn.SizeBytes())
 	run("Mean", optimizer.NewMeanPartEstimator(g, 24), 0)
 	return out

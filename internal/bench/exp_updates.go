@@ -100,7 +100,8 @@ func RunFig8(spec dataset.Spec, nOps, batch, evalEvery int, opts Options) []Upda
 	prevValid := res0.BestValidMSLE
 
 	// The +Sample strategy keeps the original model frozen (deep copy via
-	// the gob round trip).
+	// the gob round trip: an f64 plan's layers are views of its model's
+	// weights, so a plan of inc itself would follow its retraining).
 	frozen := inc
 	{
 		var buf bytes.Buffer
@@ -110,6 +111,7 @@ func RunFig8(spec dataset.Spec, nOps, batch, evalEvery int, opts Options) []Upda
 			}
 		}
 	}
+	frozenPlan := lowerF64(frozen)
 
 	stream := dataset.UpdateStream(len(live), len(pool.Bits), nOps, batch, opts.Seed+5)
 	var out []UpdatePoint
@@ -137,6 +139,9 @@ func RunFig8(spec dataset.Spec, nOps, batch, evalEvery int, opts Options) []Upda
 		incRes := inc.IncrementalTrain(newTrain, newValid, prevValid)
 		incSecs := time.Since(incStart).Seconds()
 		prevValid = incRes.ValidMSLE
+		// Lower again after every retrain: the plan's fused heads are
+		// copies, so an older plan would mix old and new weights.
+		incPlan := lowerF64(inc)
 
 		// Retrain from scratch.
 		retStart := time.Now()
@@ -165,13 +170,13 @@ func RunFig8(spec dataset.Spec, nOps, batch, evalEvery int, opts Options) []Upda
 
 		out = append(out, UpdatePoint{
 			Op:       opIdx + 1,
-			IncLearn: evalModel(inc.EstimateEncoded),
-			Retrain:  evalModel(retrained.EstimateEncoded),
+			IncLearn: evalModel(incPlan.Estimate),
+			Retrain:  evalModel(lowerF64(retrained).Estimate),
 			PlusSample: evalModel(func(x []float64, tau int) float64 {
 				// Stale estimate plus delta corrections counted exactly over
 				// the (small) insert/delete sets.
 				q := bitsFromFloats(x)
-				v := frozen.EstimateEncoded(x, tau) +
+				v := frozenPlan.Estimate(x, tau) +
 					float64(insIx.Count(q, float64(tau))) -
 					float64(delIx.Count(q, float64(tau)))
 				if v < 0 {

@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
 	"cardnet/internal/baselines"
 	"cardnet/internal/core"
+	"cardnet/internal/infer"
 	"cardnet/internal/nn"
 	"cardnet/internal/tensor"
 )
@@ -74,19 +76,9 @@ func buildHandles(b *Bundle, opts Options) []*Handle {
 	}
 
 	// CardNet and CardNet-A.
-	for _, accel := range []bool{false, true} {
-		name := NameCardNet
-		if accel {
-			name = NameCardNetA
-		}
-		cfg := cardNetConfig(opts, b.TauMax, accel)
-		m := core.New(cfg, b.Train.X.Cols)
-		hs = append(hs, &Handle{Name: name, Monotone: true,
-			fit:      func() { m.Train(b.Train, b.Valid) },
-			estimate: func(tp TestPoint) float64 { return m.EstimateEncoded(b.TestX.Row(tp.Query), tp.Tau) },
-			size:     func() int { return m.SizeBytes() },
-		})
-	}
+	hs = append(hs,
+		cardNetHandle(NameCardNet, cardNetConfig(opts, b.TauMax, false), b, false),
+		cardNetHandle(NameCardNetA, cardNetConfig(opts, b.TauMax, true), b, false))
 
 	// DL-BiLSTM: edit-distance datasets only (the paper's recurrent
 	// feature-extraction variant).
@@ -114,13 +106,8 @@ func ablationHandles(b *Bundle, opts Options) []*Handle {
 	// Feature extraction replaced by the dense per-kind encoding (nil for
 	// Hamming, where features are already the raw vectors).
 	if b.AltTrain != nil {
-		cfg := cardNetConfig(opts, b.TauMax, true)
-		m := core.New(cfg, b.AltTrain.X.Cols)
-		hs = append(hs, &Handle{Name: AblationNames["FeatureExtraction"], Monotone: true,
-			fit:      func() { m.Train(b.AltTrain, b.AltValid) },
-			estimate: func(tp TestPoint) float64 { return m.EstimateEncoded(b.AltTestX.Row(tp.Query), tp.Tau) },
-			size:     func() int { return m.SizeBytes() },
-		})
+		hs = append(hs, cardNetHandle(AblationNames["FeatureExtraction"],
+			cardNetConfig(opts, b.TauMax, true), b, true))
 	}
 
 	// Incremental prediction replaced: one decoder on [x′; e_τ] predicting
@@ -133,30 +120,49 @@ func ablationHandles(b *Bundle, opts Options) []*Handle {
 	})
 
 	// VAE replaced by direct concatenation of the binary vector.
-	{
-		cfg := cardNetConfig(opts, b.TauMax, true)
-		cfg.VAELatent = 0
-		cfg.Lambda = 0
-		m := core.New(cfg, b.Train.X.Cols)
-		hs = append(hs, &Handle{Name: AblationNames["VAE"], Monotone: true,
-			fit:      func() { m.Train(b.Train, b.Valid) },
-			estimate: func(tp TestPoint) float64 { return m.EstimateEncoded(b.TestX.Row(tp.Query), tp.Tau) },
-			size:     func() int { return m.SizeBytes() },
-		})
-	}
+	noVAE := cardNetConfig(opts, b.TauMax, true)
+	noVAE.VAELatent = 0
+	noVAE.Lambda = 0
+	hs = append(hs, cardNetHandle(AblationNames["VAE"], noVAE, b, false))
 
 	// Dynamic training replaced by plain MSLE.
-	{
-		cfg := cardNetConfig(opts, b.TauMax, true)
-		cfg.LambdaDelta = 0
-		m := core.New(cfg, b.Train.X.Cols)
-		hs = append(hs, &Handle{Name: AblationNames["DynamicTraining"], Monotone: true,
-			fit:      func() { m.Train(b.Train, b.Valid) },
-			estimate: func(tp TestPoint) float64 { return m.EstimateEncoded(b.TestX.Row(tp.Query), tp.Tau) },
-			size:     func() int { return m.SizeBytes() },
-		})
-	}
+	plainMSLE := cardNetConfig(opts, b.TauMax, true)
+	plainMSLE.LambdaDelta = 0
+	hs = append(hs, cardNetHandle(AblationNames["DynamicTraining"], plainMSLE, b, false))
 	return hs
+}
+
+// cardNetHandle is a CardNet model of config cfg on b's encoded features
+// (alt: the dense per-kind encoding). Fit trains it and lowers it to its f64
+// plan, which answers every estimate. The bundle's sets are read at use
+// time: RunFig7 subsets the training sets after the handles are built, and
+// Figure 10 swaps in new test queries after they are fitted.
+func cardNetHandle(name string, cfg core.Config, b *Bundle, alt bool) *Handle {
+	train, valid, testX := &b.Train, &b.Valid, &b.TestX
+	if alt {
+		train, valid, testX = &b.AltTrain, &b.AltValid, &b.AltTestX
+	}
+	m := core.New(cfg, (*train).X.Cols)
+	var plan *infer.Plan
+	return &Handle{Name: name, Monotone: true,
+		fit: func() {
+			m.Train(*train, *valid)
+			plan = lowerF64(m)
+		},
+		estimate: func(tp TestPoint) float64 { return plan.Estimate((*testX).Row(tp.Query), tp.Tau) },
+		size:     func() int { return m.SizeBytes() },
+	}
+}
+
+// lowerF64 compiles a trained model to the f64 plan that answers its
+// estimates. Lowering fails only on a NaN or infinite weight, which no
+// experiment can report on, so that panics.
+func lowerF64(m *core.Model) *infer.Plan {
+	p, err := infer.Lower(m, infer.PrecisionF64)
+	if err != nil {
+		panic(fmt.Sprintf("bench: lower trained CardNet: %v", err))
+	}
+	return p
 }
 
 // directModel is the incremental-prediction ablation: VAE pretraining plus a

@@ -99,9 +99,10 @@ func syncDir(dir string) error {
 // ReadFile reads a file written by WriteFileAtomic, verifies the magic,
 // version, kind, length, and CRC32, and returns the payload. Any
 // verification failure returns an error wrapping ErrCorrupt; a kind mismatch
-// (a valid file of the wrong type) is reported distinctly.
+// (a valid file of the wrong type) is reported distinctly. Anything but a
+// regular file is refused (see readRegular).
 func ReadFile(path, kind string) ([]byte, error) {
-	raw, err := os.ReadFile(path)
+	raw, err := readRegular(path)
 	if err != nil {
 		return nil, err
 	}
@@ -113,6 +114,21 @@ func ReadFile(path, kind string) ([]byte, error) {
 		return nil, fmt.Errorf("checkpoint: %s holds a %q frame, expected %q", path, gotKind, kind)
 	}
 	return payload, nil
+}
+
+// readRegular reads path only if os.Stat reports a regular file. Paths can
+// come from a request body (/admin/reload): a device such as /dev/zero would
+// otherwise grow the heap without bound, and a FIFO would block the reader
+// forever.
+func readRegular(path string) ([]byte, error) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	if !fi.Mode().IsRegular() {
+		return nil, fmt.Errorf("checkpoint: %s is not a regular file (mode %s)", path, fi.Mode().Type())
+	}
+	return os.ReadFile(path)
 }
 
 // decodeFrame verifies a framed byte slice and returns (payload, kind).

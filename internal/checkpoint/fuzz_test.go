@@ -10,6 +10,7 @@ import (
 
 	"cardnet/internal/core"
 	"cardnet/internal/nn"
+	"cardnet/internal/tensor"
 )
 
 // wireModel mirrors core.Model.Save's gob layout (gob matches fields by
@@ -108,8 +109,8 @@ func FuzzLoadModel(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if curve := m.EstimateAllTaus(make([]float64, m.InDim)); len(curve) != m.Cfg.TauMax+1 {
-			t.Fatalf("curve has %d points, want τmax+1 = %d", len(curve), m.Cfg.TauMax+1)
+		if curve := m.EstimateAllTausBatch(tensor.NewMatrix(1, m.InDim)); curve.Cols != m.Cfg.TauMax+1 {
+			t.Fatalf("curve has %d points, want τmax+1 = %d", curve.Cols, m.Cfg.TauMax+1)
 		}
 	})
 }
@@ -141,7 +142,7 @@ func FuzzRestoreTrainer(f *testing.F) {
 		} else {
 			_, err = m.ResumeTrain(train, valid, st)
 		}
-		if err == nil && len(m.EstimateAllTaus(make([]float64, m.InDim))) != m.Cfg.TauMax+1 {
+		if err == nil && m.EstimateAllTausBatch(tensor.NewMatrix(1, m.InDim)).Cols != m.Cfg.TauMax+1 {
 			t.Fatal("resumed model's curve has the wrong length")
 		}
 	})

@@ -3,7 +3,6 @@ package checkpoint
 import (
 	"bytes"
 	"fmt"
-	"os"
 
 	"cardnet/internal/core"
 )
@@ -25,9 +24,10 @@ func SaveModel(path string, m *core.Model) error {
 // still accepted: anything without the frame magic is handed to the legacy
 // decoder, which fails loudly on truncation rather than yielding a partial
 // model. A file that fails the frame check, does not decode, or whose config
-// does not match its weights is reported as ErrCorrupt.
+// does not match its weights is reported as ErrCorrupt. Anything but a
+// regular file is refused before it is read.
 func LoadModel(path string) (*core.Model, error) {
-	raw, err := os.ReadFile(path)
+	raw, err := readRegular(path)
 	if err != nil {
 		return nil, err
 	}

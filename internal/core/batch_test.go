@@ -19,9 +19,14 @@ func randomBinaryBatch(seed int64, b, dim int) *tensor.Matrix {
 	return xs
 }
 
-// The batched path must be bit-identical to the per-sample paths: every row
-// of EstimateAllTausBatch equals EstimateAllTaus, and EstimateEncoded equals
-// that curve at the clamped τ (0 below zero).
+// estimateRow is one query's curve through the nn forward: a one-row
+// EstimateAllTausBatch.
+func estimateRow(m *Model, x []float64) []float64 {
+	return m.EstimateAllTausBatch(&tensor.Matrix{Rows: 1, Cols: len(x), Data: x}).Row(0)
+}
+
+// The batched path must be bit-identical to the per-sample path: every row
+// of EstimateAllTausBatch equals that row run alone.
 func TestBatchedEstimatesBitIdentical(t *testing.T) {
 	for _, accel := range []bool{false, true} {
 		m := New(tinyConfig(7, accel), 20)
@@ -33,19 +38,11 @@ func TestBatchedEstimatesBitIdentical(t *testing.T) {
 			t.Fatalf("accel=%v: batch all-taus shape %d×%d", accel, all.Rows, all.Cols)
 		}
 		for e := 0; e < b; e++ {
-			want := m.EstimateAllTaus(xs.Row(e))
+			want := estimateRow(m, xs.Row(e))
 			for i, v := range want {
 				if all.At(e, i) != v {
 					t.Fatalf("accel=%v: row %d τ=%d batched %v != per-sample %v", accel, e, i, all.At(e, i), v)
 				}
-			}
-			tau := e%(m.Cfg.TauMax+3) - 1 // exercises negative τ and clamping too
-			want1 := 0.0
-			if tau >= 0 {
-				want1 = all.At(e, min(tau, m.Cfg.TauMax))
-			}
-			if got := m.EstimateEncoded(xs.Row(e), tau); got != want1 {
-				t.Fatalf("accel=%v: row %d tau=%d EstimateEncoded %v != batched %v", accel, e, tau, got, want1)
 			}
 		}
 	}
@@ -74,10 +71,8 @@ func TestEstimateConcurrentMatchesSerial(t *testing.T) {
 		xs := randomBinaryBatch(29, nq, m.InDim)
 
 		wantAll := make([][]float64, nq)
-		wantOne := make([]float64, nq)
 		for e := 0; e < nq; e++ {
-			wantAll[e] = m.EstimateAllTaus(xs.Row(e))
-			wantOne[e] = m.EstimateEncoded(xs.Row(e), e%(m.Cfg.TauMax+1))
+			wantAll[e] = estimateRow(m, xs.Row(e))
 		}
 
 		workers := runtime.GOMAXPROCS(0) * 2
@@ -92,14 +87,10 @@ func TestEstimateConcurrentMatchesSerial(t *testing.T) {
 				defer wg.Done()
 				for rep := 0; rep < 20; rep++ {
 					e := (w*31 + rep*7) % nq
-					if got := m.EstimateEncoded(xs.Row(e), e%(m.Cfg.TauMax+1)); got != wantOne[e] {
-						errs <- "EstimateEncoded diverged under concurrency"
-						return
-					}
-					got := m.EstimateAllTaus(xs.Row(e))
+					got := estimateRow(m, xs.Row(e))
 					for i, v := range wantAll[e] {
 						if got[i] != v {
-							errs <- "EstimateAllTaus diverged under concurrency"
+							errs <- "single-row forward diverged under concurrency"
 							return
 						}
 					}

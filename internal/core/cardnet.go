@@ -40,7 +40,7 @@ const monoSampleEvery = 64
 type Model struct {
 	Cfg    Config
 	InDim  int
-	TauTop int // largest τ seen in training; Estimate clamps to it
+	TauTop int // largest τ seen in training
 
 	vae   *nn.VAE
 	emb   *nn.Param      // E, (TauMax+1)·EmbDim, column i = distance embedding eᵢ
@@ -230,18 +230,6 @@ func (m *Model) backward(ctx *nn.Ctx, f *fwd, dc *tensor.Matrix, vaeScale float6
 	m.vae.Backward(ctx, f.vaeOut, f.x, vaeScale, dzvae, normRows)
 }
 
-// EstimateEncoded returns the deterministic cardinality estimate for an
-// already-encoded binary feature vector and transformed threshold τ: the
-// single-row EstimateAllTaus curve at τ clamped to TauMax, or 0 for τ < 0.
-// The result is monotonically non-decreasing in τ.
-func (m *Model) EstimateEncoded(x []float64, tau int) float64 {
-	curve := m.EstimateAllTaus(x)
-	if tau < 0 {
-		return 0
-	}
-	return curve[min(tau, m.Cfg.TauMax)]
-}
-
 // spotCheckMonotone re-validates the invariant behind Lemma 2 on one set of
 // per-distance decoder outputs: every ĉᵢ must be finite and non-negative,
 // otherwise the prefix-sum estimate could decrease in τ. A violation means
@@ -275,12 +263,6 @@ func CurveMonotone(curve []float64) bool {
 	return true
 }
 
-// EstimateAllTaus returns the estimate at every τ in [0, TauMax] for one
-// encoded query: a single-row EstimateAllTausBatch.
-func (m *Model) EstimateAllTaus(x []float64) []float64 {
-	return m.EstimateAllTausBatch(&tensor.Matrix{Rows: 1, Cols: len(x), Data: x}).Row(0)
-}
-
 // estMinShardRows gates the parallel sharding of EstimateAllTausBatch: a
 // batch only fans out across the worker pool when every shard keeps at least
 // this many rows, so single-row calls never pay dispatch overhead.
@@ -289,10 +271,9 @@ const estMinShardRows = 16
 // EstimateAllTausBatch is the model's one nn inference body: xs is B×InDim
 // (one encoded query per row) and the result is B×(TauMax+1), row e holding
 // the prefix-sum estimates of query e at every τ. Wide batches shard their
-// rows across the tensor worker pool. Serving answers through compiled
+// rows across the tensor worker pool. Estimates are answered by compiled
 // internal/infer plans instead; this nn forward is their reference (the f32
-// gate compares against it) and also answers library calls and training
-// validation. The inference forward treats every row independently, so each
+// gate compares against it) and training validation's forward. The inference forward treats every row independently, so each
 // output row is bit-identical to its single-row call at any worker count.
 // Safe for concurrent callers (the inference forward writes no shared state).
 func (m *Model) EstimateAllTausBatch(xs *tensor.Matrix) *tensor.Matrix {

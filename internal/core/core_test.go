@@ -137,8 +137,7 @@ func TestEstimateMonotonicityProperty(t *testing.T) {
 				}
 			}
 			prev := -1.0
-			for tau := 0; tau <= 10; tau++ {
-				v := m.EstimateEncoded(x, tau)
+			for _, v := range estimateRow(m, x) {
 				if v < prev-1e-9 || v < 0 || math.IsNaN(v) {
 					return false
 				}
@@ -156,33 +155,10 @@ func TestEstimateDeterministic(t *testing.T) {
 	m := New(tinyConfig(6, false), 16)
 	x := make([]float64, 16)
 	x[3], x[9] = 1, 1
-	a := m.EstimateEncoded(x, 4)
-	b := m.EstimateEncoded(x, 4)
+	a := estimateRow(m, x)[4]
+	b := estimateRow(m, x)[4]
 	if a != b {
 		t.Fatal("inference must be deterministic")
-	}
-}
-
-func TestEstimateAllTausMatchesEstimateEncoded(t *testing.T) {
-	m := New(tinyConfig(8, true), 16)
-	x := make([]float64, 16)
-	x[0], x[5], x[11] = 1, 1, 1
-	all := m.EstimateAllTaus(x)
-	for tau := 0; tau <= 8; tau++ {
-		if math.Abs(all[tau]-m.EstimateEncoded(x, tau)) > 1e-9 {
-			t.Fatalf("mismatch at τ=%d: %v vs %v", tau, all[tau], m.EstimateEncoded(x, tau))
-		}
-	}
-}
-
-func TestEstimateClampsTau(t *testing.T) {
-	m := New(tinyConfig(4, false), 8)
-	x := make([]float64, 8)
-	if m.EstimateEncoded(x, -3) != 0 {
-		t.Fatal("negative τ must estimate 0")
-	}
-	if m.EstimateEncoded(x, 99) != m.EstimateEncoded(x, 4) {
-		t.Fatal("τ above TauMax must clamp")
 	}
 }
 
@@ -193,7 +169,7 @@ func TestEstimateWrongDimPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.EstimateEncoded(make([]float64, 5), 1)
+	estimateRow(m, make([]float64, 5))
 }
 
 // Gradient check of the full model (standard and accelerated) against
@@ -334,8 +310,7 @@ func TestTrainedModelStillMonotonic(t *testing.T) {
 	for qi := 0; qi < 20; qi++ {
 		x := recs[qi].Floats()
 		prev := -1.0
-		for tau := 0; tau <= 12; tau++ {
-			v := m.EstimateEncoded(x, tau)
+		for tau, v := range estimateRow(m, x) {
 			if v < prev-1e-9 {
 				t.Fatalf("trained model not monotone at query %d τ=%d", qi, tau)
 			}
@@ -372,8 +347,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	for qi := 0; qi < 10; qi++ {
 		x := recs[qi].Floats()
-		for tau := 0; tau <= 12; tau += 3 {
-			if m.EstimateEncoded(x, tau) != m2.EstimateEncoded(x, tau) {
+		a, b := estimateRow(m, x), estimateRow(m2, x)
+		for tau := range a {
+			if a[tau] != b[tau] {
 				t.Fatal("loaded model estimates differ")
 			}
 		}
@@ -425,27 +401,6 @@ func TestIncrementalTrainImprovesAfterUpdate(t *testing.T) {
 	}
 }
 
-func TestEstimatorEndToEndMonotoneInTheta(t *testing.T) {
-	train, valid, ext, recs := hammingFixture(t, 200)
-	cfg := tinyConfig(12, true)
-	cfg.Epochs = 6
-	m := New(cfg, train.X.Cols)
-	m.Train(train, valid)
-	est := NewEstimator[dist.BitVector](ext, m)
-	q := recs[0]
-	prev := -1.0
-	for theta := 0.0; theta <= 12; theta++ {
-		v := est.Estimate(q, theta)
-		if v < prev-1e-9 {
-			t.Fatalf("estimate not monotone in θ at %v", theta)
-		}
-		prev = v
-	}
-	if est.Count(q, 5) < 0 {
-		t.Fatal("Count must be non-negative")
-	}
-}
-
 func TestModelSizeBytesPositiveAndAccelLarger(t *testing.T) {
 	std := New(tinyConfig(10, false), 32)
 	acc := New(tinyConfig(10, true), 32)
@@ -477,47 +432,11 @@ func TestNoVAEAblationVariant(t *testing.T) {
 	// Still monotone and deterministic.
 	x := train.X.Row(0)
 	prev := -1.0
-	for tau := 0; tau <= 12; tau++ {
-		v := m.EstimateEncoded(x, tau)
+	for _, v := range estimateRow(m, x) {
 		if v < prev-1e-9 {
 			t.Fatal("no-VAE variant must stay monotone")
 		}
 		prev = v
-	}
-}
-
-func TestComplexityMatchesLiveParams(t *testing.T) {
-	for _, accel := range []bool{false, true} {
-		m := New(tinyConfig(10, accel), 24)
-		c := m.Complexity()
-		if c.Total != nn.NumParams(m.Params()) {
-			t.Fatalf("accel=%v: complexity total %d != live params %d",
-				accel, c.Total, nn.NumParams(m.Params()))
-		}
-		if c.Decoders != 11*12+11 { // (τmax+1)·ZDim + (τmax+1)
-			t.Fatalf("decoder params=%d", c.Decoders)
-		}
-		if c.VAE == 0 || c.Encoder == 0 {
-			t.Fatalf("zero component in %+v", c)
-		}
-	}
-	// No-VAE variant reports zero VAE params.
-	cfg := tinyConfig(4, false)
-	cfg.VAELatent = 0
-	m := New(cfg, 8)
-	if c := m.Complexity(); c.VAE != 0 || c.Total != nn.NumParams(m.Params()) {
-		t.Fatalf("no-VAE complexity wrong: %+v", c)
-	}
-}
-
-func TestInferenceMultiplier(t *testing.T) {
-	std := New(tinyConfig(9, false), 8)
-	acc := New(tinyConfig(9, true), 8)
-	if std.InferenceMultiplier() != 10 {
-		t.Fatalf("std multiplier=%d", std.InferenceMultiplier())
-	}
-	if acc.InferenceMultiplier() != 1 {
-		t.Fatalf("accel multiplier=%d", acc.InferenceMultiplier())
 	}
 }
 
@@ -641,7 +560,7 @@ func TestEstimateRecordsObsMetrics(t *testing.T) {
 
 	const n = 2 * monoSampleEvery
 	for i := 0; i < n; i++ {
-		m.EstimateEncoded(recs[i%len(recs)].Floats(), i%13)
+		estimateRow(m, recs[i%len(recs)].Floats())
 	}
 	if got := estBatchCalls.Value() - calls0; got != n {
 		t.Fatalf("batch calls recorded=%d, want %d", got, n)

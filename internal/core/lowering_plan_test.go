@@ -109,3 +109,42 @@ func TestLoweredModelImmutable(t *testing.T) {
 		}
 	}
 }
+
+// TestEstimateAllTausMatchesEstimateEncoded checks that the single estimate
+// the lowered f64 plan answers at each τ equals the model's nn curve at that
+// τ, to float64 reassociation error.
+func TestEstimateAllTausMatchesEstimateEncoded(t *testing.T) {
+	for ci, cfg := range lowerTestConfigs() {
+		m := core.New(cfg, 16)
+		p, err := infer.Lower(m, infer.PrecisionF64)
+		if err != nil {
+			t.Fatalf("cfg %d: %v", ci, err)
+		}
+		x := tensor.NewMatrix(1, 16)
+		x.Data[0], x.Data[5], x.Data[11] = 1, 1, 1
+		all := m.EstimateAllTausBatch(x).Row(0)
+		for tau := 0; tau <= cfg.TauMax; tau++ {
+			if got := p.Estimate(x.Row(0), tau); math.Abs(all[tau]-got) > 1e-9*math.Max(1, math.Abs(all[tau])) {
+				t.Fatalf("cfg %d: mismatch at τ=%d: curve %v, Estimate %v", ci, tau, all[tau], got)
+			}
+		}
+	}
+}
+
+// TestEstimateClampsTau checks the lowered plan's τ rule: a negative τ
+// estimates 0 and a τ above TauMax answers the TauMax estimate.
+func TestEstimateClampsTau(t *testing.T) {
+	cfg := core.DefaultConfig(4)
+	m := core.New(cfg, 8)
+	p, err := infer.Lower(m, infer.PrecisionF64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, 8)
+	if p.Estimate(x, -3) != 0 {
+		t.Fatal("negative τ must estimate 0")
+	}
+	if p.Estimate(x, 99) != p.Estimate(x, 4) {
+		t.Fatal("τ above TauMax must clamp")
+	}
+}

@@ -138,7 +138,7 @@ func TestBatchEstimatorsShardedBitIdentical(t *testing.T) {
 	all := m.EstimateAllTausBatch(xs)
 
 	for e := 0; e < n; e++ {
-		want := m.EstimateAllTaus(xs.Row(e))
+		want := estimateRow(m, xs.Row(e))
 		for i, v := range all.Row(e) {
 			if math.Float64bits(v) != math.Float64bits(want[i]) {
 				t.Fatalf("row %d tau %d: batch %v, per-sample %v", e, i, v, want[i])

@@ -119,9 +119,10 @@ func TestPlanCurvesMonotone(t *testing.T) {
 	}
 }
 
-// TestEstimateAllTausMatchesBatch checks the single-query entry point is the
-// one-row batch, and that every row of a batch is bit-equal to that row run
-// alone (the curve cache relies on it), at both tiers.
+// TestEstimateAllTausMatchesBatch checks the single-query entry points are
+// the one-row batch, and that every row of a batch is bit-equal to that row
+// run alone (the curve cache relies on it), at both tiers. Estimate is the
+// curve at every τ, 0 below τ = 0, and the τmax value above τmax.
 func TestEstimateAllTausMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for ci, cfg := range testConfigs() {
@@ -139,6 +140,16 @@ func TestEstimateAllTausMatchesBatch(t *testing.T) {
 					if math.Float64bits(got[i]) != math.Float64bits(v) {
 						t.Fatalf("cfg %d %s: row %d elem %d = %g alone, %g in batch", ci, tier, e, i, got[i], v)
 					}
+					if one := p.Estimate(xs.Row(e), i); math.Float64bits(one) != math.Float64bits(v) {
+						t.Fatalf("cfg %d %s: row %d Estimate(τ=%d) = %g, curve %g", ci, tier, e, i, one, v)
+					}
+				}
+				if v := p.Estimate(xs.Row(e), -1); v != 0 {
+					t.Fatalf("cfg %d %s: row %d Estimate(τ=-1) = %g, want 0", ci, tier, e, v)
+				}
+				top := got[cfg.TauMax]
+				if v := p.Estimate(xs.Row(e), cfg.TauMax+3); math.Float64bits(v) != math.Float64bits(top) {
+					t.Fatalf("cfg %d %s: row %d Estimate(τ>τmax) = %g, want the τmax value %g", ci, tier, e, v, top)
 				}
 			}
 		}

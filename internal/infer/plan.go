@@ -1,5 +1,9 @@
 // Package infer compiles trained CardNet / CardNet-A models into immutable
-// inference plans, the only thing the serving stack answers requests with.
+// inference plans, the one thing that answers an estimate: the serving
+// stack, the paper experiments (internal/bench), `cardnet -mode estimate`,
+// the examples and the record-level Estimator all lower a trained model and
+// query its plan. The model's own nn forward is left to training validation
+// and to the f32 gate's reference.
 //
 // A Plan is built once per model load or hot swap from the fused
 // core.LoweredModel spec (biases folded, Φ′ head projections fused with the
@@ -8,7 +12,9 @@
 //
 //   - PrecisionF64 runs the fused forward in float64. Its unfused layers are
 //     views of the model's weights, so the model must stay frozen while the
-//     plan serves. Fusion only reassociates float64 sums, so it tracks the
+//     plan serves. Its fused heads are copies, so a plan lowered before a
+//     retrain (Model.IncrementalTrain) would mix old and new weights: lower
+//     again after every retrain. Fusion only reassociates float64 sums, so it tracks the
 //     model's own nn forward to about 1e-14 relative, and it needs no gate.
 //   - PrecisionF32 casts the weights to float32 and runs in float32. That
 //     perturbs the learned function, so — following the paper's Lemma 2
@@ -112,6 +118,16 @@ func Lower(m *core.Model, tier Precision) (*Plan, error) {
 func (p *Plan) EstimateAllTaus(x []float64) []float64 {
 	xm := &tensor.Matrix{Rows: 1, Cols: len(x), Data: x}
 	return p.EstimateAllTausBatch(xm).Row(0)
+}
+
+// Estimate returns the estimate for one encoded query at transformed
+// threshold τ: 0 for τ < 0, and the EstimateAllTaus curve at τ clamped to
+// TauMax otherwise. The result is monotonically non-decreasing in τ.
+func (p *Plan) Estimate(x []float64, tau int) float64 {
+	if tau < 0 {
+		return 0
+	}
+	return p.EstimateAllTaus(x)[min(tau, p.tau-1)]
 }
 
 // EstimateAllTausBatch runs the compiled forward over a batch: xs is B×InDim

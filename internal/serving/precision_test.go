@@ -31,10 +31,10 @@ func TestEnginePrecisionF32(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := m.EstimateAllTaus(x)
+		want := planCurve(t, m, x)
 		for j := range want {
 			if math.Abs(all[j]-want[j]) > 1e-3*(1+math.Abs(want[j])) {
-				t.Fatalf("query %d τ=%d: f32 engine %v, f64 model %v", i, j, all[j], want[j])
+				t.Fatalf("query %d τ=%d: f32 engine %v, f64 plan %v", i, j, all[j], want[j])
 			}
 		}
 		for j := 1; j < len(all); j++ {
@@ -111,7 +111,7 @@ func TestEngineSwapRelowers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := m2.EstimateAllTaus(x)
+	want := planCurve(t, m2, x)
 	for j := range want {
 		if math.Abs(after[j]-want[j]) > 1e-3*(1+math.Abs(want[j])) {
 			t.Fatalf("τ=%d: post-swap engine %v, new model %v", j, after[j], want[j])

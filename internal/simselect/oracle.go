@@ -55,7 +55,7 @@ func (o *EncodedOracle) Len() int { return len(o.ix.Records) }
 
 // CountEncoded returns the exact cardinality at transformed threshold τ for
 // an encoded query vector. Negative τ selects nothing by convention
-// (matching core's EstimateEncoded clamp).
+// (matching infer.Plan.Estimate's clamp).
 func (o *EncodedOracle) CountEncoded(x []float64, tau int) (int, error) {
 	if tau < 0 {
 		return 0, nil
