@@ -50,12 +50,16 @@ build:
 test:
 	$(GO) test -race ./...
 
-# Keep the generic Go saxpy body tested: -tags purego builds internal/tensor
-# without the AVX assembly, and the goldens, the kernel fuzz seeds and the
-# Axpy table test must still pass bit for bit on the Go loop.
+# Keep the generic Go kernel bodies tested: -tags purego builds
+# internal/tensor without the AVX assembly (the Axpy saxpy loop and the ABT
+# tile), and the goldens, the kernel fuzz seeds, the Axpy table test and the
+# allocation pins must still pass bit for bit on the Go loops and dot4; the
+# plan tiers, the plan allocation contract and the estimate tests run the
+# inference forward on dot4.
 purego:
 	$(GO) vet -tags purego ./internal/tensor
-	$(GO) test -tags purego ./internal/tensor ./internal/core ./internal/baselines -run 'Golden|MatMul|Axpy|Fuzz'
+	$(GO) test -tags purego ./internal/tensor ./internal/core ./internal/baselines -run 'Golden|MatMul|Axpy|Fuzz|Allocs'
+	$(GO) test -tags purego ./internal/infer -run 'Fuzz|Tiers|Allocs|Estimate'
 
 # Stress the serving engine's concurrency surface under the race detector
 # beyond the plain `test` pass: repeated runs shuffle goroutine schedules.
@@ -146,11 +150,13 @@ loc:
 	@printf 'non-test Go lines: '; find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.*' -exec cat {} + | wc -l
 	@printf 'test Go lines:     '; find . -name '*_test.go' ! -path './perfbench/*' ! -path './.*' -exec cat {} + | wc -l
 
-# Kernel-level GFLOP/s table: the generic ABT kernel at f64 and f32 (at a
-# 256-row batch and at the 1- and 2-row serving batches), the training
+# Kernel-level GFLOP/s table: the read-bandwidth roofline at a 1 MiB and a
+# 4.8 MB working set, the generic ABT kernel at f64 and f32 (at the 256-row
+# batch, the 32-row training batch, one four-row group, and the 1- and 2-row
+# serving batches, those two also as a share of the bandwidth roof), the training
 # backward kernels MatMul (dX) and MatMulATBAdd (dW) at 32 and 256 rows,
 # dense and with the 45% zeros of fixture training's dY (skipped flops
 # counted), the Axpy saxpy body at the fixture's 60/315/512-wide rows, and
 # the zero-skip-vs-branch-free dense matmul comparison.
 bench-kernels:
-	$(GO) test ./internal/tensor -run '^$$' -bench 'KernelABT|KernelMatMul|KernelATBAdd|Axpy|ZeroSkip' -benchmem
+	$(GO) test ./internal/tensor -run '^$$' -bench 'Roofline|KernelABT|KernelMatMul|KernelATBAdd|Axpy|ZeroSkip' -benchmem

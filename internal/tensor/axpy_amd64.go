@@ -3,7 +3,7 @@
 package tensor
 
 // useAVX reports whether the CPU has AVX and the OS saves the YMM registers
-// on a context switch, so Axpy may run the vector body.
+// on a context switch, so Axpy and ABT may run their vector bodies.
 var useAVX = cpuHasAVX()
 
 // cpuHasAVX checks CPUID for AVX and OSXSAVE, then XGETBV for XMM and YMM

@@ -1,9 +1,11 @@
 package tensor
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // Kernel bench dimensions: an M-row batch through a K×N (or N×K) weight.
@@ -14,21 +16,29 @@ const (
 )
 
 // abtBenchRows are the left-operand row counts of the ABT kernel benches:
-// the 256-row harness batch, plus the 1- and 2-row batches a lightly loaded
-// server forms, which run the leftover-row path rather than 4-row tiles.
-var abtBenchRows = []int{benchM, 2, 1}
+// the 256-row harness batch, the 32-row training batch, one four-row group,
+// and the 1- and 2-row batches a lightly loaded server forms, which run as
+// one group padded with zero rows on the vector tile, and as leftover rows
+// (dot4Pairs) without it.
+var abtBenchRows = []int{benchM, 32, 4, 2, 1}
 
 // reportGFLOPS attaches a GFLOP/s metric (2·M·N·K flops per op) so
 // `make bench-kernels` can print the kernel table straight from the
-// benchmark output.
-func reportGFLOPS(b *testing.B, m int) {
+// benchmark output, and returns it.
+func reportGFLOPS(b *testing.B, m int) float64 {
 	flops := 2 * float64(m) * float64(benchN) * float64(benchK)
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	gflops := flops * float64(b.N) / b.Elapsed().Seconds() / 1e9
+	b.ReportMetric(gflops, "GFLOP/s")
+	return gflops
 }
 
 // benchKernel times the call setup returns, as one sub-benchmark per entry
-// of rows; setup builds M-row operands from a fresh seeded source.
-func benchKernel(b *testing.B, rows []int, setup func(rng *rand.Rand, m int) func()) {
+// of rows; setup builds M-row operands from a fresh seeded source. For a
+// kernel that streams a benchN×benchK weight of elem-byte values once per
+// call it also reports, at M ≤ 2, the speed as a share of the bandwidth
+// roof: the read bandwidth over that many bytes times 2M flops per weight.
+// elem 0 reports no roof.
+func benchKernel(b *testing.B, rows []int, elem int, setup func(rng *rand.Rand, m int) func()) {
 	for _, m := range rows {
 		b.Run(fmt.Sprintf("M=%d", m), func(b *testing.B) {
 			kernel := setup(rand.New(rand.NewSource(1)), m)
@@ -36,13 +46,56 @@ func benchKernel(b *testing.B, rows []int, setup func(rng *rand.Rand, m int) fun
 			for i := 0; i < b.N; i++ {
 				kernel()
 			}
-			reportGFLOPS(b, m)
+			gflops := reportGFLOPS(b, m)
+			if elem > 0 && m <= 2 {
+				b.StopTimer()
+				roof := readGBs(benchN*benchK*elem) * 2 * float64(m) / float64(elem)
+				b.ReportMetric(100*gflops/roof, "%roof")
+			}
+		})
+	}
+}
+
+// readGBs returns the read bandwidth in GB/s over a buffer of n bytes, the
+// best of five 20 ms rounds of scanning it with bytes.IndexByte (the
+// runtime's widest vector loads) after one warming pass.
+func readGBs(n int) float64 {
+	buf := make([]byte, n)
+	bytes.IndexByte(buf, 1)
+	best := 0.0
+	for round := 0; round < 5; round++ {
+		start, passes := time.Now(), 0
+		for time.Since(start) < 20*time.Millisecond {
+			bytes.IndexByte(buf, 1)
+			passes++
+		}
+		best = max(best, float64(n)*float64(passes)/time.Since(start).Seconds()/1e9)
+	}
+	return best
+}
+
+// BenchmarkRoofline reads a buffer at the two working sets the ABT roof
+// depends on: 1 MiB, inside one core's L2, and 4.8 MB, the f64 weights of
+// CardNet-A PaperConfig(20,16), which a batch-1 forward streams in full.
+func BenchmarkRoofline(b *testing.B) {
+	for _, ws := range []struct {
+		name  string
+		bytes int
+	}{{"ws=1MiB", 1 << 20}, {"ws=4.8MB", 4_800_000}} {
+		b.Run(ws.name, func(b *testing.B) {
+			buf := make([]byte, ws.bytes)
+			bytes.IndexByte(buf, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bytes.IndexByte(buf, 1)
+			}
+			b.ReportMetric(float64(ws.bytes)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
 		})
 	}
 }
 
 func BenchmarkKernelABT_f64(b *testing.B) {
-	benchKernel(b, abtBenchRows, func(rng *rand.Rand, m int) func() {
+	benchKernel(b, abtBenchRows, 8, func(rng *rand.Rand, m int) func() {
 		a := (*Mat[float64])(randMatrix(rng, m, benchK))
 		w := (*Mat[float64])(randMatrix(rng, benchN, benchK))
 		out := (*Mat[float64])(NewMatrix(m, benchN))
@@ -51,7 +104,7 @@ func BenchmarkKernelABT_f64(b *testing.B) {
 }
 
 func BenchmarkKernelABT_f32(b *testing.B) {
-	benchKernel(b, abtBenchRows, func(rng *rand.Rand, m int) func() {
+	benchKernel(b, abtBenchRows, 4, func(rng *rand.Rand, m int) func() {
 		a := Demote32(randMatrix(rng, m, benchK))
 		w := Demote32(randMatrix(rng, benchN, benchK))
 		out := NewMatrix32(m, benchN)
@@ -73,9 +126,9 @@ const trainZeroFrac = 0.45
 // M=<rows>, and with trainZeroFrac of dY zeroed, as zeros=45%/M=<rows>.
 // GFLOP/s counts the skipped flops too, so the two cases compare directly.
 func benchTrainKernel(b *testing.B, setup func(rng *rand.Rand, m int, zeroFrac float64) func()) {
-	benchKernel(b, trainBenchRows, func(rng *rand.Rand, m int) func() { return setup(rng, m, 0) })
+	benchKernel(b, trainBenchRows, 0, func(rng *rand.Rand, m int) func() { return setup(rng, m, 0) })
 	b.Run(fmt.Sprintf("zeros=%.0f%%", trainZeroFrac*100), func(b *testing.B) {
-		benchKernel(b, trainBenchRows, func(rng *rand.Rand, m int) func() { return setup(rng, m, trainZeroFrac) })
+		benchKernel(b, trainBenchRows, 0, func(rng *rand.Rand, m int) func() { return setup(rng, m, trainZeroFrac) })
 	})
 }
 

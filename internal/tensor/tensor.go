@@ -3,20 +3,23 @@
 // networks of the paper's Sections 5–7 bottom out here). It is deliberately
 // small: the models in this repository only need contiguous row-major
 // matrices, a handful of BLAS-1/2/3 style routines, and seeded random
-// initialization. The one kernel the float32 inference tier needs, the ABT
-// product, is written once over both element types (ABT, Mat). The training
-// backward kernels (MatMul, MatMulATBAdd) run their inner loops through
-// Axpy, which is AVX assembly where the CPU has it and a Go loop elsewhere, with
-// the same bits either way. The training kernels (PMatMul and friends)
-// optionally fan out over a shared help-first worker pool sized by
-// SetWorkers, which internal/core's data-parallel trainer also dispatches
-// on.
+// initialization. The forward product every dense layer and inference plan
+// runs, ABT (out = a·bᵀ), is written once over both element types (ABT,
+// Mat). Where the CPU has AVX, it runs an assembly register tile over groups
+// of four input rows and quads of weight rows; the training backward kernels
+// (MatMul, MatMulATBAdd) run their inner loops through Axpy, AVX assembly
+// too. Elsewhere Go loops run them, with the same bits either way, NaN
+// payloads included. The training kernels (PMatMul and friends) optionally
+// fan out over a shared help-first worker pool sized by SetWorkers, which
+// internal/core's data-parallel trainer also dispatches on.
 package tensor
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
+	"unsafe"
 )
 
 // Vector is a dense float64 vector.
@@ -129,11 +132,12 @@ func matMulRows(a, b, out *Matrix, lo, hi int) {
 	}
 }
 
-// abtRowTile is the row-block size of the ABT kernel: b (typically a weight
-// matrix larger than L1/L2) is streamed once per block of abtRowTile rows of
-// a instead of once per row, which is what makes batched inference faster
-// than per-sample inference on memory-bound layers. 8 rows of a few hundred
-// float64s stay resident in L1 across the whole sweep of b.
+// abtRowTile is the row-block size of the Go ABT groups (abtGroups): b
+// (typically a weight matrix larger than L1/L2) is streamed once per block
+// of abtRowTile rows of a instead of once per row, which is what makes
+// batched inference faster than per-sample inference on memory-bound
+// layers. 8 rows of a few hundred float64s stay resident in L1 across the
+// whole sweep of b.
 const abtRowTile = 8
 
 // Float is the element type of a Mat: float64 for training and the f64
@@ -165,16 +169,15 @@ func (m *Mat[T]) Set(i, j int, v T) { m.Data[i*m.Cols+j] = v }
 // Each element is Dot(a.Row(i), b.Row(j)) — accumulated in the same order
 // regardless of batch size — so a B-row product is bit-identical to B
 // separate single-row products, and an add gains exactly that one Dot.
-// Every product runs dot4: four dot products over a shared row in one loop.
-// Each accumulator performs exactly the per-row Dot sequence, but the four
-// addition chains are independent, so the CPU overlaps them instead of
-// stalling on one chain's add latency. Groups of four input rows share each
-// weight row; the rows left over (a whole serving batch of 1–3 rows, or the
-// tail of a larger one) each share themselves with four weight rows at a
-// time instead, so a lone request gets the same overlap. Row tiling
-// additionally streams each weight row once per tile rather than once per
-// input row. The inner loops carry no data-dependent branches (see
-// matMulRows for why the training kernel zero-skips and this one does not).
+// Where the CPU has AVX, a register tile (abtTiles) multiplies four input
+// rows, one per SIMD lane, by four weight rows, one per accumulator, so each
+// step overlaps four independent addition chains and loads a weight element
+// once per four rows; a batch of 1–3 rows (every lightly loaded serving
+// forward) runs the tile with zero rows padding the lanes. The b.Rows%4
+// weight rows left, and every row without AVX, run dot4 over groups of four
+// input rows (abtGroups) and dot4Pairs for the 1–3 rows left over (abtRow).
+// The inner loops carry no data-dependent branches (see matMulRows for why
+// the training kernel zero-skips and this one does not).
 func ABT[T Float](a, b, out *Mat[T], add bool) {
 	checkABT(a, b, out)
 	abtRows(a, b, out, 0, a.Rows, add)
@@ -189,23 +192,80 @@ func checkABT[T Float](a, b, out *Mat[T]) {
 	}
 }
 
-// abtRows runs the tiled ABT loops over output rows [lo, hi), storing each
-// product (or, with add, adding it onto out). Each output element is a
-// per-row Dot whose accumulation order is independent of the tile
-// boundaries, so any row sharding (including PMatMulABT's) produces
-// bit-identical results. Leftover rows pass the weight rows as dot4's four
-// left operands: products commute exactly, so dot4(b_j…, a_i) still equals
-// Dot(a_i, b_j) bit for bit.
+// abtRows runs the ABT loops over output rows [lo, hi), storing each
+// product (or, with add, adding it onto out). With AVX the vector tile runs
+// every row against the weight rows in quads (abtTiles); the b.Rows%4 weight
+// rows left, and without AVX all of them, run dot4 over the first multiple
+// of four rows (abtGroups) and dot4Pairs over the 1–3 rows left, one at a
+// time (abtRow). Each output element is a per-row Dot whose accumulation order is
+// independent of how rows are grouped, so any row sharding (including
+// PMatMulABT's) produces bit-identical results.
 func abtRows[T Float](a, b, out *Mat[T], lo, hi int, add bool) {
-	for i0 := lo; i0 < hi; i0 += abtRowTile {
-		i1 := i0 + abtRowTile
-		if i1 > hi {
-			i1 = hi
+	j0 := 0
+	if useAVX && b.Rows >= 4 && hi > lo {
+		j0 = b.Rows &^ 3
+		abtTiles(a, b, out, lo, hi, j0, add)
+	}
+	if j0 == b.Rows {
+		return
+	}
+	g := lo + (hi-lo)&^3
+	abtGroups(a, b, out, lo, g, j0, add)
+	for i := g; i < hi; i++ {
+		abtRow(a.Row(i), b, out.Row(i), j0, add)
+	}
+}
+
+// packPool64 and packPool32 hold the vector tile's scratch, one group of
+// input rows interleaved, as *[]float64 and *[]float32, so ABT allocates
+// nothing once warm.
+var packPool64, packPool32 sync.Pool
+
+// abtTiles runs output rows [lo, hi) against weight rows [0, nw), nw a
+// multiple of four, through the vector tile (abtTileF64/F32). Each group of
+// four input rows is packed once as x_{0..3}[k] into a pooled buffer; a last
+// group of 1–3 rows is padded with zero rows. Each lane of the tile runs one
+// Dot, so the padded lanes cost no throughput: a lone row runs four weight
+// rows per step as dot4 does.
+func abtTiles[T Float](a, b, out *Mat[T], lo, hi, nw int, add bool) {
+	k, ldo := a.Cols, out.Cols
+	pool := &packPool64
+	if unsafe.Sizeof(T(0)) == 4 {
+		pool = &packPool32
+	}
+	p, _ := pool.Get().(*[]T)
+	if p == nil {
+		p = new([]T)
+	}
+	if cap(*p) < 4*k {
+		*p = make([]T, 4*k)
+	}
+	x, w := (*p)[:4*k], b.Data[:nw*k]
+	for i := lo; i < hi; i += 4 {
+		rows := min(4, hi-i)
+		if rows < 4 {
+			clear(x)
 		}
-		i4 := i0 + (i1-i0)&^3
-		for j := 0; j < b.Rows && i0 < i4; j++ {
+		for r := 0; r < rows; r++ {
+			for c, v := range a.Row(i + r) {
+				x[4*c+r] = v
+			}
+		}
+		abtTile(x, w, out.Data[i*ldo:(i+rows-1)*ldo+nw], k, nw/4, ldo, rows, add)
+	}
+	pool.Put(p)
+}
+
+// abtGroups runs output rows [lo, hi), a multiple of four, against weight
+// rows [j0, b.Rows) in groups of four input rows that share each weight row
+// through dot4, over blocks of abtRowTile input rows, which stream each
+// weight row once per block.
+func abtGroups[T Float](a, b, out *Mat[T], lo, hi, j0 int, add bool) {
+	for i0 := lo; i0 < hi; i0 += abtRowTile {
+		i1 := min(i0+abtRowTile, hi)
+		for j := j0; j < b.Rows; j++ {
 			bj := b.Row(j)
-			for i := i0; i < i4; i += 4 {
+			for i := i0; i < i1; i += 4 {
 				s0, s1, s2, s3 := dot4(a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3), bj)
 				if add {
 					out.Row(i)[j] += s0
@@ -220,34 +280,63 @@ func abtRows[T Float](a, b, out *Mat[T], lo, hi int, add bool) {
 				}
 			}
 		}
-		for i := i4; i < i1; i++ {
-			ai, oi := a.Row(i), out.Row(i)
-			j := 0
-			for ; j+3 < b.Rows; j += 4 {
-				s0, s1, s2, s3 := dot4(b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3), ai)
-				if add {
-					oi[j] += s0
-					oi[j+1] += s1
-					oi[j+2] += s2
-					oi[j+3] += s3
-				} else {
-					oi[j], oi[j+1], oi[j+2], oi[j+3] = s0, s1, s2, s3
-				}
-			}
-			for ; j < b.Rows; j++ {
-				if add {
-					oi[j] += Dot(ai, b.Row(j))
-				} else {
-					oi[j] = Dot(ai, b.Row(j))
-				}
-			}
+	}
+}
+
+// abtRow runs one leftover input row a against weight rows [j0, b.Rows)
+// into out row o, four weight rows per dot4Pairs call.
+func abtRow[T Float](a []T, b *Mat[T], o []T, j0 int, add bool) {
+	j := j0
+	for ; j+3 < b.Rows; j += 4 {
+		s0, s1, s2, s3 := dot4Pairs(a, a, a, a, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
+		if add {
+			o[j] += s0
+			o[j+1] += s1
+			o[j+2] += s2
+			o[j+3] += s3
+		} else {
+			o[j], o[j+1], o[j+2], o[j+3] = s0, s1, s2, s3
+		}
+	}
+	for ; j < b.Rows; j++ {
+		if add {
+			o[j] += Dot(a, b.Row(j))
+		} else {
+			o[j] = Dot(a, b.Row(j))
 		}
 	}
 }
 
-// dot4 returns (Dot(a0,b), Dot(a1,b), Dot(a2,b), Dot(a3,b)). Each sum uses
-// the identical expression and element order as Dot, so the results are
-// bit-equal to four separate Dot calls.
+// dot4Pairs returns (Dot(a0,b0), Dot(a1,b1), Dot(a2,b2), Dot(a3,b3)) in
+// dot4's one loop of four independent chains. A leftover row passes itself
+// as a0..a3, and the function stays out of line, so that each chain loads
+// its own a[k]: with one shared a[k] (dot4 with the roles turned) the
+// compiled multiply puts b's element first, and where both are NaN the
+// result carries b's payload, not Dot's. The products are written b·a
+// because the compiled multiply then takes a first (checked with objdump;
+// FuzzMatMulABT pins it under -tags purego).
+//
+//go:noinline
+func dot4Pairs[T Float](a0, a1, a2, a3, b0, b1, b2, b3 []T) (s0, s1, s2, s3 T) {
+	if len(a0) == 0 {
+		return
+	}
+	n := len(a0)
+	_, _, _ = a1[n-1], a2[n-1], a3[n-1]
+	_, _, _, _ = b0[n-1], b1[n-1], b2[n-1], b3[n-1]
+	for k := range a0 {
+		s0 += b0[k] * a0[k]
+		s1 += b1[k] * a1[k]
+		s2 += b2[k] * a2[k]
+		s3 += b3[k] * a3[k]
+	}
+	return
+}
+
+// dot4 returns (Dot(a0,b), Dot(a1,b), Dot(a2,b), Dot(a3,b)) in one loop:
+// each accumulator performs exactly its Dot sequence, a before b in each
+// product, but the four addition chains are independent, so the CPU
+// overlaps them instead of stalling on one chain's add latency.
 func dot4[T Float](a0, a1, a2, a3, b []T) (s0, s1, s2, s3 T) {
 	if len(b) == 0 {
 		return
