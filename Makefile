@@ -51,14 +51,15 @@ test:
 	$(GO) test -race ./...
 
 # Keep the generic Go kernel bodies tested: -tags purego builds
-# internal/tensor without the AVX assembly (the Axpy saxpy loop and the ABT
-# tile), and the goldens, the kernel fuzz seeds, the Axpy table test and the
-# allocation pins must still pass bit for bit on the Go loops and dot4; the
+# internal/tensor without the AVX assembly (the Axpy saxpy loop, the Adam
+# step and the ABT tile), and the goldens, the kernel fuzz seeds, the Axpy
+# table test, the AdamUpdate length check and the allocation pins (Adam.Step's
+# among them) must still pass bit for bit on the Go loops and dot4; the
 # plan tiers, the plan allocation contract and the estimate tests run the
 # inference forward on dot4.
 purego:
 	$(GO) vet -tags purego ./internal/tensor
-	$(GO) test -tags purego ./internal/tensor ./internal/core ./internal/baselines -run 'Golden|MatMul|Axpy|Fuzz|Allocs'
+	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/core ./internal/baselines -run 'Golden|MatMul|Axpy|AdamStep|Fuzz|Allocs'
 	$(GO) test -tags purego ./internal/infer -run 'Fuzz|Tiers|Allocs|Estimate'
 
 # Stress the serving engine's concurrency surface under the race detector
@@ -108,7 +109,8 @@ race-autopilot:
 # serving cache's packed curve key, scraped Prometheus text through a
 # re-emit round trip, trace JSONL loading and assembly, the generic ABT
 # kernel against the per-element dot products, the MatMul and MatMulATBAdd
-# saxpy kernels against the naive scalar loops, model-file loading,
+# saxpy kernels against the naive scalar loops, the vector Adam step against
+# its Go loop, model-file loading,
 # trainer-state decode and resume, staged train-set loading and retraining,
 # and the f64/f32 plans against the nn forward.
 # FuzzRestoreTrainer's seeds are 30 KB checkpoints and every FuzzLoadTrainSet
@@ -124,6 +126,7 @@ fuzz-smoke:
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMulABT$$' -fuzztime=10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMul$$' -fuzztime=10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMulATBAdd$$' -fuzztime=10s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzAdamStep$$' -fuzztime=10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime=10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzRestoreTrainer$$' -fuzztime=10s -fuzzminimizetime=1x
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzLoadTrainSet$$' -fuzztime=10s -fuzzminimizetime=1x
@@ -156,7 +159,8 @@ loc:
 # serving batches, those two also as a share of the bandwidth roof), the training
 # backward kernels MatMul (dX) and MatMulATBAdd (dW) at 32 and 256 rows,
 # dense and with the 45% zeros of fixture training's dY (skipped flops
-# counted), the Axpy saxpy body at the fixture's 60/315/512-wide rows, and
+# counted), the Axpy saxpy body at the fixture's 60/315/512-wide rows, one
+# Adam step over the fixture's 1,126,070 parameters (ns/param and GB/s), and
 # the zero-skip-vs-branch-free dense matmul comparison.
 bench-kernels:
-	$(GO) test ./internal/tensor -run '^$$' -bench 'Roofline|KernelABT|KernelMatMul|KernelATBAdd|Axpy|ZeroSkip' -benchmem
+	$(GO) test ./internal/tensor -run '^$$' -bench 'Roofline|KernelABT|KernelMatMul|KernelATBAdd|Axpy|AdamStep|ZeroSkip' -benchmem

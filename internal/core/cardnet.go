@@ -552,7 +552,7 @@ func (m *Model) newEpochLoop(train *TrainSet) *epochLoop {
 // pure function of the RNG stream position (identity reshuffled, not a
 // cumulative shuffle), so a resumed run reproduces it exactly from the
 // skipped-ahead stream.
-func (l *epochLoop) run(omega []float64, top int, opt nn.Optimizer, rng *rand.Rand) float64 {
+func (l *epochLoop) run(omega []float64, top int, opt *nn.Adam, rng *rand.Rand) float64 {
 	perm, batch := l.perm, l.m.Cfg.Batch
 	for e := range perm {
 		perm[e] = e
@@ -630,7 +630,7 @@ func (m *Model) batchLossGrad(f *fwd, labels *tensor.Matrix, p, omega []float64,
 // shard gradients are then reduced into Param.Grad in shard order, so a
 // fixed worker count reproduces exactly while different counts are
 // different (equally valid) runs.
-func (m *Model) trainBatch(ctxs []*nn.Ctx, x, labels *tensor.Matrix, p, omega []float64, top int, opt nn.Optimizer, rng *rand.Rand) float64 {
+func (m *Model) trainBatch(ctxs []*nn.Ctx, x, labels *tensor.Matrix, p, omega []float64, top int, opt *nn.Adam, rng *rand.Rand) float64 {
 	b := x.Rows
 	t := m.tauCount()
 	w := min(len(ctxs), b)

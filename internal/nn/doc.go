@@ -1,5 +1,5 @@
 // Package nn is a from-scratch feedforward neural-network framework: dense
-// layers, common activations, Adam/SGD optimizers, regression and
+// layers, common activations, the Adam optimizer, regression and
 // variational-auto-encoder losses, a bidirectional LSTM, and parameter /
 // optimizer-state snapshots. It exists because the reproduced paper
 // ("Monotonic Cardinality Estimation of Similarity Selection", SIGMOD 2020)

@@ -202,24 +202,29 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 	}
 }
 
-func TestAdamReducesLossVsSGD(t *testing.T) {
-	// Both optimizers must make progress on a quadratic bowl.
-	for _, mk := range []func(ps []*Param) Optimizer{
-		func(ps []*Param) Optimizer { return NewAdam(ps, 0.05) },
-		func(ps []*Param) Optimizer { return NewSGD(ps, 0.05, 0.9) },
-	} {
-		p := newParam("x", 3)
-		copy(p.Value, []float64{5, -4, 3})
-		opt := mk([]*Param{p})
-		for i := 0; i < 500; i++ {
-			for j := range p.Value {
-				p.Grad[j] = 2 * p.Value[j] // d/dx of x²
-			}
-			opt.Step()
+func TestAdamMinimizesBowl(t *testing.T) {
+	p := newParam("x", 3)
+	copy(p.Value, []float64{5, -4, 3})
+	opt := NewAdam([]*Param{p}, 0.05)
+	for i := 0; i < 500; i++ {
+		for j := range p.Value {
+			p.Grad[j] = 2 * p.Value[j] // d/dx of x²
 		}
-		if tensor.MaxAbs(p.Value) > 0.05 {
-			t.Fatalf("optimizer failed to minimize bowl: %v", p.Value)
-		}
+		opt.Step()
+	}
+	if tensor.MaxAbs(p.Value) > 0.05 {
+		t.Fatalf("Adam failed to minimize bowl: %v", p.Value)
+	}
+}
+
+// TestAdamStepAllocs pins Adam.Step to zero allocations: one step over an
+// MLP's parameters only updates the moment and value vectors in place. It
+// uses no pooled scratch, so the count holds under -race too.
+func TestAdamStepAllocs(t *testing.T) {
+	mlp := NewMLP(rand.New(rand.NewSource(1)), []int{12, 9, 5, 1}, ReLU, Identity)
+	opt := NewAdam(mlp.Params(), 0.01)
+	if got := testing.AllocsPerRun(20, opt.Step); got != 0 {
+		t.Errorf("Adam.Step: %v allocations per step, want 0", got)
 	}
 }
 

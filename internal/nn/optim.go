@@ -1,46 +1,10 @@
 package nn
 
-import "math"
+import (
+	"math"
 
-// Optimizer updates a fixed set of parameters from their accumulated
-// gradients and zeroes the gradients afterwards.
-type Optimizer interface {
-	Step()
-	ZeroGrad()
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	params   []*Param
-	velocity [][]float64
-}
-
-// NewSGD binds an SGD optimizer to params.
-func NewSGD(params []*Param, lr, momentum float64) *SGD {
-	s := &SGD{LR: lr, Momentum: momentum, params: params}
-	s.velocity = make([][]float64, len(params))
-	for i, p := range params {
-		s.velocity[i] = make([]float64, len(p.Value))
-	}
-	return s
-}
-
-// Step applies one SGD update and clears gradients.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		v := s.velocity[i]
-		for j := range p.Value {
-			v[j] = s.Momentum*v[j] - s.LR*p.Grad[j]
-			p.Value[j] += v[j]
-			p.Grad[j] = 0
-		}
-	}
-}
-
-// ZeroGrad clears all gradients without stepping.
-func (s *SGD) ZeroGrad() { zeroGrads(s.params) }
+	"cardnet/internal/tensor"
+)
 
 // Adam implements the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
@@ -62,22 +26,15 @@ func NewAdam(params []*Param, lr float64) *Adam {
 	return a
 }
 
-// Step applies one Adam update and clears gradients.
+// Step applies one Adam update and clears gradients. The bias corrections
+// are computed once per step; tensor.AdamUpdate runs each parameter's loop.
 func (a *Adam) Step() {
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	k := tensor.AdamCoeffs{Beta1: a.Beta1, Beta2: a.Beta2, LR: a.LR, Eps: a.Eps,
+		C1: 1 - math.Pow(a.Beta1, float64(a.t)),
+		C2: 1 - math.Pow(a.Beta2, float64(a.t))}
 	for i, p := range a.params {
-		m, v := a.m[i], a.v[i]
-		for j := range p.Value {
-			g := p.Grad[j]
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g*g
-			mh := m[j] / c1
-			vh := v[j] / c2
-			p.Value[j] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
-			p.Grad[j] = 0
-		}
+		tensor.AdamUpdate(p.Value, p.Grad, a.m[i], a.v[i], k)
 	}
 }
 
@@ -86,9 +43,7 @@ func (a *Adam) ZeroGrad() { zeroGrads(a.params) }
 
 func zeroGrads(params []*Param) {
 	for _, p := range params {
-		for j := range p.Grad {
-			p.Grad[j] = 0
-		}
+		clear(p.Grad)
 	}
 }
 
@@ -106,9 +61,7 @@ func ClipGradNorm(params []*Param, maxNorm float64) float64 {
 	if norm > maxNorm && norm > 0 {
 		scale := maxNorm / norm
 		for _, p := range params {
-			for j := range p.Grad {
-				p.Grad[j] *= scale
-			}
+			tensor.Scale(scale, p.Grad)
 		}
 	}
 	return norm

@@ -3,7 +3,8 @@
 package tensor
 
 // useAVX reports whether the CPU has AVX and the OS saves the YMM registers
-// on a context switch, so Axpy and ABT may run their vector bodies.
+// on a context switch, so Axpy, AdamUpdate and ABT may run their vector
+// bodies.
 var useAVX = cpuHasAVX()
 
 // cpuHasAVX checks CPUID for AVX and OSXSAVE, then XGETBV for XMM and YMM
@@ -16,3 +17,9 @@ func cpuHasAVX() bool
 //
 //go:noescape
 func axpyAVX(alpha float64, x, y []float64)
+
+// adamAVX is AdamUpdate's vector body, 4 lanes at a time with a scalar
+// tail. AdamUpdate has checked that all four slices have value's length.
+//
+//go:noescape
+func adamAVX(value, grad, m, v []float64, k AdamCoeffs)

@@ -3,6 +3,7 @@ package tensor
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -179,6 +180,47 @@ func BenchmarkAxpy(b *testing.B) {
 			b.ReportMetric(2*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 	}
+}
+
+// adamBenchSizes are the parameter vector lengths of the perfbench fixture
+// (CardNet-A, PaperConfig(20, 16) on 64-bit vectors): 1,126,070 in all.
+var adamBenchSizes = []int{16384, 256, 32768, 128, 16384, 128, 2048, 16, 2048, 16,
+	2048, 128, 16384, 128, 32768, 256, 16384, 64, 105, 40960, 512, 161280, 315,
+	262144, 512, 161280, 315, 131072, 256, 80640, 315, 65536, 256, 80640, 315, 1260, 21}
+
+// BenchmarkAdamStep times one optimizer step over the fixture's parameters,
+// AdamUpdate once per vector as nn.Adam.Step calls it, with training's
+// coefficients. Each step starts from the same random gradients (restored
+// off the clock, since the step clears them). GB/s counts the 64 bytes a
+// parameter moves: value, grad, m and v each read and written.
+func BenchmarkAdamStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var value, grad, m, v, grad0 [][]float64
+	params := 0
+	for _, n := range adamBenchSizes {
+		value = append(value, randMatrix(rng, 1, n).Data)
+		grad0 = append(grad0, randMatrix(rng, 1, n).Data)
+		grad = append(grad, make([]float64, n))
+		m = append(m, make([]float64, n))
+		v = append(v, make([]float64, n))
+		params += n
+	}
+	k := AdamCoeffs{Beta1: 0.9, Beta2: 0.999, LR: 1e-3, Eps: 1e-8,
+		C1: 1 - math.Pow(0.9, 7), C2: 1 - math.Pow(0.999, 7)}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := range grad {
+			copy(grad[j], grad0[j])
+		}
+		b.StartTimer()
+		for j := range value {
+			AdamUpdate(value[j], grad[j], m[j], v[j], k)
+		}
+	}
+	sec := b.Elapsed().Seconds()
+	b.ReportMetric(sec*1e9/float64(b.N)/float64(params), "ns/param")
+	b.ReportMetric(64*float64(params)*float64(b.N)/sec/1e9, "GB/s")
 }
 
 // zeroSkipOperands builds a MatMul left operand with the given fraction of

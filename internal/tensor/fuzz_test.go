@@ -183,6 +183,53 @@ func TestAxpyBits(t *testing.T) {
 	}
 }
 
+// FuzzAdamStep pins AdamUpdate to its Go loop, adamGo, bit for bit, NaN
+// payloads included, in value, grad, m and v. All four vectors and, on odd
+// seeds, all six coefficients carry exact zeros, −0, ±Inf and NaNs with
+// random payloads (even seeds use training's β1, β2, ε and a step's bias
+// corrections); lengths 0–70 reach the 4-lane body and every tail. Seeds
+// live in testdata/fuzz/FuzzAdamStep.
+func FuzzAdamStep(f *testing.F) {
+	f.Add(uint8(67), int64(1))
+	f.Add(uint8(70), int64(2))
+	f.Fuzz(func(t *testing.T, length uint8, seed int64) {
+		n := int(length) % 71
+		rng := rand.New(rand.NewSource(seed))
+		k := AdamCoeffs{Beta1: 0.9, Beta2: 0.999, LR: 1e-3, Eps: 1e-8,
+			C1: 1 - math.Pow(0.9, 7), C2: 1 - math.Pow(0.999, 7)}
+		if seed&1 != 0 {
+			c := specialMat(rng, 1, 6).Data
+			k = AdamCoeffs{Beta1: c[0], Beta2: c[1], LR: c[2], Eps: c[3], C1: c[4], C2: c[5]}
+		}
+		in := specialMat(rng, 4, n)
+		want := in.Clone()
+		adamGo(want.Row(0), want.Row(1), want.Row(2), want.Row(3), k)
+		got := in.Clone()
+		AdamUpdate(got.Row(0), got.Row(1), got.Row(2), got.Row(3), k)
+		sameMatBits(t, "AdamUpdate", got, want)
+	})
+}
+
+// TestAdamStepLengthMismatch pins AdamUpdate's length check: the vector
+// body must never read or write past a slice shorter than value.
+func TestAdamStepLengthMismatch(t *testing.T) {
+	for short := 0; short < 4; short++ {
+		s := make([][]float64, 4)
+		for i := range s {
+			s[i] = make([]float64, 9)
+		}
+		s[short] = s[short][:8]
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("slice %d one short: no panic", short)
+				}
+			}()
+			AdamUpdate(s[0], s[1], s[2], s[3], AdamCoeffs{})
+		}()
+	}
+}
+
 // specialMat returns a rows×cols matrix of values in [-1, 1) salted with
 // exact zeros, −0, ±Inf and NaNs of random sign and payload (quiet and
 // signalling), so the kernels' zero-skips and NaN propagation are exercised.

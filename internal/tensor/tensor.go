@@ -8,8 +8,9 @@
 // Mat). Where the CPU has AVX, it runs an assembly register tile over groups
 // of four input rows and quads of weight rows; the training backward kernels
 // (MatMul, MatMulATBAdd) run their inner loops through Axpy, AVX assembly
-// too. Elsewhere Go loops run them, with the same bits either way, NaN
-// payloads included. The training kernels (PMatMul and friends) optionally
+// too, and so does the optimizer's per-parameter update, AdamUpdate.
+// Elsewhere Go loops run them, with the same bits either way, NaN payloads
+// included. The training kernels (PMatMul and friends) optionally
 // fan out over a shared help-first worker pool sized by SetWorkers, which
 // internal/core's data-parallel trainer also dispatches on.
 package tensor
@@ -386,6 +387,47 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 	for i, v := range x {
 		y[i] += v * alpha
+	}
+}
+
+// AdamCoeffs are the scalars of one Adam step: the moment decays Beta1 and
+// Beta2, the learning rate LR, the denominator guard Eps, and the bias
+// corrections C1 = 1−Beta1^t and C2 = 1−Beta2^t of step t.
+type AdamCoeffs struct {
+	Beta1, Beta2, LR, Eps, C1, C2 float64
+}
+
+// AdamUpdate runs one Adam step over a parameter vector: for each i it
+// updates the moments m[i] and v[i] from grad[i], moves value[i] by the
+// bias-corrected step and clears grad[i] to +0. All four slices must have
+// the same length and must not partially overlap.
+//
+// Where the CPU and OS support AVX (amd64, not built with -tags purego) the
+// body is the vector loop in adam_amd64.s. Each lane runs the IEEE
+// operations of adamGo's loop, no fused multiply-add and no reciprocal or
+// reassociation, with the operands in the compiled loop's order, so the two
+// bodies agree bit for bit, NaN payloads included.
+func AdamUpdate(value, grad, m, v []float64, k AdamCoeffs) {
+	if len(grad) != len(value) || len(m) != len(value) || len(v) != len(value) {
+		panic("tensor: adam length mismatch")
+	}
+	if useAVX {
+		adamAVX(value, grad, m, v, k)
+		return
+	}
+	adamGo(value, grad, m, v, k)
+}
+
+// adamGo is AdamUpdate's Go loop, the reference the vector body follows.
+func adamGo(value, grad, m, v []float64, k AdamCoeffs) {
+	for j := range value {
+		g := grad[j]
+		m[j] = k.Beta1*m[j] + (1-k.Beta1)*g
+		v[j] = k.Beta2*v[j] + (1-k.Beta2)*g*g
+		mh := m[j] / k.C1
+		vh := v[j] / k.C2
+		value[j] -= k.LR * mh / (math.Sqrt(vh) + k.Eps)
+		grad[j] = 0
 	}
 }
 
