@@ -52,11 +52,12 @@ test:
 
 # Keep the generic Go kernel bodies tested: -tags purego builds
 # internal/tensor without the AVX assembly (the Axpy saxpy loop, the Adam
-# step and the ABT tile), and the goldens, the kernel fuzz seeds, the Axpy
-# table test, the AdamUpdate length check and the allocation pins (Adam.Step's
+# step, the ABT tile and the VecMat body), and the goldens, the kernel fuzz
+# seeds (FuzzVecMat's pin vecMatGo to ABT), the Axpy table test, the
+# AdamUpdate length check and the allocation pins (Adam.Step's and VecMat's
 # among them) must still pass bit for bit on the Go loops and dot4; the
 # plan tiers, the plan allocation contract and the estimate tests run the
-# inference forward on dot4.
+# inference forward on dot4 and vecMatGo.
 purego:
 	$(GO) vet -tags purego ./internal/tensor
 	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/core ./internal/baselines -run 'Golden|MatMul|Axpy|AdamStep|Fuzz|Allocs'
@@ -110,7 +111,8 @@ race-autopilot:
 # re-emit round trip, trace JSONL loading and assembly, the generic ABT
 # kernel against the per-element dot products, the MatMul and MatMulATBAdd
 # saxpy kernels against the naive scalar loops, the vector Adam step against
-# its Go loop, model-file loading,
+# its Go loop, the batch-1 VecMat kernel against a one-row ABT, the replica's
+# /admin/autopilot body handling, model-file loading,
 # trainer-state decode and resume, staged train-set loading and retraining,
 # and the f64/f32 plans against the nn forward.
 # FuzzRestoreTrainer's seeds are 30 KB checkpoints and every FuzzLoadTrainSet
@@ -120,6 +122,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzExtractKey$$' -fuzztime=10s
 	$(GO) test ./cmd/cardnet -run '^$$' -fuzz '^FuzzEstimateRequest$$' -fuzztime=10s
 	$(GO) test ./cmd/cardnet -run '^$$' -fuzz '^FuzzFeedback$$' -fuzztime=10s
+	$(GO) test ./cmd/cardnet -run '^$$' -fuzz '^FuzzAutopilot$$' -fuzztime=10s
 	$(GO) test ./internal/serving -run '^$$' -fuzz '^FuzzCurveKey$$' -fuzztime=10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParsePrometheus$$' -fuzztime=10s
 	$(GO) test ./internal/obs/tracescan -run '^$$' -fuzz '^FuzzLoadTraces$$' -fuzztime=10s
@@ -127,6 +130,7 @@ fuzz-smoke:
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMul$$' -fuzztime=10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMulATBAdd$$' -fuzztime=10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzAdamStep$$' -fuzztime=10s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzVecMat$$' -fuzztime=10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime=10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzRestoreTrainer$$' -fuzztime=10s -fuzzminimizetime=1x
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzLoadTrainSet$$' -fuzztime=10s -fuzzminimizetime=1x
@@ -156,11 +160,13 @@ loc:
 # Kernel-level GFLOP/s table: the read-bandwidth roofline at a 1 MiB and a
 # 4.8 MB working set, the generic ABT kernel at f64 and f32 (at the 256-row
 # batch, the 32-row training batch, one four-row group, and the 1- and 2-row
-# serving batches, those two also as a share of the bandwidth roof), the training
+# serving batches, those two also as a share of the bandwidth roof), the
+# batch-1 VecMat kernel over the transposed weight at f64 and f32 (dense and
+# with half the inputs zero, skipped flops counted), the training
 # backward kernels MatMul (dX) and MatMulATBAdd (dW) at 32 and 256 rows,
 # dense and with the 45% zeros of fixture training's dY (skipped flops
 # counted), the Axpy saxpy body at the fixture's 60/315/512-wide rows, one
 # Adam step over the fixture's 1,126,070 parameters (ns/param and GB/s), and
 # the zero-skip-vs-branch-free dense matmul comparison.
 bench-kernels:
-	$(GO) test ./internal/tensor -run '^$$' -bench 'Roofline|KernelABT|KernelMatMul|KernelATBAdd|Axpy|AdamStep|ZeroSkip' -benchmem
+	$(GO) test ./internal/tensor -run '^$$' -bench 'Roofline|KernelABT|KernelVecMat|KernelMatMul|KernelATBAdd|Axpy|AdamStep|ZeroSkip' -benchmem

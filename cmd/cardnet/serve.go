@@ -154,7 +154,7 @@ func runServe(m *core.Model, addr string, scfg serving.Config, pcfg serving.Plan
 		defer opts.capturer.Wait() // let an in-flight profile pair finish writing
 	}
 
-	log.Printf("serving CardNet (in_dim=%d tau_max=%d, %d KB) on %s", m.InDim, m.Cfg.TauMax, m.SizeBytes()/1024, addr)
+	log.Printf("serving CardNet (in_dim=%d tau_max=%d, %d KB) on %s", m.InDim, m.Cfg.TauMax, eng.Registry().Current().ModelBytes/1024, addr)
 	if g := eng.Precision(); g.Requested != infer.PrecisionF64 {
 		log.Printf("precision: requested %s, serving %s — %s", g.Requested, g.Tier, g.Reason)
 	}
@@ -538,18 +538,19 @@ func handleReload(eng *serving.Engine) http.HandlerFunc {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("load model: %v", err))
 			return
 		}
-		version, err := eng.Registry().Swap(m)
+		s, err := eng.Registry().Prepare(m)
 		if err != nil {
 			httpError(w, http.StatusConflict, err.Error())
 			return
 		}
-		log.Printf("reloaded model from %s (version %d, %d KB)", req.Path, version, m.SizeBytes()/1024)
+		version := eng.Registry().Publish(s)
+		log.Printf("reloaded model from %s (version %d, %d KB)", req.Path, version, s.ModelBytes/1024)
 		writeJSON(w, map[string]any{
 			"version":     version,
 			"in_dim":      m.InDim,
 			"tau_max":     m.Cfg.TauMax,
 			"tau_top":     m.TauTop,
-			"model_bytes": m.SizeBytes(),
+			"model_bytes": s.ModelBytes,
 		})
 	}
 }
@@ -582,7 +583,7 @@ func handleHealthz(eng *serving.Engine, mon *monitor.Monitor, tracker *slo.Track
 			"tau_max":            m.Cfg.TauMax,
 			"tau_top":            m.TauTop,
 			"accel":              m.Cfg.Accel,
-			"model_bytes":        m.SizeBytes(),
+			"model_bytes":        cur.ModelBytes,
 			"model_version":      version,
 			"cache_entries":      eng.CacheLen(),
 			"precision":          cur.Gate,

@@ -321,6 +321,9 @@ func (p *Pilot) SetInhibited(v bool) { p.inhibited.Store(v) }
 // Inhibited reports whether autonomous action is paused.
 func (p *Pilot) Inhibited() bool { return p.inhibited.Load() }
 
+// Forced reports whether a Force is armed and waits for the next poll.
+func (p *Pilot) Forced() bool { return p.force.Load() }
+
 // State returns the current state name.
 func (p *Pilot) State() string { return p.state.Load().(string) }
 

@@ -246,3 +246,47 @@ func TestCheckpointerInterval(t *testing.T) {
 		t.Fatalf("latest checkpoint epoch=%d phase=%q", st.Epoch, st.Phase)
 	}
 }
+
+// TestLoadedModelHoldsNoGradients pins what a served model costs in memory: a
+// model from LoadModel holds its weights and no gradient buffers. Retraining
+// it (IncrementalTrain, as a refresh round or the autopilot does) allocates
+// them where training first needs them and gives the bits of retraining the
+// in-memory original, whose buffers its first training left at +0. Both
+// architectures.
+func TestLoadedModelHoldsNoGradients(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	train, valid := fixture(t, 120)
+	for _, accel := range []bool{true, false} {
+		cfg := tinyConfig(train.TauTop)
+		cfg.Accel, cfg.Epochs = accel, 2
+		orig := core.New(cfg, train.X.Cols)
+		orig.Train(train, valid)
+		path := filepath.Join(t.TempDir(), "m.gob")
+		if err := SaveModel(path, orig); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadModel(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range loaded.Params() {
+			if p.Grad != nil {
+				t.Fatalf("accel=%v: loaded param %s holds %d gradient values", accel, p.Name, len(p.Grad))
+			}
+		}
+		before := modelBytes(t, loaded)
+		orig.IncrementalTrain(train, valid, 0)
+		loaded.IncrementalTrain(train, valid, 0)
+		if bytes.Equal(modelBytes(t, loaded), before) {
+			t.Fatalf("accel=%v: the retrain left every weight as it was", accel)
+		}
+		for _, p := range loaded.Params() {
+			if len(p.Grad) != len(p.Value) {
+				t.Fatalf("accel=%v: retrained param %s has %d gradient values for %d weights", accel, p.Name, len(p.Grad), len(p.Value))
+			}
+		}
+		if !bytes.Equal(modelBytes(t, orig), modelBytes(t, loaded)) {
+			t.Fatalf("accel=%v: retraining the loaded model changed its bits", accel)
+		}
+	}
+}

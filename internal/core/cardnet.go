@@ -58,9 +58,7 @@ func New(cfg Config, inDim int) *Model {
 		m.vae = nn.NewVAE(rng, inDim, cfg.VAEHidden, cfg.VAELatent)
 	}
 	tauCount := cfg.TauMax + 1
-	m.emb = &nn.Param{Name: "E",
-		Value: make([]float64, tauCount*cfg.EmbDim),
-		Grad:  make([]float64, tauCount*cfg.EmbDim)}
+	m.emb = &nn.Param{Name: "E", Value: make([]float64, tauCount*cfg.EmbDim)}
 	tensor.RandNormal(rng, m.emb.Value, 0, 1) // E initialized from N(0,1), Section 5.2.2
 
 	xpDim := inDim + cfg.VAELatent
@@ -71,13 +69,9 @@ func New(cfg Config, inDim int) *Model {
 		dims = append(dims, cfg.ZDim)
 		m.phi = nn.NewMLP(rng, dims, nn.ReLU, nn.ReLU)
 	}
-	m.decW = &nn.Param{Name: "decW",
-		Value: make([]float64, tauCount*cfg.ZDim),
-		Grad:  make([]float64, tauCount*cfg.ZDim)}
+	m.decW = &nn.Param{Name: "decW", Value: make([]float64, tauCount*cfg.ZDim)}
 	tensor.GlorotUniform(rng, m.decW.Value, cfg.ZDim, 1)
-	m.decB = &nn.Param{Name: "decB",
-		Value: make([]float64, tauCount),
-		Grad:  make([]float64, tauCount)}
+	m.decB = &nn.Param{Name: "decB", Value: make([]float64, tauCount)}
 	return m
 }
 

@@ -182,9 +182,12 @@ func TestPlanImmutable(t *testing.T) {
 	}
 }
 
-// TestF64PlanSharesModelWeights pins the heap contract of the f64 plan: its
-// unfused layers are views of the model's weights, not copies, so a model
-// that has been published must never be trained again.
+// TestF64PlanSharesModelWeights pins the heap contract of the f64 plan: at
+// batch 2 and up its unfused layers are views of the model's weights, not
+// copies. A one-row batch reads transposed copies instead, so after a
+// retrain the plan would answer from new weights at batch 2 and from old
+// ones at batch 1: a model that has been published must never be trained
+// again.
 func TestF64PlanSharesModelWeights(t *testing.T) {
 	m := core.New(testConfigs()[0], 12)
 	p, err := Lower(m, PrecisionF64)

@@ -10,11 +10,13 @@
 // embedding-region scatter and the per-distance decoders — see
 // internal/core/lowering.go for the algebra) at one of two precision tiers:
 //
-//   - PrecisionF64 runs the fused forward in float64. Its unfused layers are
-//     views of the model's weights, so the model must stay frozen while the
-//     plan serves. Its fused heads are copies, so a plan lowered before a
-//     retrain (Model.IncrementalTrain) would mix old and new weights: lower
-//     again after every retrain. Fusion only reassociates float64 sums, so it tracks the
+//   - PrecisionF64 runs the fused forward in float64. Batches of two or more
+//     rows read its unfused layers as views of the model's weights; a
+//     one-row batch reads transposed copies of them, and the fused heads are
+//     copies too. So a plan lowered before a retrain (Model.IncrementalTrain)
+//     would answer from old weights at batch 1 and from new ones at batch 2:
+//     never retrain a model whose plan serves, and lower again after every
+//     retrain. Fusion only reassociates float64 sums, so it tracks the
 //     model's own nn forward to about 1e-14 relative, and it needs no gate.
 //   - PrecisionF32 casts the weights to float32 and runs in float32. That
 //     perturbs the learned function, so — following the paper's Lemma 2
@@ -24,11 +26,18 @@
 //     configured bound AND zero CurveMonotone violations on the validation
 //     sweep. On a gate failure Compile returns the f64 plan instead.
 //
-// Both tiers share one forward body over one tier-generic ABT kernel
-// (tensor.ABT); only the element type differs. A forward runs inline on its
-// caller's goroutine, since the serving engine already runs one batch per
-// CPU. Lowering refuses a model with a NaN or infinite weight, which would
-// otherwise be clamped into silent all-zero curves.
+// Both tiers share one forward body over two tier-generic kernels; only the
+// element type differs. Batches of two or more rows, and the fused heads, run
+// tensor.ABT's register tile. A one-row batch runs every layer that can see
+// it (the VAE layers, the CardNet-A trunk and standard CardNet's x′ product)
+// through tensor.VecMat over a transposed copy of the weight kept once per
+// plan; VecMat reads only the weight rows of nonzero inputs, and about half
+// of a layer's inputs are exact zeros (ReLU outputs, binary features). It
+// gives ABT's bits because every weight is finite (see VecMat), so a row's
+// estimate does not depend on the batch it rides in. A forward runs inline
+// on its caller's goroutine, since the serving engine already runs one batch
+// per CPU. Lowering refuses a model with a NaN or infinite weight, which
+// would otherwise be clamped into silent all-zero curves.
 //
 // Plans are immutable after compilation and safe for concurrent use; per-call
 // transients come from an internal sync.Pool. A steady-state forward at
@@ -145,11 +154,12 @@ func (p *Plan) EstimateAllTausBatch(xs *tensor.Matrix) *tensor.Matrix {
 	return p.fwd.forward(xs)
 }
 
-// dense is one compiled dense layer: out = act(x·wᵀ + b), w Out×In.
+// dense is one compiled dense layer: out = act(x·wᵀ + b), w Out×In. wt is
+// wᵀ for the one-row forward, nil on a layer that never sees one row.
 type dense[T tensor.Float] struct {
-	w   *tensor.Mat[T]
-	b   []T
-	act nn.ActKind
+	w, wt *tensor.Mat[T]
+	b     []T
+	act   nn.ActKind
 }
 
 // body is the tier-generic compiled model and its forward.
@@ -167,9 +177,9 @@ type body[T tensor.Float] struct {
 	heads    []*tensor.Mat[T]
 	headBias []T
 
-	// Standard CardNet: first-layer x′ product, folded per-distance bias,
-	// remaining layers, per-distance decoders.
-	wx      *tensor.Mat[T]
+	// Standard CardNet: first-layer x′ product (and its transpose),
+	// folded per-distance bias, remaining layers, per-distance decoders.
+	wx, wxT *tensor.Mat[T]
 	perDist *tensor.Mat[T]
 	rest    []dense[T]
 	decW    *tensor.Mat[T]
@@ -180,34 +190,41 @@ type body[T tensor.Float] struct {
 
 // build compiles the lowered spec into a tier body; conv maps float64
 // storage to the tier's (the identity for f64, so unfused layers stay views
-// of the model's weights).
+// of the model's weights). The layers that see a one-row batch keep a
+// transpose too: the VAE, the CardNet-A trunk and standard CardNet's wx.
+// Standard CardNet's other layers run τcount rows per query.
 func build[T tensor.Float](lm *core.LoweredModel, conv func([]float64) []T) *body[T] {
 	m := func(x *tensor.Matrix) *tensor.Mat[T] {
 		return &tensor.Mat[T]{Rows: x.Rows, Cols: x.Cols, Data: conv(x.Data)}
 	}
-	layers := func(ls []core.LoweredDense) []dense[T] {
+	layers := func(ls []core.LoweredDense, oneRow bool) []dense[T] {
 		out := make([]dense[T], len(ls))
 		for i, d := range ls {
 			out[i] = dense[T]{w: m(d.W), b: conv(d.B), act: d.Act}
+			if oneRow {
+				out[i].wt = tensor.Transpose(out[i].w)
+			}
 		}
 		return out
 	}
-	b := &body[T]{inDim: lm.InDim, xpDim: lm.XpDim, tauCount: lm.TauCount, accel: lm.Accel, vae: layers(lm.VAE)}
+	b := &body[T]{inDim: lm.InDim, xpDim: lm.XpDim, tauCount: lm.TauCount, accel: lm.Accel, vae: layers(lm.VAE, true)}
 	if lm.Accel {
-		b.trunk = layers(lm.Trunk)
+		b.trunk = layers(lm.Trunk, true)
 		for _, h := range lm.Heads {
 			b.heads = append(b.heads, m(h))
 		}
 		b.headBias = conv(lm.HeadBias)
 	} else {
-		b.wx, b.perDist, b.rest = m(lm.WX), m(lm.PerDist), layers(lm.Rest)
+		b.wx, b.perDist, b.rest = m(lm.WX), m(lm.PerDist), layers(lm.Rest, false)
+		b.wxT = tensor.Transpose(b.wx)
 		b.decW, b.decB = m(lm.DecW), conv(lm.DecB)
 	}
 	b.pool.New = func() any { return &scratch[T]{} }
 	return b
 }
 
-// finite reports whether every compiled weight and bias is finite.
+// finite reports whether every compiled weight and bias is finite (a
+// transpose holds its weight's values, so it needs no check of its own).
 func (b *body[T]) finite() bool {
 	vecs := [][]T{b.headBias, b.decB}
 	for _, ls := range [][]dense[T]{b.vae, b.trunk, b.rest} {
@@ -262,7 +279,7 @@ func (b *body[T]) layer(d *dense[T], x *tensor.Mat[T], s1, s2 **tensor.Mat[T]) *
 		s1 = s2
 	}
 	out := ensure(s1, x.Rows, d.w.Rows)
-	tensor.ABT(x, d.w, out, false)
+	mul(x, d.w, d.wt, out)
 	for e := 0; e < out.Rows; e++ {
 		row := out.Row(e)
 		for o, v := range d.b {
@@ -271,6 +288,17 @@ func (b *body[T]) layer(d *dense[T], x *tensor.Mat[T], s1, s2 **tensor.Mat[T]) *
 	}
 	activate(d.act, out.Data)
 	return out
+}
+
+// mul stores x·wᵀ into out: through VecMat over wt, w's transpose, when x
+// is one row and wt is kept, and through the ABT tile otherwise. Both give
+// the same bits.
+func mul[T tensor.Float](x, w, wt, out *tensor.Mat[T]) {
+	if x.Rows == 1 && wt != nil {
+		tensor.VecMat(x.Data, wt, out.Data)
+		return
+	}
+	tensor.ABT(x, w, out, false)
 }
 
 // activate applies an activation kind in place, matching
@@ -339,7 +367,7 @@ func (b *body[T]) forward(xs *tensor.Matrix) *tensor.Matrix {
 		}
 	} else {
 		u := ensure(&s.a, n, b.wx.Rows)
-		tensor.ABT(xp, b.wx, u, false)
+		mul(xp, b.wx, b.wxT, u)
 		z := ensure(&s.za, n*t, b.wx.Rows)
 		for e := 0; e < n; e++ {
 			ue := u.Row(e)

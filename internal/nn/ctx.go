@@ -79,10 +79,11 @@ func (c *Ctx) GradOf(p *Param) []float64 {
 }
 
 // AddGradsInto adds this context's accumulated gradients into the real
-// Param.Grad buffers for the given parameters and zeroes its own, ready for
-// the next step. Callers reduce worker contexts in a fixed order (worker 0,
-// 1, 2, …) so the summation order — and therefore every trained bit —
-// depends only on the worker count, never on goroutine scheduling. The
+// Param.Grad buffers for the given parameters, allocating any still
+// missing, and zeroes its own, ready for the next step. Callers reduce
+// worker contexts in a fixed order (worker 0, 1, 2, …) so the summation
+// order — and therefore every trained bit — depends only on the worker
+// count, never on goroutine scheduling. A new buffer starts at +0 and the
 // optimizer leaves Param.Grad at +0 after each step, so with one context
 // Grad = 0 + g holds exactly the bits an in-place accumulation would.
 func (c *Ctx) AddGradsInto(params []*Param) {
@@ -91,7 +92,7 @@ func (c *Ctx) AddGradsInto(params []*Param) {
 		if !ok {
 			continue
 		}
-		tensor.Axpy(1, g, p.Grad) // g·1 is exactly g, so this is Grad += g
+		tensor.Axpy(1, g, p.ensureGrad()) // g·1 is exactly g, so this is Grad += g
 		clear(g)
 	}
 }

@@ -14,6 +14,8 @@
 // sequential trainer runs one shard with one context, a data-parallel one a
 // context per shard — and the trainer adds each context's gradients into
 // Param.Grad (Ctx.AddGradsInto) before the optimizer steps and zeroes them.
+// Param.Grad is allocated where training first needs it (NewAdam,
+// Ctx.AddGradsInto), so a model loaded only to serve carries none.
 // Inference (train=false) writes no state at all: concurrent
 // Forward(nil, x, false) calls on a shared instance are safe, which is what
 // lets one loaded model serve many requests at once.

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -116,13 +115,28 @@ func (a *Adam) SetState(st *AdamState) error {
 }
 
 // ParamBytes returns the serialized size in bytes of the given parameters,
-// used to report model sizes (paper Table 9).
+// used to report model sizes (paper Table 9). It encodes a snapshot that
+// aliases the values instead of copying them, and counts the bytes instead
+// of keeping them.
 func ParamBytes(params []*Param) int {
-	var buf bytes.Buffer
-	if err := TakeSnapshot(params).Encode(&buf); err != nil {
+	s := &Snapshot{}
+	for _, p := range params {
+		s.Names = append(s.Names, p.Name)
+		s.Values = append(s.Values, p.Value)
+	}
+	var n byteCount
+	if err := s.Encode(&n); err != nil {
 		return 0
 	}
-	return buf.Len()
+	return int(n)
+}
+
+// byteCount is an io.Writer that only counts what is written to it.
+type byteCount int
+
+func (c *byteCount) Write(p []byte) (int, error) {
+	*c += byteCount(len(p))
+	return len(p), nil
 }
 
 // NumParams returns the total scalar parameter count.

@@ -7,20 +7,31 @@ import (
 	"cardnet/internal/tensor"
 )
 
-// Param is one learnable parameter tensor, flattened. Grad has the same
-// length as Value and holds the gradient the optimizer consumes: trainers add
-// each step's context gradients into it (Ctx.AddGradsInto; the LSTM, which
-// runs one sequence at a time, accumulates into it directly), and Step zeroes
-// it.
+// Param is one learnable parameter tensor, flattened. Grad holds the
+// gradient the optimizer consumes, one value per Value, and stays nil until
+// training first needs it: NewAdam and Ctx.AddGradsInto allocate it, and so
+// does LSTM.Backward, which accumulates into it directly. So a model loaded
+// only to serve holds its weights once, with no gradient buffers beside
+// them. Trainers add each step's context gradients into Grad
+// (Ctx.AddGradsInto), and Step zeroes it.
 type Param struct {
 	Name  string
 	Value []float64
 	Grad  []float64
 }
 
-// newParam allocates a named parameter of n values.
+// newParam allocates a named parameter of n values, without a gradient.
 func newParam(name string, n int) *Param {
-	return &Param{Name: name, Value: make([]float64, n), Grad: make([]float64, n)}
+	return &Param{Name: name, Value: make([]float64, n)}
+}
+
+// ensureGrad gives p a zeroed gradient buffer unless it has one, and
+// returns the buffer.
+func (p *Param) ensureGrad() []float64 {
+	if p.Grad == nil {
+		p.Grad = make([]float64, len(p.Value))
+	}
+	return p.Grad
 }
 
 // Layer is one differentiable block. Forward consumes a batch (rows =

@@ -102,9 +102,13 @@ func (l *LSTM) Forward(seq [][]float64) ([]float64, *LSTMTape) {
 }
 
 // Backward runs BPTT given dL/dh at every step (dhs[t] may be nil for steps
-// without direct loss) and accumulates parameter gradients. It returns
-// dL/dx per step for upstream layers (e.g. a character-embedding table).
+// without direct loss) and accumulates parameter gradients into Param.Grad,
+// allocating any still missing. It returns dL/dx per step for upstream
+// layers (e.g. a character-embedding table).
 func (l *LSTM) Backward(tape *LSTMTape, dhs [][]float64) [][]float64 {
+	for _, p := range l.Params() {
+		p.ensureGrad()
+	}
 	H := l.Hidden
 	dxs := make([][]float64, tape.Len())
 	dhNext := make([]float64, H)

@@ -230,6 +230,7 @@ func TestAdamStepAllocs(t *testing.T) {
 
 func TestZeroGrad(t *testing.T) {
 	p := newParam("x", 2)
+	p.ensureGrad()
 	p.Grad[0], p.Grad[1] = 1, 2
 	NewAdam([]*Param{p}, 0.1).ZeroGrad()
 	if p.Grad[0] != 0 || p.Grad[1] != 0 {
@@ -239,6 +240,7 @@ func TestZeroGrad(t *testing.T) {
 
 func TestClipGradNorm(t *testing.T) {
 	p := newParam("x", 2)
+	p.ensureGrad()
 	p.Grad[0], p.Grad[1] = 3, 4
 	norm := ClipGradNorm([]*Param{p}, 1)
 	if math.Abs(norm-5) > 1e-12 {

@@ -14,12 +14,14 @@ type Adam struct {
 	t                     int
 }
 
-// NewAdam binds an Adam optimizer with the usual defaults (β1=0.9, β2=0.999).
+// NewAdam binds an Adam optimizer with the usual defaults (β1=0.9, β2=0.999)
+// and gives every parameter without one its gradient buffer.
 func NewAdam(params []*Param, lr float64) *Adam {
 	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: params}
 	a.m = make([][]float64, len(params))
 	a.v = make([][]float64, len(params))
 	for i, p := range params {
+		p.ensureGrad()
 		a.m[i] = make([]float64, len(p.Value))
 		a.v[i] = make([]float64, len(p.Value))
 	}

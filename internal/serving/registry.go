@@ -27,10 +27,14 @@ type PlanConfig struct {
 // version (1 for the initial model, incremented on every successful Swap).
 // Snapshots are immutable; a batch loads one and answers from its plan.
 type Snapshot struct {
-	Model   *core.Model
-	Plan    *infer.Plan
-	Gate    infer.GateResult
-	Version uint64
+	Model *core.Model
+	Plan  *infer.Plan
+	Gate  infer.GateResult
+	// ModelBytes is Model.SizeBytes, the encoded parameter size, measured
+	// once when the snapshot is compiled: encoding every weight costs tens
+	// of milliseconds, too much for each /healthz probe.
+	ModelBytes int
+	Version    uint64
 }
 
 // Registry is a versioned store for the live serving state. Readers get the
@@ -126,7 +130,7 @@ func (r *Registry) compile(m *core.Model) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
-	return &Snapshot{Model: m, Plan: plan, Gate: gate}, nil
+	return &Snapshot{Model: m, Plan: plan, Gate: gate, ModelBytes: m.SizeBytes()}, nil
 }
 
 // publish stores s and updates the registry gauges.

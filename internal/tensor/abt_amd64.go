@@ -27,3 +27,25 @@ func abtTile[T Float](x, w, o []T, k, nq, ldo, rows int, add bool) {
 		abtTileF32(x, any(w).([]float32), any(o).([]float32), k, nq, ldo, rows, add)
 	}
 }
+
+// vecMatF64 is VecMat's vector body at float64: o = +0, then for each k with
+// x[k] ≠ 0, o[j] = o[j] + x[k]·w[k·len(o)+j], 16, 4 and then 1 lane at a
+// time. VecMat has checked that len(w) == len(x)·len(o).
+//
+//go:noescape
+func vecMatF64(x, w, o []float64)
+
+// vecMatF32 is vecMatF64 at float32, 32, 8 and then 1 lane at a time.
+//
+//go:noescape
+func vecMatF32(x, w, o []float32)
+
+// vecMat runs the VecMat vector body of T's width.
+func vecMat[T Float](x, w, o []T) {
+	switch x := any(x).(type) {
+	case []float64:
+		vecMatF64(x, any(w).([]float64), any(o).([]float64))
+	case []float32:
+		vecMatF32(x, any(w).([]float32), any(o).([]float32))
+	}
+}

@@ -3,8 +3,8 @@
 package tensor
 
 // useAVX reports whether the CPU has AVX and the OS saves the YMM registers
-// on a context switch, so Axpy, AdamUpdate and ABT may run their vector
-// bodies.
+// on a context switch, so Axpy, AdamUpdate, ABT and VecMat may run their
+// vector bodies.
 var useAVX = cpuHasAVX()
 
 // cpuHasAVX checks CPUID for AVX and OSXSAVE, then XGETBV for XMM and YMM

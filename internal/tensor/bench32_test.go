@@ -113,6 +113,34 @@ func BenchmarkKernelABT_f32(b *testing.B) {
 	})
 }
 
+// vecMatZeroFracs are the shares of exact-zero inputs of the VecMat benches:
+// none, and about the half of a fixture trunk layer's inputs that are zero
+// at batch 1 (ReLU outputs and binary features).
+var vecMatZeroFracs = []float64{0, 0.5}
+
+// benchVecMat times VecMat at M=1 over the transposed benchN×benchK weight,
+// once per entry of vecMatZeroFracs. GFLOP/s counts the skipped flops too, so
+// it compares directly with ABT at M=1; so does %roof, which can pass 100 when
+// the skip leaves weight bytes unread.
+func benchVecMat[T Float](b *testing.B, elem int, conv func(*Matrix) *Mat[T]) {
+	for _, frac := range vecMatZeroFracs {
+		b.Run(fmt.Sprintf("zeros=%.0f%%", frac*100), func(b *testing.B) {
+			benchKernel(b, []int{1}, elem, func(rng *rand.Rand, m int) func() {
+				x := conv(sprinkleZeros(rng, randMatrix(rng, m, benchK), frac))
+				wt := Transpose(conv(randMatrix(rng, benchN, benchK)))
+				out := make([]T, benchN)
+				return func() { VecMat(x.Data, wt, out) }
+			})
+		})
+	}
+}
+
+func BenchmarkKernelVecMat_f64(b *testing.B) {
+	benchVecMat(b, 8, func(m *Matrix) *Mat[float64] { return (*Mat[float64])(m) })
+}
+
+func BenchmarkKernelVecMat_f32(b *testing.B) { benchVecMat(b, 4, Demote32) }
+
 // trainBenchRows are the row counts of the training-backward kernel benches:
 // the default training minibatch and the 256-row harness batch.
 var trainBenchRows = []int{32, benchM}
@@ -250,7 +278,7 @@ func BenchmarkZeroSkip(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			a, bm, out := zeroSkipOperands(c.zeroFrac)
-			x, bt, o := (*Mat[float64])(a), (*Mat[float64])(transpose(bm)), (*Mat[float64])(out)
+			x, bt, o := (*Mat[float64])(a), Transpose((*Mat[float64])(bm)), (*Mat[float64])(out)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if c.abt {
@@ -262,15 +290,4 @@ func BenchmarkZeroSkip(b *testing.B) {
 			reportGFLOPS(b, benchM)
 		})
 	}
-}
-
-// transpose returns mᵀ as a new matrix.
-func transpose(m *Matrix) *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j, v := range m.Row(i) {
-			t.Set(j, i, v)
-		}
-	}
-	return t
 }

@@ -280,7 +280,8 @@ func sameMatBits(t *testing.T, kernel string, got, want *Matrix) {
 // given at one worker, to zero allocations per call once warm, at the 1-
 // and 2-row serving batches, one four-row group and the 32-row training
 // batch: the vector tile's pack buffer comes from a pool. 62 weight rows
-// leave a tail of two for dot4.
+// leave a tail of two for dot4. VecMat, the 1-row kernel over the
+// transposed weight, allocates nothing either.
 func TestABTAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratch at random, so calls reallocate")
@@ -289,6 +290,7 @@ func TestABTAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	w := randMatrix(rng, 62, 70)
 	w32 := Demote32(w)
+	wt, wt32 := Transpose((*Mat[float64])(w)), Transpose(w32)
 	for _, m := range []int{1, 2, 4, 32} {
 		a, out := randMatrix(rng, m, 70), NewMatrix(m, w.Rows)
 		a32, out32 := Demote32(a), NewMatrix32(m, w.Rows)
@@ -299,9 +301,72 @@ func TestABTAllocs(t *testing.T) {
 			{"ABT f64", func() { ABT((*Mat[float64])(a), (*Mat[float64])(w), (*Mat[float64])(out), false) }},
 			{"ABT f32", func() { ABT(a32, w32, out32, true) }},
 			{"PMatMulABT", func() { PMatMulABT(a, w, out) }},
+			{"VecMat f64", func() { VecMat(a.Row(0), wt, out.Row(0)) }},
+			{"VecMat f32", func() { VecMat(a32.Row(0), wt32, out32.Row(0)) }},
 		} {
 			if got := testing.AllocsPerRun(20, c.call); got != 0 {
 				t.Errorf("%s M=%d: %v allocations per call, want 0", c.name, m, got)
+			}
+		}
+	}
+}
+
+// FuzzVecMat pins VecMat, and its Go loop vecMatGo, to ABT at one row bit
+// for bit, NaN payloads included, at both element types: out = x·Wᵀ over
+// the transposed weight must equal Dot(x, W.Row(j)) in every column, with
+// every zero input skipped. x carries exact zeros, −0, ±Inf and NaNs with
+// random payloads; the weights are finite, with exact zeros and −0, as
+// lowering guarantees; the prior out is dirty. Input and output widths run
+// 0–70, which reaches the 16-, 4- and 1-lane columns at float64 and the 32-,
+// 8- and 1-lane columns at float32. Seeds live in testdata/fuzz/FuzzVecMat.
+func FuzzVecMat(f *testing.F) {
+	f.Add(uint8(64), uint8(70), int64(1))
+	f.Fuzz(func(t *testing.T, inner, cols uint8, seed int64) {
+		k, c := int(inner)%71, int(cols)%71
+		rng := rand.New(rand.NewSource(seed))
+		x, w, prior := specialMat(rng, 1, k), specialMat(rng, c, k), specialMat(rng, 1, c)
+		for i, v := range w.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				w.Data[i] = rng.Float64()*2 - 1
+			}
+		}
+		checkVecMatBits(t, (*Mat[float64])(x), (*Mat[float64])(w), (*Mat[float64])(prior))
+		checkVecMatBits(t, Demote32(x), Demote32(w), Demote32(prior))
+	})
+}
+
+// checkVecMatBits runs VecMat and vecMatGo over wᵀ into copies of prior and
+// checks every column against a one-row ABT.
+func checkVecMatBits[T Float](t *testing.T, x, w, prior *Mat[T]) {
+	t.Helper()
+	want := &Mat[T]{Rows: 1, Cols: w.Rows, Data: make([]T, w.Rows)}
+	ABT(x, w, want, false)
+	wt := Transpose(w)
+	for _, body := range []struct {
+		name string
+		run  func(x []T, wt *Mat[T], out []T)
+	}{{"VecMat", VecMat[T]}, {"vecMatGo", vecMatGo[T]}} {
+		got := append([]T(nil), prior.Data...)
+		body.run(x.Data, wt, got)
+		for j, v := range got {
+			sameDot(t, body.name, 0, j, v, want.Data[j])
+		}
+	}
+}
+
+// TestTranspose checks Transpose element by element at shapes that leave
+// partial blocks on either edge, a single row or column, and none.
+func TestTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, sh := range [][2]int{{0, 0}, {0, 5}, {1, 70}, {70, 1}, {33, 65}, {64, 32}} {
+		m := (*Mat[float64])(randMatrix(rng, sh[0], sh[1]))
+		tr := Transpose(m)
+		if tr.Rows != m.Cols || tr.Cols != m.Rows || len(tr.Data) != len(m.Data) {
+			t.Fatalf("%d×%d: transpose is %d×%d with %d values", m.Rows, m.Cols, tr.Rows, tr.Cols, len(tr.Data))
+		}
+		for i := 0; i < m.Rows; i++ {
+			for j := 0; j < m.Cols; j++ {
+				sameBits(t, "Transpose", i, j, tr.At(j, i), m.At(i, j))
 			}
 		}
 	}

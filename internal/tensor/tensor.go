@@ -6,7 +6,9 @@
 // initialization. The forward product every dense layer and inference plan
 // runs, ABT (out = a·bᵀ), is written once over both element types (ABT,
 // Mat). Where the CPU has AVX, it runs an assembly register tile over groups
-// of four input rows and quads of weight rows; the training backward kernels
+// of four input rows and quads of weight rows. A one-row forward may instead
+// run VecMat over the transposed weight, which skips the weight rows of zero
+// inputs, with ABT's bits, in AVX assembly too. The training backward kernels
 // (MatMul, MatMulATBAdd) run their inner loops through Axpy, AVX assembly
 // too, and so does the optimizer's per-parameter update, AdamUpdate.
 // Elsewhere Go loops run them, with the same bits either way, NaN payloads
@@ -115,12 +117,14 @@ func MatMul(a, b, out *Matrix) *Matrix {
 // independent, so the parallel variant shards this helper and stays
 // bit-identical to the sequential kernel.
 //
-// The zero-skip below is deliberate and training/sparse-only: MatMul's
-// operands on the training path are binary feature rows and ReLU-gated
-// gradients, where entire inner sweeps vanish often enough to pay for the
-// test. On dense inference activations the skip almost never fires and the
-// data-dependent branch defeats the predictor; the inference kernel (ABT)
-// never zero-skips. BenchmarkZeroSkip measures the gap both ways.
+// The zero-skip below pays on the training path: MatMul's operands there
+// are binary feature rows and ReLU-gated gradients, where entire inner
+// sweeps vanish often enough to pay for the test. ABT never zero-skips: a
+// term of its four-row tile could be dropped only where all four rows are
+// zero, and on dense operands the data-dependent branch defeats the
+// predictor (BenchmarkZeroSkip measures the gap both ways). The batch-1
+// inference kernel, VecMat, skips like this loop does: a zero input there
+// saves a whole weight row of memory traffic.
 func matMulRows(a, b, out *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		oi := out.Row(i)
@@ -178,7 +182,7 @@ func (m *Mat[T]) Set(i, j int, v T) { m.Data[i*m.Cols+j] = v }
 // weight rows left, and every row without AVX, run dot4 over groups of four
 // input rows (abtGroups) and dot4Pairs for the 1–3 rows left over (abtRow).
 // The inner loops carry no data-dependent branches (see matMulRows for why
-// the training kernel zero-skips and this one does not).
+// the training kernel and VecMat zero-skip and this one does not).
 func ABT[T Float](a, b, out *Mat[T], add bool) {
 	checkABT(a, b, out)
 	abtRows(a, b, out, 0, a.Rows, add)
@@ -306,6 +310,96 @@ func abtRow[T Float](a []T, b *Mat[T], o []T, j0 int, add bool) {
 			o[j] = Dot(a, b.Row(j))
 		}
 	}
+}
+
+// VecMat computes the 1-row product out = x·wt, where wt is a transposed
+// weight Wᵀ (In×Out), len(x) == wt.Rows and len(out) == wt.Cols. It sets out
+// to +0, then adds x[k]·wt.Row(k) for each k with x[k] ≠ 0, in ascending k:
+// each multiply takes x[k] first (in the vector body; see vecMatGo), each
+// add takes the accumulator first, and no multiply-add is fused. So out[j]
+// is ABT's Dot(x, W.Row(j)) bit for bit, NaN payloads included, whenever
+// every weight is finite: a skipped term is x[k]·w = ±0, and adding ±0 to a
+// sum that started at +0 changes no bit, since round to nearest never turns
+// such a sum into −0. NaN and ±Inf inputs are not zero and are never
+// skipped. Unlike ABT it reads only the weight rows that meet a nonzero
+// input, a contiguous Out-wide row each, which is what makes a batch-1
+// forward over ReLU outputs and binary features faster: such a forward is
+// bound by the weight bytes it streams.
+//
+// Where the CPU has AVX the body is the vector loop in vecmat_amd64.s (4
+// lanes at float64, 8 at float32); elsewhere vecMatGo runs it, with the same
+// bits.
+func VecMat[T Float](x []T, wt *Mat[T], out []T) {
+	if len(x) != wt.Rows || len(out) != wt.Cols || len(wt.Data) != wt.Rows*wt.Cols {
+		panic(fmt.Sprintf("tensor: vecmat shape mismatch %d · %d×%d into %d",
+			len(x), wt.Rows, wt.Cols, len(out)))
+	}
+	if useAVX {
+		vecMat(x, wt.Data, out)
+		return
+	}
+	vecMatGo(x, wt, out)
+}
+
+// vecMatGo is VecMat's Go loop, the reference the vector body follows. It
+// keeps four output columns in registers across the k loop: an accumulator
+// summed in memory would compile with the loaded sum as the add's second
+// operand, so where the sum and the product are both NaN it would keep the
+// product's payload, not Dot's. The four-column block's compiled multiply
+// takes the weight first (read with objdump); only a NaN weight could tell
+// that apart from x first, and a lowered weight is finite.
+func vecMatGo[T Float](x []T, wt *Mat[T], out []T) {
+	n := wt.Cols
+	j := 0
+	for ; j+3 < n; j += 4 {
+		var s0, s1, s2, s3 T
+		for k, xk := range x {
+			if xk == 0 {
+				continue
+			}
+			w := wt.Data[k*n+j : k*n+j+4]
+			s0 += xk * w[0]
+			s1 += xk * w[1]
+			s2 += xk * w[2]
+			s3 += xk * w[3]
+		}
+		out[j], out[j+1], out[j+2], out[j+3] = s0, s1, s2, s3
+	}
+	for ; j < n; j++ {
+		var s T
+		for k, xk := range x {
+			if xk != 0 {
+				s += xk * wt.Data[k*n+j]
+			}
+		}
+		out[j] = s
+	}
+}
+
+// transposeBlock is the tile edge of Transpose: a 32×32 block of float64
+// reads 32 source lines and writes 32 destination lines, which stay in L1
+// together. Of edges 8 to 64 it was the fastest on the perfbench fixture's
+// weights.
+const transposeBlock = 32
+
+// Transpose returns mᵀ as a new matrix. It copies in square blocks, so the
+// reads and the writes of a block stay within a few cache lines each: an
+// element-by-element transpose misses a cache line on nearly every write.
+func Transpose[T Float](m *Mat[T]) *Mat[T] {
+	t := &Mat[T]{Rows: m.Cols, Cols: m.Rows, Data: make([]T, len(m.Data))}
+	for i0 := 0; i0 < m.Rows; i0 += transposeBlock {
+		i1 := min(i0+transposeBlock, m.Rows)
+		for j0 := 0; j0 < m.Cols; j0 += transposeBlock {
+			j1 := min(j0+transposeBlock, m.Cols)
+			for i := i0; i < i1; i++ {
+				row := m.Data[i*m.Cols : (i+1)*m.Cols]
+				for j := j0; j < j1; j++ {
+					t.Data[j*t.Cols+i] = row[j]
+				}
+			}
+		}
+	}
+	return t
 }
 
 // dot4Pairs returns (Dot(a0,b0), Dot(a1,b1), Dot(a2,b2), Dot(a3,b3)) in
