@@ -70,9 +70,10 @@ race-serving:
 
 # Shake the observability layer under the race detector: sink/registry
 # concurrency, trace sampling, the rolling drift monitor, the SLO tracker's
-# evaluation loop, triggered profile capture, and concurrent peer scrapes.
+# evaluation loop, triggered profile capture, and concurrent peer JSON
+# fetches.
 race-obs:
-	$(GO) test -race -count=3 ./internal/obs/... -run 'Concurrent|Sink|Trace|Monitor|Drift|Sampler|Tracker|Burn|Capture|Cooldown|Busy|GatherRemote'
+	$(GO) test -race -count=3 ./internal/obs/... -run 'Concurrent|Sink|Trace|Monitor|Drift|Sampler|Tracker|Burn|Capture|Cooldown|Busy|GatherJSON'
 
 # Stress the data-parallel training engine and the shared tensor worker pool
 # under the race detector: shard forward/backward over shared weights, ordered
@@ -105,26 +106,28 @@ race-autopilot:
 
 # Short native-fuzzing pass over every fuzz target (seed corpora live in each
 # package's testdata/fuzz/ or in the target's f.Add seeds; plain `go test`
-# replays them too): the router's routing-key extraction, the replica's
-# /estimate request parsing and validation and its /feedback handler, the
-# serving cache's packed curve key, scraped Prometheus text through a
-# re-emit round trip, trace JSONL loading and assembly, the generic ABT
-# kernel against the per-element dot products, the MatMul and MatMulATBAdd
-# saxpy kernels against the naive scalar loops, the vector Adam step against
-# its Go loop, the batch-1 VecMat kernel against a one-row ABT, the replica's
-# /admin/autopilot body handling, model-file loading,
-# trainer-state decode and resume, staged train-set loading and retraining,
-# and the f64/f32 plans against the nn forward.
+# replays them too): the router's routing-key extraction, its health
+# prober over two arbitrary replica /healthz bodies and its /admin/rollout
+# body handling, the replica's /estimate request parsing and validation and
+# its /feedback handler, the serving cache's packed curve key, trace JSONL
+# loading and assembly, the generic ABT kernel against the per-element dot
+# products, the MatMul and MatMulATBAdd saxpy kernels against the naive
+# scalar loops, the vector Adam step against its Go loop, the batch-1 VecMat
+# kernel against a one-row ABT, the replica's /admin/autopilot body
+# handling, model-file loading, trainer-state decode and resume, staged
+# train-set loading and retraining, and the f64/f32 plans against the nn
+# forward.
 # FuzzRestoreTrainer's seeds are 30 KB checkpoints and every FuzzLoadTrainSet
 # input runs a retrain, so both skip minimizing new inputs, which would take
 # their whole budget.
 fuzz-smoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzExtractKey$$' -fuzztime=10s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzReplicaHealthz$$' -fuzztime=10s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzRollout$$' -fuzztime=10s
 	$(GO) test ./cmd/cardnet -run '^$$' -fuzz '^FuzzEstimateRequest$$' -fuzztime=10s
 	$(GO) test ./cmd/cardnet -run '^$$' -fuzz '^FuzzFeedback$$' -fuzztime=10s
 	$(GO) test ./cmd/cardnet -run '^$$' -fuzz '^FuzzAutopilot$$' -fuzztime=10s
 	$(GO) test ./internal/serving -run '^$$' -fuzz '^FuzzCurveKey$$' -fuzztime=10s
-	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParsePrometheus$$' -fuzztime=10s
 	$(GO) test ./internal/obs/tracescan -run '^$$' -fuzz '^FuzzLoadTraces$$' -fuzztime=10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMulABT$$' -fuzztime=10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMul$$' -fuzztime=10s

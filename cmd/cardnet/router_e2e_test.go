@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -155,6 +156,72 @@ func TestRouterE2EEstimate(t *testing.T) {
 			}
 			seen[tau] = *er.Estimate
 		}
+	}
+}
+
+// fleetEntry reads one replica's entry in the router's /healthz fleet view.
+func fleetEntry(t *testing.T, front, base string) cluster.ReplicaHealth {
+	t.Helper()
+	resp, err := http.Get(front + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var hz struct {
+		Replicas []cluster.ReplicaHealth `json:"replicas"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range hz.Replicas {
+		if r.Base == base {
+			return r
+		}
+	}
+	t.Fatalf("router /healthz has no entry for %s: %+v", base, hz.Replicas)
+	return cluster.ReplicaHealth{}
+}
+
+// TestRouterE2EFleetViewContract pins the replica/router /healthz contract
+// over real serve handlers: after N estimates routed to a replica and two
+// probe sweeps around them, the router's fleet view shows that replica's
+// estimate_requests grown by exactly N, equal to what the replica itself
+// reports, with a positive qps and p99. The replicas' request counter is
+// process-wide, so the test reads its growth, not its level.
+func TestRouterE2EFleetViewContract(t *testing.T) {
+	m := tinyModel(3)
+	f := newRouterFleet(t, m, 1)
+	base := f.replicas[0].URL
+	f.rt.Prober().ProbeOnce(context.Background())
+	before := fleetEntry(t, f.front.URL, base)
+
+	const n = 18
+	xCSV := strings.Join(binXStrings(m), ",")
+	for i := 0; i < n; i++ {
+		resp, err := http.Post(f.front.URL+"/estimate", "application/json",
+			bytes.NewBufferString(fmt.Sprintf(`{"x":[%s],"tau":%d}`, xCSV, i%9)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("estimate %d: status %d", i, resp.StatusCode)
+		}
+	}
+	f.rt.Prober().ProbeOnce(context.Background())
+	after := fleetEntry(t, f.front.URL, base)
+
+	if !after.Healthy || after.LastErr != "" {
+		t.Fatalf("replica unhealthy in the fleet view: %+v", after)
+	}
+	if got := after.EstimateRequests - before.EstimateRequests; got != n {
+		t.Fatalf("estimate_requests grew by %v across %d routed estimates", got, n)
+	}
+	if own, _ := replicaHealthz(t, base)["estimate_requests"].(float64); own != after.EstimateRequests {
+		t.Fatalf("router shows estimate_requests %v, the replica reports %v", after.EstimateRequests, own)
+	}
+	if after.QPS <= 0 || after.P99Seconds <= 0 {
+		t.Fatalf("qps %v, p99_seconds %v after %d requests between sweeps; want both > 0", after.QPS, after.P99Seconds, n)
 	}
 }
 

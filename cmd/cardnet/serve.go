@@ -587,6 +587,10 @@ func handleHealthz(eng *serving.Engine, mon *monitor.Monitor, tracker *slo.Track
 			"model_version":      version,
 			"cache_entries":      eng.CacheLen(),
 			"precision":          cur.Gate,
+			// The router's fleet view reads these two: the request count,
+			// and the e2e histogram whose deltas give QPS and p99.
+			"estimate_requests": mEstimateRequests.Value(),
+			"e2e":               mE2E.Snapshot(),
 		}
 		if pilot != nil {
 			body["autopilot"] = pilot.Status()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -35,8 +36,9 @@ func traceSink(t *testing.T, dir, name string) (*obs.TraceSampler, *obs.Sink, st
 // router fronting two traced replicas (sampling 1.0), with one replica
 // rejecting its first requests to force failovers. Every sampled request
 // must assemble into a cross-process trace that tiles within tolerance, the
-// report must show the retry amplification, and a histogram exemplar scraped
-// from the router's OpenMetrics /metrics must resolve to an assembled trace.
+// report must show the retry amplification, and every exemplar of the
+// router's proxy histogram must appear in its OpenMetrics /metrics and
+// resolve to an assembled trace.
 func TestRouterE2ETraceAssembly(t *testing.T) {
 	dir := t.TempDir()
 	m := tinyModel(3)
@@ -108,18 +110,25 @@ func TestRouterE2ETraceAssembly(t *testing.T) {
 		t.Fatalf("replica B rejected only %d requests; failover not exercised", rejected.Load())
 	}
 
-	// Scrape the router's OpenMetrics exposition before tearing down: the
-	// e2e histogram must carry trace-ID exemplars.
+	// Fetch the router's OpenMetrics exposition before tearing down: it
+	// must carry the exemplars of the router's in-process proxy histogram.
 	req, _ := http.NewRequest(http.MethodGet, front.URL+"/metrics", nil)
 	req.Header.Set("Accept", obs.OpenMetricsContentType)
 	mresp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exemplars, err := obs.ParseExemplars(mresp.Body)
+	exposition, err := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
+	}
+	var exemplars []obs.Exemplar
+	proxy := reg.Histogram("cluster.proxy.seconds", obs.TimeBuckets())
+	for i := 0; i <= len(obs.TimeBuckets()); i++ {
+		if ex, ok := proxy.BucketExemplar(i); ok {
+			exemplars = append(exemplars, ex)
+		}
 	}
 
 	// Drain the async emission queues, then close the sinks.
@@ -187,20 +196,18 @@ func TestRouterE2ETraceAssembly(t *testing.T) {
 		t.Fatalf("ok attempts %d, want %d", rep.Amplification.ByOutcome["ok"], calls)
 	}
 
-	// Exemplar workflow: a cluster.proxy.seconds exemplar from /metrics names
-	// a trace that tracescan assembled end to end.
-	found := 0
-	for series, ex := range exemplars {
-		if !strings.HasPrefix(series, "cluster_proxy_seconds_bucket") {
-			continue
-		}
-		found++
-		if assembled[ex.TraceID] == nil {
-			t.Fatalf("exemplar on %s names trace %s, which did not assemble", series, ex.TraceID)
-		}
+	// Exemplar workflow: every cluster.proxy.seconds exemplar, as /metrics
+	// serves it, names a trace that tracescan assembled end to end.
+	if len(exemplars) == 0 {
+		t.Fatal("no cluster.proxy.seconds bucket holds an exemplar")
 	}
-	if found == 0 {
-		t.Fatalf("no cluster_proxy_seconds exemplars in the router exposition (got %d exemplars total)", len(exemplars))
+	for _, ex := range exemplars {
+		if !bytes.Contains(exposition, []byte(`# {trace_id="`+ex.TraceID+`"}`)) {
+			t.Fatalf("exemplar trace %s missing from the router's OpenMetrics exposition", ex.TraceID)
+		}
+		if assembled[ex.TraceID] == nil {
+			t.Fatalf("exemplar names trace %s, which did not assemble", ex.TraceID)
+		}
 	}
 
 	// And the CLI mode over the same files: text+JSON report, no tiling

@@ -11,13 +11,13 @@
 //     seeing the same slice of the keyspace and its LRU cache stays hot.
 //     Adding or removing one of N replicas moves only ≈1/N of the keys.
 //
-//   - Prober: periodic /healthz + /metrics probes per replica (through the
-//     shared obs scrape client). A replica failing EjectAfter consecutive
-//     probes is ejected from the ring; the first succeeding probe restores
-//     it. Each replica's snapshot carries its health, SLO, drift, build and
-//     model version, plus the QPS and p99 of the requests it completed
-//     between the last two sweeps — the fleet view the router's /healthz
-//     serves.
+//   - Prober: one /healthz GET per replica per sweep (through
+//     obs.GatherJSON). A replica failing EjectAfter consecutive probes is
+//     ejected from the ring; the first succeeding probe restores it. Each
+//     replica's snapshot carries its health, SLO, drift, build and model
+//     version, its estimate_requests, plus the QPS and p99 of the requests
+//     it completed between the last two sweeps, from the e2e histogram on
+//     its /healthz — the fleet view the router's /healthz serves.
 //
 //   - Router: the HTTP front. It proxies /estimate and /feedback to the
 //     key's ring node with a bounded failover budget — 503 and connect

@@ -2,11 +2,17 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strconv"
+	"sync/atomic"
 	"testing"
+
+	"cardnet/internal/obs"
 )
 
 // FuzzExtractKey: any POST body or GET query yields a routing key or an
@@ -61,4 +67,101 @@ func checkSameRoute(t *testing.T, method string, key uint64, err error, key2 uin
 	if err == nil && key != key2 {
 		t.Fatalf("%s: rewriting tau/all moved the key %x -> %x", method, key, key2)
 	}
+}
+
+// FuzzReplicaHealthz serves a replica's /healthz two arbitrary bodies
+// across two ProbeOnce sweeps. Nothing may panic; a body that is not one
+// JSON object is a failed probe and any object a successful one; qps and
+// p99_seconds stay finite and ≥ 0, and both are 0 unless the last two
+// successful sweeps carried a well-formed e2e histogram. Seeds live in
+// testdata/fuzz/FuzzReplicaHealthz: a restart, a changed bucket bound and
+// an added bucket between sweeps, non-object bodies, negative cumulative
+// counts, unsorted bounds and trailing data.
+func FuzzReplicaHealthz(f *testing.F) {
+	var body atomic.Pointer[[]byte]
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(*body.Load())
+	}))
+	f.Cleanup(ts.Close)
+	f.Fuzz(func(t *testing.T, first, second []byte) {
+		p := NewProber([]string{ts.URL}, ProberConfig{EjectAfter: 1, Registry: obs.NewRegistry()})
+		var last *obs.HistSnapshot
+		for sweep, b := range [][]byte{first, second} {
+			body.Store(&b)
+			p.ProbeOnce(context.Background())
+			st := p.Snapshot()[0]
+			var doc map[string]any
+			isObject := len(b) <= 1<<20 && json.Unmarshal(b, &doc) == nil && doc != nil
+			if failed := st.LastErr != ""; failed == isObject || st.Healthy != isObject {
+				t.Fatalf("sweep %d, body %q: healthy %v, last_err %q; body is a JSON object: %v", sweep, b, st.Healthy, st.LastErr, isObject)
+			}
+			for name, v := range map[string]float64{"qps": st.QPS, "p99_seconds": st.P99Seconds} {
+				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+					t.Fatalf("sweep %d: %s = %v, want finite and ≥ 0", sweep, name, v)
+				}
+			}
+			if !isObject {
+				continue
+			}
+			cur := e2eSnapshot(doc)
+			if (last == nil || cur == nil) && (st.QPS != 0 || st.P99Seconds != 0) {
+				t.Fatalf("sweep %d: qps %v, p99 %v without two well-formed e2e histograms", sweep, st.QPS, st.P99Seconds)
+			}
+			last = cur
+		}
+	})
+}
+
+// FuzzRollout posts arbitrary bodies to the router's /admin/rollout while
+// no replica is healthy. The answer is 503 (no replica to canary) when the
+// body decodes to a non-empty path and 400 otherwise, never a panic, and no
+// refused body changes what GET /admin/rollout reports.
+func FuzzRollout(f *testing.F) {
+	for _, seed := range []string{
+		`{"path":"m2.gob"}`,
+		`{"path":"m2.gob","rollback_path":"m.gob"}`,
+		`{"path":"m2.gob"} {"path":"m3.gob"}`,
+		`{"PATH":"m2.gob"}`,
+		`{"path":""}`,
+		`{"path":1}`,
+		`{}`,
+		`null`,
+		`[`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	rt, err := New(Config{Replicas: []string{dead.URL}, EjectAfter: 1, Registry: obs.NewRegistry()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(rt.Close)
+	rt.Prober().ProbeOnce(context.Background())
+	if h := rt.Prober().Healthy(); len(h) != 0 {
+		f.Fatalf("healthy replicas %v, want none", h)
+	}
+	h := rt.Handler()
+	status := func() string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/admin/rollout", nil))
+		return rec.Body.String()
+	}
+	idle := status()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/admin/rollout", bytes.NewReader(body)))
+		var req rolloutRequest
+		want := http.StatusBadRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil && req.Path != "" {
+			want = http.StatusServiceUnavailable
+		}
+		if rec.Code != want || !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("body %q: status %d %s, want %d with a JSON error", body, rec.Code, rec.Body, want)
+		}
+		if got := status(); got != idle {
+			t.Fatalf("body %q changed GET /admin/rollout:\n%s\nwas:\n%s", body, got, idle)
+		}
+	})
 }

@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -35,109 +35,78 @@ type ReplicaHealth struct {
 	// ModelVersion is the replica's serving-registry version (rollouts bump
 	// it via /admin/reload).
 	ModelVersion uint64 `json:"model_version"`
-	// EstimateRequests is the replica's cumulative /estimate request counter
-	// from its /metrics exposition.
+	// EstimateRequests is the replica's cumulative /estimate request counter,
+	// the estimate_requests field of its /healthz.
 	EstimateRequests float64 `json:"estimate_requests"`
 	// QPS is the rate of requests completing on the replica between its
-	// last two successful sweeps: the e2e histogram's count delta over the
-	// measured time between them. 0 until a second sweep lands.
+	// last two successful sweeps: the count delta of the e2e histogram on
+	// its /healthz over the measured time between them. 0 until a second
+	// sweep lands, and 0 while either sweep's e2e is missing or malformed.
 	QPS float64 `json:"qps"`
 	// P99Seconds is the e2e latency p99 of the requests that completed
-	// between the same two sweeps. Absent before a second sweep, when the
+	// between the same two sweeps. Absent when QPS has no base, when the
 	// histogram's bucket layout changed between them, and when no request
 	// completed in between.
 	P99Seconds float64 `json:"p99_seconds,omitempty"`
 }
 
-// replicaE2EHistogram is the replica latency histogram QPS and p99 derive
-// from: serving.E2EHistogram, named here so the router does not link the
-// model stack.
-const replicaE2EHistogram = "serving.e2e.seconds"
-
-// replicaState is one replica's health plus the scraped series of its last
-// successful sweep (nil before one) and that sweep's time: the base of the
-// next sweep's QPS and p99.
+// replicaState is one replica's health plus the e2e histogram of its last
+// successful sweep (nil before one, or when that sweep's was missing or
+// malformed) and that sweep's time: the base of the next sweep's QPS and p99.
 type replicaState struct {
 	ReplicaHealth
-	last   map[string]float64
+	last   *obs.HistSnapshot
 	lastAt time.Time
 }
 
-// e2eRates derives a replica's QPS and p99 from the e2e histogram in the
-// series of two sweeps dt apart. A counter that went down (the replica
-// restarted between sweeps) clamps to 0; p99 is 0 when the bucket layout
-// changed or nothing completed.
-func e2eRates(prev, cur map[string]float64, dt time.Duration) (qps, p99 float64) {
-	prom := obs.PromName(replicaE2EHistogram)
-	if dt > 0 {
-		qps = math.Max(0, cur[prom+"_count"]-prev[prom+"_count"]) / dt.Seconds()
+// e2eSnapshot decodes the e2e histogram of a replica's /healthz document
+// (serving.E2EHistogram's snapshot). It returns nil when the field is
+// absent or is not a latency histogram: bounds that are not finite,
+// non-negative and ascending, or cumulative counts that fall or pass the
+// count.
+func e2eSnapshot(doc map[string]any) *obs.HistSnapshot {
+	field, ok := doc["e2e"].(map[string]any)
+	if !ok {
+		return nil
 	}
-	if bounds, counts := histDelta(prev, cur, prom); counts != nil {
-		p99 = slo.BucketQuantile(bounds, counts, 0.99)
+	raw, err := json.Marshal(field)
+	var s obs.HistSnapshot
+	if err != nil || json.Unmarshal(raw, &s) != nil || s.BucketCounts() == nil {
+		return nil
 	}
-	return qps, p99
+	lo := 0.0
+	for _, b := range s.Buckets {
+		if !(b.UpperBound >= lo) || math.IsInf(b.UpperBound, 1) {
+			return nil
+		}
+		lo = b.UpperBound
+	}
+	return &s
 }
 
-// histDelta extracts a histogram's per-bucket counts between two sweeps:
-// finite bucket bounds in ascending order and the non-cumulative count
-// deltas with the overflow bucket last — the shape slo.BucketQuantile
-// consumes. Returns nil counts when either sweep lacks the histogram or the
-// bucket layout changed between them.
-func histDelta(prev, cur map[string]float64, promName string) ([]float64, []float64) {
-	cum1, cum2 := bucketCumulatives(prev, promName), bucketCumulatives(cur, promName)
-	if cum1 == nil || cum2 == nil || len(cum1) != len(cum2) {
-		return nil, nil
+// e2eRates derives a replica's QPS and p99 from its e2e histogram at two
+// sweeps dt apart. A count that went down (the replica restarted between
+// sweeps) clamps to 0; p99 is 0 when the bucket layout changed or nothing
+// completed.
+func e2eRates(prev, cur obs.HistSnapshot, dt time.Duration) (qps, p99 float64) {
+	if dt > 0 && cur.Count > prev.Count {
+		qps = float64(cur.Count-prev.Count) / dt.Seconds()
 	}
-	bounds := make([]float64, 0, len(cum2))
-	for b := range cum2 {
-		if _, ok := cum1[b]; !ok {
-			return nil, nil
+	base, counts := prev.BucketCounts(), cur.BucketCounts()
+	if base == nil || counts == nil || len(base) != len(counts) {
+		return qps, 0
+	}
+	bounds := make([]float64, len(cur.Buckets))
+	for i, b := range cur.Buckets {
+		if b.UpperBound != prev.Buckets[i].UpperBound {
+			return qps, 0
 		}
-		bounds = append(bounds, b)
+		bounds[i] = b.UpperBound
 	}
-	sort.Float64s(bounds)
-	counts := make([]float64, 0, len(bounds)+1)
-	prev1, prev2 := 0.0, 0.0
-	for _, b := range bounds {
-		counts = append(counts, (cum2[b]-prev2)-(cum1[b]-prev1))
-		prev1, prev2 = cum1[b], cum2[b]
+	for i := range counts {
+		counts[i] = math.Max(0, counts[i]-base[i])
 	}
-	countName := promName + "_count"
-	counts = append(counts, (cur[countName]-prev2)-(prev[countName]-prev1))
-	for i, c := range counts {
-		if c < 0 {
-			counts[i] = 0 // replica restarted between sweeps
-		}
-	}
-	return bounds, counts
-}
-
-// bucketCumulatives collects a histogram's finite-bound cumulative bucket
-// counts from a scraped series map, keyed by upper bound; nil when the
-// histogram is absent.
-func bucketCumulatives(series map[string]float64, promName string) map[float64]float64 {
-	prefix := promName + "_bucket"
-	var out map[float64]float64
-	for id, v := range series {
-		name, labels, err := obs.SplitSeries(id)
-		if err != nil || name != prefix {
-			continue
-		}
-		for _, l := range labels {
-			if l.Name != "le" || l.Value == "+Inf" { // overflow derives from _count
-				continue
-			}
-			bound, err := strconv.ParseFloat(l.Value, 64)
-			if err != nil || math.IsInf(bound, 0) || math.IsNaN(bound) {
-				continue
-			}
-			if out == nil {
-				out = map[float64]float64{}
-			}
-			out[bound] = v
-		}
-	}
-	return out
+	return qps, slo.BucketQuantile(bounds, counts, 0.99)
 }
 
 // ProberConfig tunes the health prober. Zero values take the documented
@@ -148,8 +117,8 @@ type ProberConfig struct {
 	// EjectAfter is the consecutive-failure threshold that ejects a replica
 	// (default 3).
 	EjectAfter int
-	// Client issues the probes; nil uses the shared obs scrape client
-	// (5s timeout), the one obs.GatherJSON and obs.GatherRemote default to.
+	// Client issues the probes; nil uses the shared obs client (5s
+	// timeout) obs.GatherJSON defaults to, the rollout controller's too.
 	Client *http.Client
 	// OnChange, when set, fires on every health transition (ejection and
 	// restoration). The router wires ring membership here. Called without
@@ -159,8 +128,9 @@ type ProberConfig struct {
 	Registry *obs.Registry
 }
 
-// Prober drives periodic /healthz + /metrics probes of a fixed replica set
-// and tracks per-replica health with consecutive-failure ejection. Replicas
+// Prober drives periodic /healthz probes of a fixed replica set, one GET
+// per replica per sweep, and tracks per-replica health with
+// consecutive-failure ejection. Replicas
 // start healthy (optimistic: the router can route before the first sweep);
 // the probe loop then converges the view within EjectAfter intervals.
 type Prober struct {
@@ -261,25 +231,16 @@ func (p *Prober) Stop() {
 	}
 }
 
-// ProbeOnce runs one probe sweep: every replica's /healthz and /metrics are
-// fetched concurrently through the shared scrape helpers, and health states
-// advance (exported so tests and the router's bench can drive probing
-// deterministically).
+// ProbeOnce runs one probe sweep: every replica's /healthz is fetched
+// concurrently through obs.GatherJSON, and health states advance (exported
+// so tests and the router's bench can drive probing deterministically).
 func (p *Prober) ProbeOnce(ctx context.Context) {
 	p.mSweeps.Inc()
-	hzURLs := make([]string, len(p.bases))
-	metURLs := make([]string, len(p.bases))
+	urls := make([]string, len(p.bases))
 	for i, b := range p.bases {
-		hzURLs[i] = b + "/healthz"
-		metURLs[i] = b + "/metrics"
+		urls[i] = b + "/healthz"
 	}
-	var hz []obs.JSONSnapshot
-	var met []obs.RemoteSnapshot
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); hz = obs.GatherJSON(ctx, p.client, hzURLs) }()
-	go func() { defer wg.Done(); met = obs.GatherRemote(ctx, p.client, metURLs) }()
-	wg.Wait()
+	hz := obs.GatherJSON(ctx, p.client, urls)
 	now := time.Now()
 
 	type change struct {
@@ -291,11 +252,7 @@ func (p *Prober) ProbeOnce(ctx context.Context) {
 	healthy := 0
 	for i, b := range p.bases {
 		st := p.states[b]
-		err := hz[i].Err
-		if err == nil {
-			err = met[i].Err
-		}
-		if err != nil {
+		if err := hz[i].Err; err != nil {
 			st.LastErr = err.Error()
 			st.Fails++
 			if st.Healthy && st.Fails >= p.cfg.EjectAfter {
@@ -313,11 +270,13 @@ func (p *Prober) ProbeOnce(ctx context.Context) {
 			if mv, ok := hz[i].Doc["model_version"].(float64); ok {
 				st.ModelVersion = uint64(mv)
 			}
-			st.EstimateRequests = met[i].Series[obs.PromName("http.estimate.requests")+"_total"]
-			if st.last != nil {
-				st.QPS, st.P99Seconds = e2eRates(st.last, met[i].Series, now.Sub(st.lastAt))
+			st.EstimateRequests, _ = hz[i].Doc["estimate_requests"].(float64)
+			e2e := e2eSnapshot(hz[i].Doc)
+			st.QPS, st.P99Seconds = 0, 0
+			if st.last != nil && e2e != nil {
+				st.QPS, st.P99Seconds = e2eRates(*st.last, *e2e, now.Sub(st.lastAt))
 			}
-			st.last, st.lastAt = met[i].Series, now
+			st.last, st.lastAt = e2e, now
 			if !st.Healthy {
 				st.Healthy = true
 				p.mRestore.Inc()

@@ -2,13 +2,13 @@ package cluster
 
 import (
 	"context"
-	"strings"
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
 
 	"cardnet/internal/obs"
-	"cardnet/internal/serving"
+	"cardnet/internal/obs/slo"
 )
 
 // TestProberEjectAndRestore walks a replica through the health lifecycle:
@@ -74,8 +74,9 @@ func TestProberEjectAndRestore(t *testing.T) {
 	}
 }
 
-// TestProberScrapesEstimateCounter checks the /metrics side of the probe:
-// the replica's cumulative estimate counter lands in the snapshot.
+// TestProberScrapesEstimateCounter checks that the replica's cumulative
+// estimate counter, the estimate_requests field of its /healthz, lands in
+// the snapshot.
 func TestProberScrapesEstimateCounter(t *testing.T) {
 	rep := newFakeReplica(t, "a")
 	rep.mu.Lock()
@@ -86,6 +87,27 @@ func TestProberScrapesEstimateCounter(t *testing.T) {
 	p.ProbeOnce(context.Background())
 	if got := p.Snapshot()[0].EstimateRequests; got != 17 {
 		t.Fatalf("estimate_requests=%v, want 17", got)
+	}
+}
+
+// TestProberOneRequestPerReplica counts what each replica sees: every sweep
+// is exactly one GET of /healthz, and nothing else (no /metrics scrape).
+func TestProberOneRequestPerReplica(t *testing.T) {
+	a, b := newFakeReplica(t, "a"), newFakeReplica(t, "b")
+	p := NewProber([]string{a.base(), b.base()}, ProberConfig{Registry: obs.NewRegistry()})
+	defer p.Stop()
+	const sweeps = 3
+	for i := 0; i < sweeps; i++ {
+		p.ProbeOnce(context.Background())
+	}
+	for _, rep := range []*fakeReplica{a, b} {
+		rep.mu.Lock()
+		hz, met, paths := rep.hits["/healthz"], rep.hits["/metrics"], len(rep.hits)
+		rep.mu.Unlock()
+		if hz != sweeps || met != 0 || paths != 1 {
+			t.Fatalf("replica %s over %d sweeps: /healthz %d, /metrics %d, %d paths; want one /healthz per sweep and nothing else",
+				rep.id, sweeps, hz, met, paths)
+		}
 	}
 }
 
@@ -107,32 +129,72 @@ func TestProberStartStop(t *testing.T) {
 	p.Stop() // idempotent
 }
 
-// TestE2ERatesRestartAndLayoutChange pins the sweep-delta edge cases: a
-// replica that restarted between sweeps (counters went down) clamps to
-// zero instead of reporting negative rates, and a bucket layout change
-// between sweeps omits p99 rather than differencing unrelated buckets.
+// TestE2ERatesRestartAndLayoutChange pins the sweep-delta edge cases on
+// the /healthz e2e snapshots: a replica that restarted between sweeps
+// (counts went down) clamps each delta to zero instead of reporting
+// negative rates, and a bucket layout change between sweeps omits p99
+// rather than differencing unrelated buckets.
 func TestE2ERatesRestartAndLayoutChange(t *testing.T) {
-	if replicaE2EHistogram != serving.E2EHistogram {
-		t.Fatalf("prober reads %q, replicas write %q", replicaE2EHistogram, serving.E2EHistogram)
-	}
-	parse := func(text string) map[string]float64 {
-		series, err := obs.ParsePrometheus(strings.NewReader(text))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return series
-	}
-	prev := parse(e2eExposition([3]int{10, 20, 40}, 50))
-	restarted := parse(e2eExposition([3]int{1, 2, 4}, 4))
+	prev := e2eHist([3]int{10, 20, 40}, 50)
+	restarted := e2eHist([3]int{1, 2, 4}, 4)
 	if qps, p99 := e2eRates(prev, restarted, 2*time.Second); qps != 0 || p99 != 0 {
 		t.Fatalf("restart: qps %v p99 %v, want 0 and 0", qps, p99)
 	}
-	relaid := parse(strings.Replace(e2eExposition([3]int{10, 30, 60}, 70), `le="0.1"`, `le="0.2"`, 1))
+	// A restarted replica that already filled one bucket past the old one:
+	// only that bucket's delta (10 in the 10–100ms bucket) counts.
+	busy := e2eHist([3]int{0, 0, 30}, 35)
+	want := slo.BucketQuantile([]float64{0.001, 0.01, 0.1}, []float64{0, 0, 10, 0}, 0.99)
+	if qps, p99 := e2eRates(prev, busy, 2*time.Second); qps != 0 || p99 != want {
+		t.Fatalf("busy restart: qps %v p99 %v, want 0 and %v", qps, p99, want)
+	}
+	relaid := e2eHist([3]int{10, 30, 60}, 70)
+	relaid.Buckets[2].UpperBound = 0.2
 	if qps, p99 := e2eRates(prev, relaid, 2*time.Second); qps != 10 || p99 != 0 {
 		t.Fatalf("layout change: qps %v p99 %v, want 10 and no p99", qps, p99)
 	}
-	grown := parse(e2eExposition([3]int{10, 30, 60}, 70) + "serving_e2e_seconds_bucket{le=\"1\"} 70\n")
+	grown := e2eHist([3]int{10, 30, 60}, 70)
+	grown.Buckets = append(grown.Buckets, obs.Bucket{UpperBound: 1, Count: 70})
 	if _, p99 := e2eRates(prev, grown, 2*time.Second); p99 != 0 {
 		t.Fatalf("added bucket: p99 %v, want none", p99)
+	}
+}
+
+// TestE2ESnapshotRejectsMalformed checks the decode of a /healthz e2e
+// field: the replica's own snapshot round-trips, and anything that is not
+// a latency histogram's snapshot reads as absent.
+func TestE2ESnapshotRejectsMalformed(t *testing.T) {
+	decode := func(e2e string) *obs.HistSnapshot {
+		var doc map[string]any
+		if err := json.Unmarshal([]byte(`{"e2e":`+e2e+`}`), &doc); err != nil {
+			t.Fatal(err)
+		}
+		return e2eSnapshot(doc)
+	}
+	want := e2eHist([3]int{1, 2, 3}, 4)
+	raw, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := decode(string(raw)); got == nil || got.Count != 4 || len(got.Buckets) != 3 || got.Buckets[2] != want.Buckets[2] {
+		t.Fatalf("own snapshot %s decoded as %+v", raw, got)
+	}
+	if got := e2eSnapshot(map[string]any{}); got != nil {
+		t.Fatalf("absent e2e decoded as %+v", got)
+	}
+	for _, bad := range []string{
+		`"fast"`,
+		`{"count":-1}`,
+		`{"count":1.5}`,
+		`{"count":5,"buckets":[{"le":0.1,"count":-2}]}`,
+		`{"count":5,"buckets":[{"le":0.1,"count":3},{"le":1,"count":2}]}`,
+		`{"count":2,"buckets":[{"le":0.1,"count":3}]}`,
+		`{"count":5,"buckets":[{"le":1,"count":1},{"le":0.1,"count":2}]}`,
+		`{"count":5,"buckets":[{"le":-1,"count":1}]}`,
+		`{"count":5,"buckets":[{"le":"+Inf","count":1}]}`,
+		`{"count":5,"buckets":[{"le":"NaN","count":1}]}`,
+	} {
+		if got := decode(bad); got != nil {
+			t.Errorf("e2e %s decoded as %+v, want absent", bad, got)
+		}
 	}
 }

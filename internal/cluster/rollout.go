@@ -49,7 +49,7 @@ type RolloutConfig struct {
 	// Journal receives one JSONL line per rollout decision (nil disables).
 	Journal *obs.Sink
 	// Client issues reload and drift requests; nil uses the shared obs
-	// scrape client.
+	// client (5s timeout) obs.GatherJSON defaults to.
 	Client *http.Client
 	// Registry receives rollout metrics (nil uses obs.Default).
 	Registry *obs.Registry

@@ -178,7 +178,7 @@ func New(cfg Config) (*Router, error) {
 	rt.prober = NewProber(rt.ring.Nodes(), ProberConfig{
 		Interval:   cfg.ProbeInterval,
 		EjectAfter: cfg.EjectAfter,
-		Client:     cfg.Client, // nil -> shared obs scrape client
+		Client:     cfg.Client, // nil -> shared obs client
 		Registry:   reg,
 		OnChange:   rt.onHealthChange,
 	})

@@ -372,15 +372,15 @@ func TestRouterHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-// e2eExposition renders a replica's serving.e2e.seconds histogram as its
-// /metrics would: cumulative counts at the 1ms, 10ms and 100ms bounds, then
-// the total.
-func e2eExposition(cum [3]int, count int) string {
-	return fmt.Sprintf("serving_e2e_seconds_bucket{le=\"0.001\"} %d\n"+
-		"serving_e2e_seconds_bucket{le=\"0.01\"} %d\n"+
-		"serving_e2e_seconds_bucket{le=\"0.1\"} %d\n"+
-		"serving_e2e_seconds_bucket{le=\"+Inf\"} %d\n"+
-		"serving_e2e_seconds_count %d\n", cum[0], cum[1], cum[2], count, count)
+// e2eHist is a replica's serving.e2e.seconds snapshot as its /healthz
+// carries it: cumulative counts at the 1ms, 10ms and 100ms bounds, and the
+// total.
+func e2eHist(cum [3]int, count int) obs.HistSnapshot {
+	s := obs.HistSnapshot{Count: uint64(count)}
+	for i, le := range []float64{0.001, 0.01, 0.1} {
+		s.Buckets = append(s.Buckets, obs.Bucket{UpperBound: le, Count: uint64(cum[i])})
+	}
+	return s
 }
 
 // TestRouterHealthzFleetView checks that one GET of the router's /healthz
@@ -394,7 +394,8 @@ func TestRouterHealthzFleetView(t *testing.T) {
 	rt, ts := newTestRouter(t, Config{EjectAfter: 1, Replicas: []string{dead.URL}}, a, b)
 	script := func(f *fakeReplica, hz map[string]any, cum [3]int, count int) {
 		f.mu.Lock()
-		f.hzExtra, f.metExtra = hz, e2eExposition(cum, count)
+		hz["e2e"] = e2eHist(cum, count)
+		f.hzExtra = hz
 		f.mu.Unlock()
 	}
 	hzA := map[string]any{"version": "v1.2", "git_sha": "0123456789abcdef", "slo": "warn",

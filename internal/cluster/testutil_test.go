@@ -11,14 +11,14 @@ import (
 )
 
 // fakeReplica is a minimal stand-in for a `cardnet serve` process: it
-// speaks just enough of /estimate, /healthz, /metrics, /drift, and
-// /admin/reload for the router, prober, and rollout controller to operate,
-// and records what it saw.
+// speaks just enough of /estimate, /healthz, /drift, and /admin/reload for
+// the router, prober, and rollout controller to operate, and records what
+// it saw, down to the requests per path.
 type fakeReplica struct {
 	id string
 	ts *httptest.Server
 
-	healthy    atomic.Bool // false: /healthz and /metrics answer 503
+	healthy    atomic.Bool // false: /healthz answers 503
 	overloaded atomic.Bool // true: /estimate answers 503 + Retry-After
 
 	mu        sync.Mutex
@@ -29,12 +29,12 @@ type fakeReplica struct {
 	traceIDs  []string
 	parents   []string
 	hzExtra   map[string]any // extra /healthz fields
-	metExtra  string         // extra /metrics exposition lines
+	hits      map[string]int // requests per URL path
 }
 
 func newFakeReplica(t *testing.T, id string) *fakeReplica {
 	t.Helper()
-	f := &fakeReplica{id: id, version: 1, drift: map[string]any{
+	f := &fakeReplica{id: id, version: 1, hits: map[string]int{}, drift: map[string]any{
 		"status": "ok", "qerror_ewma": 0.0, "samples": 0.0,
 	}}
 	f.healthy.Store(true)
@@ -70,25 +70,12 @@ func newFakeReplica(t *testing.T, id string) *fakeReplica {
 			return
 		}
 		f.mu.Lock()
-		doc := map[string]any{"status": "ok", "model_version": f.version}
+		doc := map[string]any{"status": "ok", "model_version": f.version, "estimate_requests": f.estimates}
 		for k, v := range f.hzExtra {
 			doc[k] = v
 		}
 		f.mu.Unlock()
 		json.NewEncoder(w).Encode(doc)
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if !f.healthy.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		f.mu.Lock()
-		n, extra := f.estimates, f.metExtra
-		f.mu.Unlock()
-		// Counters render with a _total suffix in the real Prometheus
-		// exposition (obs.WritePrometheus); the fake must match or the
-		// prober's series lookup silently reads zero.
-		fmt.Fprintf(w, "http_estimate_requests_total %d\n%s", n, extra)
 	})
 	mux.HandleFunc("/drift", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
@@ -120,7 +107,12 @@ func newFakeReplica(t *testing.T, id string) *fakeReplica {
 		f.mu.Unlock()
 		json.NewEncoder(w).Encode(map[string]any{"version": v})
 	})
-	f.ts = httptest.NewServer(mux)
+	f.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		f.mu.Lock()
+		f.hits[r.URL.Path]++
+		f.mu.Unlock()
+		mux.ServeHTTP(w, r)
+	}))
 	t.Cleanup(f.ts.Close)
 	return f
 }

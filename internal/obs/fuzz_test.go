@@ -7,13 +7,15 @@ import (
 	"testing"
 )
 
-// FuzzParsePrometheus feeds arbitrary text to ParsePrometheus, the parser of
-// every scraped peer body. Any input either fails or yields a map whose
-// every id splits through SplitSeries back into itself, and whose series,
-// re-emitted as `id value` lines with the Prometheus writer's value
-// formatting, re-parse to the same map with the same value bits (NaN equal
-// to NaN). Seeds (the golden exposition, exemplar lines and malformed label
-// sets) live in testdata/fuzz/FuzzParsePrometheus.
+// FuzzParsePrometheus feeds arbitrary text to ParsePrometheus, the tests'
+// reference parser of the writer's output. Any input either fails or yields
+// a map whose every id splits through SplitSeries back into itself, and
+// whose series, re-emitted as `id value` lines with the Prometheus writer's
+// value formatting, re-parse to the same map with the same value bits (NaN
+// equal to NaN). No production code parses exposition text, so fuzz-smoke
+// does not run it; `go test` replays its seeds (the golden exposition,
+// exemplar lines and malformed label sets, in
+// testdata/fuzz/FuzzParsePrometheus) as regression inputs.
 func FuzzParsePrometheus(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text []byte) {
 		series, err := ParsePrometheus(bytes.NewReader(text))

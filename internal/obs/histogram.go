@@ -167,6 +167,27 @@ func (s *HistSnapshot) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// BucketCounts de-cumulates the snapshot into per-bucket counts, one per
+// finite bound with the overflow bucket last: the shape slo.BucketQuantile
+// reads. It returns nil when the cumulative counts fall or pass Count, which
+// no Histogram snapshot does but a decoded one can.
+func (s HistSnapshot) BucketCounts() []float64 {
+	out := make([]float64, len(s.Buckets)+1)
+	var prev uint64
+	for i, b := range s.Buckets {
+		if b.Count < prev {
+			return nil
+		}
+		out[i] = float64(b.Count - prev)
+		prev = b.Count
+	}
+	if s.Count < prev {
+		return nil
+	}
+	out[len(s.Buckets)] = float64(s.Count - prev)
+	return out
+}
+
 // Snapshot summarizes the histogram. Concurrent Observes may land between
 // the per-bucket loads; totals are recomputed from the buckets so the
 // snapshot is internally consistent.

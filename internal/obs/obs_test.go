@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -72,6 +73,27 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 	if math.Abs(s.Mean-107.0/5) > 1e-9 {
 		t.Fatalf("mean=%v", s.Mean)
+	}
+}
+
+// TestHistSnapshotBucketCounts de-cumulates a live snapshot (overflow
+// last) and refuses decoded ones whose cumulative counts fall or pass the
+// total.
+func TestHistSnapshotBucketCounts(t *testing.T) {
+	h := NewHistogram([]float64{1, 2, 4})
+	for _, v := range []float64{0.5, 1, 1.5, 4, 100} {
+		h.Observe(v)
+	}
+	if got := fmt.Sprint(h.Snapshot().BucketCounts()); got != "[2 1 1 1]" {
+		t.Fatalf("bucket counts %s, want [2 1 1 1]", got)
+	}
+	if got := fmt.Sprint(NewHistogram(nil).Snapshot().BucketCounts()); got != "[0]" {
+		t.Fatalf("empty histogram bucket counts %s, want [0]", got)
+	}
+	falling := HistSnapshot{Count: 5, Buckets: []Bucket{{1, 3}, {2, 2}}}
+	short := HistSnapshot{Count: 2, Buckets: []Bucket{{1, 3}}}
+	if falling.BucketCounts() != nil || short.BucketCounts() != nil {
+		t.Fatal("inconsistent cumulative counts de-cumulated")
 	}
 }
 

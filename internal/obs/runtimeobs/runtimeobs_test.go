@@ -2,6 +2,7 @@ package runtimeobs
 
 import (
 	"bytes"
+	"encoding/json"
 	"runtime"
 	"strings"
 	"testing"
@@ -69,29 +70,30 @@ func TestSamplerStartStopAndExposition(t *testing.T) {
 		t.Fatalf("sampler only took %d samples in 2s at 1ms cadence", got)
 	}
 
-	// The whole runtime surface must round-trip through the Prometheus path.
+	// The whole runtime surface must reach the registry's JSON snapshot, the
+	// document /metrics serves by default.
 	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
+	if err := reg.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	series, err := obs.ParsePrometheus(&buf)
-	if err != nil {
+	var snap map[string]map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		"runtime_goroutines",
-		"runtime_heap_alloc_bytes",
-		"runtime_gc_count_total",
-		"runtime_gc_pause_seconds_count",
-		"process_start_time_seconds",
-		"process_uptime_seconds",
+	for _, want := range []struct{ kind, name string }{
+		{"gauges", "runtime.goroutines"},
+		{"gauges", "runtime.heap.alloc.bytes"},
+		{"counters", "runtime.gc.count"},
+		{"histograms", "runtime.gc.pause.seconds"},
+		{"gauges", "process.start_time.seconds"},
+		{"gauges", "process.uptime.seconds"},
 	} {
-		if _, ok := series[want]; !ok {
-			keys := make([]string, 0, len(series))
-			for k := range series {
+		if _, ok := snap[want.kind][want.name]; !ok {
+			keys := make([]string, 0, len(snap[want.kind]))
+			for k := range snap[want.kind] {
 				keys = append(keys, k)
 			}
-			t.Fatalf("series %q missing from exposition; have %s", want, strings.Join(keys, ", "))
+			t.Fatalf("%s %q missing from the snapshot; have %s", want.kind, want.name, strings.Join(keys, ", "))
 		}
 	}
 }

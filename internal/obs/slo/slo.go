@@ -368,21 +368,11 @@ func (t *Tracker) observe(st *objectiveState, now time.Time) sample {
 				st.bounds = append(st.bounds, b.UpperBound)
 			}
 		}
-		// De-cumulate into per-bucket counts, overflow last.
-		s.buckets = make([]float64, len(snap.Buckets)+1)
-		prev := uint64(0)
-		goodIdx := goodBucketIndex(st.bounds, st.obj.Bound)
-		for i, b := range snap.Buckets {
-			s.buckets[i] = float64(b.Count - prev)
-			prev = b.Count
-			if i == goodIdx {
-				s.good = float64(b.Count)
-			}
-		}
-		s.buckets[len(snap.Buckets)] = float64(snap.Count - prev)
+		s.buckets = snap.BucketCounts()
 		s.total = float64(snap.Count)
-		if goodIdx < 0 { // bound above every bucket: everything counts as good
-			s.good = s.total
+		s.good = s.total // bound above every bucket: everything counts as good
+		if i := goodBucketIndex(st.bounds, st.obj.Bound); i >= 0 {
+			s.good = float64(snap.Buckets[i].Count)
 		}
 		return s
 	}
@@ -485,7 +475,7 @@ func (st *objectiveState) baseline(cutoff time.Time) sample {
 // quantile semantics: linear interpolation within the landing bucket, and
 // the largest finite bound as a lower bound when the quantile lands in the
 // overflow bucket. Exported for consumers computing windowed quantiles from
-// scraped bucket deltas (the cluster prober's per-replica p99).
+// bucket deltas (the cluster prober's per-replica p99).
 func BucketQuantile(bounds []float64, counts []float64, q float64) float64 {
 	total := 0.0
 	for _, c := range counts {
