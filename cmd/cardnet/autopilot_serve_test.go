@@ -71,7 +71,7 @@ func newAutopilotServer(t *testing.T, cfg autopilot.Config, label autopilot.Labe
 	t.Helper()
 	m := tinyModel(3)
 	eng := testEngine(t, m, serving.Config{
-		MaxBatch: 8, MaxWait: time.Millisecond, CacheEntries: -1,
+		MaxBatch: 8, CacheEntries: -1,
 	})
 	mon := monitor.New(monitor.Config{Window: 64, BaselineN: 4, EWMAAlpha: 0.5}, obs.NewRegistry())
 	eng.Registry().OnSwap(mon.ResetBaseline)

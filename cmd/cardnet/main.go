@@ -20,12 +20,16 @@
 // that epoch checkpointed; -resume continues bit-identically from the newest
 // usable checkpoint, given the same dataset flags. Finished models are
 // published atomically (temp file + fsync + rename with a CRC-checked
-// header), so the serve loader never sees a torn file. Serve runs the
-// internal/serving batched engine (micro-batching, admission control,
-// estimate cache of one curve per packed x, hot model swap — tune with
-// -maxbatch/-maxwait/-queue/-workers/-cache) and exposes POST/GET /estimate,
+// header), so the serve loader never sees a torn file. Both modes run one
+// driver (runTraining), fresh or resumed. Serve runs the
+// internal/serving batched engine (micro-batching of whatever is queued,
+// admission control, estimate cache of one curve per packed x, hot model
+// swap — tune with -maxbatch/-queue/-workers/-cache) and exposes POST/GET /estimate,
 // POST /admin/reload, /metrics (obs registry snapshot), /healthz, and
-// /debug/pprof/*; it shuts down gracefully on SIGINT/SIGTERM. Router fronts
+// /debug/pprof/*; it shuts down gracefully on SIGINT/SIGTERM, through the
+// same HTTP lifecycle as the router (serveHTTP). Every JSONL log flag
+// resolves the same way: "off" disables, "" takes the flag's default, and
+// anything else is a path (resolveLog). Router fronts
 // N serve replicas with cache-affine consistent-hash routing on x alone
 // (every τ of a query goes to the replica caching its curve), health
 // probing with ejection, bounded failover on 503/connect errors, graceful drain, and
@@ -41,13 +45,14 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"cardnet/internal/autopilot"
@@ -62,7 +67,6 @@ import (
 	"cardnet/internal/obs/runtimeobs"
 	"cardnet/internal/serving"
 	"cardnet/internal/simselect"
-	"cardnet/internal/tensor"
 )
 
 // Build identity, stamped by the Makefile via
@@ -83,10 +87,9 @@ func main() {
 	accel := flag.Bool("accel", true, "use the accelerated CardNet-A encoder")
 	queries := flag.Int("queries", 10, "estimate: number of test queries to answer")
 	seed := flag.Int64("seed", 7, "random seed")
-	addr := flag.String("addr", ":8089", "serve: HTTP listen address")
+	addr := flag.String("addr", ":8089", "serve/router: HTTP listen address")
 	trainLog := flag.String("trainlog", "", `train/update: JSONL epoch-event log path ("" = <model>.train.jsonl, "off" = disabled)`)
 	maxBatch := flag.Int("maxbatch", 32, "serve: max requests coalesced into one forward pass")
-	maxWait := flag.Duration("maxwait", 0, "serve: batch flush deadline (0 = flush what is queued at once)")
 	queueDepth := flag.Int("queue", 256, "serve: admission queue depth (full queue -> 503)")
 	workers := flag.Int("workers", 0, "train/update: data-parallel training shards (0 = all CPUs); serve: batch workers (0 = GOMAXPROCS)")
 	cacheEntries := flag.Int("cache", 4096, "serve: estimate cache capacity in query curves (negative disables)")
@@ -153,7 +156,6 @@ func main() {
 	}
 	serveCfg := serving.Config{
 		MaxBatch:     *maxBatch,
-		MaxWait:      *maxWait,
 		QueueDepth:   *queueDepth,
 		Workers:      *workers,
 		CacheEntries: *cacheEntries,
@@ -174,59 +176,41 @@ func main() {
 	buildBundle := func() *bench.Bundle { return bench.BuildSuite(spec, opts).Bundle }
 
 	switch *mode {
-	case "train":
-		b := buildBundle()
-		sink, closeSink := openTrainLog(*trainLog, *modelPath)
-		var hook core.TrainHook
-		if sink != nil {
-			hook = trainLogHook(sink, *dsName)
+	case "train", "update":
+		ts := trainSettings{
+			dataset:    *dsName,
+			model:      *modelPath,
+			trainLog:   *trainLog,
+			ckptDir:    *ckptDir,
+			ckptEvery:  *ckptEvery,
+			ckptRetain: *ckptRetain,
+			workers:    *workers,
+			resume:     *resume,
 		}
-		ckDir := resolveCkptDir(*ckptDir, *modelPath)
-
-		var m *core.Model
-		var res core.TrainResult
-		var ck *checkpoint.Checkpointer
-		if *resume {
-			st := loadLatestState(requireStore(ckDir, *ckptRetain, "train"), core.PhaseTrain)
-			var err error
-			m, err = core.RestoreTrainer(st)
-			if err != nil {
-				log.Fatalf("resume: %v", err)
-			}
-			ck = attachCheckpointer(&m.Cfg, ckDir, *ckptEvery, *ckptRetain, hook)
-			tensor.SetWorkers(m.Cfg.Workers)
-			res, err = m.ResumeTrain(b.Train, b.Valid, st)
-			if err != nil {
-				log.Fatalf("resume: %v", err)
-			}
-		} else {
+		var job trainJob
+		if *mode == "train" {
+			b := buildBundle()
 			cfg := core.DefaultConfig(b.TauMax)
 			cfg.Accel = *accel
 			cfg.Seed = *seed
-			cfg.Workers = resolveTrainWorkers(*workers)
-			tensor.SetWorkers(cfg.Workers)
-			cfg.Hook = hook
-			ck = attachCheckpointer(&cfg, ckDir, *ckptEvery, *ckptRetain, hook)
-			m = core.New(cfg, b.Train.X.Cols)
-			res = m.Train(b.Train, b.Valid)
+			job = trainJob{phase: core.PhaseTrain, train: b.Train, valid: b.Valid,
+				start: func() *core.Model { return core.New(cfg, b.Train.X.Cols) }}
+		} else {
+			// Relabel against a perturbed dataset (fresh seed) and
+			// incrementally retrain the published model.
+			spec.Seed += 31
+			opts.Seed += 31
+			b := buildBundle()
+			job = trainJob{phase: core.PhaseIncremental, train: b.Train, valid: b.Valid,
+				start: func() *core.Model { return load(*modelPath) }}
 		}
-		reportCkptErr(ck)
-		log.Printf("trained %d epochs, best validation MSLE %.4f, model %d KB",
-			res.Epochs, res.BestValidMSLE, m.SizeBytes()/1024)
-		if sink != nil {
-			if err := sink.EmitSnapshot("train.metrics", obs.Default); err != nil {
-				log.Fatalf("write training log: %v", err)
-			}
-		}
-		closeSink()
-		if res.Interrupted {
-			log.Printf("interrupted at epoch %d; model not published — rerun with -resume to continue from %s", res.Epochs, ckDir)
+		err := runTraining(context.Background(), job, ts)
+		if errors.Is(err, errInterrupted) {
 			os.Exit(3)
 		}
-		if err := saveModel(m, *modelPath); err != nil {
-			log.Fatalf("save model: %v", err)
+		if err != nil {
+			log.Fatalf("%s: %v", *mode, err)
 		}
-		log.Printf("saved to %s", *modelPath)
 	case "estimate":
 		b := buildBundle()
 		plan, err := infer.Lower(load(*modelPath), infer.PrecisionF64)
@@ -246,104 +230,37 @@ func main() {
 			}
 		}
 		fmt.Println(metrics.Evaluate(actual, est))
-	case "update":
-		sink, closeSink := openTrainLog(*trainLog, *modelPath)
-		var hook core.TrainHook
-		if sink != nil {
-			hook = trainLogHook(sink, *dsName)
-		}
-		ckDir := resolveCkptDir(*ckptDir, *modelPath)
-		// Relabel against a perturbed dataset (fresh seed) and incrementally
-		// retrain, then report the validation error trajectory.
-		spec2 := spec
-		spec2.Seed += 31
-		opts2 := opts
-		opts2.Seed += 31
-		suite2 := bench.BuildSuite(spec2, opts2)
-
-		var m *core.Model
-		var res core.IncrementalResult
-		var ck *checkpoint.Checkpointer
-		if *resume {
-			st := loadLatestState(requireStore(ckDir, *ckptRetain, "update"), core.PhaseIncremental)
-			var err error
-			m, err = core.RestoreTrainer(st)
-			if err != nil {
-				log.Fatalf("resume: %v", err)
-			}
-			ck = attachCheckpointer(&m.Cfg, ckDir, *ckptEvery, *ckptRetain, hook)
-			tensor.SetWorkers(m.Cfg.Workers)
-			res, err = m.ResumeIncrementalTrain(suite2.Bundle.Train, suite2.Bundle.Valid, st)
-			if err != nil {
-				log.Fatalf("resume: %v", err)
-			}
-		} else {
-			m = load(*modelPath)
-			m.Cfg.Workers = resolveTrainWorkers(*workers)
-			tensor.SetWorkers(m.Cfg.Workers)
-			m.Cfg.Hook = hook
-			ck = attachCheckpointer(&m.Cfg, ckDir, *ckptEvery, *ckptRetain, hook)
-			res = m.IncrementalTrain(suite2.Bundle.Train, suite2.Bundle.Valid, 0)
-		}
-		reportCkptErr(ck)
-		log.Printf("incremental learning: %d epochs, validation MSLE %.4f (skipped=%v)",
-			res.Epochs, res.ValidMSLE, res.Skipped)
-		closeSink()
-		if res.Interrupted {
-			log.Printf("interrupted at epoch %d; model not published — rerun with -resume to continue from %s", res.Epochs, ckDir)
-			os.Exit(3)
-		}
-		if err := saveModel(m, *modelPath); err != nil {
-			log.Fatalf("save model: %v", err)
-		}
 	case "serve":
+		ln := listen(*addr)
 		m := load(*modelPath)
-		var opts serveOptions
-		opts.obsInterval = *obsInterval
-		closeTraces := func() {}
-		if *traceLog != "" && *traceLog != "off" {
-			sink, err := obs.NewFileSink(*traceLog)
-			if err != nil {
-				log.Fatalf("open trace log: %v", err)
-			}
-			opts.sampler = obs.NewTraceSampler(*traceRate, sink)
-			sampler := opts.sampler
-			closeTraces = func() {
-				sampler.Close() // drain queued traces before the sink goes away
-				if err := sink.Close(); err != nil {
-					log.Printf("close trace log: %v", err)
-				}
-			}
-			log.Printf("writing sampled request traces to %s", *traceLog)
-		}
+		var lg logs
+		opts := serveOptions{obsInterval: *obsInterval, sampler: lg.traces(*traceLog, *traceRate)}
 		if *auditRate > 0 || *autopilotOn {
 			if oracle := buildAuditOracle(spec, *n, m.InDim); oracle != nil {
 				opts.oracle = oracle
 				opts.auditRate = *auditRate
 			}
 		}
-		closeSLOLog := func() {}
-		var sloSink *obs.Sink
-		opts.slo, opts.capturer, sloSink, closeSLOLog = buildTelemetry(telemetrySettings{
+		sloSink := lg.open("slolog", *sloLog, *modelPath)
+		opts.slo, opts.capturer = buildTelemetry(telemetrySettings{
 			latencyBound:    sloLatency.Seconds(),
 			latencyTarget:   *sloLatencyTarget,
 			availTarget:     *sloAvailTarget,
 			fastWindow:      *sloFast,
 			slowWindow:      *sloSlow,
 			interval:        *sloInterval,
-			logPath:         *sloLog,
+			sink:            sloSink,
 			profileDir:      *profileDir,
 			profileRetain:   *profileRetain,
 			profileCooldown: *profileCooldown,
 			profileCPU:      *profileCPU,
 			profileP99:      profileP99.Seconds(),
 		})
-		closeAutopilotJournal := func() {}
 		if *autopilotOn {
 			if opts.oracle == nil {
 				log.Fatalf("-autopilot needs the exact audit oracle for ground-truth labels (Hamming datasets with matching dimensions only)")
 			}
-			cfg := autopilot.Config{
+			opts.autopilotCfg = &autopilot.Config{
 				Dir:           resolveAutopilotDir(*autopilotDir, *modelPath),
 				Dwell:         *autopilotDwell,
 				Cooldown:      *autopilotCooldown,
@@ -358,31 +275,17 @@ func main() {
 				GateSeed:      *seed,
 				PublishPath:   *modelPath,
 				SLOSink:       sloSink,
+				Journal:       lg.open("autopilot-journal", *autopilotJournal, *modelPath),
 			}
-			if path := resolveAutopilotJournal(*autopilotJournal, *modelPath); path != "" {
-				sink, err := obs.NewFileSink(path)
-				if err != nil {
-					log.Fatalf("open autopilot journal: %v", err)
-				}
-				cfg.Journal = sink
-				closeAutopilotJournal = func() {
-					if err := sink.Close(); err != nil {
-						log.Printf("close autopilot journal: %v", err)
-					}
-				}
-				log.Printf("writing autopilot decisions to %s", path)
-			}
-			opts.autopilotCfg = &cfg
 		}
-		err := runServe(m, *addr, serveCfg, planCfg, opts)
-		closeTraces()
-		closeSLOLog()
-		closeAutopilotJournal()
-		if err != nil {
+		err := runServe(context.Background(), ln, m, serveCfg, planCfg, opts)
+		if err = errors.Join(err, lg.close()); err != nil {
 			log.Fatalf("serve: %v", err)
 		}
 	case "router":
-		err := runRouter(*addr, routerSettings{
+		ln := listen(*addr)
+		var lg logs
+		err := runRouter(context.Background(), ln, routerSettings{
 			replicas:        *replicasFlag,
 			vnodes:          *vnodes,
 			probeInterval:   *probeInterval,
@@ -391,11 +294,10 @@ func main() {
 			bake:            *rolloutBake,
 			maxRegression:   *rolloutMaxRegression,
 			rolloutMinSamps: *rolloutMinSamples,
-			journalPath:     *rolloutJournal,
-			traceRate:       *traceRate,
-			traceLog:        *traceLog,
+			journal:         lg.open("rollout-journal", *rolloutJournal, *modelPath),
+			sampler:         lg.traces(*traceLog, *traceRate),
 		})
-		if err != nil {
+		if err = errors.Join(err, lg.close()); err != nil {
 			log.Fatalf("router: %v", err)
 		}
 	case "tracescan":
@@ -413,35 +315,14 @@ func main() {
 	}
 }
 
-// saveModel publishes the model through the checkpoint package's framed
-// atomic writer: temp file + fsync + rename, with a CRC-checked header. The
-// serving loader (startup and /admin/reload) can therefore never observe a
-// torn model file, even if this process dies mid-save.
-func saveModel(m *core.Model, path string) error {
-	return checkpoint.SaveModel(path, m)
-}
-
-// resolveCkptDir maps the -ckpt-dir flag to a checkpoint directory: "" puts
-// checkpoints next to the model file (<model>.ckpt), "off" disables
-// checkpointing entirely (returned as "").
-func resolveCkptDir(flagVal, modelPath string) string {
-	switch flagVal {
-	case "off":
-		return ""
-	case "":
-		return modelPath + ".ckpt"
-	default:
-		return flagVal
+// listen binds the HTTP address of serve and router mode, before either
+// loads anything, so a taken port fails at once.
+func listen(addr string) net.Listener {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatalf("listen: %v", err)
 	}
-}
-
-// resolveTrainWorkers maps the -workers flag to a training shard count:
-// values below one mean "use every core".
-func resolveTrainWorkers(flagVal int) int {
-	if flagVal < 1 {
-		return runtime.NumCPU()
-	}
-	return flagVal
+	return ln
 }
 
 // resolveAutopilotDir maps -autopilot-dir to the staging directory the pilot
@@ -451,153 +332,6 @@ func resolveAutopilotDir(flagVal, modelPath string) string {
 		return modelPath + ".autopilot"
 	}
 	return flagVal
-}
-
-// resolveAutopilotJournal maps -autopilot-journal to a JSONL path ("" puts it
-// next to the model file, "off" disables and returns "").
-func resolveAutopilotJournal(flagVal, modelPath string) string {
-	switch flagVal {
-	case "off":
-		return ""
-	case "":
-		return modelPath + ".autopilot.jsonl"
-	default:
-		return flagVal
-	}
-}
-
-// requireStore opens the checkpoint store for a -resume run, failing with a
-// usage hint when checkpointing is disabled.
-func requireStore(dir string, retain int, mode string) *checkpoint.Store {
-	if dir == "" {
-		log.Fatalf("%s: -resume needs checkpointing (-ckpt-dir must not be off)", mode)
-	}
-	store, err := checkpoint.OpenStore(dir, retain)
-	if err != nil {
-		log.Fatalf("open checkpoint store: %v", err)
-	}
-	return store
-}
-
-// loadLatestState loads the newest usable checkpoint from a store, logging
-// any newer files skipped as corrupt, and verifies it belongs to the phase
-// being resumed ("train" checkpoints resume with -mode train, "incremental"
-// ones with -mode update).
-func loadLatestState(store *checkpoint.Store, phase string) *core.TrainerState {
-	st, seq, skipped, err := checkpoint.LoadLatest(store)
-	if err != nil {
-		log.Fatalf("resume: %v", err)
-	}
-	for _, s := range skipped {
-		log.Printf("resume: checkpoint %d is corrupt or unreadable, falling back", s)
-	}
-	if st.Phase != phase {
-		mode := "train"
-		if st.Phase == core.PhaseIncremental {
-			mode = "update"
-		}
-		log.Fatalf("resume: checkpoint %d in %s is from a %q run — resume it with -mode %s", seq, store.Dir(), st.Phase, mode)
-	}
-	log.Printf("resume: continuing from checkpoint %d (epoch %d) in %s", seq, st.Epoch, store.Dir())
-	return st
-}
-
-// attachCheckpointer wires durable checkpointing and graceful-shutdown
-// handling into a training config: the returned Checkpointer persists state
-// through cfg.Hook (chained after the training-log hook) every `every`
-// epochs, and SIGINT/SIGTERM request a cooperative stop through cfg.Stop so
-// the run halts at an epoch boundary with that epoch checkpointed. Returns
-// nil (and leaves cfg untouched) when dir is empty, i.e. -ckpt-dir off.
-func attachCheckpointer(cfg *core.Config, dir string, every, retain int, hook core.TrainHook) *checkpoint.Checkpointer {
-	if dir == "" {
-		return nil
-	}
-	store, err := checkpoint.OpenStore(dir, retain)
-	if err != nil {
-		log.Fatalf("open checkpoint store: %v", err)
-	}
-	ck := checkpoint.NewCheckpointer(store, every)
-	cfg.Hook = ck.Hook(hook)
-	cfg.Stop = ck.StopRequested
-	stopOnSignal(ck)
-	log.Printf("checkpointing to %s every %d epoch(s), retaining %d", dir, every, retain)
-	return ck
-}
-
-// stopOnSignal turns the first SIGINT/SIGTERM into a cooperative stop
-// request: the trainer finishes the current epoch, the checkpoint hook
-// flushes that epoch's state, and the process exits cleanly with resume
-// instructions. A second signal falls through to the default handler and
-// kills the process immediately (resume then loses at most the in-flight
-// epoch).
-func stopOnSignal(ck *checkpoint.Checkpointer) {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-ch
-		log.Printf("%v: stopping at the next epoch boundary (send again to kill)", s)
-		ck.RequestStop()
-		signal.Stop(ch)
-	}()
-}
-
-// reportCkptErr surfaces checkpoint-write failures after a run; they cannot
-// abort training from inside a hook, so they are reported here instead.
-func reportCkptErr(ck *checkpoint.Checkpointer) {
-	if ck == nil {
-		return
-	}
-	if err := ck.Err(); err != nil {
-		log.Printf("warning: checkpoint write failed: %v", err)
-	}
-}
-
-// openTrainLog resolves the -trainlog flag into a JSONL sink. The returned
-// close func checks the file Close error (same short-write concern as the
-// model file).
-func openTrainLog(flagVal, modelPath string) (*obs.Sink, func()) {
-	path := flagVal
-	if path == "" {
-		path = modelPath + ".train.jsonl"
-	}
-	if path == "off" {
-		return nil, func() {}
-	}
-	sink, err := obs.NewFileSink(path)
-	if err != nil {
-		log.Fatalf("open training log: %v", err)
-	}
-	log.Printf("writing training log to %s", path)
-	return sink, func() {
-		if err := sink.Close(); err != nil {
-			log.Fatalf("close training log: %v", err)
-		}
-	}
-}
-
-// trainLogHook adapts a JSONL sink to the core.TrainHook contract: one
-// "epoch" event per line with the losses, ω weights, and timing.
-func trainLogHook(sink *obs.Sink, ds string) core.TrainHook {
-	return func(ev core.TrainEvent) {
-		fields := map[string]any{
-			"dataset":    ds,
-			"phase":      ev.Phase,
-			"epoch":      ev.Epoch,
-			"train_loss": ev.TrainLoss,
-			"lr":         ev.LR,
-			"epoch_ms":   float64(ev.EpochTime.Microseconds()) / 1e3,
-		}
-		if ev.HasValid {
-			fields["valid_msle"] = ev.ValidMSLE
-			fields["best_msle"] = ev.BestMSLE
-			fields["improved"] = ev.Improved
-			fields["early_stop"] = ev.EarlyStop
-			fields["omega"] = ev.Omega
-		}
-		if err := sink.Emit("epoch", fields); err != nil {
-			log.Fatalf("write training log: %v", err)
-		}
-	}
 }
 
 // buildAuditOracle regenerates the dataset behind spec and wraps it in an
@@ -625,16 +359,10 @@ func buildAuditOracle(spec dataset.Spec, n, inDim int) *simselect.EncodedOracle 
 	return oracle
 }
 
-// loadModel reads a model file saved by saveModel (also the /admin/reload
-// path, hence the error return). Frame verification means a truncated or
-// torn file is rejected here instead of decoding into a broken model; bare
-// gob files from before the framed format still load.
-func loadModel(path string) (*core.Model, error) {
-	return checkpoint.LoadModel(path)
-}
-
+// load reads a published model file (checkpoint.LoadModel verifies its
+// frame, so a truncated or torn file is refused) or exits.
 func load(path string) *core.Model {
-	m, err := loadModel(path)
+	m, err := checkpoint.LoadModel(path)
 	if err != nil {
 		log.Fatalf("load model %s: %v (train first)", path, err)
 	}

@@ -5,11 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"net/http"
-	"os"
-	"os/signal"
+	"net"
 	"strings"
-	"syscall"
 	"time"
 
 	"cardnet/internal/cluster"
@@ -30,59 +27,28 @@ type routerSettings struct {
 	retries         int
 	bake            time.Duration
 	maxRegression   float64
-	journalPath     string // "off" disables the rollout journal
 	rolloutMinSamps int
-	traceRate       float64
-	traceLog        string // "off" disables sampled request traces
+	journal         *obs.Sink         // rollout decisions (nil = off)
+	sampler         *obs.TraceSampler // sampled request traces (nil = off)
 }
 
-// runRouter blocks fronting the replica fleet on addr until SIGINT/SIGTERM,
-// then drains gracefully: /healthz flips to "draining", in-flight proxied
+// runRouter fronts the replica fleet on ln until ctx ends or SIGINT/SIGTERM
+// arrives, then drains gracefully: /healthz flips to "draining" for the
+// grace period while the listener still accepts, in-flight proxied
 // requests finish, and the prober and rollout controller stop.
-func runRouter(addr string, rs routerSettings) error {
-	var journal *obs.Sink
-	if rs.journalPath != "" && rs.journalPath != "off" {
-		sink, err := obs.NewFileSink(rs.journalPath)
-		if err != nil {
-			return fmt.Errorf("open rollout journal: %w", err)
-		}
-		journal = sink
-		defer func() {
-			if err := sink.Close(); err != nil {
-				log.Printf("close rollout journal: %v", err)
-			}
-		}()
-		log.Printf("journaling rollout decisions to %s", rs.journalPath)
-	}
-
-	var sampler *obs.TraceSampler
-	if rs.traceLog != "" && rs.traceLog != "off" {
-		sink, err := obs.NewFileSink(rs.traceLog)
-		if err != nil {
-			return fmt.Errorf("open trace log: %w", err)
-		}
-		defer func() {
-			if err := sink.Close(); err != nil {
-				log.Printf("close trace log: %v", err)
-			}
-		}()
-		sampler = obs.NewTraceSampler(rs.traceRate, sink)
-		defer sampler.Close() // LIFO: drains the queue before the sink close above
-		log.Printf("writing sampled request traces to %s (rate %g); join replica trace logs with `cardnet -mode tracescan`", rs.traceLog, rs.traceRate)
-	}
-
+func runRouter(ctx context.Context, ln net.Listener, rs routerSettings) error {
 	rt, err := cluster.New(cluster.Config{
 		Replicas:      strings.Split(rs.replicas, ","),
 		VNodes:        rs.vnodes,
 		Retries:       rs.retries,
 		ProbeInterval: rs.probeInterval,
 		EjectAfter:    rs.ejectAfter,
-		Sampler:       sampler,
+		Sampler:       rs.sampler,
 		Rollout: cluster.RolloutConfig{
 			Bake:          rs.bake,
 			MaxRegression: rs.maxRegression,
 			MinSamples:    rs.rolloutMinSamps,
-			Journal:       journal,
+			Journal:       rs.journal,
 		},
 	})
 	if errors.Is(err, cluster.ErrNoReplicas) {
@@ -96,37 +62,12 @@ func runRouter(addr string, rs routerSettings) error {
 	defer rt.Close()
 
 	log.Printf("routing %d replicas on %s (vnodes=%d retries=%d probe=%s eject-after=%d)",
-		len(replicas), addr, rt.Ring().VNodes(), rs.retries, rs.probeInterval, rs.ejectAfter)
+		len(replicas), ln.Addr(), rt.Ring().VNodes(), rs.retries, rs.probeInterval, rs.ejectAfter)
 	log.Printf("replicas: %s", strings.Join(replicas, ", "))
 	log.Printf("endpoints: POST/GET /estimate, POST /feedback, GET/POST /admin/rollout, /metrics, /healthz")
-
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	log.Printf("shutting down: draining for %s, then closing", routerDrainGrace)
-	rt.Drain()
-	time.Sleep(routerDrainGrace)
-	shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	return nil
+	return serveHTTP(ctx, ln, rt.Handler(), func() {
+		log.Printf("draining for %s before closing the listener", routerDrainGrace)
+		rt.Drain()
+		time.Sleep(routerDrainGrace)
+	})
 }

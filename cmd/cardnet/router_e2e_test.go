@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"cardnet/internal/checkpoint"
 	"cardnet/internal/cluster"
 	"cardnet/internal/core"
 	"cardnet/internal/serving"
@@ -33,7 +34,7 @@ func newRouterFleet(t *testing.T, m *core.Model, n int) *routerFleet {
 	f := &routerFleet{}
 	bases := make([]string, n)
 	for i := 0; i < n; i++ {
-		ts, _ := newTestServer(t, m, serving.Config{MaxBatch: 4, MaxWait: time.Millisecond})
+		ts, _ := newTestServer(t, m, serving.Config{MaxBatch: 4})
 		f.replicas = append(f.replicas, ts)
 		bases[i] = ts.URL
 	}
@@ -119,8 +120,8 @@ func TestRouterE2EEstimate(t *testing.T) {
 	// Two replicas with *different* models: a query's estimate identifies
 	// which replica served it.
 	mA, mB := tinyModel(3), tinyModel(17)
-	tsA, _ := newTestServer(t, mA, serving.Config{MaxBatch: 4, MaxWait: time.Millisecond})
-	tsB, _ := newTestServer(t, mB, serving.Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	tsA, _ := newTestServer(t, mA, serving.Config{MaxBatch: 4})
+	tsB, _ := newTestServer(t, mB, serving.Config{MaxBatch: 4})
 	rt, err := cluster.New(cluster.Config{Replicas: []string{tsA.URL, tsB.URL}})
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +234,7 @@ func TestRouterE2ERolloutPromote(t *testing.T) {
 	m := tinyModel(3)
 	dir := t.TempDir()
 	v2 := filepath.Join(dir, "v2.gob")
-	if err := saveModel(tinyModel(17), v2); err != nil {
+	if err := checkpoint.SaveModel(v2, tinyModel(17)); err != nil {
 		t.Fatal(err)
 	}
 	f := newRouterFleet(t, m, 3)
@@ -281,10 +282,10 @@ func TestRouterE2ERolloutRollback(t *testing.T) {
 	dir := t.TempDir()
 	v1 := filepath.Join(dir, "v1.gob")
 	v2 := filepath.Join(dir, "v2.gob")
-	if err := saveModel(m, v1); err != nil {
+	if err := checkpoint.SaveModel(v1, m); err != nil {
 		t.Fatal(err)
 	}
-	if err := saveModel(tinyModel(17), v2); err != nil {
+	if err := checkpoint.SaveModel(v2, tinyModel(17)); err != nil {
 		t.Fatal(err)
 	}
 	f := newRouterFleet(t, m, 3)
@@ -339,7 +340,7 @@ func TestRouterE2ERolloutRollback(t *testing.T) {
 
 // TestRunRouterRejectsEmptyFleet checks the mode's flag validation.
 func TestRunRouterRejectsEmptyFleet(t *testing.T) {
-	if err := runRouter(":0", routerSettings{journalPath: "off"}); err == nil ||
+	if err := runRouter(context.Background(), testListener(t), routerSettings{}); err == nil ||
 		!strings.Contains(err.Error(), "-replicas") {
 		t.Fatalf("err = %v, want a -replicas usage error", err)
 	}

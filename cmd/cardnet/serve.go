@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"cardnet/internal/autopilot"
+	"cardnet/internal/checkpoint"
 	"cardnet/internal/cluster"
 	"cardnet/internal/core"
 	"cardnet/internal/infer"
@@ -58,8 +60,8 @@ var (
 const requestTimeout = 2 * time.Second
 
 // serveOptions carries the observability add-ons of the serving mux; the
-// zero value (no trace log, no audit oracle) builds a monitor on demand so
-// /drift and /feedback always work.
+// zero value (no trace log, no audit oracle) works, because withDefaults
+// builds the monitor and SLO tracker it lacks.
 type serveOptions struct {
 	mon       *monitor.Monitor  // accuracy/drift monitor (nil → created)
 	sampler   *obs.TraceSampler // JSONL trace sampling (nil → off)
@@ -79,11 +81,18 @@ type serveOptions struct {
 	autopilotCfg *autopilot.Config
 }
 
-// defaultSLOTracker builds an unstarted tracker over the default serving
-// objectives, used when runServe or newServeMux gets no tracker: /slo and
-// /healthz stay functional (everything reads "ok" until Eval runs).
-func defaultSLOTracker() *slo.Tracker {
-	return slo.New(slo.Config{Objectives: defaultSLOObjectives(0.1, 0.99, 0.999)})
+// withDefaults fills what the serving mux always needs: a drift monitor and
+// an unstarted SLO tracker over the default objectives, so /drift,
+// /feedback, /slo and /healthz work (everything reads "ok" until Eval
+// runs).
+func (o serveOptions) withDefaults() serveOptions {
+	if o.mon == nil {
+		o.mon = monitor.New(monitor.Config{}, obs.Default)
+	}
+	if o.slo == nil {
+		o.slo = slo.New(slo.Config{Objectives: defaultSLOObjectives(0.1, 0.99, 0.999)})
+	}
+	return o
 }
 
 // defaultSLOObjectives is the serving SLO pair: latency (fraction of
@@ -106,16 +115,12 @@ func defaultSLOObjectives(latencyBound, latencyTarget, availTarget float64) []sl
 	}
 }
 
-// runServe blocks serving the estimation API on addr until SIGINT/SIGTERM,
-// then shuts down gracefully: stop accepting connections, let in-flight
-// HTTP requests finish, and drain the engine's queued batches before exit.
-func runServe(m *core.Model, addr string, scfg serving.Config, pcfg serving.PlanConfig, opts serveOptions) error {
-	if opts.mon == nil {
-		opts.mon = monitor.New(monitor.Config{}, obs.Default)
-	}
-	if opts.slo == nil {
-		opts.slo = defaultSLOTracker()
-	}
+// runServe serves the estimation API on ln until ctx ends or
+// SIGINT/SIGTERM arrives, then shuts down gracefully (serveHTTP): stop
+// accepting connections, let in-flight HTTP requests finish, and then drain
+// the engine's queued batches before returning.
+func runServe(ctx context.Context, ln net.Listener, m *core.Model, scfg serving.Config, pcfg serving.PlanConfig, opts serveOptions) error {
+	opts = opts.withDefaults()
 	// Every τ-sweep the batch workers compute is checked against the Lemma 2
 	// monotonicity contract, and a model swap re-baselines the drift monitor.
 	scfg.CurveCheck = func(curve []float64) { opts.mon.CheckCurve(curve) }
@@ -154,7 +159,7 @@ func runServe(m *core.Model, addr string, scfg serving.Config, pcfg serving.Plan
 		defer opts.capturer.Wait() // let an in-flight profile pair finish writing
 	}
 
-	log.Printf("serving CardNet (in_dim=%d tau_max=%d, %d KB) on %s", m.InDim, m.Cfg.TauMax, eng.Registry().Current().ModelBytes/1024, addr)
+	log.Printf("serving CardNet (in_dim=%d tau_max=%d, %d KB) on %s", m.InDim, m.Cfg.TauMax, eng.Registry().Current().ModelBytes/1024, ln.Addr())
 	if g := eng.Precision(); g.Requested != infer.PrecisionF64 {
 		log.Printf("precision: requested %s, serving %s — %s", g.Requested, g.Tier, g.Reason)
 	}
@@ -166,33 +171,41 @@ func runServe(m *core.Model, addr string, scfg serving.Config, pcfg serving.Plan
 		log.Printf("audit sampling: rate %g against exact oracle over %d records", opts.auditRate, opts.oracle.Len())
 	}
 
+	err = serveHTTP(ctx, ln, newServeMux(eng, opts), nil)
+	eng.Close() // after Shutdown: no new requests, drain what is queued
+	return err
+}
+
+// serveHTTP serves h on ln until ctx ends or SIGINT/SIGTERM arrives. It then
+// runs drain, when set, while the listener still accepts, and shuts the
+// server down gracefully: the listener closes and in-flight requests
+// finish. The caller's own teardown runs after it returns. A failed Serve
+// returns its error at once.
+func serveHTTP(ctx context.Context, ln net.Listener, h http.Handler, drain func()) error {
 	srv := &http.Server{
-		Addr:              addr,
-		Handler:           newServeMux(eng, opts),
+		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       10 * time.Second,
 		WriteTimeout:      30 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-
+	go func() { errc <- srv.Serve(ln) }()
 	select {
 	case err := <-errc:
-		eng.Close()
 		return err
 	case <-ctx.Done():
 	}
-	log.Printf("shutting down: draining connections and queued batches")
+	log.Printf("shutting down: draining connections")
+	if drain != nil {
+		drain()
+	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	err = srv.Shutdown(shutCtx)
-	eng.Close() // after Shutdown: no new requests, drain what is queued
-	if err != nil {
+	if err := srv.Shutdown(shutCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
 	return nil
@@ -201,12 +214,7 @@ func runServe(m *core.Model, addr string, scfg serving.Config, pcfg serving.Plan
 // newServeMux builds the serving handler tree (separated from runServe for
 // httptest coverage).
 func newServeMux(eng *serving.Engine, opts serveOptions) *http.ServeMux {
-	if opts.mon == nil {
-		opts.mon = monitor.New(monitor.Config{}, obs.Default)
-	}
-	if opts.slo == nil {
-		opts.slo = defaultSLOTracker()
-	}
+	opts = opts.withDefaults()
 	aud := newAuditor(opts.oracle, opts.mon, opts.auditRate, opts.pilot)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/estimate", instrument("http.estimate", handleEstimate(eng, opts.sampler, aud)))
@@ -533,7 +541,7 @@ func handleReload(eng *serving.Engine) http.HandlerFunc {
 			httpError(w, http.StatusBadRequest, `"path" is required`)
 			return
 		}
-		m, err := loadModel(req.Path)
+		m, err := checkpoint.LoadModel(req.Path)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("load model: %v", err))
 			return

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"cardnet/internal/checkpoint"
 	"cardnet/internal/core"
 	"cardnet/internal/infer"
 	"cardnet/internal/obs"
@@ -89,7 +91,7 @@ func binXStrings(m *core.Model) []string {
 
 func TestServeEstimateAndMetrics(t *testing.T) {
 	m := tinyModel(3)
-	ts, _ := newTestServer(t, m, serving.Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	ts, _ := newTestServer(t, m, serving.Config{MaxBatch: 4})
 
 	x := binXStrings(m)
 	xJSON := "[" + strings.Join(x, ",") + "]"
@@ -250,11 +252,11 @@ func TestServeUnavailableAfterEngineClose(t *testing.T) {
 // model (cache invalidated).
 func TestServeAdminReload(t *testing.T) {
 	m1, m2 := tinyModel(3), tinyModel(17)
-	ts, eng := newTestServer(t, m1, serving.Config{MaxBatch: 8, MaxWait: 200 * time.Microsecond, QueueDepth: 4096})
+	ts, eng := newTestServer(t, m1, serving.Config{MaxBatch: 8, QueueDepth: 4096})
 
 	dir := t.TempDir()
 	goodPath := dir + "/m2.gob"
-	if err := saveModel(m2, goodPath); err != nil {
+	if err := checkpoint.SaveModel(goodPath, m2); err != nil {
 		t.Fatal(err)
 	}
 	wrongShape := core.New(func() core.Config {
@@ -263,13 +265,13 @@ func TestServeAdminReload(t *testing.T) {
 		return cfg
 	}(), m1.InDim)
 	wrongPath := dir + "/wrong.gob"
-	if err := saveModel(wrongShape, wrongPath); err != nil {
+	if err := checkpoint.SaveModel(wrongPath, wrongShape); err != nil {
 		t.Fatal(err)
 	}
 	nonFinite := tinyModel(19)
 	nonFinite.Params()[0].Value[0] = math.NaN()
 	nanPath := dir + "/nan.gob"
-	if err := saveModel(nonFinite, nanPath); err != nil {
+	if err := checkpoint.SaveModel(nanPath, nonFinite); err != nil {
 		t.Fatal(err)
 	}
 
@@ -438,7 +440,7 @@ func TestRunServeRefusesNonFiniteModel(t *testing.T) {
 	m.Params()[0].Value[0] = math.NaN()
 	errc := make(chan error, 1)
 	go func() {
-		errc <- runServe(m, "127.0.0.1:0", serving.Config{}, serving.PlanConfig{}, serveOptions{})
+		errc <- runServe(context.Background(), testListener(t), m, serving.Config{}, serving.PlanConfig{}, serveOptions{})
 	}()
 	select {
 	case err := <-errc:

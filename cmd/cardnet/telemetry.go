@@ -19,9 +19,9 @@ type telemetrySettings struct {
 	fastWindow    time.Duration
 	slowWindow    time.Duration
 	interval      time.Duration
-	logPath       string // "off" disables the transition log
+	sink          *obs.Sink // -slolog transition log (nil = off)
 
-	profileDir      string // "off" disables triggered capture
+	profileDir      string // "" or "off" disables triggered capture
 	profileRetain   int
 	profileCooldown time.Duration
 	profileCPU      time.Duration
@@ -31,16 +31,13 @@ type telemetrySettings struct {
 // buildTelemetry wires the SLO tracker to the triggered profiler: entering
 // page state captures a CPU+heap pair attributed "page", and (when a p99
 // threshold is set) a fast-window p99 breach captures one attributed "p99".
-// Every transition is logged; with -slolog it is also appended to a JSONL
-// sink whose close func is returned. The sink itself is returned too, so the
-// autopilot can mirror its swap/reject decisions into the same transition
-// stream (nil when -slolog is off).
-func buildTelemetry(ts telemetrySettings) (*slo.Tracker, *profcap.Capturer, *obs.Sink, func()) {
+// Every transition is logged, and appended to the -slolog sink when set.
+func buildTelemetry(ts telemetrySettings) (*slo.Tracker, *profcap.Capturer) {
 	var profiler *profcap.Capturer
-	if ts.profileDir != "" && ts.profileDir != "off" {
+	if dir := resolveLog("profile-dir", ts.profileDir, ""); dir != "" {
 		var err error
 		profiler, err = profcap.New(profcap.Config{
-			Dir:         ts.profileDir,
+			Dir:         dir,
 			Retain:      ts.profileRetain,
 			Cooldown:    ts.profileCooldown,
 			CPUDuration: ts.profileCPU,
@@ -49,23 +46,7 @@ func buildTelemetry(ts telemetrySettings) (*slo.Tracker, *profcap.Capturer, *obs
 			log.Fatalf("profile capture: %v", err)
 		}
 		log.Printf("triggered profiling to %s (retain %d pairs, cooldown %s)",
-			ts.profileDir, ts.profileRetain, ts.profileCooldown)
-	}
-
-	closeLog := func() {}
-	var sink *obs.Sink
-	if ts.logPath != "" && ts.logPath != "off" {
-		s, err := obs.NewFileSink(ts.logPath)
-		if err != nil {
-			log.Fatalf("open slo log: %v", err)
-		}
-		sink = s
-		closeLog = func() {
-			if err := s.Close(); err != nil {
-				log.Printf("close slo log: %v", err)
-			}
-		}
-		log.Printf("writing SLO transitions to %s", ts.logPath)
+			dir, ts.profileRetain, ts.profileCooldown)
 	}
 
 	cfg := slo.Config{
@@ -73,7 +54,7 @@ func buildTelemetry(ts telemetrySettings) (*slo.Tracker, *profcap.Capturer, *obs
 		FastWindow:   ts.fastWindow,
 		SlowWindow:   ts.slowWindow,
 		P99Threshold: ts.profileP99,
-		Sink:         sink,
+		Sink:         ts.sink,
 		Objectives:   defaultSLOObjectives(ts.latencyBound, ts.latencyTarget, ts.availTarget),
 		OnTransition: func(tr slo.Transition) {
 			log.Printf("slo: %s %s -> %s (burn fast %.2f, slow %.2f)",
@@ -88,5 +69,5 @@ func buildTelemetry(ts telemetrySettings) (*slo.Tracker, *profcap.Capturer, *obs
 			profiler.Trigger("p99")
 		}
 	}
-	return slo.New(cfg), profiler, sink, closeLog
+	return slo.New(cfg), profiler
 }

@@ -47,8 +47,8 @@ func TestRouterE2ETraceAssembly(t *testing.T) {
 	samplerB, sinkB, pathB := traceSink(t, dir, "replica-b.trace.jsonl")
 	samplerR, sinkR, pathR := traceSink(t, dir, "router.trace.jsonl")
 
-	engA := testEngine(t, m, serving.Config{MaxBatch: 4, MaxWait: time.Millisecond})
-	engB := testEngine(t, m, serving.Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	engA := testEngine(t, m, serving.Config{MaxBatch: 4})
+	engB := testEngine(t, m, serving.Config{MaxBatch: 4})
 	tsA := httptest.NewServer(newServeMux(engA, serveOptions{sampler: samplerA}))
 	t.Cleanup(func() { tsA.Close(); engA.Close() })
 
@@ -290,7 +290,7 @@ func TestTraceSamplingDecisionPropagates(t *testing.T) {
 	}
 	samplerRt := obs.NewTraceSampler(0.5, rtSink) // every 2nd request
 
-	eng := testEngine(t, m, serving.Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	eng := testEngine(t, m, serving.Config{MaxBatch: 4})
 	ts := httptest.NewServer(newServeMux(eng, serveOptions{sampler: samplerRep}))
 	t.Cleanup(func() { ts.Close(); eng.Close() })
 

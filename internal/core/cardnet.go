@@ -267,9 +267,10 @@ const estMinShardRows = 16
 // the prefix-sum estimates of query e at every τ. Wide batches shard their
 // rows across the tensor worker pool. Estimates are answered by compiled
 // internal/infer plans instead; this nn forward is their reference (the f32
-// gate compares against it) and training validation's forward. The inference forward treats every row independently, so each
-// output row is bit-identical to its single-row call at any worker count.
-// Safe for concurrent callers (the inference forward writes no shared state).
+// gate compares against it) and training validation's forward. It treats
+// every row independently, so each output row is bit-identical to its
+// single-row call at any worker count. Safe for concurrent callers: it
+// writes no shared state.
 func (m *Model) EstimateAllTausBatch(xs *tensor.Matrix) *tensor.Matrix {
 	if xs.Cols != m.InDim {
 		panic(fmt.Sprintf("core: feature dim %d, model expects %d", xs.Cols, m.InDim))

@@ -578,3 +578,31 @@ func TestEstimateRecordsObsMetrics(t *testing.T) {
 		t.Fatal("healthy model reported monotonicity violations")
 	}
 }
+
+// TestMSLEKnownValues pins the squared log error CardNet trains on: zero at
+// equal counts, negative predictions clamped to 0, and e−1 against 0 one
+// nat apart.
+func TestMSLEKnownValues(t *testing.T) {
+	if got := logErr(0, 0); got != 0 {
+		t.Fatalf("logErr(0, 0) = %v", got)
+	}
+	if got := logErr(-5, 0); got != 0 {
+		t.Fatalf("logErr(-5, 0) = %v, want the clamp to 0", got)
+	}
+	if got := logErr(math.E-1, 0); math.Abs(got*got-1) > 1e-12 {
+		t.Fatalf("logErr(e-1, 0)² = %v, want 1", got*got)
+	}
+}
+
+// TestMSLEGradMatchesNumerics checks msleGrad against a central difference
+// of logErr².
+func TestMSLEGradMatchesNumerics(t *testing.T) {
+	const h = 1e-6
+	f := func(p float64) float64 { e := logErr(p, 3); return e * e }
+	for _, p := range []float64{0.3, 0.7, 2.5} {
+		num := (f(p+h) - f(p-h)) / (2 * h)
+		if g := msleGrad(p, 3, 1); math.Abs(num-g) > 1e-4 {
+			t.Fatalf("msleGrad at %v: analytic %v numeric %v", p, g, num)
+		}
+	}
+}

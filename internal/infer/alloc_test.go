@@ -3,7 +3,9 @@ package infer
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"cardnet/internal/core"
 )
@@ -39,4 +41,43 @@ func TestPlanForwardAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestReplacedPlanFreedByOneGC pins that a plan nothing references is
+// unreachable at the next GC, even right after a forward has used its
+// scratch pool. The runtime keeps each pool used since the last-but-one GC
+// reachable; were the pool part of the plan's body, a served model's
+// weights would outlive its replacement by up to two GC cycles, and the
+// live heap after a reload would depend on GC timing.
+func TestReplacedPlanFreedByOneGC(t *testing.T) {
+	for _, tier := range []Precision{PrecisionF32, PrecisionF64} {
+		t.Run(string(tier), func(t *testing.T) {
+			freed := usedPlanFinalized(t, tier)
+			runtime.GC()
+			select {
+			case <-freed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("plan body still reachable after one GC")
+			}
+		})
+	}
+}
+
+// usedPlanFinalized lowers a small model at tier, runs one forward and
+// returns a channel closed when the plan's body is finalized.
+func usedPlanFinalized(t *testing.T, tier Precision) <-chan struct{} {
+	m := core.New(core.DefaultConfig(4), 16)
+	p, err := Lower(m, tier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.EstimateAllTausBatch(randomBinary(rand.New(rand.NewSource(1)), 2, m.InDim))
+	freed := make(chan struct{})
+	switch b := p.fwd.(type) {
+	case *body[float64]:
+		runtime.SetFinalizer(b, func(*body[float64]) { close(freed) })
+	case *body[float32]:
+		runtime.SetFinalizer(b, func(*body[float32]) { close(freed) })
+	}
+	return freed
 }

@@ -185,7 +185,9 @@ type body[T tensor.Float] struct {
 	decW    *tensor.Mat[T]
 	decB    []T
 
-	pool sync.Pool // *scratch[T]
+	// pool (*scratch[T]) is allocated apart: a used pool stays reachable
+	// until the second GC, and must not keep a replaced plan's weights alive.
+	pool *sync.Pool
 }
 
 // build compiles the lowered spec into a tier body; conv maps float64
@@ -219,7 +221,7 @@ func build[T tensor.Float](lm *core.LoweredModel, conv func([]float64) []T) *bod
 		b.wxT = tensor.Transpose(b.wx)
 		b.decW, b.decB = m(lm.DecW), conv(lm.DecB)
 	}
-	b.pool.New = func() any { return &scratch[T]{} }
+	b.pool = &sync.Pool{New: func() any { return &scratch[T]{} }}
 	return b
 }
 

@@ -2,39 +2,6 @@ package nn
 
 import "math"
 
-// MSLE returns the mean squared logarithmic error between predictions and
-// targets: mean((log(1+ŷ) − log(1+y))²). The paper trains its regressors on
-// MSLE because it approximates MAPE while compressing the long-tailed output
-// space (Section 6.2). Negative predictions are clamped to 0 first.
-func MSLE(pred, target []float64) float64 {
-	if len(pred) == 0 {
-		return 0
-	}
-	var s float64
-	for i, p := range pred {
-		d := log1pClamped(p) - log1pClamped(target[i])
-		s += d * d
-	}
-	return s / float64(len(pred))
-}
-
-// MSLEGrad returns dMSLE/dpred for one prediction/target pair, given the
-// number of terms n in the mean.
-func MSLEGrad(pred, target float64, n int) float64 {
-	p := pred
-	if p < 0 {
-		p = 0
-	}
-	return 2 * (log1pClamped(pred) - log1pClamped(target)) / (1 + p) / float64(n)
-}
-
-func log1pClamped(v float64) float64 {
-	if v < 0 {
-		v = 0
-	}
-	return math.Log1p(v)
-}
-
 // MSE returns the mean squared error.
 func MSE(pred, target []float64) float64 {
 	if len(pred) == 0 {

@@ -261,17 +261,6 @@ func TestLossesKnownValues(t *testing.T) {
 	if got := MSE([]float64{1, 2}, []float64{1, 4}); got != 2 {
 		t.Fatalf("MSE=%v", got)
 	}
-	if got := MSLE([]float64{0}, []float64{0}); got != 0 {
-		t.Fatalf("MSLE zero=%v", got)
-	}
-	// MSLE clamps negative predictions to zero.
-	if got, want := MSLE([]float64{-5}, []float64{0}), 0.0; got != want {
-		t.Fatalf("MSLE clamp=%v", got)
-	}
-	got := MSLE([]float64{math.E - 1}, []float64{0})
-	if math.Abs(got-1) > 1e-12 {
-		t.Fatalf("MSLE(e-1 vs 0)=%v want 1", got)
-	}
 	b := BCE([]float64{0.5, 0.5}, []float64{1, 0})
 	if math.Abs(b-math.Log(2)) > 1e-9 {
 		t.Fatalf("BCE=%v want ln2", b)
@@ -287,8 +276,6 @@ func TestLossGradsMatchNumerics(t *testing.T) {
 	}{
 		{"MSE", func(p float64) float64 { return MSE([]float64{p}, []float64{3}) },
 			func(p float64) float64 { return MSEGrad(p, 3, 1) }},
-		{"MSLE", func(p float64) float64 { return MSLE([]float64{p}, []float64{3}) },
-			func(p float64) float64 { return MSLEGrad(p, 3, 1) }},
 		{"BCE", func(p float64) float64 { return BCE([]float64{p}, []float64{1}) },
 			func(p float64) float64 { return BCEGrad(p, 1, 1) }},
 	}

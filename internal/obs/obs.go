@@ -72,8 +72,8 @@ func NewRegistry() *Registry {
 // SetInfo registers (or replaces) an info series: a constant gauge with
 // value 1 whose labels carry identity facts — the Prometheus build_info
 // idiom. Exposed by WritePrometheus with the given label set and by Snapshot
-// under "info". Unlike the other metric kinds, SetInfo is not hot-path code
-// and ignores the global enable switch.
+// under "info". SetInfo is setup code, not hot-path code: every call takes
+// the registry's write lock.
 func (r *Registry) SetInfo(name string, labels ...Label) {
 	r.mu.Lock()
 	r.infos[name] = append([]Label(nil), labels...)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"strconv"
 	"testing"
-	"time"
 
 	"cardnet/internal/core"
 	"cardnet/internal/infer"
@@ -72,7 +71,6 @@ func BenchmarkEngineEstimate(b *testing.B) {
 			m := benchModel()
 			e := NewEngine(testRegistry(b, m), Config{
 				MaxBatch:     32,
-				MaxWait:      200 * time.Microsecond,
 				QueueDepth:   4096,
 				CacheEntries: tc.entries,
 			})

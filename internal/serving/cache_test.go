@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"testing"
-	"time"
 
 	"cardnet/internal/infer"
 	"cardnet/internal/obs"
@@ -146,7 +145,7 @@ func mustPack(t *testing.T, x []float64) curveKey {
 func TestEngineCacheHitAndInvalidateOnSwap(t *testing.T) {
 	m1, m2 := testModel(10), testModel(20)
 	reg := testRegistry(t, m1)
-	e := NewEngine(reg, Config{MaxBatch: 4, MaxWait: time.Millisecond, CacheEntries: 128})
+	e := NewEngine(reg, Config{MaxBatch: 4, CacheEntries: 128})
 	defer e.Close()
 
 	x := binVec(5, m1.InDim)
@@ -221,7 +220,7 @@ func TestEngineSweepCostsOneForward(t *testing.T) {
 			if tier := reg.Current().Plan.Tier(); tier != prec {
 				t.Fatalf("registry serves %s, want %s", tier, prec)
 			}
-			e := NewEngine(reg, Config{MaxBatch: 4, MaxWait: time.Millisecond})
+			e := NewEngine(reg, Config{MaxBatch: 4})
 			defer e.Close()
 			x := binVec(int64(100+i), m.InDim)
 			want := plan.EstimateAllTaus(x)

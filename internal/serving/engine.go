@@ -18,20 +18,14 @@ type Config struct {
 	// MaxBatch is the most requests coalesced into one forward pass
 	// (default 32). 1 disables batching.
 	MaxBatch int
-	// MaxWait bounds how long a formed batch waits for more requests before
-	// flushing. The default 0 (like any value ≤ 0) waits for nothing: a
-	// worker takes what is already queued and flushes at once, so requests
-	// that arrive during a forward pass form the next batch. A positive
-	// MaxWait trades that latency for larger batches.
-	MaxWait time.Duration
 	// QueueDepth bounds the admission queue; a full queue rejects with
 	// ErrOverloaded (default 256).
 	QueueDepth int
 	// Workers is the number of batch-running goroutines (default
 	// GOMAXPROCS). Each worker forms and runs its own batches; the model
-	// forward pass is goroutine-safe. With no flush deadline a single worker
-	// would serialise lone requests, while one per CPU runs them in
-	// parallel; idle workers only block on the queue.
+	// forward pass is goroutine-safe. A worker never waits for more requests,
+	// so a single worker would serialise lone requests, while one per CPU
+	// runs them in parallel; idle workers only block on the queue.
 	Workers int
 	// CacheEntries is the estimate-cache capacity in query curves (TauMax+1
 	// float64 each); 0 uses the default 4096, negative disables the cache.
@@ -279,48 +273,26 @@ func (e *Engine) worker() {
 	}
 }
 
-// collect forms a batch starting from first: it keeps pulling queued
-// requests until the batch is full (size flush) or MaxWait has passed since
-// the batch started forming (deadline flush, which bounds the latency a
-// lone request pays for batching). With MaxWait 0 the deadline has already
-// passed, so the batch takes only what is queued and flushes as soon as the
-// queue is empty, without a timer. The returned reason names which condition
-// flushed the batch; every flush is counted under its reason.
+// collect forms a batch starting from first: it takes what is already
+// queued, up to MaxBatch, and flushes without waiting for more, so requests
+// that arrive during a forward pass form the next batch. The returned reason
+// names what ended the batch — it filled (size), the queue ran empty
+// (deadline, the name the counter and traces keep), or Close drained the
+// queue (shutdown) — and every flush is counted under its reason.
 func (e *Engine) collect(first *request) ([]*request, string) {
 	batch := []*request{first}
-	if e.cfg.MaxBatch <= 1 {
-		mFlushSize.Inc()
-		return batch, FlushSize
-	}
-	var deadline <-chan time.Time
-	if e.cfg.MaxWait > 0 {
-		timer := time.NewTimer(e.cfg.MaxWait)
-		defer timer.Stop()
-		deadline = timer.C
-	}
 	for len(batch) < e.cfg.MaxBatch {
-		var r *request
-		var ok bool
-		if deadline == nil {
-			select {
-			case r, ok = <-e.q:
-			default:
-				mFlushDeadline.Inc()
-				return batch, FlushDeadline
+		select {
+		case r, ok := <-e.q:
+			if !ok {
+				mFlushShutdown.Inc()
+				return batch, FlushShutdown
 			}
-		} else {
-			select {
-			case r, ok = <-e.q:
-			case <-deadline:
-				mFlushDeadline.Inc()
-				return batch, FlushDeadline
-			}
+			batch = append(batch, r)
+		default:
+			mFlushDeadline.Inc()
+			return batch, FlushDeadline
 		}
-		if !ok { // Close drained the queue: flush what we have
-			mFlushShutdown.Inc()
-			return batch, FlushShutdown
-		}
-		batch = append(batch, r)
 	}
 	mFlushSize.Inc()
 	return batch, FlushSize

@@ -66,7 +66,7 @@ func binVec(seed int64, dim int) []float64 {
 
 func TestEngineMatchesDirectModel(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 4})
 	defer e.Close()
 
 	for i := 0; i < 10; i++ {
@@ -129,140 +129,127 @@ func TestEngineRejectsNonBinaryX(t *testing.T) {
 	}
 }
 
-// Size-triggered flush: with a far-away deadline, a full batch must flush on
-// its own — if the size trigger were broken, these requests would sit for
-// the whole MaxWait and the test would time out.
-func TestBatcherFlushesOnSize(t *testing.T) {
-	m := testModel(1)
-	const batch = 4
-	e := NewEngine(testRegistry(t, m), Config{
-		MaxBatch: batch, MaxWait: time.Hour, Workers: 1, CacheEntries: -1,
+// parkedEngine builds an engine over m whose batch workers block inside
+// every forward pass: CurveCheck reports each computed curve on entered and
+// then waits on gate. One send on gate frees one curve; release closes gate,
+// and runs at cleanup before Close. A test parks the workers, queues
+// requests behind them, then frees them, so what forms each batch never
+// depends on timing. curves sizes entered: every curve the test computes.
+func parkedEngine(t *testing.T, m *core.Model, cfg Config, curves int) (e *Engine, entered, gate chan struct{}, release func()) {
+	entered = make(chan struct{}, curves)
+	gate = make(chan struct{})
+	cfg.CurveCheck = func([]float64) {
+		entered <- struct{}{}
+		<-gate
+	}
+	e = NewEngine(testRegistry(t, m), cfg)
+	release = sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(func() {
+		release()
+		e.Close()
 	})
-	defer e.Close()
+	return e, entered, gate, release
+}
 
-	var wg sync.WaitGroup
-	errs := make(chan error, batch)
-	for i := 0; i < batch; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, err := e.Estimate(context.Background(), binVec(int64(i), m.InDim), 1)
-			errs <- err
-		}(i)
+// estimateAsync sends one point estimate of binVec(seed) and reports its
+// error on errs.
+func estimateAsync(e *Engine, seed int64, errs chan<- error) {
+	go func() {
+		_, err := e.Estimate(context.Background(), binVec(seed, e.reg.Current().Model.InDim), int(seed)%3)
+		errs <- err
+	}()
+}
+
+// parkAndQueue parks every worker of e on a lone request, then queues n
+// more requests behind them and waits until all n are in the queue.
+func parkAndQueue(t *testing.T, e *Engine, entered chan struct{}, n int, errs chan<- error) {
+	t.Helper()
+	for w := 0; w < e.cfg.Workers; w++ {
+		estimateAsync(e, int64(w), errs)
+		<-entered
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("size flush never fired: batch stuck behind the 1h deadline")
+	for i := 0; i < n; i++ {
+		estimateAsync(e, int64(100+i), errs)
 	}
-	close(errs)
-	for err := range errs {
-		if err != nil {
+	for len(e.q) < n {
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// drainErrs waits for n request results and fails on any error.
+func drainErrs(t *testing.T, errs <-chan error, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// Deadline-triggered flush: a lone request in a large-batch engine must
-// complete in roughly MaxWait, not wait for peers that never come.
-func TestBatcherFlushesOnDeadline(t *testing.T) {
+// Size-triggered flush: with more requests queued than fit in one batch, a
+// freed worker must take exactly MaxBatch of them and flush on size.
+func TestBatcherFlushesOnSize(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(testRegistry(t, m), Config{
-		MaxBatch: 1024, MaxWait: 5 * time.Millisecond, Workers: 1, CacheEntries: -1,
-	})
-	defer e.Close()
+	const batch = 4
+	e, entered, gate, release := parkedEngine(t, m, Config{MaxBatch: batch, Workers: 1, CacheEntries: -1}, 2+batch)
+	errs := make(chan error, 2+batch)
+	parkAndQueue(t, e, entered, batch+1, errs)
 
-	start := time.Now()
-	if _, err := e.Estimate(context.Background(), binVec(1, m.InDim), 2); err != nil {
-		t.Fatal(err)
+	size := testObsCounter("serving.batch.flush_size")
+	callsBefore, rowsBefore := batchCounters()
+	gate <- struct{}{} // free the parked request; the worker forms the next batch
+	<-entered
+	if got := testObsCounter("serving.batch.flush_size") - size; got != 1 {
+		t.Fatalf("%d size flushes, want 1", got)
 	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("lone request took %v", waited)
+	if calls, rows := batchCounters(); calls-callsBefore != 1 || rows-rowsBefore != batch {
+		t.Fatalf("next batch: %d forwards over %d rows, want 1 over %d", calls-callsBefore, rows-rowsBefore, batch)
 	}
+	release()
+	drainErrs(t, errs, 2+batch)
 }
 
 // Concurrent traffic through one worker must coalesce into multi-request
 // batches (the whole point of the subsystem).
 func TestBatcherCoalesces(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(testRegistry(t, m), Config{
-		MaxBatch: 8, MaxWait: time.Second, Workers: 1, CacheEntries: -1,
-	})
-	defer e.Close()
+	const n = 8
+	e, entered, _, release := parkedEngine(t, m, Config{MaxBatch: n, Workers: 1, CacheEntries: -1}, 1+n)
+	errs := make(chan error, 1+n)
+	parkAndQueue(t, e, entered, n, errs)
 
 	callsBefore, rowsBefore := batchCounters()
-	const n = 8
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := e.Estimate(context.Background(), binVec(int64(i), m.InDim), i%3); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
+	release()
+	drainErrs(t, errs, 1+n)
 	calls, rows := batchCounters()
 	if gotRows := rows - rowsBefore; gotRows != n {
 		t.Fatalf("batched rows: %d, want %d", gotRows, n)
 	}
-	if gotCalls := calls - callsBefore; gotCalls >= n {
+	if gotCalls := calls - callsBefore; gotCalls != 1 {
 		t.Fatalf("no coalescing: %d forward passes for %d requests", gotCalls, n)
 	}
 }
 
 // Zero-wait batching under the default Config: a lone request flushes at
-// once as a (zero) deadline flush, and requests that queue while every
-// worker is busy all ride the next batch. Each worker is parked inside its
-// forward pass by a blocking CurveCheck, so no outcome depends on timing.
+// once as a deadline flush (the queue ran empty), and requests that queue
+// while every worker is busy all ride the next batch.
 func TestZeroWaitBatchesWhatQueued(t *testing.T) {
 	m := testModel(1)
 	const n = 8
-	// Sized to every request the test sends (one per worker, then n), so
-	// neither a CurveCheck signal nor a result send ever blocks.
-	sends := runtime.GOMAXPROCS(0) + n
-	entered := make(chan struct{}, sends)
-	gate := make(chan struct{})
-	e := NewEngine(testRegistry(t, m), Config{CacheEntries: -1, CurveCheck: func([]float64) {
-		entered <- struct{}{}
-		<-gate
-	}})
-	defer e.Close()
-	release := sync.OnceFunc(func() { close(gate) })
-	defer release()
-	if e.cfg.MaxWait != 0 {
-		t.Fatalf("default MaxWait %v, want 0", e.cfg.MaxWait)
+	workers := runtime.GOMAXPROCS(0)
+	e, entered, gate, release := parkedEngine(t, m, Config{CacheEntries: -1}, workers+n)
+	errs := make(chan error, workers+n)
+
+	// Each lone request that parks a worker must flush as a deadline.
+	deadline, size := testObsCounter("serving.batch.flush_deadline"), testObsCounter("serving.batch.flush_size")
+	parkAndQueue(t, e, entered, n, errs)
+	if got := testObsCounter("serving.batch.flush_deadline") - deadline; got != uint64(workers) {
+		t.Fatalf("%d lone requests: %d deadline flushes, want %d", workers, got, workers)
+	}
+	if testObsCounter("serving.batch.flush_size") != size {
+		t.Fatal("a lone request flushed on size")
 	}
 
-	errs := make(chan error, sends)
-	estimate := func(seed int64) {
-		go func() {
-			_, err := e.Estimate(context.Background(), binVec(seed, m.InDim), 0)
-			errs <- err
-		}()
-	}
-	// Park every worker on a lone request; each must flush as a deadline.
-	for w := 0; w < e.cfg.Workers; w++ {
-		deadline, size := testObsCounter("serving.batch.flush_deadline"), testObsCounter("serving.batch.flush_size")
-		estimate(int64(w))
-		<-entered
-		if got := testObsCounter("serving.batch.flush_deadline") - deadline; got != 1 {
-			t.Fatalf("lone request %d: %d deadline flushes, want 1", w, got)
-		}
-		if testObsCounter("serving.batch.flush_size") != size {
-			t.Fatalf("lone request %d flushed on size", w)
-		}
-	}
-
-	for i := 0; i < n; i++ {
-		estimate(int64(100 + i))
-	}
-	for len(e.q) < n {
-		time.Sleep(100 * time.Microsecond)
-	}
 	callsBefore, rowsBefore := batchCounters()
 	gate <- struct{}{} // free one worker; the rest stay parked
 	<-entered          // it has run its next forward pass
@@ -270,13 +257,8 @@ func TestZeroWaitBatchesWhatQueued(t *testing.T) {
 	if calls-callsBefore != 1 || rows-rowsBefore != n {
 		t.Fatalf("next batch: %d forwards over %d rows, want 1 over %d", calls-callsBefore, rows-rowsBefore, n)
 	}
-
 	release()
-	for i := 0; i < e.cfg.Workers+n; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
+	drainErrs(t, errs, workers+n)
 }
 
 // batchCounters reads the forwards run and rows served so far from the
@@ -307,7 +289,7 @@ func TestSubmitOverloadedWhenQueueFull(t *testing.T) {
 func TestEngineSaturationDegradesGracefully(t *testing.T) {
 	m := testModel(1)
 	e := NewEngine(testRegistry(t, m), Config{
-		MaxBatch: 2, MaxWait: 100 * time.Microsecond, QueueDepth: 2, Workers: 1, CacheEntries: -1,
+		MaxBatch: 2, QueueDepth: 2, Workers: 1, CacheEntries: -1,
 	})
 	defer e.Close()
 
@@ -370,7 +352,7 @@ func TestEngineClosedRejects(t *testing.T) {
 func TestSwapUnderLoadZeroFailures(t *testing.T) {
 	models := []*core.Model{testModel(1), testModel(2), testModel(3)}
 	reg := testRegistry(t, models[0])
-	e := NewEngine(reg, Config{MaxBatch: 8, MaxWait: 200 * time.Microsecond, QueueDepth: 4096})
+	e := NewEngine(reg, Config{MaxBatch: 8, QueueDepth: 4096})
 	defer e.Close()
 
 	dim := models[0].InDim

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"testing"
-	"time"
 
 	"cardnet/internal/infer"
 )
@@ -16,7 +15,6 @@ func TestEnginePrecisionF32(t *testing.T) {
 	m := testModel(1)
 	e := NewEngine(mustRegistry(t, m, PlanConfig{Precision: infer.PrecisionF32}), Config{
 		MaxBatch:     4,
-		MaxWait:      time.Millisecond,
 		CacheEntries: -1,
 	})
 	defer e.Close()
@@ -56,7 +54,6 @@ func TestEngineGateFallback(t *testing.T) {
 		Gate:      infer.GateConfig{MaxQErrP99Delta: 1e-12},
 	}), Config{
 		MaxBatch:     4,
-		MaxWait:      time.Millisecond,
 		CacheEntries: -1,
 	})
 	defer e.Close()
@@ -91,7 +88,6 @@ func TestEngineSwapRelowers(t *testing.T) {
 	reg := mustRegistry(t, m1, PlanConfig{Precision: infer.PrecisionF32})
 	e := NewEngine(reg, Config{
 		MaxBatch: 4,
-		MaxWait:  time.Millisecond,
 	})
 	defer e.Close()
 

@@ -8,12 +8,10 @@
 //
 //   - Micro-batching: concurrent estimate requests are queued and coalesced
 //     into a single B×d forward pass through the published plan
-//     (infer.Plan.EstimateAllTausBatch). By default a free worker takes
-//     whatever is queued and runs it at once, so requests that arrive during
-//     one forward pass form the next batch; a batch flushes early only when
-//     it reaches Config.MaxBatch. A positive Config.MaxWait instead holds a
-//     batch open until it is full or that old. Each row of a batch is
-//     bit-equal to the same query run alone.
+//     (infer.Plan.EstimateAllTausBatch). A free worker takes whatever is
+//     queued, up to Config.MaxBatch, and runs it at once; it never waits for
+//     more, so requests that arrive during one forward pass form the next
+//     batch. Each row of a batch is bit-equal to the same query run alone.
 //   - Admission control: a bounded queue with per-request context deadlines.
 //     When the queue is full, Estimate fails fast with ErrOverloaded (the
 //     HTTP layer maps it to 503) instead of piling up goroutines.
@@ -62,7 +60,7 @@ const (
 	StageAdmission = "admission"  // parse + validate, before entering the engine
 	StageCache     = "cache"      // curve-cache lookup
 	StageQueueWait = "queue.wait" // enqueue until a worker starts forming the batch
-	StageBatchForm = "batch.form" // batch formation until flush (size/deadline/shutdown)
+	StageBatchForm = "batch.form" // batch formation until flush (size/queue empty/shutdown)
 	StageForward   = "forward"    // shared stacked forward pass
 	StageWrite     = "write"      // result delivery + HTTP response encoding
 )
@@ -79,7 +77,7 @@ const E2EHistogram = "serving.e2e.seconds"
 // "serving.batch.flush_<reason>".
 const (
 	FlushSize     = "size"     // batch reached Config.MaxBatch
-	FlushDeadline = "deadline" // MaxWait passed; with MaxWait 0, the queue ran empty
+	FlushDeadline = "deadline" // the queue ran empty (the name predates the zero-wait batcher)
 	FlushShutdown = "shutdown" // Close drained the queue mid-batch
 )
 

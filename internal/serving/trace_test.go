@@ -14,7 +14,7 @@ import (
 // trace's total exactly, and carry the batch annotations.
 func TestEstimateTracedStages(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 4})
 	defer e.Close()
 
 	tr := obs.NewTrace()
@@ -84,7 +84,7 @@ func TestEstimateTracedCacheHit(t *testing.T) {
 // interval, so they add up to the engine-observed wall time per request.
 func TestTracedRequestsFeedStageHistograms(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 2, MaxWait: 100 * time.Microsecond, CacheEntries: -1})
+	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 2, CacheEntries: -1})
 	defer e.Close()
 
 	names := []string{
@@ -157,8 +157,9 @@ func TestFlushReasonCounters(t *testing.T) {
 		t.Fatalf("size flushes = %d, want 3", got)
 	}
 
-	// A lone request in a huge batch flushes on the deadline.
-	e = NewEngine(testRegistry(t, m), Config{MaxBatch: 1024, MaxWait: time.Millisecond, Workers: 1, CacheEntries: -1})
+	// A lone request in a huge batch flushes when the queue runs empty,
+	// counted under the deadline reason.
+	e = NewEngine(testRegistry(t, m), Config{MaxBatch: 1024, Workers: 1, CacheEntries: -1})
 	if _, err := e.Estimate(context.Background(), binVec(9, m.InDim), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -174,27 +175,29 @@ func TestShutdownFlushCounted(t *testing.T) {
 	m := testModel(1)
 	before := testObsCounter("serving.batch.flush_shutdown")
 
-	// No standing workers: requests pile up in the queue, then Close's
-	// drain (run by a worker started here) flushes them with reason
-	// "shutdown" because the channel closes before MaxBatch is reached.
-	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 64, MaxWait: time.Hour, Workers: 1, QueueDepth: 16})
-
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := e.Estimate(context.Background(), binVec(int64(i), m.InDim), 0); err != nil {
-				t.Error(err)
-			}
-		}(i)
+	// The one worker is parked while four requests queue behind it; Close
+	// then closes the queue, so the freed worker's next batch takes all four
+	// and meets the closed queue before MaxBatch: a shutdown flush.
+	e, entered, _, release := parkedEngine(t, m, Config{MaxBatch: 64, Workers: 1, QueueDepth: 16}, 5)
+	errs := make(chan error, 5)
+	parkAndQueue(t, e, entered, 4, errs)
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	for closing := true; closing; {
+		time.Sleep(100 * time.Microsecond)
+		e.mu.RLock()
+		closing = !e.closed
+		e.mu.RUnlock()
 	}
-	time.Sleep(10 * time.Millisecond) // let the worker start forming the batch
-	e.Close()
-	wg.Wait()
+	release()
+	<-closed
+	drainErrs(t, errs, 5)
 
-	if got := testObsCounter("serving.batch.flush_shutdown"); got == before {
-		t.Fatal("shutdown flush not counted")
+	if got := testObsCounter("serving.batch.flush_shutdown") - before; got != 1 {
+		t.Fatalf("%d shutdown flushes, want 1", got)
 	}
 }
 
@@ -205,7 +208,7 @@ func TestCurveCheckInvoked(t *testing.T) {
 	var mu sync.Mutex
 	var rows int
 	var badLen bool
-	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 4, MaxWait: time.Millisecond, CacheEntries: -1,
+	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 4, CacheEntries: -1,
 		CurveCheck: func(curve []float64) {
 			mu.Lock()
 			rows++
