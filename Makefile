@@ -106,11 +106,13 @@ race-autopilot:
 
 # Short native-fuzzing pass over every fuzz target (seed corpora live in each
 # package's testdata/fuzz/ or in the target's f.Add seeds; plain `go test`
-# replays them too): the router's routing-key extraction, its health
-# prober over two arbitrary replica /healthz bodies and its /admin/rollout
-# body handling, the replica's /estimate request parsing and validation and
-# its /feedback handler, the serving cache's packed curve key, trace JSONL
-# loading and assembly, the generic ABT kernel against the per-element dot
+# replays them too): the router's routing-key extraction, the estimate-body
+# decoder replica and router share against encoding/json, the router's
+# health prober over two arbitrary replica /healthz bodies and its
+# /admin/rollout body handling, the replica's /estimate request parsing and
+# validation and its /feedback and /admin/reload handlers, the serving
+# cache's packed curve key, trace JSONL loading and assembly, the generic
+# ABT kernel against the per-element dot
 # products, the MatMul and MatMulATBAdd saxpy kernels against the naive
 # scalar loops, the vector Adam step against its Go loop, the batch-1 VecMat
 # kernel against a one-row ABT, the replica's /admin/autopilot body
@@ -122,11 +124,13 @@ race-autopilot:
 # their whole budget.
 fuzz-smoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzExtractKey$$' -fuzztime=10s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzDecodeQuery$$' -fuzztime=10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzReplicaHealthz$$' -fuzztime=10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzRollout$$' -fuzztime=10s
 	$(GO) test ./cmd/cardnet -run '^$$' -fuzz '^FuzzEstimateRequest$$' -fuzztime=10s
 	$(GO) test ./cmd/cardnet -run '^$$' -fuzz '^FuzzFeedback$$' -fuzztime=10s
 	$(GO) test ./cmd/cardnet -run '^$$' -fuzz '^FuzzAutopilot$$' -fuzztime=10s
+	$(GO) test ./cmd/cardnet -run '^$$' -fuzz '^FuzzReload$$' -fuzztime=10s
 	$(GO) test ./internal/serving -run '^$$' -fuzz '^FuzzCurveKey$$' -fuzztime=10s
 	$(GO) test ./internal/obs/tracescan -run '^$$' -fuzz '^FuzzLoadTraces$$' -fuzztime=10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMulABT$$' -fuzztime=10s

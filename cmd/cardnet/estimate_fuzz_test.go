@@ -15,9 +15,9 @@ import (
 // validateEstimateRequest, against a 4-feature, τmax-3 model. The result is
 // an error or a request the engine can serve: x exactly InDim values in
 // {0, 1}, and τ within [0, TauMax] unless the whole curve is asked for. It
-// never panics. An accepted GET is served on the vector the router routed
-// it by, so its key, cluster.KeyHash of cluster.ParseX of the query's x, is
-// KeyHash(req.X).
+// never panics. Whatever the replica parses, the router accepts too and
+// routes on the vector the replica serves: cluster.ExtractKey's key is
+// cluster.KeyHash(req.X), for a POST body as for a GET query.
 func FuzzEstimateRequest(f *testing.F) {
 	f.Add(true, []byte(`{"x":[1,0,1,1],"tau":3}`), "")
 	f.Add(true, []byte(`{"x":[0,1,0,0],"all":true}`), "")
@@ -25,6 +25,9 @@ func FuzzEstimateRequest(f *testing.F) {
 	f.Add(true, []byte(`{"x":[1,0,0.5,1],"tau":1}`), "")
 	f.Add(true, []byte(`{"x":[1,0,1],"tau":1}`), "")
 	f.Add(true, []byte(`{"x":`), "")
+	f.Add(true, []byte(`{"x":[1,0,1,1],"tau":1}garbage`), "")
+	f.Add(true, []byte(`{"x":[1,null,0,1],"tau":1}`), "")
+	f.Add(true, []byte(`{"X":[1,0,1,1],"\u0078":[0,-0,1e0,1],"TAU":2}`), "")
 	f.Add(false, []byte(nil), "x=1,0,1,1&tau=2")
 	f.Add(false, []byte(nil), "x=0,-0,%201,1&all=true")
 	f.Add(false, []byte(nil), "x=1,,0,1,1&tau=0")
@@ -33,15 +36,25 @@ func FuzzEstimateRequest(f *testing.F) {
 	f.Add(false, []byte(nil), "x=1,0,1e0,0x0&all=1")
 	m := &core.Model{InDim: 4, Cfg: core.Config{TauMax: 3}}
 	f.Fuzz(func(t *testing.T, post bool, body []byte, query string) {
-		r := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/estimate", RawQuery: query}}
-		if post {
-			r, _ = http.NewRequest(http.MethodPost, "/estimate", bytes.NewReader(body))
+		newRequest := func() *http.Request {
+			if post {
+				r, _ := http.NewRequest(http.MethodPost, "/estimate", bytes.NewReader(body))
+				return r
+			}
+			return &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/estimate", RawQuery: query}}
 		}
-		req, err := parseEstimateRequest(r)
-		if err == nil {
-			err = validateEstimateRequest(req, m)
-		}
+		req, err := parseEstimateRequest(newRequest())
 		if err != nil {
+			return
+		}
+		_, key, err := cluster.ExtractKey(newRequest())
+		if err != nil {
+			t.Fatalf("replica parsed a request the router refuses: %v", err)
+		}
+		if key != cluster.KeyHash(req.X) {
+			t.Fatalf("replica serves x %v, router routed on another vector", req.X)
+		}
+		if validateEstimateRequest(req, m) != nil {
 			return
 		}
 		if len(req.X) != m.InDim {
@@ -52,18 +65,8 @@ func FuzzEstimateRequest(f *testing.F) {
 				t.Fatalf("accepted non-binary x[%d] = %v", i, v)
 			}
 		}
-		if !req.All && (req.Tau == nil || *req.Tau < 0 || *req.Tau > m.Cfg.TauMax) {
-			t.Fatalf("accepted tau %v outside [0, %d] without all", req.Tau, m.Cfg.TauMax)
-		}
-		if post {
-			return
-		}
-		x, err := cluster.ParseX(r.URL.Query().Get("x"))
-		if err != nil {
-			t.Fatalf("replica accepted a GET the router rejects: %v", err)
-		}
-		if cluster.KeyHash(x) != cluster.KeyHash(req.X) {
-			t.Fatalf("replica serves x %v, router routed on %v", req.X, x)
+		if !req.All && (!req.HasTau || req.Tau < 0 || req.Tau > m.Cfg.TauMax) {
+			t.Fatalf("accepted tau %d (given: %v) outside [0, %d] without all", req.Tau, req.HasTau, m.Cfg.TauMax)
 		}
 	})
 }

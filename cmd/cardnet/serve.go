@@ -14,6 +14,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -54,10 +55,6 @@ var (
 	mEstimateRequests = obs.Default.Counter("http.estimate.requests")
 	mEstimate5xx      = obs.Default.Counter("http.estimate.5xx")
 )
-
-// requestTimeout bounds how long one estimate may sit in the engine queue
-// plus forward pass before the server gives up on it.
-const requestTimeout = 2 * time.Second
 
 // serveOptions carries the observability add-ons of the serving mux; the
 // zero value (no trace log, no audit oracle) works, because withDefaults
@@ -243,14 +240,7 @@ func instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// estimateRequest is the POST /estimate body. GET requests pass the same
-// values as ?x=1,0,1,…&tau=3 (or &all=true).
-type estimateRequest struct {
-	X   []float64 `json:"x"`             // encoded binary feature vector, length = model InDim
-	Tau *int      `json:"tau,omitempty"` // transformed threshold; required unless All
-	All bool      `json:"all,omitempty"` // return estimates for every τ in [0, TauMax]
-}
-
+// estimateResponse is the /estimate answer; writeEstimate writes it.
 type estimateResponse struct {
 	Estimate  *float64  `json:"estimate,omitempty"`
 	Estimates []float64 `json:"estimates,omitempty"`
@@ -302,12 +292,10 @@ func handleEstimate(eng *serving.Engine, sampler *obs.TraceSampler, aud *auditor
 		}
 		mStageAdmission.ObserveDuration(tr.Mark(serving.StageAdmission))
 		tr.Annotate("model_version", version)
-		ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
-		defer cancel()
 
 		resp := estimateResponse{TauMax: m.Cfg.TauMax}
 		if req.All {
-			ests, err := eng.EstimateAllTraced(ctx, req.X, tr)
+			ests, err := eng.EstimateAllTraced(r.Context(), req.X, tr)
 			if err != nil {
 				estimateEngineError(w, err)
 				finish()
@@ -316,17 +304,17 @@ func handleEstimate(eng *serving.Engine, sampler *obs.TraceSampler, aud *auditor
 			resp.Estimates = ests
 			resp.Tau = m.Cfg.TauMax
 		} else {
-			v, err := eng.EstimateTraced(ctx, req.X, *req.Tau, tr)
+			v, err := eng.EstimateTraced(r.Context(), req.X, req.Tau, tr)
 			if err != nil {
 				estimateEngineError(w, err)
 				finish()
 				return
 			}
 			resp.Estimate = &v
-			resp.Tau = *req.Tau
-			aud.observe(req.X, *req.Tau, v)
+			resp.Tau = req.Tau
+			aud.observe(req.X, req.Tau, v)
 		}
-		writeJSON(w, resp)
+		writeEstimate(w, resp)
 		finish()
 	}
 }
@@ -360,8 +348,9 @@ func newAuditor(oracle *simselect.EncodedOracle, mon *monitor.Monitor, rate floa
 }
 
 // observe maybe replays one served estimate. Nil-safe; never blocks the
-// request path. The x slice is safe to share: the handler stops touching it
-// once the response is built.
+// request path. The x slice is safe to share: DecodeQuery and ParseX make
+// it fresh for each request, and the handler stops touching it once the
+// response is built.
 func (a *auditor) observe(x []float64, tau int, estimate float64) {
 	if a == nil || a.seq.Add(1)%a.every != 0 {
 		return
@@ -386,42 +375,39 @@ func (a *auditor) observe(x []float64, tau int, estimate float64) {
 	}()
 }
 
-// parseEstimateRequest decodes the wire formats; semantic checks live in
-// validateEstimateRequest so GET and POST share them.
-func parseEstimateRequest(r *http.Request) (*estimateRequest, error) {
-	var req estimateRequest
+// parseEstimateRequest decodes the wire formats: a POST body, read as the
+// router reads it (cluster.ReadQuery), or a GET query, ?x=1,0,1,…&tau=3 (or
+// &all=true). Semantic checks live in validateEstimateRequest so GET and
+// POST share them.
+func parseEstimateRequest(r *http.Request) (cluster.Query, error) {
 	switch r.Method {
 	case http.MethodPost:
-		body := http.MaxBytesReader(nil, r.Body, 1<<20)
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			return nil, fmt.Errorf("bad JSON body: %v", err)
-		}
+		_, q, err := cluster.ReadQuery(r)
+		return q, err
 	case http.MethodGet:
 		q := r.URL.Query()
 		x, err := cluster.ParseX(q.Get("x"))
 		if err != nil {
-			return nil, err
+			return cluster.Query{}, err
 		}
-		req.X = x
+		req := cluster.Query{X: x, All: q.Get("all") == "true" || q.Get("all") == "1"}
 		if ts := q.Get("tau"); ts != "" {
-			tau, err := strconv.Atoi(ts)
-			if err != nil {
-				return nil, fmt.Errorf("bad tau %q", ts)
+			if req.Tau, err = strconv.Atoi(ts); err != nil {
+				return cluster.Query{}, fmt.Errorf("bad tau %q", ts)
 			}
-			req.Tau = &tau
+			req.HasTau = true
 		}
-		req.All = q.Get("all") == "true" || q.Get("all") == "1"
+		return req, nil
 	default:
-		return nil, fmt.Errorf("method %s not allowed", r.Method)
+		return cluster.Query{}, fmt.Errorf("method %s not allowed", r.Method)
 	}
-	return &req, nil
 }
 
 // validateEstimateRequest enforces the model's input contract up front so
 // malformed queries fail with a deterministic 400 instead of reaching the
 // engine: x present and exactly InDim wide, strictly binary components, and
 // τ within [0, TauMax] unless the full curve is requested.
-func validateEstimateRequest(req *estimateRequest, m *core.Model) error {
+func validateEstimateRequest(req cluster.Query, m *core.Model) error {
 	if len(req.X) == 0 {
 		return errors.New(`"x" is required`)
 	}
@@ -436,66 +422,58 @@ func validateEstimateRequest(req *estimateRequest, m *core.Model) error {
 	if req.All {
 		return nil
 	}
-	if req.Tau == nil {
+	if !req.HasTau {
 		return errors.New(`"tau" is required unless "all" is set`)
 	}
-	if *req.Tau < 0 || *req.Tau > m.Cfg.TauMax {
-		return fmt.Errorf("tau %d outside [0, %d]", *req.Tau, m.Cfg.TauMax)
+	if req.Tau < 0 || req.Tau > m.Cfg.TauMax {
+		return fmt.Errorf("tau %d outside [0, %d]", req.Tau, m.Cfg.TauMax)
 	}
 	return nil
 }
 
-// feedbackRequest is the POST /feedback body: a query the caller executed
-// for real, with the actual cardinality observed. The server re-estimates it
-// and folds the q-error into the drift monitor.
-type feedbackRequest struct {
-	X      []float64 `json:"x"`
-	Tau    *int      `json:"tau"`
-	Actual *float64  `json:"actual"`
-}
-
+// handleFeedback takes a query the caller executed for real, {x, tau,
+// actual} with the actual cardinality observed: it re-estimates the query
+// and folds the q-error into the drift monitor. An "all" member is ignored.
 func handleFeedback(eng *serving.Engine, mon *monitor.Monitor, pilot *autopilot.Pilot) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			httpError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		var req feedbackRequest
-		body := http.MaxBytesReader(nil, r.Body, 1<<20)
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad JSON body: %v", err))
-			return
-		}
-		m := eng.Registry().Current().Model
-		if err := validateEstimateRequest(&estimateRequest{X: req.X, Tau: req.Tau}, m); err != nil {
+		_, req, err := cluster.ReadQuery(r)
+		if err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if req.Actual == nil {
+		req.All = false
+		m := eng.Registry().Current().Model
+		if err := validateEstimateRequest(req, m); err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		if !req.HasActual {
 			httpError(w, http.StatusBadRequest, `"actual" is required`)
 			return
 		}
-		if *req.Actual < 0 || math.IsNaN(*req.Actual) || math.IsInf(*req.Actual, 0) {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("actual %v, want a finite non-negative count", *req.Actual))
+		if req.Actual < 0 || math.IsNaN(req.Actual) || math.IsInf(req.Actual, 0) {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("actual %v, want a finite non-negative count", req.Actual))
 			return
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
-		defer cancel()
-		est, err := eng.Estimate(ctx, req.X, *req.Tau)
+		est, err := eng.Estimate(r.Context(), req.X, req.Tau)
 		if err != nil {
 			httpEngineError(w, err)
 			return
 		}
-		q := mon.Record(*req.Actual, est, monitor.Feedback)
+		q := mon.Record(req.Actual, est, monitor.Feedback)
 		if pilot != nil {
 			// Labelled feedback is exactly the traffic a retrain should fit:
 			// the caller ran the query for real.
-			pilot.Observe(req.X, *req.Tau)
+			pilot.Observe(req.X, req.Tau)
 		}
 		writeJSON(w, map[string]any{
 			"estimate": est,
-			"actual":   *req.Actual,
-			"tau":      *req.Tau,
+			"actual":   req.Actual,
+			"tau":      req.Tau,
 			"qerror":   q,
 			"drift":    mon.Status().Status,
 		})
@@ -726,6 +704,74 @@ func estimateEngineError(w http.ResponseWriter, err error) {
 	if code := httpEngineError(w, err); code >= 500 {
 		mEstimate5xx.Inc()
 	}
+}
+
+// estimateBufs pools the buffers writeEstimate builds responses in.
+var estimateBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeEstimate writes resp byte for byte as writeJSON would, without
+// reflection. A non-finite estimate, which JSON cannot carry, goes to
+// writeJSON, whose encoder fails and counts the error.
+func writeEstimate(w http.ResponseWriter, resp estimateResponse) {
+	bp := estimateBufs.Get().(*[]byte)
+	defer estimateBufs.Put(bp)
+	b, ok := appendEstimate((*bp)[:0], resp)
+	*bp = b
+	if !ok {
+		writeJSON(w, resp)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if _, err := w.Write(b); err != nil {
+		httpErrors.Inc()
+	}
+}
+
+// appendEstimate appends resp as json.Encoder encodes it, trailing newline
+// included; ok is false when an estimate is not finite.
+func appendEstimate(b []byte, resp estimateResponse) (_ []byte, ok bool) {
+	ok = true
+	num := func(v float64) {
+		ok = ok && !math.IsNaN(v) && !math.IsInf(v, 0)
+		b = appendJSONFloat(b, v)
+	}
+	b = append(b, '{')
+	if resp.Estimate != nil {
+		b = append(b, `"estimate":`...)
+		num(*resp.Estimate)
+		b = append(b, ',')
+	}
+	if len(resp.Estimates) > 0 {
+		b = append(b, `"estimates":[`...)
+		for i, v := range resp.Estimates {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			num(v)
+		}
+		b = append(b, "],"...)
+	}
+	b = append(b, `"tau":`...)
+	b = strconv.AppendInt(b, int64(resp.Tau), 10)
+	b = append(b, `,"tau_max":`...)
+	b = strconv.AppendInt(b, int64(resp.TauMax), 10)
+	return append(b, "}\n"...), ok
+}
+
+// appendJSONFloat formats a finite v as encoding/json does: like ES6, the
+// shortest round-trip digits, exponent form below 1e-6 and from 1e21 on,
+// and no zero padding in a negative exponent.
+func appendJSONFloat(b []byte, v float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

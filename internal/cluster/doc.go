@@ -27,6 +27,11 @@
 //     Drain flips /healthz to "draining" so load balancers stop sending
 //     before the listener shuts down.
 //
+//   - Query: the estimate-family request both sides read. DecodeQuery
+//     decodes a POST /estimate or /feedback body in one reflection-free
+//     pass, and ParseX a GET query's x; the replica serves what they return
+//     and the router routes on it, so the two cannot disagree on a body.
+//
 //   - Rollout: rolling model rollout across the fleet. A new model is
 //     canaried onto one replica via its existing /admin/reload hot swap, the
 //     canary's /drift q-error window is compared against the rest of the
@@ -34,7 +39,7 @@
 //     replica-by-replica or rolled back. Every decision is journaled as
 //     JSONL.
 //
-// The router is deliberately model-agnostic: it never decodes estimates,
-// only the x routing key, so replicas stay the single source of truth
-// for validation and inference.
+// The router is deliberately model-agnostic: it never decodes estimates
+// and checks only that a body decodes, routing on its x, so replicas stay
+// the single source of truth for validation and inference.
 package cluster

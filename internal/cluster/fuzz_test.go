@@ -23,7 +23,7 @@ func FuzzExtractKey(f *testing.F) {
 	f.Add([]byte(`{"x":[1,0,1,1],"tau":3}`), "x=1,0,1,1&tau=3", 7, false)
 	f.Add([]byte(`{"x":[0,1],"all":true}`), "x=0,1&all=true", 0, true)
 	f.Fuzz(func(t *testing.T, body []byte, query string, tau int, all bool) {
-		_, key, err := extractKey(postRequest(body))
+		_, key, err := ExtractKey(postRequest(body))
 		// Prepend tau/all members to a JSON object body: the last "x" member
 		// still decides the route, so the key must not move.
 		var obj map[string]json.RawMessage
@@ -33,11 +33,11 @@ func FuzzExtractKey(f *testing.F) {
 			if len(obj) > 0 {
 				rewritten = append([]byte(fields+","), trimmed[1:]...)
 			}
-			_, key2, err2 := extractKey(postRequest(rewritten))
+			_, key2, err2 := ExtractKey(postRequest(rewritten))
 			checkSameRoute(t, "POST", key, err, key2, err2)
 		}
 
-		_, key, err = extractKey(getRequest(query))
+		_, key, err = ExtractKey(getRequest(query))
 		q, _ := url.ParseQuery(query) // keeps the pairs URL.Query keeps
 		// A GET routes on ParseX of its x, the vector the replica serves.
 		if x, perr := ParseX(q.Get("x")); (err == nil) != (perr == nil) || err == nil && key != KeyHash(x) {
@@ -45,7 +45,7 @@ func FuzzExtractKey(f *testing.F) {
 		}
 		q.Set("tau", strconv.Itoa(tau))
 		q.Set("all", strconv.FormatBool(all))
-		_, key2, err2 := extractKey(getRequest(q.Encode()))
+		_, key2, err2 := ExtractKey(getRequest(q.Encode()))
 		checkSameRoute(t, "GET", key, err, key2, err2)
 	})
 }

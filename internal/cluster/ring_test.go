@@ -204,7 +204,7 @@ func TestRouteKeyIgnoresTau(t *testing.T) {
 		}
 		want := r.Successors(KeyHash(x), 4)
 		for _, req := range reqs {
-			_, key, err := extractKey(req)
+			_, key, err := ExtractKey(req)
 			if err != nil {
 				t.Fatalf("%s %s: %v", req.Method, req.URL, err)
 			}

@@ -236,13 +236,6 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-// routeKey is the slice of an estimate/feedback body the router must
-// decode: just x, the affinity key. Everything else, τ included, passes
-// through opaque.
-type routeKey struct {
-	X []float64 `json:"x"`
-}
-
 // handleProxy routes one /estimate or /feedback request to its ring node
 // with bounded failover, tracing the journey as tiled stages (route → pick →
 // attempt.N* → proxy → relay). The fleet trace ID — the client's if it sent
@@ -280,7 +273,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	body, key, err := extractKey(r)
+	body, key, err := ExtractKey(r)
 	rt.hStageRoute.ObserveDuration(tr.Mark(StageRoute))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -375,20 +368,18 @@ func attemptRecord(n int, base, outcome string, d time.Duration) map[string]any 
 	}
 }
 
-// extractKey reads the request far enough to compute the routing key and
-// returns the (possibly re-buffered) body for forwarding.
-func extractKey(r *http.Request) ([]byte, uint64, error) {
-	var rk routeKey
+// ExtractKey reads the request far enough to compute the routing key and
+// returns the (possibly re-buffered) body for forwarding. A POST body is
+// read as the replica reads it (ReadQuery), so the router refuses what the
+// replica would and routes on the x the replica serves.
+func ExtractKey(r *http.Request) ([]byte, uint64, error) {
 	switch r.Method {
 	case http.MethodPost:
-		body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 1<<20))
+		body, q, err := ReadQuery(r)
 		if err != nil {
-			return nil, 0, fmt.Errorf("read body: %v", err)
+			return nil, 0, err
 		}
-		if err := json.Unmarshal(body, &rk); err != nil {
-			return nil, 0, fmt.Errorf("bad JSON body: %v", err)
-		}
-		return body, KeyHash(rk.X), nil
+		return body, KeyHash(q.X), nil
 	case http.MethodGet:
 		x, err := ParseX(r.URL.Query().Get("x"))
 		if err != nil {
@@ -398,26 +389,6 @@ func extractKey(r *http.Request) ([]byte, uint64, error) {
 	default:
 		return nil, 0, fmt.Errorf("method %s not allowed", r.Method)
 	}
-}
-
-// ParseX parses the x parameter of a GET /estimate query: comma-separated
-// numbers, surrounding spaces trimmed and empty components skipped. The
-// router routes a GET on the vector it returns and the replica serves that
-// same vector, so a GET query's route key is KeyHash of it.
-func ParseX(s string) ([]float64, error) {
-	var x []float64
-	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(tok, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad x component %q", tok)
-		}
-		x = append(x, v)
-	}
-	return x, nil
 }
 
 // orderCandidates moves candidates inside a Retry-After cooloff to the back

@@ -40,6 +40,12 @@ type Config struct {
 // cacheShards is the lock-striping width of the engine's curve cache.
 const cacheShards = 8
 
+// requestTimeout bounds how long a request that misses the cache waits for
+// its curve, queue wait plus forward pass, on top of any deadline its
+// context carries. A hit waits for nothing and so makes no timer. It is a
+// variable only so tests can shorten it.
+var requestTimeout = 2 * time.Second
+
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
@@ -201,7 +207,7 @@ func (e *Engine) curve(ctx context.Context, x []float64, tr *obs.Trace) ([]float
 			return curve, nil
 		}
 	}
-	return e.dispatch(ctx, &request{ctx: ctx, x: x, key: key, done: make(chan result, 1), tr: tr})
+	return e.dispatch(ctx, x, key, tr)
 }
 
 // markCache closes the cache-lookup stage on a traced request.
@@ -213,19 +219,19 @@ func markCache(tr *obs.Trace, hit bool) {
 	tr.Annotate("cache_hit", hit)
 }
 
-// dispatch submits r and waits for its curve or the context deadline.
-func (e *Engine) dispatch(ctx context.Context, r *request) ([]float64, error) {
+// dispatch queues x for a batched forward pass and waits for its curve, the
+// context's end or requestTimeout, whichever comes first.
+func (e *Engine) dispatch(ctx context.Context, x []float64, key curveKey, tr *obs.Trace) ([]float64, error) {
+	ctx, cancel := context.WithTimeout(ctx, requestTimeout)
+	defer cancel()
+	r := &request{ctx: ctx, x: x, key: key, done: make(chan result, 1), tr: tr}
 	if err := e.submit(r); err != nil {
 		return nil, err
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
 	}
 	select {
 	case res := <-r.done:
 		return res.curve, res.err
-	case <-done:
+	case <-ctx.Done():
 		mExpired.Inc()
 		return nil, ctx.Err()
 	}
@@ -322,14 +328,12 @@ func (e *Engine) run(batch []*request, batchStart time.Time, reason string) {
 
 	live := make([]*request, 0, len(batch))
 	for _, r := range batch {
-		if r.ctx != nil {
-			select {
-			case <-r.ctx.Done():
-				mExpired.Inc()
-				r.done <- result{err: r.ctx.Err()}
-				continue
-			default:
-			}
+		select {
+		case <-r.ctx.Done():
+			mExpired.Inc()
+			r.done <- result{err: r.ctx.Err()}
+			continue
+		default:
 		}
 		live = append(live, r)
 	}

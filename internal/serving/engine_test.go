@@ -420,3 +420,32 @@ func TestSwapUnderLoadZeroFailures(t *testing.T) {
 		t.Fatalf("registry version %d, want 7", v)
 	}
 }
+
+// A request that misses the cache waits for its curve at most
+// requestTimeout, whatever its own context allows: queued behind a parked
+// worker, it fails with the deadline, and the worker that reaches it later
+// skips it instead of running a forward pass for nobody.
+func TestQueuedRequestFailsAtTimeout(t *testing.T) {
+	old := requestTimeout
+	requestTimeout = 50 * time.Millisecond
+	t.Cleanup(func() { requestTimeout = old })
+	m := testModel(1)
+	e, entered, _, release := parkedEngine(t, m, Config{Workers: 1, CacheEntries: -1}, 2)
+	errs := make(chan error, 2)
+	start := time.Now()
+	parkAndQueue(t, e, entered, 1, errs) // both under context.Background()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("request %d: err=%v, want the deadline", i, err)
+		}
+	}
+	if waited := time.Since(start); waited < requestTimeout {
+		t.Fatalf("failed after %v, before the %v bound", waited, requestTimeout)
+	}
+	callsBefore, _ := batchCounters()
+	release()
+	e.Close() // drains the queue: the worker reaches the expired request
+	if calls, _ := batchCounters(); calls != callsBefore {
+		t.Fatalf("an expired request ran %d forward passes", calls-callsBefore)
+	}
+}
