@@ -110,15 +110,15 @@ race-autopilot:
 # decoder replica and router share against encoding/json, the router's
 # health prober over two arbitrary replica /healthz bodies and its
 # /admin/rollout body handling, the replica's /estimate request parsing and
-# validation and its /feedback and /admin/reload handlers, the serving
-# cache's packed curve key, trace JSONL loading and assembly, the generic
-# ABT kernel against the per-element dot
-# products, the MatMul and MatMulATBAdd saxpy kernels against the naive
-# scalar loops, the vector Adam step against its Go loop, the batch-1 VecMat
-# kernel against a one-row ABT, the replica's /admin/autopilot body
-# handling, model-file loading, trainer-state decode and resume, staged
-# train-set loading and retraining, and the f64/f32 plans against the nn
-# forward.
+# validation, its /feedback handler (with an unstarted autopilot attached)
+# and its /admin/reload handler, the serving cache's packed curve key, trace
+# JSONL loading and assembly, the generic ABT kernel against the
+# per-element dot products, the MatMul and MatMulATBAdd saxpy kernels
+# against the naive scalar loops, the vector Adam step against its Go loop,
+# the batch-1 VecMat kernel against a one-row ABT, nn.ParamBytes against the
+# bytes gob writes, the replica's /admin/autopilot body handling, model-file
+# loading, trainer-state decode and resume, staged train-set loading and
+# retraining, and the f64/f32 plans against the nn forward.
 # FuzzRestoreTrainer's seeds are 30 KB checkpoints and every FuzzLoadTrainSet
 # input runs a retrain, so both skip minimizing new inputs, which would take
 # their whole budget.
@@ -138,6 +138,7 @@ fuzz-smoke:
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMulATBAdd$$' -fuzztime=10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzAdamStep$$' -fuzztime=10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzVecMat$$' -fuzztime=10s
+	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzParamBytes$$' -fuzztime=10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime=10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzRestoreTrainer$$' -fuzztime=10s -fuzzminimizetime=1x
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzLoadTrainSet$$' -fuzztime=10s -fuzzminimizetime=1x

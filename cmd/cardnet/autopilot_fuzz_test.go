@@ -25,7 +25,8 @@ type pilotView struct {
 // handler, over a fresh pilot per input whose loop does not run (so only the
 // handler can change it), inhibited first when the fuzzer says so. The
 // answer is 200 or 400 and never a panic, and without a pilot it is 404. A
-// refused body leaves the pilot's status as it was. An accepted one names
+// refused body leaves the pilot's status as it was. An accepted one is
+// exactly one JSON value, with nothing after it, that names
 // force, inhibit or resume and changes exactly what that action changes:
 // force arms a trigger, inhibit and resume set the inhibit flag. The 200
 // body is the status after the action.
@@ -72,8 +73,8 @@ func FuzzAutopilot(f *testing.F) {
 			}
 		case http.StatusOK:
 			var req autopilotRequest
-			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-				t.Fatalf("accepted body %q does not decode: %v", body, err)
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatalf("accepted body %q is not one JSON value: %v", body, err)
 			}
 			want := before
 			switch req.Action {

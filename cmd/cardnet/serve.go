@@ -230,13 +230,17 @@ func newServeMux(eng *serving.Engine, opts serveOptions) *http.ServeMux {
 	return mux
 }
 
-// instrument wraps a handler in an obs span: "<name>.seconds" latency
-// histogram plus "<name>.calls" counter on the default registry.
+// instrument times a handler into the "<name>.seconds" latency histogram
+// and counts it in the "<name>.calls" counter on the default registry. Both
+// are looked up once, when the mux is built, not on every request.
 func instrument(name string, h http.HandlerFunc) http.HandlerFunc {
+	seconds := obs.Default.Histogram(name+".seconds", obs.TimeBuckets())
+	calls := obs.Default.Counter(name + ".calls")
 	return func(w http.ResponseWriter, r *http.Request) {
-		sp := obs.Default.StartSpan(name)
+		t := obs.StartTimer(seconds)
 		h(w, r)
-		sp.End()
+		t.Stop()
+		calls.Inc()
 	}
 }
 
@@ -510,9 +514,8 @@ func handleReload(eng *serving.Engine) http.HandlerFunc {
 			return
 		}
 		var req reloadRequest
-		body := http.MaxBytesReader(nil, r.Body, 1<<20)
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad JSON body: %v", err))
+		if err := cluster.ReadJSON(r, &req); err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		if req.Path == "" {
@@ -602,9 +605,8 @@ func handleAutopilot(pilot *autopilot.Pilot) http.HandlerFunc {
 		case http.MethodGet:
 		case http.MethodPost:
 			var req autopilotRequest
-			body := http.MaxBytesReader(nil, r.Body, 1<<20)
-			if err := json.NewDecoder(body).Decode(&req); err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Sprintf("bad JSON body: %v", err))
+			if err := cluster.ReadJSON(r, &req); err != nil {
+				httpError(w, http.StatusBadRequest, err.Error())
 				return
 			}
 			switch req.Action {

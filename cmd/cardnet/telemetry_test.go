@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"cardnet/internal/obs"
 	"cardnet/internal/obs/slo"
@@ -134,5 +135,25 @@ func TestHealthzCarriesBuildAndSLO(t *testing.T) {
 	}
 	if v, ok := hz["start_time_seconds"].(float64); !ok || v <= 0 {
 		t.Fatalf("healthz start time: %+v", hz)
+	}
+}
+
+// TestInstrument: an instrumented handler records every call into the
+// "<name>.seconds" histogram and the "<name>.calls" counter on the default
+// registry, both resolved when the handler is wrapped, so a request costs
+// no registry lookup and no allocation.
+func TestInstrument(t *testing.T) {
+	h := instrument("test.instrument", func(http.ResponseWriter, *http.Request) { time.Sleep(time.Millisecond) })
+	seconds := obs.Default.Histogram("test.instrument.seconds", nil)
+	calls := obs.Default.Counter("test.instrument.calls")
+	n0, sum0, calls0 := seconds.Count(), seconds.Sum(), calls.Value()
+	h(nil, nil)
+	h(nil, nil)
+	if n, sum, c := seconds.Count()-n0, seconds.Sum()-sum0, calls.Value()-calls0; n != 2 || sum < 0.002 || c != 2 {
+		t.Fatalf("two 1 ms calls: %d observations summing to %vs, %d calls", n, sum, c)
+	}
+	noop := instrument("test.instrument_noop", func(http.ResponseWriter, *http.Request) {})
+	if a := testing.AllocsPerRun(100, func() { noop(nil, nil) }); a != 0 {
+		t.Fatalf("instrumented call allocates %v times", a)
 	}
 }

@@ -1,14 +1,22 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"cardnet/internal/autopilot"
+	"cardnet/internal/checkpoint"
 	"cardnet/internal/cluster"
+	"cardnet/internal/obs"
+	"cardnet/internal/obs/monitor"
 	"cardnet/internal/serving"
 )
 
@@ -87,5 +95,79 @@ func TestEstimateBodyTightenings(t *testing.T) {
 		if w.Code != http.StatusOK {
 			t.Errorf("replica %s %q: %d %s, want 200", tc.path, tc.body, w.Code, w.Body)
 		}
+	}
+}
+
+// TestAdminBodiesRefuseTrailingData: each admin endpoint, the replica's
+// /admin/reload and /admin/autopilot and the router's /admin/rollout,
+// accepts exactly one JSON value. A second value or junk after it is a 400
+// that changes nothing; the same body alone is served.
+func TestAdminBodiesRefuseTrailingData(t *testing.T) {
+	m := tinyModel(3)
+	eng := testEngine(t, m, serving.Config{})
+	defer eng.Close()
+	path := filepath.Join(t.TempDir(), "m.gob")
+	if err := checkpoint.SaveModel(path, tinyModel(5)); err != nil {
+		t.Fatal(err)
+	}
+	pilot, err := autopilot.New(autopilot.Config{Dir: t.TempDir()}, eng, monitor.New(monitor.Config{}, obs.NewRegistry()),
+		func([]float64, int) ([]float64, error) { return nil, errors.New("no oracle") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := newServeMux(eng, serveOptions{pilot: pilot})
+
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	rt, err := cluster.New(cluster.Config{Replicas: []string{dead.URL}, EjectAfter: 1, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	rt.Prober().ProbeOnce(context.Background())
+	router := rt.Handler()
+
+	// state reads what an accepted body would change at each endpoint.
+	state := func(h http.Handler, endpoint string) string {
+		switch endpoint {
+		case "/admin/reload":
+			return fmt.Sprint(eng.Registry().Current().Version)
+		case "/admin/autopilot":
+			return fmt.Sprint(pilot.Status(), pilot.Forced())
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, endpoint, nil))
+		return w.Body.String()
+	}
+	for _, tc := range []struct {
+		h        http.Handler
+		endpoint string
+		body     string
+		accepted int // the status of the body without its trailing data
+	}{
+		{replica, "/admin/reload", `{"path":"` + path + `"}`, http.StatusOK},
+		{replica, "/admin/autopilot", `{"action":"inhibit"}`, http.StatusOK},
+		{router, "/admin/rollout", `{"path":"` + path + `"}`, http.StatusServiceUnavailable},
+	} {
+		for _, trailing := range []string{` {"path":"other.gob","action":"force"}`, `{}`, ` junk`, `]`} {
+			before := state(tc.h, tc.endpoint)
+			w := httptest.NewRecorder()
+			tc.h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.endpoint, strings.NewReader(tc.body+trailing)))
+			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "bad JSON body") {
+				t.Errorf("%s %q: %d %s, want 400 bad JSON body", tc.endpoint, tc.body+trailing, w.Code, w.Body)
+			}
+			if after := state(tc.h, tc.endpoint); after != before {
+				t.Errorf("%s %q: refused, yet changed %s -> %s", tc.endpoint, tc.body+trailing, before, after)
+			}
+		}
+		w := httptest.NewRecorder()
+		tc.h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.endpoint, strings.NewReader(tc.body+" \n")))
+		if w.Code != tc.accepted {
+			t.Errorf("%s %q: %d %s, want %d", tc.endpoint, tc.body, w.Code, w.Body, tc.accepted)
+		}
+	}
+	if v := eng.Registry().Current().Version; v != 2 || !pilot.Inhibited() || pilot.Forced() {
+		t.Fatalf("after one accepted body each: version %d, inhibited %v, forced %v; want 2, true, false",
+			v, pilot.Inhibited(), pilot.Forced())
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -63,15 +64,40 @@ func DecodeQuery(body []byte) (Query, error) {
 // ReadQuery reads a POST body of at most 1 MiB and decodes it with
 // DecodeQuery. It returns the body too, for the router to forward.
 func ReadQuery(r *http.Request) ([]byte, Query, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 1<<20))
+	body, err := readBody(r)
 	if err != nil {
-		return nil, Query{}, fmt.Errorf("read body: %v", err)
+		return nil, Query{}, err
 	}
 	q, err := DecodeQuery(body)
 	if err != nil {
 		return nil, Query{}, fmt.Errorf("bad JSON body: %v", err)
 	}
 	return body, q, nil
+}
+
+// ReadJSON reads a POST body of at most 1 MiB and unmarshals it into v as
+// exactly one JSON value: data after that value is an error, as it is for
+// ReadQuery. The admin endpoints, the replica's /admin/reload and
+// /admin/autopilot and the router's /admin/rollout, read their bodies with
+// it, so a second request glued to the first is refused, not half served.
+func ReadJSON(r *http.Request, v any) error {
+	body, err := readBody(r)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		return fmt.Errorf("bad JSON body: %v", err)
+	}
+	return nil
+}
+
+// readBody reads a POST body, refusing one past 1 MiB.
+func readBody(r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 1<<20))
+	if err != nil {
+		return nil, fmt.Errorf("read body: %v", err)
+	}
+	return body, nil
 }
 
 // ParseX parses the x parameter of a GET /estimate query: comma-separated

@@ -540,8 +540,8 @@ func (rt *Router) handleRollout(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, rt.rollout.Status())
 	case http.MethodPost:
 		var req rolloutRequest
-		if err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad JSON body: %v", err))
+		if err := ReadJSON(r, &req); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		if req.Path == "" {

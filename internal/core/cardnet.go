@@ -50,16 +50,25 @@ type Model struct {
 	decB  *nn.Param      // TauMax+1 decoder biases
 }
 
-// New constructs an untrained model for inDim-bit feature vectors.
+// New constructs an untrained model for inDim-bit feature vectors, its
+// weights drawn from an RNG seeded with cfg.Seed.
 func New(cfg Config, inDim int) *Model {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	return build(cfg, inDim, rand.New(rand.NewSource(cfg.Seed)))
+}
+
+// build allocates the architecture and draws its initial weights from rng.
+// A nil rng draws nothing and leaves every parameter zero, for restore to
+// fill from a snapshot.
+func build(cfg Config, inDim int, rng *rand.Rand) *Model {
 	m := &Model{Cfg: cfg, InDim: inDim, TauTop: cfg.TauMax}
 	if cfg.VAELatent > 0 {
 		m.vae = nn.NewVAE(rng, inDim, cfg.VAEHidden, cfg.VAELatent)
 	}
 	tauCount := cfg.TauMax + 1
 	m.emb = &nn.Param{Name: "E", Value: make([]float64, tauCount*cfg.EmbDim)}
-	tensor.RandNormal(rng, m.emb.Value, 0, 1) // E initialized from N(0,1), Section 5.2.2
+	if rng != nil {
+		tensor.RandNormal(rng, m.emb.Value, 0, 1) // E initialized from N(0,1), Section 5.2.2
+	}
 
 	xpDim := inDim + cfg.VAELatent
 	if cfg.Accel {
@@ -70,7 +79,9 @@ func New(cfg Config, inDim int) *Model {
 		m.phi = nn.NewMLP(rng, dims, nn.ReLU, nn.ReLU)
 	}
 	m.decW = &nn.Param{Name: "decW", Value: make([]float64, tauCount*cfg.ZDim)}
-	tensor.GlorotUniform(rng, m.decW.Value, cfg.ZDim, 1)
+	if rng != nil {
+		tensor.GlorotUniform(rng, m.decW.Value, cfg.ZDim, 1)
+	}
 	m.decB = &nn.Param{Name: "decB", Value: make([]float64, tauCount)}
 	return m
 }
@@ -907,13 +918,14 @@ func Load(r io.Reader) (*Model, error) {
 }
 
 // restore rebuilds a model from a decoded config and weight snapshot, the
-// shared tail of Load and RestoreTrainer. checkShapes runs first, so New
-// only ever allocates the shapes the snapshot already holds.
+// shared tail of Load and RestoreTrainer. checkShapes runs first, so build
+// only ever allocates the shapes the snapshot already holds, and it draws no
+// initial weights: the snapshot overwrites every one.
 func restore(cfg Config, inDim, tauTop int, snap *nn.Snapshot) (*Model, error) {
 	if err := checkShapes(cfg, inDim, snap); err != nil {
 		return nil, err
 	}
-	m := New(cfg, inDim)
+	m := build(cfg, inDim, nil)
 	m.TauTop = tauTop
 	if err := snap.Restore(m.Params()); err != nil {
 		return nil, err

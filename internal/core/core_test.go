@@ -357,6 +357,38 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if m2.TauTop != m.TauTop {
 		t.Fatal("TauTop not preserved")
 	}
+	p1, p2 := m.Params(), m2.Params()
+	for i := range p1 {
+		for j, v := range p1[i].Value {
+			if math.Float64bits(p2[i].Value[j]) != math.Float64bits(v) {
+				t.Fatalf("param %d (%s) value %d: loaded %v, saved %v", i, p1[i].Name, j, p2[i].Value[j], v)
+			}
+		}
+	}
+}
+
+// TestBuildWithoutRNG: the architecture restore fills is New's, parameter
+// for parameter, with every weight left zero instead of drawn.
+func TestBuildWithoutRNG(t *testing.T) {
+	for _, accel := range []bool{false, true} {
+		cfg := tinyConfig(6, accel)
+		want := New(cfg, 24).Params()
+		got := build(cfg, 24, nil).Params()
+		if len(got) != len(want) {
+			t.Fatalf("accel=%v: %d params, New builds %d", accel, len(got), len(want))
+		}
+		for i, p := range got {
+			if p.Name != want[i].Name || len(p.Value) != len(want[i].Value) {
+				t.Fatalf("accel=%v param %d: %s[%d], New builds %s[%d]",
+					accel, i, p.Name, len(p.Value), want[i].Name, len(want[i].Value))
+			}
+			for _, v := range p.Value {
+				if v != 0 {
+					t.Fatalf("accel=%v param %d (%s) holds %v, want zero", accel, i, p.Name, v)
+				}
+			}
+		}
+	}
 }
 
 func TestIncrementalTrainSkipsWhenErrorStable(t *testing.T) {

@@ -2,6 +2,7 @@ package infer
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -80,4 +81,23 @@ func usedPlanFinalized(t *testing.T, tier Precision) <-chan struct{} {
 		runtime.SetFinalizer(b, func(*body[float32]) { close(freed) })
 	}
 	return freed
+}
+
+// TestGateSweepsLeaveNoScratch pins that Compile's f32 gate and MonoSweep
+// run their 256-row sweeps on scratch of their own. In the plan's pool the
+// sweep's buffers would serve every later batch for as long as traffic kept
+// them from two GCs in a row, about 1.2 MB on the fixture-shaped model.
+func TestGateSweepsLeaveNoScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	m := core.New(core.DefaultConfig(4), 16)
+	p, res, err := Compile(m, PrecisionF32, GateConfig{MaxQErrP99Delta: math.Inf(1)})
+	if err != nil || res.Tier != PrecisionF32 {
+		t.Fatalf("compile: tier %s, %v", res.Tier, err)
+	}
+	MonoSweep(p, 0, 1)
+	if s := p.fwd.(*body[float32]).pool.Get().(*scratch[float32]); s.x != nil {
+		t.Fatalf("the plan's pool holds a %d-row scratch after the sweeps", s.x.Rows)
+	}
 }

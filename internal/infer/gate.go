@@ -129,7 +129,7 @@ func MonoSweep(p *Plan, sweep int, seed int64) int {
 	if sweep <= 0 {
 		sweep = DefaultGateSweep
 	}
-	return violations(p.EstimateAllTausBatch(sweepInputs(sweep, p.InDim(), seed)))
+	return violations(p.fwd.forwardUnpooled(sweepInputs(sweep, p.InDim(), seed)))
 }
 
 // Compile lowers m to the requested tier and, for f32, runs the
@@ -162,7 +162,7 @@ func Compile(m *core.Model, tier Precision, gc GateConfig) (*Plan, GateResult, e
 	}
 
 	xs := sweepInputs(gc.Sweep, m.InDim, gc.Seed)
-	got := p.EstimateAllTausBatch(xs)
+	got := p.fwd.forwardUnpooled(xs)
 	res.QErrP99Delta = qErrP99(got, m.EstimateAllTausBatch(xs)) - 1
 	res.MonoViolations = violations(got)
 

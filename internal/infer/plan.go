@@ -85,6 +85,7 @@ type Plan struct {
 	tau   int
 	fwd   interface {
 		forward(xs *tensor.Matrix) *tensor.Matrix
+		forwardUnpooled(xs *tensor.Matrix) *tensor.Matrix
 	}
 }
 
@@ -330,12 +331,24 @@ func activate[T tensor.Float](kind nn.ActKind, data []T) {
 	}
 }
 
-// forward is the one fused forward both tiers run.
+// forward is the one fused forward both tiers run, on pooled scratch.
 func (b *body[T]) forward(xs *tensor.Matrix) *tensor.Matrix {
-	n, t := xs.Rows, b.tauCount
 	s := b.pool.Get().(*scratch[T])
 	defer b.pool.Put(s)
+	return b.run(xs, s)
+}
 
+// forwardUnpooled is forward on scratch of its own, which the next GC
+// frees. The gate sweeps run on it: their batch is larger than serving
+// forms, and buffers grown for it would stay in the pool that every later
+// serving batch reuses.
+func (b *body[T]) forwardUnpooled(xs *tensor.Matrix) *tensor.Matrix {
+	return b.run(xs, &scratch[T]{})
+}
+
+// run is the forward on the scratch buffers s.
+func (b *body[T]) run(xs *tensor.Matrix, s *scratch[T]) *tensor.Matrix {
+	n, t := xs.Rows, b.tauCount
 	x := ensure(&s.x, n, b.inDim)
 	for i, v := range xs.Data {
 		x.Data[i] = T(v)

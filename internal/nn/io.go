@@ -1,9 +1,12 @@
 package nn
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 )
 
 // Snapshot is a flattened copy of a model's parameter values in Params()
@@ -115,28 +118,60 @@ func (a *Adam) SetState(st *AdamState) error {
 }
 
 // ParamBytes returns the serialized size in bytes of the given parameters,
-// used to report model sizes (paper Table 9). It encodes a snapshot that
-// aliases the values instead of copying them, and counts the bytes instead
-// of keeping them.
+// used to report model sizes (paper Table 9): exactly what Snapshot.Encode
+// writes for them, computed without encoding a single value. One gob encode
+// of a skeleton snapshot, with the names but empty value slices, fixes the
+// framing (type descriptors, names, slice counts). Each value then adds the
+// length of gob's unsigned encoding of its byte-reversed IEEE bits, and each
+// value slice's length and the value message's length prefix grow to what
+// the real lengths need.
 func ParamBytes(params []*Param) int {
-	s := &Snapshot{}
+	skel := &Snapshot{}
+	grow := 0 // bytes the values add to the skeleton's value message
 	for _, p := range params {
-		s.Names = append(s.Names, p.Name)
-		s.Values = append(s.Values, p.Value)
+		skel.Names = append(skel.Names, p.Name)
+		skel.Values = append(skel.Values, nil)
+		grow += gobUintLen(uint64(len(p.Value))) - 1
+		for _, v := range p.Value {
+			grow += gobUintLen(bits.ReverseBytes64(math.Float64bits(v)))
+		}
 	}
-	var n byteCount
-	if err := s.Encode(&n); err != nil {
+	var buf bytes.Buffer
+	if err := skel.Encode(&buf); err != nil {
 		return 0
 	}
-	return int(n)
+	// Every gob message is its length, then its body; the value message is
+	// the last one, after the type descriptors.
+	stream := buf.Bytes()
+	for {
+		n, w := gobUint(stream)
+		if w+n == len(stream) {
+			return buf.Len() - len(stream) + gobUintLen(uint64(n+grow)) + n + grow
+		}
+		stream = stream[w+n:]
+	}
 }
 
-// byteCount is an io.Writer that only counts what is written to it.
-type byteCount int
+// gobUintLen is the length of gob's encoding of x: one byte up to 0x7F,
+// else a byte count followed by x's big-endian bytes without leading zeros.
+func gobUintLen(x uint64) int {
+	if x <= 0x7F {
+		return 1
+	}
+	return 1 + (bits.Len64(x)+7)/8
+}
 
-func (c *byteCount) Write(p []byte) (int, error) {
-	*c += byteCount(len(p))
-	return len(p), nil
+// gobUint decodes the gob unsigned integer at the start of b, which gob
+// itself wrote, returning its value and encoded length.
+func gobUint(b []byte) (n, width int) {
+	if b[0] <= 0x7F {
+		return int(b[0]), 1
+	}
+	width = 1 + int(-int8(b[0]))
+	for _, c := range b[1:width] {
+		n = n<<8 | int(c)
+	}
+	return n, width
 }
 
 // NumParams returns the total scalar parameter count.

@@ -60,10 +60,13 @@ type Dense struct {
 	wm tensor.Matrix
 }
 
-// NewDense returns a Dense layer with Glorot-uniform weights.
+// NewDense returns a Dense layer with Glorot-uniform weights. A nil rng
+// draws none and leaves the weights zero, for a caller that restores them.
 func NewDense(rng *rand.Rand, in, out int) *Dense {
 	d := &Dense{In: in, Out: out, W: newParam("W", in*out), B: newParam("b", out)}
-	tensor.GlorotUniform(rng, d.W.Value, in, out)
+	if rng != nil {
+		tensor.GlorotUniform(rng, d.W.Value, in, out)
+	}
 	d.wm = tensor.Matrix{Rows: out, Cols: in, Data: d.W.Value}
 	return d
 }
@@ -203,7 +206,8 @@ type Sequential struct {
 }
 
 // NewMLP builds Dense+activation stacks: dims = [in, h1, ..., out]. The
-// final layer gets outAct (use Identity for linear regression heads).
+// final layer gets outAct (use Identity for linear regression heads). A nil
+// rng leaves the weights zero (see NewDense).
 func NewMLP(rng *rand.Rand, dims []int, hidden, outAct ActKind) *Sequential {
 	s := &Sequential{}
 	for i := 0; i+1 < len(dims); i++ {

@@ -291,26 +291,5 @@ func (t Timer) Stop() time.Duration {
 	return d
 }
 
-// Span is a named timer bound to a registry: it records into the histogram
-// "<name>.seconds" and counts completions in "<name>.calls".
-type Span struct {
-	name  string
-	r     *Registry
-	start time.Time
-}
-
-// StartSpan opens a span on the registry.
-func (r *Registry) StartSpan(name string) Span {
-	return Span{name: name, r: r, start: time.Now()}
-}
-
-// End closes the span, recording duration and call count.
-func (s Span) End() time.Duration {
-	d := time.Since(s.start)
-	s.r.Histogram(s.name+".seconds", TimeBuckets()).ObserveDuration(d)
-	s.r.Counter(s.name + ".calls").Inc()
-	return d
-}
-
 func floatBits(v float64) uint64 { return math.Float64bits(v) }
 func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }

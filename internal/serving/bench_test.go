@@ -2,11 +2,15 @@ package serving
 
 import (
 	"context"
+	"path/filepath"
 	"strconv"
 	"testing"
 
+	"cardnet/internal/checkpoint"
 	"cardnet/internal/core"
+	"cardnet/internal/feature"
 	"cardnet/internal/infer"
+	"cardnet/internal/nn"
 	"cardnet/internal/tensor"
 )
 
@@ -95,4 +99,49 @@ func BenchmarkEngineEstimate(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkColdStart times what serve start-up and /admin/reload do with a
+// model file before they publish it: checkpoint.LoadModel, then NewRegistry
+// (the plan compile, the f32 gate sweep, the size measurement), at each
+// tier, on a saved CardNet-A PaperConfig(20, 16) model of the benchmark
+// fixture's shape (HM-ImageNet's 64 bits at θmax = τmax = 20). load times
+// checkpoint.LoadModel alone, param-bytes the size measurement,
+// nn.ParamBytes, alone.
+func BenchmarkColdStart(b *testing.B) {
+	cfg := core.PaperConfig(20, 16)
+	cfg.Accel = true
+	m := core.New(cfg, feature.NewHammingExtractor(64, 20, 20).Dim())
+	path := filepath.Join(b.TempDir(), "model.gob")
+	if err := checkpoint.SaveModel(path, m); err != nil {
+		b.Fatal(err)
+	}
+	for _, tier := range []infer.Precision{infer.PrecisionF64, infer.PrecisionF32} {
+		b.Run(string(tier), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := checkpoint.LoadModel(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := NewRegistry(m, PlanConfig{Precision: tier}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := checkpoint.LoadModel(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("param-bytes", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			nn.ParamBytes(m.Params())
+		}
+	})
 }

@@ -31,8 +31,9 @@ type Snapshot struct {
 	Plan  *infer.Plan
 	Gate  infer.GateResult
 	// ModelBytes is Model.SizeBytes, the encoded parameter size, measured
-	// once when the snapshot is compiled: encoding every weight costs tens
-	// of milliseconds, too much for each /healthz probe.
+	// once when the snapshot is compiled. Counting it reads every weight
+	// (about 2 ms on a 1.27M-parameter model), so /healthz reads this
+	// field instead.
 	ModelBytes int
 	Version    uint64
 }
