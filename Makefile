@@ -8,9 +8,9 @@ VERSION ?= dev
 GITSHA ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 LDFLAGS = -X main.buildVersion=$(VERSION) -X main.buildSHA=$(GITSHA)
 
-.PHONY: ci lint staticcheck vet build test purego examples docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test perfbench bench-kernels loc
+.PHONY: ci lint staticcheck vet build test allocs purego examples docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test perfbench bench-kernels loc
 
-ci: lint staticcheck vet build test purego examples docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test
+ci: lint staticcheck vet build test allocs purego examples docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-test
 
 lint:
 	@unformatted=$$(gofmt -l .); \
@@ -49,6 +49,13 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+# The allocation pins without the race detector: it makes sync.Pool drop a
+# random share of the items put back, so pins over pooled paths (the
+# cache-hit /estimate handler, the plan forward) skip or build only without
+# it, and `test` above would never run them.
+allocs:
+	$(GO) test ./... -run 'Allocs'
 
 # Keep the generic Go kernel bodies tested: -tags purego builds
 # internal/tensor without the AVX assembly (the Axpy saxpy loop, the Adam

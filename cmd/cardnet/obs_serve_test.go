@@ -50,13 +50,13 @@ func TestEstimateResponsesCarryTraceID(t *testing.T) {
 
 func stageSums(t *testing.T) (map[string]float64, float64, uint64) {
 	t.Helper()
-	stages := []string{
+	stages := []*obs.Stage{
 		serving.StageAdmission, serving.StageCache, serving.StageQueueWait,
 		serving.StageBatchForm, serving.StageForward, serving.StageWrite,
 	}
 	sums := make(map[string]float64, len(stages))
 	for _, s := range stages {
-		sums[s] = obs.Default.Histogram(serving.StageHistName(s), obs.TimeBuckets()).Sum()
+		sums[s.Name] = s.Hist.Sum()
 	}
 	e2e := obs.Default.Histogram("serving.e2e.seconds", obs.TimeBuckets())
 	return sums, e2e.Sum(), e2e.Count()
@@ -398,7 +398,7 @@ func TestMonotonicityViolationCounted(t *testing.T) {
 	defer eng.Close()
 
 	x := make([]float64, m.InDim)
-	if _, err := eng.Estimate(context.Background(), x, 2); err != nil {
+	if _, err := eng.Estimate(context.Background(), x, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := mon.Status()
@@ -413,7 +413,7 @@ func TestMonotonicityViolationCounted(t *testing.T) {
 		CurveCheck: func(c []float64) { mon2.CheckCurve(c) },
 	})
 	defer eng2.Close()
-	if _, err := eng2.Estimate(context.Background(), x, 2); err != nil {
+	if _, err := eng2.Estimate(context.Background(), x, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := mon2.Status(); st.MonoViolations != 0 || st.MonoChecks == 0 {
@@ -474,7 +474,7 @@ func TestTraceSamplingWritesJSONL(t *testing.T) {
 		if ev.Event != "trace" || !ids[ev.TraceID] {
 			t.Fatalf("trace line does not match a served request: %q", line)
 		}
-		if len(ev.Stages) == 0 || ev.Stages[len(ev.Stages)-1].Name != serving.StageWrite {
+		if len(ev.Stages) == 0 || ev.Stages[len(ev.Stages)-1].Name != serving.StageWrite.Name {
 			t.Fatalf("trace stages incomplete: %q", line)
 		}
 	}

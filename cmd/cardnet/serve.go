@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -36,16 +35,12 @@ import (
 // httpErrors counts non-2xx responses across all endpoints.
 var httpErrors = obs.Default.Counter("http.errors")
 
-// HTTP-side stages of the request trace plus the end-to-end histogram. The
-// engine owns cache/queue.wait/batch.form/forward; admission (parse +
-// validate) and write (response encoding) happen here. Because trace marks
-// tile the interval, the per-stage histograms sum to serving.e2e.seconds.
+// End-to-end /estimate latency, which the serving.Stage* histograms tile,
+// and the trace-sampling and audit-drop counts.
 var (
-	mStageAdmission = obs.Default.Histogram(serving.StageHistName(serving.StageAdmission), obs.TimeBuckets())
-	mStageWrite     = obs.Default.Histogram(serving.StageHistName(serving.StageWrite), obs.TimeBuckets())
-	mE2E            = obs.Default.Histogram(serving.E2EHistogram, obs.TimeBuckets())
-	mTraceSampled   = obs.Default.Counter("trace.sampled")
-	mAuditDropped   = obs.Default.Counter("audit.dropped")
+	mE2E          = obs.Default.Histogram(serving.E2EHistogram, obs.TimeBuckets())
+	mTraceSampled = obs.Default.Counter("trace.sampled")
+	mAuditDropped = obs.Default.Counter("audit.dropped")
 )
 
 // Availability counters the SLO tracker's error-budget math reads: every
@@ -271,7 +266,7 @@ func handleEstimate(eng *serving.Engine, sampler *obs.TraceSampler, aud *auditor
 		forced := sampler != nil && r.Header.Get(obs.TraceSampledHeader) == "1"
 		w.Header().Set(obs.TraceHeader, tr.ID)
 		finish := func() {
-			mStageWrite.ObserveDuration(tr.Mark(serving.StageWrite))
+			tr.Mark(serving.StageWrite)
 			// The e2e exemplar ties each latency bucket to its latest trace,
 			// so a /metrics scrape (or SLO page) resolves to a concrete trace.
 			mE2E.ObserveExemplarDuration(tr.Total(), tr.ID)
@@ -294,12 +289,12 @@ func handleEstimate(eng *serving.Engine, sampler *obs.TraceSampler, aud *auditor
 			finish()
 			return
 		}
-		mStageAdmission.ObserveDuration(tr.Mark(serving.StageAdmission))
+		tr.Mark(serving.StageAdmission)
 		tr.Annotate("model_version", version)
 
 		resp := estimateResponse{TauMax: m.Cfg.TauMax}
 		if req.All {
-			ests, err := eng.EstimateAllTraced(r.Context(), req.X, tr)
+			ests, err := eng.EstimateAll(r.Context(), req.X, tr)
 			if err != nil {
 				estimateEngineError(w, err)
 				finish()
@@ -308,7 +303,7 @@ func handleEstimate(eng *serving.Engine, sampler *obs.TraceSampler, aud *auditor
 			resp.Estimates = ests
 			resp.Tau = m.Cfg.TauMax
 		} else {
-			v, err := eng.EstimateTraced(r.Context(), req.X, req.Tau, tr)
+			v, err := eng.Estimate(r.Context(), req.X, req.Tau, tr)
 			if err != nil {
 				estimateEngineError(w, err)
 				finish()
@@ -332,23 +327,19 @@ type auditor struct {
 	oracle *simselect.EncodedOracle
 	mon    *monitor.Monitor
 	pilot  *autopilot.Pilot // audited queries double as retrain samples
-	every  uint64
-	seq    atomic.Uint64
+	stride *obs.Stride
 	sem    chan struct{}
 }
 
 // newAuditor returns nil (auditing off) unless an oracle, a monitor, and a
-// rate in (0, 1] are all present. Like the trace sampler, sampling is
-// counter-based: 1 in round(1/rate) estimates.
+// rate in (0, 1] are all present. Like the trace sampler, sampling is an
+// obs.Stride: 1 in round(1/rate) estimates.
 func newAuditor(oracle *simselect.EncodedOracle, mon *monitor.Monitor, rate float64, pilot *autopilot.Pilot) *auditor {
-	if oracle == nil || mon == nil || rate <= 0 || rate > 1 {
+	stride := obs.NewStride(rate)
+	if oracle == nil || mon == nil || stride == nil {
 		return nil
 	}
-	every := uint64(1/rate + 0.5)
-	if every < 1 {
-		every = 1
-	}
-	return &auditor{oracle: oracle, mon: mon, pilot: pilot, every: every, sem: make(chan struct{}, 4)}
+	return &auditor{oracle: oracle, mon: mon, pilot: pilot, stride: stride, sem: make(chan struct{}, 4)}
 }
 
 // observe maybe replays one served estimate. Nil-safe; never blocks the
@@ -356,7 +347,7 @@ func newAuditor(oracle *simselect.EncodedOracle, mon *monitor.Monitor, rate floa
 // it fresh for each request, and the handler stops touching it once the
 // response is built.
 func (a *auditor) observe(x []float64, tau int, estimate float64) {
-	if a == nil || a.seq.Add(1)%a.every != 0 {
+	if a == nil || !a.stride.Sample() {
 		return
 	}
 	select {
@@ -463,7 +454,7 @@ func handleFeedback(eng *serving.Engine, mon *monitor.Monitor, pilot *autopilot.
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("actual %v, want a finite non-negative count", req.Actual))
 			return
 		}
-		est, err := eng.Estimate(r.Context(), req.X, req.Tau)
+		est, err := eng.Estimate(r.Context(), req.X, req.Tau, nil)
 		if err != nil {
 			httpEngineError(w, err)
 			return

@@ -182,7 +182,7 @@ func TestForcedCycleSwaps(t *testing.T) {
 	deadline := time.Now().Add(60 * time.Second)
 	for p.State() == StateShadow && time.Now().Before(deadline) {
 		for i := 0; i < 8; i++ {
-			if _, err := eng.EstimateAll(ctx, binX(i)); err != nil {
+			if _, err := eng.EstimateAll(ctx, binX(i), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -230,7 +230,7 @@ func TestInhibitedWinRejects(t *testing.T) {
 	deadline := time.Now().Add(60 * time.Second)
 	for p.State() == StateShadow && time.Now().Before(deadline) {
 		for i := 0; i < 8; i++ {
-			if _, err := eng.EstimateAll(ctx, binX(i)); err != nil {
+			if _, err := eng.EstimateAll(ctx, binX(i), nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -68,7 +68,7 @@ func TestFleetCacheHitRatioScalesWithReplicas(t *testing.T) {
 		scan := func() {
 			for _, x := range working {
 				node, _ := ring.Lookup(KeyHash(x))
-				if _, err := engines[node].EstimateAll(context.Background(), x); err != nil {
+				if _, err := engines[node].EstimateAll(context.Background(), x, nil); err != nil {
 					t.Fatal(err)
 				}
 			}

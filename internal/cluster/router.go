@@ -52,25 +52,30 @@ type Config struct {
 	Rollout RolloutConfig
 }
 
-// Router trace stages, in pipeline order. route (read body, compute the
-// affinity key) and pick (ring lookup + cooloff ordering) are the router's
-// own overhead; each failed forward closes an attempt.N stage; the forward
-// that produced the relayed response closes proxy; relay is the response
-// write. Marks tile the request interval, so the per-stage histograms sum to
-// cluster.proxy.seconds by construction — the serve-pipeline invariant from
-// the replica side, extended across the hop.
-const (
-	StageRoute   = "route"
-	StagePick    = "pick"
-	StageAttempt = "attempt" // traced as attempt.N, observed into one histogram
-	StageProxy   = "proxy"
-	StageRelay   = "relay"
-)
+// routerStages is the router's stage table, in pipeline order: route (read
+// body, compute the affinity key), pick (ring lookup + cooloff ordering),
+// attempt.N for each failed forward, proxy for the forward whose response is
+// relayed, relay (the response write). Marks tile the request interval, so
+// the stage histograms sum to cluster.proxy.seconds by construction.
+type routerStages struct {
+	route, pick, proxy, relay *obs.Stage
+	attempt                   []*obs.Stage // attempt.n at n-1; one histogram
+}
 
-// StageHistName maps a router trace stage to its latency histogram
-// ("cluster.stage.<stage>.seconds"); attempt.N stages all observe into the
-// attempt histogram.
-func StageHistName(stage string) string { return "cluster.stage." + stage + ".seconds" }
+func newRouterStages(reg *obs.Registry, attempts int) routerStages {
+	st := routerStages{
+		route:   &obs.Stage{Name: "route", Hist: reg.Histogram("cluster.stage.route.seconds", obs.TimeBuckets())},
+		pick:    &obs.Stage{Name: "pick", Hist: reg.Histogram("cluster.stage.pick.seconds", obs.TimeBuckets())},
+		proxy:   &obs.Stage{Name: "proxy", Hist: reg.Histogram("cluster.stage.proxy.seconds", obs.TimeBuckets())},
+		relay:   &obs.Stage{Name: "relay", Hist: reg.Histogram("cluster.stage.relay.seconds", obs.TimeBuckets())},
+		attempt: make([]*obs.Stage, attempts),
+	}
+	hist := reg.Histogram("cluster.stage.attempt.seconds", obs.TimeBuckets())
+	for i := range st.attempt {
+		st.attempt[i] = &obs.Stage{Name: "attempt." + strconv.Itoa(i+1), Hist: hist}
+	}
+	return st
+}
 
 // replicaMetrics are the per-replica counters the router maintains: proxied
 // requests and failed attempts (connect errors or 503 rejections).
@@ -107,11 +112,7 @@ type Router struct {
 	mTraceSampled *obs.Counter
 	gRingSize     *obs.Gauge
 	hProxy        *obs.Histogram
-	hStageRoute   *obs.Histogram
-	hStagePick    *obs.Histogram
-	hStageAttempt *obs.Histogram
-	hStageProxy   *obs.Histogram
-	hStageRelay   *obs.Histogram
+	stages        routerStages
 }
 
 // ErrNoReplicas is returned by New when the config names no replicas.
@@ -161,11 +162,7 @@ func New(cfg Config) (*Router, error) {
 		mTraceSampled: reg.Counter("cluster.trace.sampled"),
 		gRingSize:     reg.Gauge("cluster.ring.size"),
 		hProxy:        reg.Histogram("cluster.proxy.seconds", obs.TimeBuckets()),
-		hStageRoute:   reg.Histogram(StageHistName(StageRoute), obs.TimeBuckets()),
-		hStagePick:    reg.Histogram(StageHistName(StagePick), obs.TimeBuckets()),
-		hStageAttempt: reg.Histogram(StageHistName(StageAttempt), obs.TimeBuckets()),
-		hStageProxy:   reg.Histogram(StageHistName(StageProxy), obs.TimeBuckets()),
-		hStageRelay:   reg.Histogram(StageHistName(StageRelay), obs.TimeBuckets()),
+		stages:        newRouterStages(reg, 1+cfg.Retries),
 	}
 	for _, base := range cfg.Replicas {
 		rt.ring.Add(base)
@@ -256,8 +253,9 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	// forward (ordinal, replica, outcome, duration), kept in the trace so
 	// tracescan can attribute tail latency to failovers explicitly.
 	var attempts []map[string]any
+	st := &rt.stages
 	finish := func(status int) {
-		rt.hStageRelay.ObserveDuration(tr.Mark(StageRelay))
+		tr.Mark(st.relay)
 		tr.Annotate("status", status)
 		if len(attempts) > 0 {
 			tr.Annotate("attempts", attempts)
@@ -274,16 +272,16 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	}
 
 	body, key, err := ExtractKey(r)
-	rt.hStageRoute.ObserveDuration(tr.Mark(StageRoute))
+	tr.Mark(st.route)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		finish(http.StatusBadRequest)
 		return
 	}
-	budget := 1 + rt.cfg.Retries
-	candidates := rt.ring.Successors(key, budget)
+	// The failover budget, 1 + Retries: one candidate per attempt stage.
+	candidates := rt.ring.Successors(key, len(st.attempt))
 	if len(candidates) == 0 {
-		rt.hStagePick.ObserveDuration(tr.Mark(StagePick))
+		tr.Mark(st.pick)
 		rt.mNoReplicas.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "no healthy replicas")
@@ -298,15 +296,15 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	// cooloff; if that skips everyone, the cooling candidates are retried
 	// anyway rather than failing a request the fleet could serve.
 	ordered := rt.orderCandidates(candidates)
-	rt.hStagePick.ObserveDuration(tr.Mark(StagePick))
+	tr.Mark(st.pick)
 	var last *http.Response
 	var lastBody []byte
 	for i, base := range ordered {
 		if i > 0 {
 			rt.mFailovers.Inc()
 		}
-		n := i + 1
-		resp, respBody, err := rt.forward(ctx, base, r, body, tr.ID, n, sampled)
+		n, attempt := i+1, st.attempt[i]
+		resp, respBody, err := rt.forward(ctx, base, r, body, tr.ID, attempt.Name, sampled)
 		pm := rt.perReplica[base]
 		if pm != nil {
 			pm.requests.Inc()
@@ -315,8 +313,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 			if pm != nil {
 				pm.failures.Inc()
 			}
-			d := tr.Mark(attemptStage(n))
-			rt.hStageAttempt.ObserveDuration(d)
+			d := tr.Mark(attempt)
 			if ctx.Err() != nil {
 				attempts = append(attempts, attemptRecord(n, base, "deadline", d))
 				writeError(w, http.StatusGatewayTimeout, "proxy deadline: "+ctx.Err().Error())
@@ -331,14 +328,12 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 				pm.failures.Inc()
 			}
 			rt.noteRetryAfter(base, resp.Header.Get("Retry-After"))
-			d := tr.Mark(attemptStage(n))
-			rt.hStageAttempt.ObserveDuration(d)
+			d := tr.Mark(attempt)
 			attempts = append(attempts, attemptRecord(n, base, "rejected_503", d))
 			last, lastBody = resp, respBody
 			continue // overloaded replica: fail over
 		}
-		d := tr.Mark(StageProxy)
-		rt.hStageProxy.ObserveDuration(d)
+		d := tr.Mark(st.proxy)
 		attempts = append(attempts, attemptRecord(n, base, "ok", d))
 		relay(w, resp, respBody)
 		finish(resp.StatusCode)
@@ -353,10 +348,6 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	writeError(w, http.StatusBadGateway, "all replicas unreachable")
 	finish(http.StatusBadGateway)
 }
-
-// attemptStage names the trace stage of forward attempt n (attempt.1,
-// attempt.2, …).
-func attemptStage(n int) string { return StageAttempt + "." + strconv.Itoa(n) }
 
 // attemptRecord is one entry of the trace's per-attempt annotation.
 func attemptRecord(n int, base, outcome string, d time.Duration) map[string]any {
@@ -427,12 +418,12 @@ func (rt *Router) noteRetryAfter(base, header string) {
 	rt.mCooloffs.Inc()
 }
 
-// forward sends attempt n of the client's request to a replica and reads
+// forward sends one attempt of the client's request to a replica and reads
 // the full response body (so failover can move on without leaking the
-// connection). The fleet trace ID and the parent span (this attempt) ride
-// the request headers; the replica tags its own stage trace with both, which
-// is the join key tracescan assembles cross-process traces on.
-func (rt *Router) forward(ctx context.Context, base string, r *http.Request, body []byte, traceID string, n int, sampled bool) (*http.Response, []byte, error) {
+// connection). The fleet trace ID and the parent span (the attempt's stage
+// name) ride the request headers; the replica tags its own stage trace with
+// both, which is the join key tracescan assembles cross-process traces on.
+func (rt *Router) forward(ctx context.Context, base string, r *http.Request, body []byte, traceID, span string, sampled bool) (*http.Response, []byte, error) {
 	target := base + r.URL.Path
 	if r.URL.RawQuery != "" {
 		target += "?" + r.URL.RawQuery
@@ -449,7 +440,7 @@ func (rt *Router) forward(ctx context.Context, base string, r *http.Request, bod
 		req.Header.Set("Content-Type", ct)
 	}
 	req.Header.Set(obs.TraceHeader, traceID)
-	req.Header.Set(obs.TraceParentHeader, traceID+"/"+attemptStage(n))
+	req.Header.Set(obs.TraceParentHeader, traceID+"/"+span)
 	if sampled {
 		// Propagate the sampling decision so the replica emits the other
 		// half of this trace even when its own counter says no.

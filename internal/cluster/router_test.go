@@ -158,6 +158,13 @@ func TestRouterFailoverOn503(t *testing.T) {
 	if other.estimateCount() != beforeOther+1 {
 		t.Fatalf("other replica served %d, want %d", other.estimateCount(), beforeOther+1)
 	}
+	// The failover's parent span names the second attempt's stage.
+	other.mu.Lock()
+	parent := other.parents[len(other.parents)-1]
+	other.mu.Unlock()
+	if !strings.HasSuffix(parent, "/attempt.2") {
+		t.Fatalf("failover forwarded parent %q, want .../attempt.2", parent)
+	}
 
 	// Cooloff honored: the next request for the same key skips the
 	// overloaded primary without paying the 503 round trip.

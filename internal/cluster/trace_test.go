@@ -9,11 +9,16 @@ import (
 	"cardnet/internal/obs"
 )
 
+// stageHist is the router's histogram of one stage in reg.
+func stageHist(reg *obs.Registry, stage string) *obs.Histogram {
+	return reg.Histogram("cluster.stage."+stage+".seconds", obs.TimeBuckets())
+}
+
 // stageSumSeconds adds up every per-stage histogram's Sum in reg.
 func stageSumSeconds(reg *obs.Registry) float64 {
 	var total float64
-	for _, s := range []string{StageRoute, StagePick, StageAttempt, StageProxy, StageRelay} {
-		total += reg.Histogram(StageHistName(s), obs.TimeBuckets()).Sum()
+	for _, s := range []string{"route", "pick", "attempt", "proxy", "relay"} {
+		total += stageHist(reg, s).Sum()
 	}
 	return total
 }
@@ -85,13 +90,13 @@ func TestRouterStageHistogramsTileProxy(t *testing.T) {
 	// Failovers amplified attempts: every exhausted request burned its full
 	// 2-attempt budget, plus at least one failover before the Retry-After
 	// cooloff steered later keys away from the rejecting replica.
-	if c := reg.Histogram(StageHistName(StageAttempt), obs.TimeBuckets()).Count(); c < 21 {
+	if c := stageHist(reg, "attempt").Count(); c < 21 {
 		t.Fatalf("attempt stage count %d, want >=21 (10 exhausted x2 + >=1 failover)", c)
 	}
-	if c := reg.Histogram(StageHistName(StageProxy), obs.TimeBuckets()).Count(); c != 60 {
+	if c := stageHist(reg, "proxy").Count(); c != 60 {
 		t.Fatalf("proxy stage count %d, want 60 successful relays", c)
 	}
-	if c := reg.Histogram(StageHistName(StageRelay), obs.TimeBuckets()).Count(); c != 90 {
+	if c := stageHist(reg, "relay").Count(); c != 90 {
 		t.Fatalf("relay stage count %d, want one per request", c)
 	}
 }

@@ -26,12 +26,24 @@ const (
 	TraceSampledHeader = "X-Trace-Sampled"
 )
 
+// Stage is one pipeline stage: the name its trace entry carries and the
+// latency histogram its duration feeds, so one Mark records both. Each role
+// (replica, router) declares its stages once, in one table.
+type Stage struct {
+	Name string
+	Hist *Histogram
+}
+
 // Trace is one request's journey through the serving pipeline: a process-
 // unique ID, a start time, and an ordered list of named stages whose
 // durations tile the interval from Start to the last Mark exactly — every
 // nanosecond between two marks is attributed to the later stage, so the
 // per-stage histograms built from traces sum to the end-to-end latency by
 // construction.
+//
+// Stages and annotations live in inline arrays (see traceInline), so an
+// unsampled request's bookkeeping is the one Trace allocation; the JSONL map
+// is built only by Fields, on emission.
 //
 // A trace is handed between goroutines (HTTP handler → batch worker → HTTP
 // handler); each hand-off happens-before the next mark via the engine's
@@ -43,14 +55,28 @@ type Trace struct {
 
 	mu     sync.Mutex
 	last   time.Time
-	stages []TraceStage
-	attrs  map[string]any
+	stages []TraceStage // backed by stageBuf until it spills
+	attrs  []traceAttr  // backed by attrBuf until it spills
+
+	stageBuf [traceInline]TraceStage
+	attrBuf  [traceInline]traceAttr
 }
+
+// traceInline is the inline capacity of a trace's stages and annotations: a
+// replica marks six stages and annotates six keys, a router at its default
+// failover budget at most six and four. More spill to the heap.
+const traceInline = 6
 
 // TraceStage is one completed pipeline stage.
 type TraceStage struct {
 	Name string  `json:"stage"`
 	Us   float64 `json:"us"` // stage duration in microseconds
+}
+
+// traceAttr is one annotation.
+type traceAttr struct {
+	key string
+	v   any
 }
 
 // traceSeq seeds trace IDs; the counter makes IDs unique within the process
@@ -78,30 +104,27 @@ func mix64(z uint64) uint64 {
 }
 
 // NewTrace starts a trace now with a fresh ID.
-func NewTrace() *Trace {
-	now := time.Now()
-	return &Trace{ID: traceID(), Start: now, last: now}
-}
+func NewTrace() *Trace { return NewTraceWith("") }
 
 // NewTraceWith starts a trace now adopting a propagated trace ID (the
 // TraceHeader value from an upstream hop); an empty id mints a fresh one, so
 // edge processes and interior hops share one code path.
 func NewTraceWith(id string) *Trace {
 	if id == "" {
-		return NewTrace()
+		id = NewTraceID()
 	}
 	now := time.Now()
-	return &Trace{ID: id, Start: now, last: now}
+	t := &Trace{ID: id, Start: now, last: now}
+	t.stages = t.stageBuf[:0]
+	t.attrs = t.attrBuf[:0]
+	return t
 }
 
-// NewTraceID mints one fleet-unique 16-hex-digit ID without opening a trace —
-// for join keys on non-request timelines (the rollout journal).
-func NewTraceID() string { return traceID() }
-
-// traceID returns a 16-hex-digit fleet-unique ID (a splitmix64 step over a
-// time+PID-seeded counter — cheap, collision-free within the process, and
-// with no global lock on the hot path).
-func traceID() string {
+// NewTraceID mints one fleet-unique 16-hex-digit ID (a splitmix64 step over
+// a time+PID-seeded counter — cheap, collision-free within the process, and
+// with no global lock on the hot path): every trace's, and join keys on
+// non-request timelines (the rollout journal).
+func NewTraceID() string {
 	z := mix64(traceSeq.Add(0x9e3779b97f4a7c15))
 	const hex = "0123456789abcdef"
 	var b [16]byte
@@ -112,38 +135,53 @@ func traceID() string {
 	return string(b[:])
 }
 
-// Mark closes the stage running since the previous mark (or Start) and
-// returns its duration.
-func (t *Trace) Mark(name string) time.Duration {
-	return t.MarkAt(name, time.Now())
+// Mark closes stage s, running since the previous mark (or Start): it
+// records the stage, observes its duration into s.Hist and returns it. A nil
+// trace (an untraced request) records and observes nothing.
+func (t *Trace) Mark(s *Stage) time.Duration {
+	if t == nil {
+		return 0
+	}
+	return t.MarkAt(s, time.Now())
 }
 
-// MarkAt closes the stage at an explicit end instant, so a batch worker can
-// split one observed interval into queue-wait and batch-formation stages at
-// the moment the batch started forming. Ends before the previous mark (the
+// MarkAt is Mark at an explicit end instant, so a batch worker can split one
+// observed interval into queue-wait and batch-formation stages at the moment
+// the batch started forming. Ends before the previous mark (the
 // abandoned-request race) clamp to a zero-length stage.
-func (t *Trace) MarkAt(name string, end time.Time) time.Duration {
+func (t *Trace) MarkAt(s *Stage, end time.Time) time.Duration {
+	if t == nil {
+		return 0
+	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	d := end.Sub(t.last)
 	if d < 0 {
 		d = 0
 		end = t.last
 	}
 	t.last = end
-	t.stages = append(t.stages, TraceStage{Name: name, Us: float64(d.Nanoseconds()) / 1e3})
+	t.stages = append(t.stages, TraceStage{Name: s.Name, Us: float64(d.Nanoseconds()) / 1e3})
+	t.mu.Unlock()
+	s.Hist.ObserveDuration(d)
 	return d
 }
 
 // Annotate attaches a key/value to the trace (batch size, flush reason,
-// cache hit/miss, model version, …).
+// cache hit/miss, model version, …); annotating a key again replaces its
+// value. Nil-safe.
 func (t *Trace) Annotate(key string, v any) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.attrs == nil {
-		t.attrs = make(map[string]any, 4)
+	for i := range t.attrs {
+		if t.attrs[i].key == key {
+			t.attrs[i].v = v
+			return
+		}
 	}
-	t.attrs[key] = v
+	t.attrs = append(t.attrs, traceAttr{key, v})
 }
 
 // Total returns the traced interval: Start to the last mark.
@@ -153,40 +191,51 @@ func (t *Trace) Total() time.Duration {
 	return t.last.Sub(t.Start)
 }
 
-// Stages returns a copy of the completed stages.
-func (t *Trace) Stages() []TraceStage {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]TraceStage(nil), t.stages...)
-}
-
 // Fields renders the trace as a Sink event payload: id, total, the ordered
 // stages, and every annotation (annotations are copied, so the caller may
 // keep mutating the trace).
 func (t *Trace) Fields() map[string]any {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	f := map[string]any{
-		"trace_id": t.ID,
-		"total_us": float64(t.last.Sub(t.Start).Nanoseconds()) / 1e3,
-		"stages":   append([]TraceStage(nil), t.stages...),
-	}
-	for k, v := range t.attrs {
-		f[k] = v
+	f := make(map[string]any, 3+len(t.attrs))
+	f["trace_id"] = t.ID
+	f["total_us"] = float64(t.last.Sub(t.Start).Nanoseconds()) / 1e3
+	f["stages"] = append([]TraceStage(nil), t.stages...)
+	for _, a := range t.attrs {
+		f[a.key] = a.v
 	}
 	return f
 }
 
+// Stride is counter-based sampling, one call in every N: deterministic,
+// cheap (one atomic add per call), and free of RNG locks on the hot path.
+type Stride struct {
+	every uint64
+	seq   atomic.Uint64
+}
+
+// NewStride returns the stride sampling 1 in round(1/rate) calls, or nil
+// (sampling off) for a rate outside (0, 1], NaN included.
+func NewStride(rate float64) *Stride {
+	if !(rate > 0 && rate <= 1) {
+		return nil
+	}
+	return &Stride{every: max(uint64(1/rate+0.5), 1)}
+}
+
+// Sample reports whether the current call is sampled, advancing the
+// sequence. Nil-safe.
+func (s *Stride) Sample() bool {
+	return s != nil && s.seq.Add(1)%s.every == 0
+}
+
 // TraceSampler emits every Nth trace to a JSONL sink: rate 0.01 means one
-// trace in 100. Counter-based sampling is deterministic, cheap (one atomic
-// add per request), and free of RNG locks on the hot path. Emission is
-// asynchronous: Emit hands the rendered trace to a background writer over a
-// bounded queue, so JSON marshaling and the write syscall never sit on the
-// request path. A full queue drops the trace (counted, never blocking);
+// trace in 100, counted by a Stride. Emission is asynchronous: Emit hands
+// the rendered trace to a background writer over a bounded queue, so JSON
+// marshaling and the write syscall never sit on the request path. A full queue drops the trace (counted, never blocking);
 // Close drains the queue, so traces emitted before Close are durable.
 type TraceSampler struct {
-	every   uint64
-	seq     atomic.Uint64
+	stride  *Stride
 	sink    *Sink
 	queue   chan map[string]any
 	quit    chan struct{}
@@ -205,19 +254,16 @@ const traceQueueDepth = 1024
 // are rounded to 1-in-round(1/rate). The caller keeps ownership of sink and
 // must Close the sampler (draining its queue) before closing the sink.
 func NewTraceSampler(rate float64, sink *Sink) *TraceSampler {
-	if sink == nil || rate <= 0 || rate > 1 {
+	stride := NewStride(rate)
+	if sink == nil || stride == nil {
 		return nil
 	}
-	every := uint64(1/rate + 0.5)
-	if every < 1 {
-		every = 1
-	}
 	s := &TraceSampler{
-		every: every,
-		sink:  sink,
-		queue: make(chan map[string]any, traceQueueDepth),
-		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
+		stride: stride,
+		sink:   sink,
+		queue:  make(chan map[string]any, traceQueueDepth),
+		quit:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	go s.writer()
 	return s
@@ -247,10 +293,7 @@ func (s *TraceSampler) writer() {
 // Sample reports whether the current request should be emitted, advancing
 // the sampling sequence. Nil-safe.
 func (s *TraceSampler) Sample() bool {
-	if s == nil {
-		return false
-	}
-	return s.seq.Add(1)%s.every == 0
+	return s != nil && s.stride.Sample()
 }
 
 // Emit queues one trace for background emission as a "trace" event. The
@@ -296,5 +339,5 @@ func (s *TraceSampler) Every() uint64 {
 	if s == nil {
 		return 0
 	}
-	return s.every
+	return s.stride.every
 }

@@ -26,13 +26,13 @@ import (
 	"os"
 	"sort"
 	"strings"
+
+	"cardnet/internal/obs"
 )
 
-// Stage is one tiled pipeline stage of a trace event.
-type Stage struct {
-	Name string  `json:"stage"`
-	Us   float64 `json:"us"`
-}
+// Stage is one tiled pipeline stage of a trace event, the type the trace
+// was written from.
+type Stage = obs.TraceStage
 
 // Attempt is one router forward attempt (the retry/failover amplification
 // record).

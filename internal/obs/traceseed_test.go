@@ -68,8 +68,8 @@ func TestNewTraceWithAdoptsID(t *testing.T) {
 	if tr.ID != "deadbeefcafef00d" {
 		t.Fatalf("NewTraceWith ignored the propagated ID: %q", tr.ID)
 	}
-	tr.Mark("only")
-	if got := len(tr.Stages()); got != 1 {
+	tr.Mark(testStage("only"))
+	if got := len(traceStages(tr)); got != 1 {
 		t.Fatalf("adopted trace not usable: %d stages", got)
 	}
 	minted := NewTraceWith("")

@@ -90,7 +90,7 @@ func BenchmarkEngineEstimate(b *testing.B) {
 				i := 0
 				for pb.Next() {
 					q := i % nq
-					if _, err := e.Estimate(context.Background(), xs[q], q%(m.Cfg.TauMax+1)); err != nil {
+					if _, err := e.Estimate(context.Background(), xs[q], q%(m.Cfg.TauMax+1), nil); err != nil {
 						b.Error(err)
 						return
 					}

@@ -149,7 +149,7 @@ func TestEngineCacheHitAndInvalidateOnSwap(t *testing.T) {
 	defer e.Close()
 
 	x := binVec(5, m1.InDim)
-	v1, err := e.Estimate(context.Background(), x, 3)
+	v1, err := e.Estimate(context.Background(), x, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestEngineCacheHitAndInvalidateOnSwap(t *testing.T) {
 	}
 
 	hitsBefore := testObsCounter("serving.cache.hits")
-	v1b, err := e.Estimate(context.Background(), x, 3)
+	v1b, err := e.Estimate(context.Background(), x, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestEngineCacheHitAndInvalidateOnSwap(t *testing.T) {
 	if n := e.CacheLen(); n != 0 {
 		t.Fatalf("cache holds %d entries after swap, want 0", n)
 	}
-	v2, err := e.Estimate(context.Background(), x, 3)
+	v2, err := e.Estimate(context.Background(), x, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestEngineCacheHitAndInvalidateOnSwap(t *testing.T) {
 	// The point request cached x's whole curve: EstimateAll reads the same
 	// entry without another forward pass.
 	hitsBefore = testObsCounter("serving.cache.hits")
-	all, err := e.EstimateAll(context.Background(), x)
+	all, err := e.EstimateAll(context.Background(), x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestEngineSweepCostsOneForward(t *testing.T) {
 			want := plan.EstimateAllTaus(x)
 			forwards, hits := batches.Count(), testObsCounter("serving.cache.hits")
 			for tau := 0; tau <= m.Cfg.TauMax; tau++ {
-				got, err := e.Estimate(context.Background(), x, tau)
+				got, err := e.Estimate(context.Background(), x, tau, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -262,13 +262,13 @@ func TestEngineCacheMatchesNoCache(t *testing.T) {
 	// {estimate at tau}.
 	answer := func(e *Engine, x []float64, tau int) []float64 {
 		if tau < 0 {
-			curve, err := e.EstimateAll(ctx, x)
+			curve, err := e.EstimateAll(ctx, x, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return curve
 		}
-		v, err := e.Estimate(ctx, x, tau)
+		v, err := e.Estimate(ctx, x, tau, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

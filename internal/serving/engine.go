@@ -157,15 +157,9 @@ func (e *Engine) CacheLen() int {
 // transformed threshold τ, batching the forward pass with concurrent
 // requests. It fails fast with ErrOverloaded when the queue is full, ErrClosed
 // after Close, ErrBadInput on shape/τ violations or a component of x other
-// than 0 or 1, and the context error when ctx expires first.
-func (e *Engine) Estimate(ctx context.Context, x []float64, tau int) (float64, error) {
-	return e.EstimateTraced(ctx, x, tau, nil)
-}
-
-// EstimateTraced is Estimate carrying an optional request trace: the engine
-// marks the cache, queue.wait, batch.form, and forward stages on it and
-// annotates batch size and flush reason. A nil trace costs nothing.
-func (e *Engine) EstimateTraced(ctx context.Context, x []float64, tau int, tr *obs.Trace) (float64, error) {
+// than 0 or 1, and the context error when ctx expires first. The engine's
+// stages and annotations go on tr; a nil trace costs nothing.
+func (e *Engine) Estimate(ctx context.Context, x []float64, tau int, tr *obs.Trace) (float64, error) {
 	if m := e.reg.Current().Model; tau < 0 || tau > m.Cfg.TauMax {
 		return 0, fmt.Errorf("%w: tau %d outside [0, %d]", ErrBadInput, tau, m.Cfg.TauMax)
 	}
@@ -177,14 +171,9 @@ func (e *Engine) EstimateTraced(ctx context.Context, x []float64, tau int, tr *o
 }
 
 // EstimateAll returns the full estimate curve (every τ in [0, TauMax]) for
-// one encoded query, with the same batching, caching, and failure modes as
-// Estimate. Callers must not mutate the returned slice.
-func (e *Engine) EstimateAll(ctx context.Context, x []float64) ([]float64, error) {
-	return e.EstimateAllTraced(ctx, x, nil)
-}
-
-// EstimateAllTraced is EstimateAll with an optional request trace.
-func (e *Engine) EstimateAllTraced(ctx context.Context, x []float64, tr *obs.Trace) ([]float64, error) {
+// one encoded query, with the same batching, caching, tracing and failure
+// modes as Estimate. Callers must not mutate the returned slice.
+func (e *Engine) EstimateAll(ctx context.Context, x []float64, tr *obs.Trace) ([]float64, error) {
 	return e.curve(ctx, x, tr)
 }
 
@@ -202,21 +191,13 @@ func (e *Engine) curve(ctx context.Context, x []float64, tr *obs.Trace) ([]float
 	mRequests.Inc()
 	if e.cache != nil {
 		curve, ok := e.cache.Get(key)
-		markCache(tr, ok)
+		tr.Mark(StageCache)
+		tr.Annotate("cache_hit", ok)
 		if ok {
 			return curve, nil
 		}
 	}
 	return e.dispatch(ctx, x, key, tr)
-}
-
-// markCache closes the cache-lookup stage on a traced request.
-func markCache(tr *obs.Trace, hit bool) {
-	if tr == nil {
-		return
-	}
-	mStageCache.ObserveDuration(tr.Mark(StageCache))
-	tr.Annotate("cache_hit", hit)
 }
 
 // dispatch queues x for a batched forward pass and waits for its curve, the
@@ -352,8 +333,8 @@ func (e *Engine) run(batch []*request, batchStart time.Time, reason string) {
 		if split.After(flush) {
 			split = flush
 		}
-		mStageQueue.ObserveDuration(r.tr.MarkAt(StageQueueWait, split))
-		mStageForm.ObserveDuration(r.tr.MarkAt(StageBatchForm, flush))
+		r.tr.MarkAt(StageQueueWait, split)
+		r.tr.MarkAt(StageBatchForm, flush)
 		r.tr.Annotate("batch_size", len(live))
 		r.tr.Annotate("flush", reason)
 	}
@@ -365,9 +346,7 @@ func (e *Engine) run(batch []*request, batchStart time.Time, reason string) {
 	all := plan.EstimateAllTausBatch(xs)
 	fwdEnd := time.Now()
 	for _, r := range live {
-		if r.tr != nil {
-			mStageForward.ObserveDuration(r.tr.MarkAt(StageForward, fwdEnd))
-		}
+		r.tr.MarkAt(StageForward, fwdEnd)
 	}
 	for i, r := range live {
 		curve := append([]float64(nil), all.Row(i)...)

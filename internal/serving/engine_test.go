@@ -72,7 +72,7 @@ func TestEngineMatchesDirectModel(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		x := binVec(int64(i), m.InDim)
 		tau := i % (m.Cfg.TauMax + 1)
-		got, err := e.Estimate(context.Background(), x, tau)
+		got, err := e.Estimate(context.Background(), x, tau, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestEngineMatchesDirectModel(t *testing.T) {
 		if got != want[tau] {
 			t.Fatalf("query %d: engine %v != f64 plan %v", i, got, want[tau])
 		}
-		all, err := e.EstimateAll(context.Background(), x)
+		all, err := e.EstimateAll(context.Background(), x, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,16 +97,16 @@ func TestEngineRejectsBadInput(t *testing.T) {
 	e := NewEngine(testRegistry(t, m), Config{})
 	defer e.Close()
 
-	if _, err := e.Estimate(context.Background(), make([]float64, m.InDim-1), 0); !errors.Is(err, ErrBadInput) {
+	if _, err := e.Estimate(context.Background(), make([]float64, m.InDim-1), 0, nil); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("short x: err=%v", err)
 	}
-	if _, err := e.Estimate(context.Background(), make([]float64, m.InDim), -1); !errors.Is(err, ErrBadInput) {
+	if _, err := e.Estimate(context.Background(), make([]float64, m.InDim), -1, nil); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("negative tau: err=%v", err)
 	}
-	if _, err := e.Estimate(context.Background(), make([]float64, m.InDim), m.Cfg.TauMax+1); !errors.Is(err, ErrBadInput) {
+	if _, err := e.Estimate(context.Background(), make([]float64, m.InDim), m.Cfg.TauMax+1, nil); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("huge tau: err=%v", err)
 	}
-	if _, err := e.EstimateAll(context.Background(), nil); !errors.Is(err, ErrBadInput) {
+	if _, err := e.EstimateAll(context.Background(), nil, nil); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("nil x: err=%v", err)
 	}
 }
@@ -120,10 +120,10 @@ func TestEngineRejectsNonBinaryX(t *testing.T) {
 	for _, v := range []float64{0.5, 2, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		x := binVec(1, m.InDim)
 		x[3] = v
-		if _, err := e.Estimate(context.Background(), x, 0); !errors.Is(err, ErrBadInput) {
+		if _, err := e.Estimate(context.Background(), x, 0, nil); !errors.Is(err, ErrBadInput) {
 			t.Errorf("Estimate with x[3]=%v: err=%v, want ErrBadInput", v, err)
 		}
-		if _, err := e.EstimateAll(context.Background(), x); !errors.Is(err, ErrBadInput) {
+		if _, err := e.EstimateAll(context.Background(), x, nil); !errors.Is(err, ErrBadInput) {
 			t.Errorf("EstimateAll with x[3]=%v: err=%v, want ErrBadInput", v, err)
 		}
 	}
@@ -155,7 +155,7 @@ func parkedEngine(t *testing.T, m *core.Model, cfg Config, curves int) (e *Engin
 // error on errs.
 func estimateAsync(e *Engine, seed int64, errs chan<- error) {
 	go func() {
-		_, err := e.Estimate(context.Background(), binVec(seed, e.reg.Current().Model.InDim), int(seed)%3)
+		_, err := e.Estimate(context.Background(), binVec(seed, e.reg.Current().Model.InDim), int(seed)%3, nil)
 		errs <- err
 	}()
 }
@@ -279,7 +279,7 @@ func TestSubmitOverloadedWhenQueueFull(t *testing.T) {
 	if err := e.submit(r()); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second submit: err=%v, want ErrOverloaded", err)
 	}
-	if _, err := e.Estimate(context.Background(), binVec(1, m.InDim), 0); !errors.Is(err, ErrOverloaded) {
+	if _, err := e.Estimate(context.Background(), binVec(1, m.InDim), 0, nil); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("Estimate on full queue: err=%v, want ErrOverloaded", err)
 	}
 }
@@ -300,7 +300,7 @@ func TestEngineSaturationDegradesGracefully(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				_, err := e.Estimate(context.Background(), binVec(int64(g*100+i), m.InDim), i%(m.Cfg.TauMax+1))
+				_, err := e.Estimate(context.Background(), binVec(int64(g*100+i), m.InDim), i%(m.Cfg.TauMax+1), nil)
 				switch {
 				case err == nil:
 					ok.Add(1)
@@ -331,7 +331,7 @@ func TestEngineHonorsContextDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.Estimate(ctx, binVec(1, m.InDim), 0); !errors.Is(err, context.Canceled) {
+	if _, err := e.Estimate(ctx, binVec(1, m.InDim), 0, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: err=%v", err)
 	}
 }
@@ -341,7 +341,7 @@ func TestEngineClosedRejects(t *testing.T) {
 	e := NewEngine(testRegistry(t, m), Config{})
 	e.Close()
 	e.Close() // idempotent
-	if _, err := e.Estimate(context.Background(), binVec(1, m.InDim), 0); !errors.Is(err, ErrClosed) {
+	if _, err := e.Estimate(context.Background(), binVec(1, m.InDim), 0, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed engine: err=%v", err)
 	}
 }
@@ -381,7 +381,7 @@ func TestSwapUnderLoadZeroFailures(t *testing.T) {
 				default:
 				}
 				q := (g + i) % nx
-				v, err := e.Estimate(context.Background(), xs[q], q%(models[0].Cfg.TauMax+1))
+				v, err := e.Estimate(context.Background(), xs[q], q%(models[0].Cfg.TauMax+1), nil)
 				if errors.Is(err, ErrOverloaded) {
 					continue // backpressure is not a failure
 				}

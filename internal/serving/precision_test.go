@@ -25,7 +25,7 @@ func TestEnginePrecisionF32(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		x := binVec(int64(i), m.InDim)
-		all, err := e.EstimateAll(context.Background(), x)
+		all, err := e.EstimateAll(context.Background(), x, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestEngineGateFallback(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		x := binVec(int64(i), m.InDim)
-		all, err := e.EstimateAll(context.Background(), x)
+		all, err := e.EstimateAll(context.Background(), x, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestEngineSwapRelowers(t *testing.T) {
 	defer e.Close()
 
 	x := binVec(99, m1.InDim)
-	before, err := e.EstimateAll(context.Background(), x)
+	before, err := e.EstimateAll(context.Background(), x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestEngineSwapRelowers(t *testing.T) {
 	if !gate.Pass || gate.Tier != infer.PrecisionF32 {
 		t.Fatalf("gate should pass after swap: %+v", gate)
 	}
-	after, err := e.EstimateAll(context.Background(), x)
+	after, err := e.EstimateAll(context.Background(), x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,26 +51,23 @@ var (
 	ErrBadInput = errors.New("serving: bad input")
 )
 
-// Pipeline stage names, in request order. They name both the trace stages
-// (obs.Trace.Mark) and the per-stage latency histograms
-// ("serving.stage.<name>.seconds"), so a trace in the JSONL log lines up
-// 1:1 with the /metrics histograms. Admission and write happen in the HTTP
-// layer; the engine marks cache, queue.wait, batch.form, and forward.
-const (
-	StageAdmission = "admission"  // parse + validate, before entering the engine
-	StageCache     = "cache"      // curve-cache lookup
-	StageQueueWait = "queue.wait" // enqueue until a worker starts forming the batch
-	StageBatchForm = "batch.form" // batch formation until flush (size/queue empty/shutdown)
-	StageForward   = "forward"    // shared stacked forward pass
-	StageWrite     = "write"      // result delivery + HTTP response encoding
+// Pipeline stages in request order, each naming its trace entry and its
+// histogram: admission (parse + validate; HTTP layer), cache (curve-cache
+// lookup), queue.wait (enqueue until a worker starts forming the batch),
+// batch.form (formation until flush), forward (the shared stacked forward
+// pass), write (result delivery + response encoding; HTTP layer).
+var (
+	StageAdmission = &obs.Stage{Name: "admission", Hist: obs.Default.Histogram("serving.stage.admission.seconds", obs.TimeBuckets())}
+	StageCache     = &obs.Stage{Name: "cache", Hist: obs.Default.Histogram("serving.stage.cache.seconds", obs.TimeBuckets())}
+	StageQueueWait = &obs.Stage{Name: "queue.wait", Hist: obs.Default.Histogram("serving.stage.queue.wait.seconds", obs.TimeBuckets())}
+	StageBatchForm = &obs.Stage{Name: "batch.form", Hist: obs.Default.Histogram("serving.stage.batch.form.seconds", obs.TimeBuckets())}
+	StageForward   = &obs.Stage{Name: "forward", Hist: obs.Default.Histogram("serving.stage.forward.seconds", obs.TimeBuckets())}
+	StageWrite     = &obs.Stage{Name: "write", Hist: obs.Default.Histogram("serving.stage.write.seconds", obs.TimeBuckets())}
 )
 
-// StageHistName maps a stage name to its obs histogram name.
-func StageHistName(stage string) string { return "serving.stage." + stage + ".seconds" }
-
 // E2EHistogram is the end-to-end request latency histogram the HTTP layer
-// records and the SLO tracker evaluates; the per-stage histograms above tile
-// it exactly.
+// records and the SLO tracker evaluates; the stage histograms above tile it
+// exactly.
 const E2EHistogram = "serving.e2e.seconds"
 
 // Batch flush reasons, annotated on traces and counted under
@@ -101,9 +98,4 @@ var (
 
 	mPrecisionActive = obs.Default.Gauge("serving.precision.active_bits")
 	mGateFailures    = obs.Default.Counter("serving.precision.gate_failures")
-
-	mStageCache   = obs.Default.Histogram(StageHistName(StageCache), obs.TimeBuckets())
-	mStageQueue   = obs.Default.Histogram(StageHistName(StageQueueWait), obs.TimeBuckets())
-	mStageForm    = obs.Default.Histogram(StageHistName(StageBatchForm), obs.TimeBuckets())
-	mStageForward = obs.Default.Histogram(StageHistName(StageForward), obs.TimeBuckets())
 )

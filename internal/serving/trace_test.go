@@ -10,6 +10,11 @@ import (
 	"cardnet/internal/obs"
 )
 
+// traceStages reads a trace's completed stages from its JSONL fields.
+func traceStages(tr *obs.Trace) []obs.TraceStage {
+	return tr.Fields()["stages"].([]obs.TraceStage)
+}
+
 // A traced miss must walk every engine stage in pipeline order, tile the
 // trace's total exactly, and carry the batch annotations.
 func TestEstimateTracedStages(t *testing.T) {
@@ -18,11 +23,11 @@ func TestEstimateTracedStages(t *testing.T) {
 	defer e.Close()
 
 	tr := obs.NewTrace()
-	if _, err := e.EstimateTraced(context.Background(), binVec(1, m.InDim), 2, tr); err != nil {
+	if _, err := e.Estimate(context.Background(), binVec(1, m.InDim), 2, tr); err != nil {
 		t.Fatal(err)
 	}
-	stages := tr.Stages()
-	wantOrder := []string{StageCache, StageQueueWait, StageBatchForm, StageForward}
+	stages := traceStages(tr)
+	wantOrder := []string{StageCache.Name, StageQueueWait.Name, StageBatchForm.Name, StageForward.Name}
 	if len(stages) != len(wantOrder) {
 		t.Fatalf("stages %v, want %v", stages, wantOrder)
 	}
@@ -64,16 +69,16 @@ func TestEstimateTracedCacheHit(t *testing.T) {
 	defer e.Close()
 
 	x := binVec(7, m.InDim)
-	if _, err := e.Estimate(context.Background(), x, 3); err != nil {
+	if _, err := e.Estimate(context.Background(), x, 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace()
-	if _, err := e.EstimateTraced(context.Background(), x, 3, tr); err != nil {
+	if _, err := e.Estimate(context.Background(), x, 3, tr); err != nil {
 		t.Fatal(err)
 	}
-	stages := tr.Stages()
-	if len(stages) != 1 || stages[0].Name != StageCache {
-		t.Fatalf("cache-hit stages = %v, want just %q", stages, StageCache)
+	stages := traceStages(tr)
+	if len(stages) != 1 || stages[0].Name != StageCache.Name {
+		t.Fatalf("cache-hit stages = %v, want just %q", stages, StageCache.Name)
 	}
 	if tr.Fields()["cache_hit"] != true {
 		t.Fatal("cache hit not annotated")
@@ -87,14 +92,10 @@ func TestTracedRequestsFeedStageHistograms(t *testing.T) {
 	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 2, CacheEntries: -1})
 	defer e.Close()
 
-	names := []string{
-		StageHistName(StageQueueWait),
-		StageHistName(StageBatchForm),
-		StageHistName(StageForward),
-	}
-	before := make(map[string]uint64, len(names))
-	for _, n := range names {
-		before[n] = obs.Default.Histogram(n, obs.TimeBuckets()).Count()
+	stages := []*obs.Stage{StageQueueWait, StageBatchForm, StageForward}
+	before := make(map[string]uint64, len(stages))
+	for _, s := range stages {
+		before[s.Name] = s.Hist.Count()
 	}
 
 	const reqs = 6
@@ -104,17 +105,16 @@ func TestTracedRequestsFeedStageHistograms(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			tr := obs.NewTrace()
-			if _, err := e.EstimateAllTraced(context.Background(), binVec(int64(i), m.InDim), tr); err != nil {
+			if _, err := e.EstimateAll(context.Background(), binVec(int64(i), m.InDim), tr); err != nil {
 				t.Error(err)
 			}
 		}(i)
 	}
 	wg.Wait()
 
-	for _, n := range names {
-		got := obs.Default.Histogram(n, obs.TimeBuckets()).Count() - before[n]
-		if got != reqs {
-			t.Fatalf("%s observed %d stage durations, want %d", n, got, reqs)
+	for _, s := range stages {
+		if got := s.Hist.Count() - before[s.Name]; got != reqs {
+			t.Fatalf("%s observed %d stage durations, want %d", s.Name, got, reqs)
 		}
 	}
 }
@@ -126,10 +126,10 @@ func TestUntracedRequestsSkipStageHistograms(t *testing.T) {
 	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 1, CacheEntries: -1})
 	defer e.Close()
 
-	h := obs.Default.Histogram(StageHistName(StageForward), obs.TimeBuckets())
+	h := StageForward.Hist
 	before := h.Count()
 	for i := 0; i < 4; i++ {
-		if _, err := e.Estimate(context.Background(), binVec(int64(i), m.InDim), 1); err != nil {
+		if _, err := e.Estimate(context.Background(), binVec(int64(i), m.InDim), 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestFlushReasonCounters(t *testing.T) {
 	// MaxBatch 1: every request is its own size-flushed batch.
 	e := NewEngine(testRegistry(t, m), Config{MaxBatch: 1, CacheEntries: -1})
 	for i := 0; i < 3; i++ {
-		if _, err := e.Estimate(context.Background(), binVec(int64(i), m.InDim), 0); err != nil {
+		if _, err := e.Estimate(context.Background(), binVec(int64(i), m.InDim), 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,7 +160,7 @@ func TestFlushReasonCounters(t *testing.T) {
 	// A lone request in a huge batch flushes when the queue runs empty,
 	// counted under the deadline reason.
 	e = NewEngine(testRegistry(t, m), Config{MaxBatch: 1024, Workers: 1, CacheEntries: -1})
-	if _, err := e.Estimate(context.Background(), binVec(9, m.InDim), 0); err != nil {
+	if _, err := e.Estimate(context.Background(), binVec(9, m.InDim), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
@@ -221,7 +221,7 @@ func TestCurveCheckInvoked(t *testing.T) {
 
 	const reqs = 5
 	for i := 0; i < reqs; i++ {
-		if _, err := e.Estimate(context.Background(), binVec(int64(i), m.InDim), i%(m.Cfg.TauMax+1)); err != nil {
+		if _, err := e.Estimate(context.Background(), binVec(int64(i), m.InDim), i%(m.Cfg.TauMax+1), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,7 +242,7 @@ func TestCacheSizeGauge(t *testing.T) {
 	defer e.Close()
 
 	for i := 0; i < 5; i++ {
-		if _, err := e.Estimate(context.Background(), binVec(int64(i), m.InDim), 0); err != nil {
+		if _, err := e.Estimate(context.Background(), binVec(int64(i), m.InDim), 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
