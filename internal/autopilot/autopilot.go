@@ -22,7 +22,6 @@
 package autopilot
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -567,10 +566,8 @@ func (p *Pilot) trainCandidate(train, valid *core.TrainSet, st *core.TrainerStat
 		cand, err = core.RestoreTrainer(st)
 		fields["resumed_epoch"] = st.Epoch
 	} else {
-		cand, err = cloneModel(p.reg.Current().Model)
-		if cand != nil {
-			cand.Cfg.Workers = p.cfg.TrainWorkers
-		}
+		cand = p.reg.Current().Model.Clone()
+		cand.Cfg.Workers = p.cfg.TrainWorkers
 	}
 	if err != nil {
 		p.transition(StateIdle, "training declined: candidate construction failed", map[string]any{"error": err.Error()})
@@ -713,18 +710,4 @@ func (p *Pilot) finishCycle() {
 	if p.sleep(p.cfg.Cooldown) {
 		p.transition(StateIdle, "cooldown elapsed; re-armed", nil)
 	}
-}
-
-// cloneModel deep-copies a model through its gob round trip, detaching the
-// candidate's weights from the live serving model.
-func cloneModel(m *core.Model) (*core.Model, error) {
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		return nil, fmt.Errorf("autopilot: snapshot live model: %w", err)
-	}
-	c, err := core.Load(&buf)
-	if err != nil {
-		return nil, fmt.Errorf("autopilot: rebuild candidate: %w", err)
-	}
-	return c, nil
 }

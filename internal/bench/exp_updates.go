@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"time"
@@ -99,19 +98,10 @@ func RunFig8(spec dataset.Spec, nOps, batch, evalEvery int, opts Options) []Upda
 	res0 := inc.Train(train0, valid0)
 	prevValid := res0.BestValidMSLE
 
-	// The +Sample strategy keeps the original model frozen (deep copy via
-	// the gob round trip: an f64 plan's layers are views of its model's
-	// weights, so a plan of inc itself would follow its retraining).
-	frozen := inc
-	{
-		var buf bytes.Buffer
-		if err := inc.Save(&buf); err == nil {
-			if m, err := core.Load(&buf); err == nil {
-				frozen = m
-			}
-		}
-	}
-	frozenPlan := lowerF64(frozen)
+	// The +Sample strategy keeps the original model frozen (a deep copy:
+	// an f64 plan's layers are views of its model's weights, so a plan of
+	// inc itself would follow its retraining).
+	frozenPlan := lowerF64(inc.Clone())
 
 	stream := dataset.UpdateStream(len(live), len(pool.Bits), nOps, batch, opts.Seed+5)
 	var out []UpdatePoint

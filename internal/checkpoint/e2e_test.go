@@ -58,11 +58,11 @@ func tinyConfig(tauMax int) core.Config {
 
 func modelBytes(t *testing.T, m *core.Model) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	b, err := m.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // TestKillAndResumeThroughStore is the end-to-end fault-tolerance contract:
@@ -189,16 +189,11 @@ func TestLoadModelRejectsTornFile(t *testing.T) {
 		}
 	}
 
-	// Legacy (unframed) model files still load.
+	// Legacy (unframed gob) model files still load.
 	legacy := filepath.Join(dir, "legacy.gob")
-	f, err := os.Create(legacy)
-	if err != nil {
+	if err := os.WriteFile(legacy, gobBytes(t, wireOf(m)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	if _, err := LoadModel(legacy); err != nil {
 		t.Fatalf("legacy model file rejected: %v", err)
 	}

@@ -20,7 +20,9 @@ var ErrCorrupt = errors.New("checkpoint: corrupt or truncated file")
 const (
 	// KindTrainer frames a gob-encoded core.TrainerState.
 	KindTrainer = "TRNR"
-	// KindModel frames a gob-encoded model (core.Model.Save payload).
+	// KindModel frames a model. A version-2 frame carries core.Model.Encode's
+	// layout (a gob header, then the raw weights); a version-1 frame, as
+	// earlier builds wrote, the gob layout core.LoadGob reads.
 	KindModel = "MODL"
 	// KindTrainSet frames a gob-encoded train/valid split (SaveTrainSet).
 	KindTrainSet = "TSET"
@@ -29,6 +31,10 @@ const (
 const (
 	fileMagic   = "CKPT"
 	fileVersion = 1
+	// modelVersion is the frame version of a model in core.Model.Encode's
+	// layout. A build that predates it refuses such a file as an unsupported
+	// version.
+	modelVersion = 2
 	// header: magic(4) version(1) kind(4) payloadLen(8) crc32(4)
 	headerSize = 4 + 1 + 4 + 8 + 4
 )
@@ -38,8 +44,13 @@ const (
 // renamed over path, and the directory is fsynced so the rename itself is
 // durable. A crash at any point leaves either the old file or the complete
 // new one. The temporary name starts with "." so Store directory scans skip
-// any orphan left by a crash mid-write.
+// any orphan left by a crash mid-write. The frame is version 1.
 func WriteFileAtomic(path, kind string, payload []byte) error {
+	return writeFrame(path, kind, fileVersion, payload)
+}
+
+// writeFrame is WriteFileAtomic with the frame's version byte.
+func writeFrame(path, kind string, version byte, payload []byte) error {
 	if len(kind) != 4 {
 		return fmt.Errorf("checkpoint: kind must be 4 bytes, got %q", kind)
 	}
@@ -58,7 +69,7 @@ func WriteFileAtomic(path, kind string, payload []byte) error {
 
 	var hdr [headerSize]byte
 	copy(hdr[0:4], fileMagic)
-	hdr[4] = fileVersion
+	hdr[4] = version
 	copy(hdr[5:9], kind)
 	binary.LittleEndian.PutUint64(hdr[9:17], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[17:21], crc32.ChecksumIEEE(payload))
@@ -97,7 +108,7 @@ func syncDir(dir string) error {
 }
 
 // ReadFile reads a file written by WriteFileAtomic, verifies the magic,
-// version, kind, length, and CRC32, and returns the payload. Any
+// version (1), kind, length, and CRC32, and returns the payload. Any
 // verification failure returns an error wrapping ErrCorrupt; a kind mismatch
 // (a valid file of the wrong type) is reported distinctly. Anything but a
 // regular file is refused (see readRegular).
@@ -106,7 +117,10 @@ func ReadFile(path, kind string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, gotKind, err := decodeFrame(raw)
+	payload, gotKind, version, err := decodeFrame(raw)
+	if err == nil && version != fileVersion {
+		err = fmt.Errorf("unsupported format version %d", version)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
 	}
@@ -131,25 +145,26 @@ func readRegular(path string) ([]byte, error) {
 	return os.ReadFile(path)
 }
 
-// decodeFrame verifies a framed byte slice and returns (payload, kind).
-func decodeFrame(raw []byte) ([]byte, string, error) {
+// decodeFrame verifies a framed byte slice and returns its payload, kind and
+// version (fileVersion or modelVersion).
+func decodeFrame(raw []byte) (payload []byte, kind string, version byte, err error) {
 	if len(raw) < headerSize {
-		return nil, "", fmt.Errorf("file shorter than header (%d bytes)", len(raw))
+		return nil, "", 0, fmt.Errorf("file shorter than header (%d bytes)", len(raw))
 	}
 	if !bytes.Equal(raw[0:4], []byte(fileMagic)) {
-		return nil, "", fmt.Errorf("bad magic %q", raw[0:4])
+		return nil, "", 0, fmt.Errorf("bad magic %q", raw[0:4])
 	}
-	if raw[4] != fileVersion {
-		return nil, "", fmt.Errorf("unsupported format version %d", raw[4])
+	if version = raw[4]; version != fileVersion && version != modelVersion {
+		return nil, "", 0, fmt.Errorf("unsupported format version %d", version)
 	}
-	kind := string(raw[5:9])
+	kind = string(raw[5:9])
 	n := binary.LittleEndian.Uint64(raw[9:17])
 	if uint64(len(raw)-headerSize) != n {
-		return nil, "", fmt.Errorf("payload length %d, header says %d (truncated?)", len(raw)-headerSize, n)
+		return nil, "", 0, fmt.Errorf("payload length %d, header says %d (truncated?)", len(raw)-headerSize, n)
 	}
-	payload := raw[headerSize:]
+	payload = raw[headerSize:]
 	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(raw[17:21]); got != want {
-		return nil, "", fmt.Errorf("CRC mismatch (got %#x, header %#x)", got, want)
+		return nil, "", 0, fmt.Errorf("CRC mismatch (got %#x, header %#x)", got, want)
 	}
-	return payload, kind, nil
+	return payload, kind, version, nil
 }

@@ -26,8 +26,9 @@ type Config struct {
 	// VNodes is the virtual-node count per replica (default DefaultVNodes).
 	VNodes int
 	// Retries is the failover budget: how many additional ring nodes a
-	// request may try after the primary rejects with 503 or is unreachable
-	// (default 2).
+	// request may try after the primary rejects with 503 or is unreachable.
+	// 0 means no failover: each request tries its primary only. Negative
+	// values count as 0.
 	Retries int
 	// ProxyTimeout bounds one client request end to end, all failover
 	// attempts included (default 5s).
@@ -129,8 +130,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if cfg.Retries < 0 {
 		cfg.Retries = 0
-	} else if cfg.Retries == 0 {
-		cfg.Retries = 2
 	}
 	if cfg.ProxyTimeout <= 0 {
 		cfg.ProxyTimeout = 5 * time.Second

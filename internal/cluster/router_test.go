@@ -129,7 +129,7 @@ func TestRouterGetRoutesLikePost(t *testing.T) {
 func TestRouterFailoverOn503(t *testing.T) {
 	a, b := newFakeReplica(t, "a"), newFakeReplica(t, "b")
 	reg := obs.NewRegistry()
-	_, ts := newTestRouter(t, Config{Registry: reg}, a, b)
+	_, ts := newTestRouter(t, Config{Registry: reg, Retries: 2}, a, b)
 
 	// Find a key owned by a specific replica, then overload that replica.
 	var body, primary string
@@ -181,12 +181,46 @@ func TestRouterFailoverOn503(t *testing.T) {
 	}
 }
 
+// TestRouterZeroRetriesNoFailover: Retries 0 means no failover. The router
+// builds one attempt stage, and a 503 from the primary reaches the client
+// while the healthy replica is never tried.
+func TestRouterZeroRetriesNoFailover(t *testing.T) {
+	a, b := newFakeReplica(t, "a"), newFakeReplica(t, "b")
+	reg := obs.NewRegistry()
+	rt, ts := newTestRouter(t, Config{Registry: reg, Retries: 0}, a, b)
+	if n := len(rt.stages.attempt); n != 1 {
+		t.Fatalf("Retries 0 built %d attempt stages, want 1", n)
+	}
+	body := estimateBody(0)
+	code, primary, _ := postRouter(t, ts.URL, body, nil)
+	if code != http.StatusOK {
+		t.Fatalf("status=%d", code)
+	}
+	over, other := a, b
+	if primary == "b" {
+		over, other = b, a
+	}
+	over.overloaded.Store(true)
+	beforeOther := other.estimateCount()
+	if code, _, _ := postRouter(t, ts.URL, body, nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("status=%d, want the primary's 503", code)
+	}
+	if got := other.estimateCount(); got != beforeOther {
+		t.Fatalf("other replica served %d, want %d: the 503 was retried", got, beforeOther)
+	}
+	if got := reg.Counter("cluster.failovers").Value(); got != 0 {
+		t.Fatalf("cluster.failovers = %d, want 0", got)
+	}
+}
+
 // TestRouterAllOverloadedPropagates503 checks exhaustion: when every
 // candidate rejects, the client gets the fleet's 503 with its Retry-After
-// rather than a synthetic error.
+// rather than a synthetic error, after failing over to every replica and
+// recording each one's cooloff.
 func TestRouterAllOverloadedPropagates503(t *testing.T) {
 	a, b := newFakeReplica(t, "a"), newFakeReplica(t, "b")
-	_, ts := newTestRouter(t, Config{}, a, b)
+	reg := obs.NewRegistry()
+	_, ts := newTestRouter(t, Config{Registry: reg, Retries: 2}, a, b)
 	a.overloaded.Store(true)
 	b.overloaded.Store(true)
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/estimate", strings.NewReader(estimateBody(1)))
@@ -200,6 +234,12 @@ func TestRouterAllOverloadedPropagates503(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("Retry-After not propagated on fleet-wide overload")
+	}
+	if got := reg.Counter("cluster.failovers").Value(); got != 1 {
+		t.Fatalf("cluster.failovers = %d, want 1: the second replica was not tried", got)
+	}
+	if got := reg.Counter("cluster.retry_after.cooloffs").Value(); got != 2 {
+		t.Fatalf("cluster.retry_after.cooloffs = %d, want one per replica", got)
 	}
 }
 
@@ -280,7 +320,7 @@ func TestRouterMintsTraceIDOnErrorPaths(t *testing.T) {
 // the corpse.
 func TestRouterKillReplicaZeroVisible5xx(t *testing.T) {
 	a, b := newFakeReplica(t, "a"), newFakeReplica(t, "b")
-	rt, ts := newTestRouter(t, Config{ProbeInterval: 10 * time.Millisecond, EjectAfter: 2}, a, b)
+	rt, ts := newTestRouter(t, Config{ProbeInterval: 10 * time.Millisecond, EjectAfter: 2, Retries: 2}, a, b)
 	rt.Start()
 
 	const calls = 300

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -890,132 +888,4 @@ func msleGrad(p, y float64, n int) float64 {
 		pc = 0
 	}
 	return 2 * logErr(p, y) / (1 + pc) / float64(n)
-}
-
-// modelState is the gob wire format.
-type modelState struct {
-	Cfg    Config
-	InDim  int
-	TauTop int
-	Snap   *nn.Snapshot
-}
-
-// Save serializes the model (config + parameters) with gob.
-func (m *Model) Save(w io.Writer) error {
-	st := modelState{Cfg: m.Cfg, InDim: m.InDim, TauTop: m.TauTop, Snap: nn.TakeSnapshot(m.Params())}
-	return gob.NewEncoder(w).Encode(&st)
-}
-
-// Load reconstructs a model saved with Save. The bytes are untrusted: a
-// config that does not match the decoded weights is an error, never a panic
-// or an allocation beyond the weights actually read.
-func Load(r io.Reader) (*Model, error) {
-	var st modelState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return nil, err
-	}
-	return restore(st.Cfg, st.InDim, st.TauTop, st.Snap)
-}
-
-// restore rebuilds a model from a decoded config and weight snapshot, the
-// shared tail of Load and RestoreTrainer. checkShapes runs first, so build
-// only ever allocates the shapes the snapshot already holds, and it draws no
-// initial weights: the snapshot overwrites every one.
-func restore(cfg Config, inDim, tauTop int, snap *nn.Snapshot) (*Model, error) {
-	if err := checkShapes(cfg, inDim, snap); err != nil {
-		return nil, err
-	}
-	m := build(cfg, inDim, nil)
-	m.TauTop = tauTop
-	if err := snap.Restore(m.Params()); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// checkShapes verifies, without allocating them, that the parameters
-// New(cfg, inDim) would build have exactly the lengths of snap's values in
-// Params() order. Widths must be positive and τmax, the VAE latent and the
-// distance embedding non-negative; CardNet-A needs at least one hidden layer.
-// Every dimension must also fit within the snapshot's total length, which
-// keeps the size arithmetic below free of overflow.
-func checkShapes(cfg Config, inDim int, snap *nn.Snapshot) error {
-	if snap == nil {
-		return fmt.Errorf("core: model has no weight snapshot")
-	}
-	limit := 0
-	for _, v := range snap.Values {
-		limit += len(v)
-	}
-	dims := append([]int{inDim, cfg.ZDim}, cfg.VAEHidden...)
-	dims = append(dims, cfg.PhiHidden...)
-	for _, d := range dims {
-		if d < 1 || d > limit {
-			return fmt.Errorf("core: model width %d outside [1, %d]", d, limit)
-		}
-	}
-	for _, d := range []int{cfg.TauMax, cfg.VAELatent, cfg.EmbDim} {
-		if d < 0 || d >= limit {
-			return fmt.Errorf("core: model size %d outside [0, %d)", d, limit)
-		}
-	}
-	if cfg.Accel && len(cfg.PhiHidden) == 0 {
-		return fmt.Errorf("core: CardNet-A config has no hidden layers")
-	}
-
-	// mul saturates at limit+1, a length no snapshot value can have.
-	mul := func(a, b int) int {
-		if a != 0 && b > limit/a {
-			return limit + 1
-		}
-		return a * b
-	}
-	var want []int
-	dense := func(in, out int) { want = append(want, mul(in, out), out) }
-	mlp := func(dims []int) {
-		for i := 0; i+1 < len(dims); i++ {
-			dense(dims[i], dims[i+1])
-		}
-	}
-	if cfg.VAELatent > 0 { // nn.NewVAE
-		enc := append([]int{inDim}, cfg.VAEHidden...)
-		mlp(enc)
-		dense(enc[len(enc)-1], cfg.VAELatent)
-		dense(enc[len(enc)-1], cfg.VAELatent)
-		dec := []int{cfg.VAELatent}
-		for i := len(cfg.VAEHidden) - 1; i >= 0; i-- {
-			dec = append(dec, cfg.VAEHidden[i])
-		}
-		mlp(append(dec, inDim))
-	}
-	tauCount := cfg.TauMax + 1
-	want = append(want, mul(tauCount, cfg.EmbDim))
-	xpDim := inDim + cfg.VAELatent
-	if cfg.Accel { // newAccelEncoder
-		n := len(cfg.PhiHidden)
-		prev := xpDim
-		for j, h := range cfg.PhiHidden {
-			region := cfg.ZDim / n
-			if j < cfg.ZDim%n {
-				region++
-			}
-			dense(prev, h)
-			dense(h, mul(tauCount, region))
-			prev = h
-		}
-	} else {
-		dims := append([]int{xpDim + cfg.EmbDim}, cfg.PhiHidden...)
-		mlp(append(dims, cfg.ZDim))
-	}
-	want = append(want, mul(tauCount, cfg.ZDim), tauCount)
-
-	if len(want) != len(snap.Values) {
-		return fmt.Errorf("core: config implies %d weight tensors, snapshot has %d", len(want), len(snap.Values))
-	}
-	for i, n := range want {
-		if got := len(snap.Values[i]); got != n {
-			return fmt.Errorf("core: weight tensor %d has %d values, config implies %d", i, got, n)
-		}
-	}
-	return nil
 }

@@ -13,8 +13,8 @@ import (
 	"cardnet/internal/tensor"
 )
 
-// init pins gob's process-global type-id assignment for the two wire types
-// this package serializes. gob numbers types in first-use order across the
+// init pins gob's process-global type-id assignment for the wire types this
+// package serializes. gob numbers types in first-use order across the
 // whole process, so without this a model saved after a checkpoint decode (the
 // resume path) would carry different — though equivalent — type ids than one
 // saved by a fresh run, and byte-level comparison of published models would
@@ -24,6 +24,7 @@ func init() {
 	enc := gob.NewEncoder(io.Discard)
 	_ = enc.Encode(modelState{Snap: &nn.Snapshot{}})
 	_ = enc.Encode(TrainerState{Params: &nn.Snapshot{}, Opt: &nn.AdamState{}})
+	_ = enc.Encode(modelHeader{})
 }
 
 // Phase names used by TrainerState and TrainEvent.

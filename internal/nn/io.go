@@ -10,9 +10,10 @@ import (
 )
 
 // Snapshot is a flattened copy of a model's parameter values in Params()
-// order. It is the interchange format for gob-based model persistence: the
-// caller rebuilds the architecture from its own config and then restores the
-// parameter values.
+// order. It is the interchange format for gob-based persistence (trainer
+// checkpoints, and model files in the older gob layout): the caller rebuilds
+// the architecture from its own config and then restores the parameter
+// values.
 type Snapshot struct {
 	Names  []string
 	Values [][]float64

@@ -1,7 +1,9 @@
 package serving
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"path/filepath"
 	"strconv"
 	"testing"
@@ -101,19 +103,40 @@ func BenchmarkEngineEstimate(b *testing.B) {
 	}
 }
 
+// legacyModel mirrors the gob layout of a version-1 model frame (gob matches
+// fields by name).
+type legacyModel struct {
+	Cfg    core.Config
+	InDim  int
+	TauTop int
+	Snap   *nn.Snapshot
+}
+
 // BenchmarkColdStart times what serve start-up and /admin/reload do with a
 // model file before they publish it: checkpoint.LoadModel, then NewRegistry
 // (the plan compile, the f32 gate sweep, the size measurement), at each
 // tier, on a saved CardNet-A PaperConfig(20, 16) model of the benchmark
 // fixture's shape (HM-ImageNet's 64 bits at θmax = τmax = 20). load times
-// checkpoint.LoadModel alone, param-bytes the size measurement,
+// checkpoint.LoadModel alone, load-legacy the same on the model written as
+// a version-1 gob frame, as earlier builds wrote it, save
+// checkpoint.SaveModel, and param-bytes the size measurement,
 // nn.ParamBytes, alone.
 func BenchmarkColdStart(b *testing.B) {
 	cfg := core.PaperConfig(20, 16)
 	cfg.Accel = true
 	m := core.New(cfg, feature.NewHammingExtractor(64, 20, 20).Dim())
-	path := filepath.Join(b.TempDir(), "model.gob")
+	dir := b.TempDir()
+	path := filepath.Join(dir, "model.gob")
 	if err := checkpoint.SaveModel(path, m); err != nil {
+		b.Fatal(err)
+	}
+	legacyPath := filepath.Join(dir, "legacy.gob")
+	var legacy bytes.Buffer
+	st := legacyModel{Cfg: m.Cfg, InDim: m.InDim, TauTop: m.TauTop, Snap: nn.TakeSnapshot(m.Params())}
+	if err := gob.NewEncoder(&legacy).Encode(&st); err != nil {
+		b.Fatal(err)
+	}
+	if err := checkpoint.WriteFileAtomic(legacyPath, checkpoint.KindModel, legacy.Bytes()); err != nil {
 		b.Fatal(err)
 	}
 	for _, tier := range []infer.Precision{infer.PrecisionF64, infer.PrecisionF32} {
@@ -130,10 +153,21 @@ func BenchmarkColdStart(b *testing.B) {
 			}
 		})
 	}
-	b.Run("load", func(b *testing.B) {
+	for _, c := range []struct{ name, path string }{{"load", path}, {"load-legacy", legacyPath}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := checkpoint.LoadModel(c.path); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("save", func(b *testing.B) {
 		b.ReportAllocs()
+		out := filepath.Join(dir, "saved.gob")
 		for i := 0; i < b.N; i++ {
-			if _, err := checkpoint.LoadModel(path); err != nil {
+			if err := checkpoint.SaveModel(out, m); err != nil {
 				b.Fatal(err)
 			}
 		}
