@@ -126,9 +126,9 @@ race-autopilot:
 # bytes gob writes, the replica's /admin/autopilot body handling, model-file
 # loading, trainer-state decode and resume, staged train-set loading and
 # retraining, and the f64/f32 plans against the nn forward.
-# FuzzRestoreTrainer's seeds are 30 KB checkpoints and every FuzzLoadTrainSet
-# input runs a retrain, so both skip minimizing new inputs, which would take
-# their whole budget.
+# FuzzLoadModel's and FuzzRestoreTrainer's seeds are model-sized files and
+# every FuzzLoadTrainSet input runs a retrain, so all three skip minimizing
+# new inputs, which would take their whole budget.
 fuzz-smoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzExtractKey$$' -fuzztime=10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzDecodeQuery$$' -fuzztime=10s
@@ -146,7 +146,7 @@ fuzz-smoke:
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzAdamStep$$' -fuzztime=10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzVecMat$$' -fuzztime=10s
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzParamBytes$$' -fuzztime=10s
-	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime=10s
+	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime=10s -fuzzminimizetime=1x
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzRestoreTrainer$$' -fuzztime=10s -fuzzminimizetime=1x
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzLoadTrainSet$$' -fuzztime=10s -fuzzminimizetime=1x
 	$(GO) test ./internal/infer -run '^$$' -fuzz '^FuzzPlanTiers$$' -fuzztime=10s

@@ -94,7 +94,7 @@ func main() {
 	workers := flag.Int("workers", 0, "train/update: data-parallel training shards (0 = all CPUs); serve: batch workers (0 = GOMAXPROCS)")
 	cacheEntries := flag.Int("cache", 4096, "serve: estimate cache capacity in query curves (negative disables)")
 	precision := flag.String("precision", "f64", "serve: inference plan tier (f64 | f32); the f32 plan serves only if the accuracy gate passes, else the f64 plan")
-	precisionGateDelta := flag.Float64("precision-gate-delta", infer.DefaultGateMaxDelta, "serve: max q-error p99 delta vs the nn forward the f32 plan may add before falling back to f64")
+	precisionGateDelta := flag.Float64("precision-gate-delta", infer.DefaultGateMaxDelta, "serve: max q-error p99 delta vs the f64 plan the f32 plan may add before falling back to f64")
 	precisionGateSweep := flag.Int("precision-gate-sweep", infer.DefaultGateSweep, "serve: validation queries the f32 gate evaluates per compile")
 	traceRate := flag.Float64("trace-sample-rate", 0.01, "serve/router: fraction of requests whose traces are written to -tracelog")
 	traceLog := flag.String("tracelog", "off", `serve/router: JSONL request-trace log path ("off" = disabled)`)

@@ -275,8 +275,9 @@ const estMinShardRows = 16
 // (one encoded query per row) and the result is B×(TauMax+1), row e holding
 // the prefix-sum estimates of query e at every τ. Wide batches shard their
 // rows across the tensor worker pool. Estimates are answered by compiled
-// internal/infer plans instead; this nn forward is their reference (the f32
-// gate compares against it) and training validation's forward. It treats
+// internal/infer plans instead; this nn forward is their reference (tests
+// keep the f64 plan within about 1e-14 of it, and the f32 gate measures the
+// f32 plan against the f64 plan) and training validation's forward. It treats
 // every row independently, so each output row is bit-identical to its
 // single-row call at any worker count. Safe for concurrent callers: it
 // writes no shared state.

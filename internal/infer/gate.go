@@ -12,8 +12,8 @@ import (
 // Default gate parameters, used when GateConfig fields are zero.
 const (
 	// DefaultGateMaxDelta bounds the allowed q-error p99 inflation of the f32
-	// tier relative to the model's nn forward: the tier is eligible only if
-	// p99(q-error vs nn) − 1 stays within this bound over the sweep.
+	// tier versus the f64 plan: the tier is eligible only if
+	// p99(q-error vs the f64 plan) − 1 stays within this bound over the sweep.
 	DefaultGateMaxDelta = 0.1
 	// DefaultGateSweep is the number of pseudo-random validation queries the
 	// gate evaluates.
@@ -21,10 +21,11 @@ const (
 )
 
 // GateConfig parameterizes the accuracy-delta gate Compile runs before a
-// compiled tier may serve.
+// compiled tier may serve: the f32 plan versus the f64 plan, over a seeded
+// sweep that runs on the tensor pool.
 type GateConfig struct {
 	// MaxQErrP99Delta is the bound on p99 q-error minus one versus the
-	// model's nn forward (0 selects DefaultGateMaxDelta).
+	// f64 plan (0 selects DefaultGateMaxDelta).
 	MaxQErrP99Delta float64
 	// Sweep is the number of validation queries (0 selects DefaultGateSweep).
 	Sweep int
@@ -56,8 +57,10 @@ type GateResult struct {
 	Tier Precision `json:"tier"`
 	// Pass reports whether the requested tier is eligible to serve.
 	Pass bool `json:"pass"`
-	// QErrP99Delta is the measured p99 q-error minus one versus the model's
-	// nn forward over the sweep (zero for the f64 tier itself).
+	// QErrP99Delta is the measured p99 q-error minus one versus the f64
+	// plan over the sweep (zero for the f64 tier itself). The sweeps run on
+	// the tensor pool, and rows of a plan forward are independent, so the
+	// value is the same at any worker count.
 	QErrP99Delta float64 `json:"q_err_p99_delta"`
 	// MaxQErrP99Delta echoes the bound the measurement was judged against.
 	MaxQErrP99Delta float64 `json:"max_q_err_p99_delta"`
@@ -117,31 +120,57 @@ func violations(curves *tensor.Matrix) int {
 	return n
 }
 
+// sweepMinShardRows is the fewest sweep rows one pool worker takes, so a
+// short sweep stays on the calling goroutine.
+const sweepMinShardRows = 16
+
+// sweepCurves evaluates the seeded sweep of the given size through each plan
+// and returns one curve matrix per plan. Rows are sharded over the tensor
+// pool (tensor.ParallelRows), every plan running a shard's rows on the
+// shard's worker; a row of a plan forward does not depend on the batch it
+// rides in, so the curves are bit-identical at any worker count.
+func sweepCurves(sweep int, seed int64, plans ...*Plan) []*tensor.Matrix {
+	xs := sweepInputs(sweep, plans[0].inDim, seed)
+	curves := make([]*tensor.Matrix, len(plans))
+	for i, p := range plans {
+		curves[i] = tensor.NewMatrix(sweep, p.tau)
+	}
+	tensor.ParallelRows(sweep, sweepMinShardRows, func(lo, hi int) {
+		for i, p := range plans {
+			p.fwd.forwardUnpooled(xs.RowSlice(lo, hi), curves[i].RowSlice(lo, hi))
+		}
+	})
+	return curves
+}
+
 // MonoSweep evaluates sweep seeded pseudo-random binary queries through p and
 // returns how many of the resulting τ-sweep curves violate Lemma 2
 // monotonicity (core.CurveMonotone). The autopilot runs it over the plan a
 // retrained candidate would serve before a swap: incremental training
 // preserves the architecture's monotone construction, but a verification
 // sweep of the serving artifact is what turns that argument into a checked
-// invariant (zero violations required to swap). The sweep generation matches
-// Compile's, so sweep/seed pairs are comparable across both gates.
+// invariant (zero violations required to swap). The sweep is Compile's, run
+// the same way on the tensor pool, so sweep/seed pairs are comparable across
+// both gates.
 func MonoSweep(p *Plan, sweep int, seed int64) int {
 	if sweep <= 0 {
 		sweep = DefaultGateSweep
 	}
-	return violations(p.fwd.forwardUnpooled(sweepInputs(sweep, p.InDim(), seed)))
+	return violations(sweepCurves(sweep, seed, p)[0])
 }
 
 // Compile lowers m to the requested tier and, for f32, runs the
-// accuracy-delta gate: a seeded pseudo-random binary query sweep is
-// evaluated through both the model's own nn forward and the f32 plan, and the
-// plan is eligible only if the q-error p99 delta stays within the bound AND
-// every plan curve passes core.CurveMonotone (zero Lemma-2 violations). On a
-// gate failure Compile returns the f64 plan and a GateResult naming f64 as
+// accuracy-delta gate. The f32 and f64 plans are built side by side from one
+// lowered spec, and a seeded pseudo-random binary query sweep is evaluated
+// through both, on the tensor pool. The f32 plan is eligible only if its
+// q-error p99 delta versus the f64 plan stays within the bound AND every f32
+// curve passes core.CurveMonotone (zero Lemma-2 violations). On a gate
+// failure Compile returns that same f64 plan and a GateResult naming f64 as
 // the serving tier — the f32 tier never serves estimates the gate has not
 // vouched for. The f64 plan needs no gate: fusion only reassociates float64
-// sums. Compile returns a non-nil plan whenever err is nil; err reports an
-// unknown tier or a model with a NaN or infinite weight.
+// sums, so it tracks the model's nn forward to about 1e-14 relative.
+// Compile returns a non-nil plan whenever err is nil; err reports an unknown
+// tier or a model with a NaN or infinite weight.
 func Compile(m *core.Model, tier Precision, gc GateConfig) (*Plan, GateResult, error) {
 	gc = gc.WithDefaults()
 	res := GateResult{
@@ -156,15 +185,23 @@ func Compile(m *core.Model, tier Precision, gc GateConfig) (*Plan, GateResult, e
 		p, err := Lower(m, PrecisionF64)
 		return p, res, err
 	}
-	p, err := Lower(m, tier)
+	lm := m.Lower()
+	var p, ref *Plan
+	var err, refErr error
+	tensor.RunAll(
+		func() { p, err = lower(lm, tier) },
+		func() { ref, refErr = lower(lm, PrecisionF64) },
+	)
+	if err == nil {
+		err = refErr
+	}
 	if err != nil {
 		return nil, res, err
 	}
 
-	xs := sweepInputs(gc.Sweep, m.InDim, gc.Seed)
-	got := p.fwd.forwardUnpooled(xs)
-	res.QErrP99Delta = qErrP99(got, m.EstimateAllTausBatch(xs)) - 1
-	res.MonoViolations = violations(got)
+	c := sweepCurves(gc.Sweep, gc.Seed, p, ref)
+	res.QErrP99Delta = qErrP99(c[0], c[1]) - 1
+	res.MonoViolations = violations(c[0])
 
 	switch {
 	case res.MonoViolations > 0:
@@ -177,6 +214,5 @@ func Compile(m *core.Model, tier Precision, gc GateConfig) (*Plan, GateResult, e
 		res.Reason = fmt.Sprintf("q-error p99 delta %.3g within bound %.3g, 0 monotonicity violations", res.QErrP99Delta, gc.MaxQErrP99Delta)
 		return p, res, nil
 	}
-	p, err = Lower(m, PrecisionF64)
-	return p, res, err
+	return ref, res, nil
 }

@@ -284,6 +284,28 @@ func TestCompileF64Plan(t *testing.T) {
 	}
 }
 
+// requireF64Plan fails unless p answers bit for bit like Lower(m,
+// PrecisionF64), over batches of several rows and one row.
+func requireF64Plan(t *testing.T, m *core.Model, p *Plan) {
+	t.Helper()
+	want, err := Lower(m, PrecisionF64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p == nil || p.Tier() != PrecisionF64 {
+		t.Fatalf("plan %v, want an f64 plan", p)
+	}
+	xs := randomBinary(rand.New(rand.NewSource(37)), 9, m.InDim)
+	for _, sub := range []*tensor.Matrix{xs, xs.RowSlice(0, 1)} {
+		got, exp := p.EstimateAllTausBatch(sub), want.EstimateAllTausBatch(sub)
+		for i, v := range exp.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("batch %d elem %d: plan %v, Lower f64 %v", sub.Rows, i, got.Data[i], v)
+			}
+		}
+	}
+}
+
 // TestCompileGateFallback is the acceptance-required fallback property: with
 // a q-error bound tighter than float32 demotion can meet, the f32 gate must
 // fail and Compile must return the f64 plan, while the same model clears the
@@ -301,9 +323,10 @@ func TestCompileGateFallback(t *testing.T) {
 	if res.Pass {
 		t.Fatalf("f32 gate passed a %g bound: %+v", gc.MaxQErrP99Delta, res)
 	}
-	if res.Tier != PrecisionF64 || res.Requested != PrecisionF32 || p == nil || p.Tier() != PrecisionF64 {
+	if res.Tier != PrecisionF64 || res.Requested != PrecisionF32 {
 		t.Fatalf("gate failure must fall back to the f64 plan: plan %v, %+v", p, res)
 	}
+	requireF64Plan(t, m, p)
 	if res.QErrP99Delta <= res.MaxQErrP99Delta {
 		t.Fatalf("expected q-error delta above bound, got %+v", res)
 	}
@@ -317,6 +340,122 @@ func TestCompileGateFallback(t *testing.T) {
 	}
 	if !res32.Pass || p32 == nil || p32.Tier() != PrecisionF32 {
 		t.Fatalf("f32 should pass the default bound: %+v", res32)
+	}
+}
+
+// TestCompileGateMonotoneFallback forces the gate's other failure: weights
+// scaled by 1e8 stay finite at both tiers, but the f32 forward overflows to
+// +Inf, so its curves fail core.CurveMonotone while the f64 plan's do not.
+// Compile must report the violations and return the f64 plan.
+func TestCompileGateMonotoneFallback(t *testing.T) {
+	m := core.New(testConfigs()[3], 12)
+	for _, prm := range m.Params() {
+		for i := range prm.Value {
+			prm.Value[i] *= 1e8
+		}
+	}
+	p, res, err := Compile(m, PrecisionF32, GateConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Pass || res.Tier != PrecisionF64 || res.MonoViolations == 0 {
+		t.Fatalf("f32 gate should fail on monotonicity: %+v", res)
+	}
+	requireF64Plan(t, m, p)
+	if n := MonoSweep(p, 0, 3); n != 0 {
+		t.Fatalf("the f64 fallback plan has %d violations", n)
+	}
+}
+
+// TestGateResultSameAtAnyWorkerCount pins that sharding the sweeps over the
+// tensor pool changes no bit of the gate: GateResult, QErrP99Delta's bits
+// included, and MonoSweep's count are the same at one, two and three
+// workers, for the default sweep and a short one that leaves small shards.
+func TestGateResultSameAtAnyWorkerCount(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	for ci, cfg := range testConfigs() {
+		m := core.New(cfg, 12)
+		for _, gc := range []GateConfig{{Seed: 41}, {Seed: 43, Sweep: 37}} {
+			var want GateResult
+			var wantMono int
+			for _, w := range []int{1, 2, 3} {
+				tensor.SetWorkers(w)
+				p, res, err := Compile(m, PrecisionF32, gc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mono := MonoSweep(p, gc.Sweep, gc.Seed)
+				if w == 1 {
+					want, wantMono = res, mono
+					continue
+				}
+				if res != want || math.Float64bits(res.QErrP99Delta) != math.Float64bits(want.QErrP99Delta) {
+					t.Fatalf("cfg %d sweep %d: %d workers %+v, 1 worker %+v", ci, gc.Sweep, w, res, want)
+				}
+				if mono != wantMono {
+					t.Fatalf("cfg %d sweep %d: MonoSweep %d at %d workers, %d at 1", ci, gc.Sweep, mono, w, wantMono)
+				}
+			}
+		}
+	}
+}
+
+// TestF64PlanTracksNNOverGateSweep keeps the chain the f32 gate relies on
+// checked: the gate measures the f32 plan against the f64 plan, and the f64
+// plan must stay within about 1e-14 relative of the model's nn forward over
+// the gate's own sweep, on the test shapes and on the paper's CardNet-A
+// shape at the benchmark fixture's 64-bit input.
+func TestF64PlanTracksNNOverGateSweep(t *testing.T) {
+	models := []*core.Model{}
+	for _, cfg := range testConfigs() {
+		models = append(models, core.New(cfg, 12))
+	}
+	paper := core.PaperConfig(20, 16)
+	paper.Accel = true
+	models = append(models, core.New(paper, 84))
+	for mi, m := range models {
+		p, err := Lower(m, PrecisionF64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := sweepCurves(DefaultGateSweep, 47, p)[0]
+		want := m.EstimateAllTausBatch(sweepInputs(DefaultGateSweep, m.InDim, 47))
+		for i, w := range want.Data {
+			if g := got.Data[i]; math.Abs(g-w) > 1e-14*math.Max(1, math.Abs(w)) {
+				t.Fatalf("model %d elem %d: f64 plan %.17g, nn %.17g", mi, i, g, w)
+			}
+		}
+	}
+}
+
+// TestCompileConcurrent runs two f32 Compile calls at once (two replicas
+// reloading, or a reload beside the autopilot's candidate compile), each
+// sharding its sweeps over the shared tensor pool. Both must match a lone
+// Compile's result; under -race this checks the side-by-side lowering and
+// the sharded sweeps for data races.
+func TestCompileConcurrent(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(2))
+	m := core.New(testConfigs()[0], 12)
+	gc := GateConfig{Seed: 53}
+	_, want, err := Compile(m, PrecisionF32, gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	results := make([]GateResult, 2)
+	errs := make([]error, 2)
+	for g := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, results[g], errs[g] = Compile(m, PrecisionF32, gc)
+		}()
+	}
+	wg.Wait()
+	for g, res := range results {
+		if errs[g] != nil || res != want {
+			t.Fatalf("concurrent Compile %d = (%+v, %v), want %+v", g, res, errs[g], want)
+		}
 	}
 }
 

@@ -3,7 +3,7 @@
 // stack, the paper experiments (internal/bench), `cardnet -mode estimate`,
 // the examples and the record-level Estimator all lower a trained model and
 // query its plan. The model's own nn forward is left to training validation
-// and to the f32 gate's reference.
+// and to the tests that keep the f64 plan within about 1e-14 of it.
 //
 // A Plan is built once per model load or hot swap from the fused
 // core.LoweredModel spec (biases folded, Φ′ head projections fused with the
@@ -22,9 +22,10 @@
 //     perturbs the learned function, so — following the paper's Lemma 2
 //     contract and the monotonicity-under-perturbation argument that
 //     motivated this design — an f32 plan may only serve after Compile's
-//     accuracy gate passes: q-error p99 vs the nn forward within a
+//     accuracy gate passes: q-error p99 versus the f64 plan within a
 //     configured bound AND zero CurveMonotone violations on the validation
-//     sweep. On a gate failure Compile returns the f64 plan instead.
+//     sweep. Compile builds both plans side by side, and the sweeps run on
+//     the tensor pool. On a gate failure Compile returns that f64 plan.
 //
 // Both tiers share one forward body over two tier-generic kernels; only the
 // element type differs. Batches of two or more rows, and the fused heads, run
@@ -85,7 +86,7 @@ type Plan struct {
 	tau   int
 	fwd   interface {
 		forward(xs *tensor.Matrix) *tensor.Matrix
-		forwardUnpooled(xs *tensor.Matrix) *tensor.Matrix
+		forwardUnpooled(xs, out *tensor.Matrix)
 	}
 }
 
@@ -104,7 +105,12 @@ func (p *Plan) TauCount() int { return p.tau }
 // f32 tier; Lower exists for callers that need the plan regardless of the
 // gate outcome.
 func Lower(m *core.Model, tier Precision) (*Plan, error) {
-	lm := m.Lower()
+	return lower(m.Lower(), tier)
+}
+
+// lower builds the plan of a lowered spec at the given tier. It only reads
+// lm, so one spec can build both tiers at once.
+func lower(lm *core.LoweredModel, tier Precision) (*Plan, error) {
 	p := &Plan{tier: tier, inDim: lm.InDim, tau: lm.TauCount}
 	var finite bool
 	switch tier {
@@ -195,18 +201,32 @@ type body[T tensor.Float] struct {
 // storage to the tier's (the identity for f64, so unfused layers stay views
 // of the model's weights). The layers that see a one-row batch keep a
 // transpose too: the VAE, the CardNet-A trunk and standard CardNet's wx.
-// Standard CardNet's other layers run τcount rows per query.
+// Standard CardNet's other layers run τcount rows per query. Each weight
+// matrix is converted, and transposed where kept, as one job on the tensor
+// pool (tensor.RunAll).
 func build[T tensor.Float](lm *core.LoweredModel, conv func([]float64) []T) *body[T] {
-	m := func(x *tensor.Matrix) *tensor.Mat[T] {
-		return &tensor.Mat[T]{Rows: x.Rows, Cols: x.Cols, Data: conv(x.Data)}
+	var jobs []func()
+	// m returns x's tier matrix, filled by a queued job that also stores
+	// its transpose in *wt when wt is non-nil.
+	m := func(x *tensor.Matrix, wt **tensor.Mat[T]) *tensor.Mat[T] {
+		w := &tensor.Mat[T]{Rows: x.Rows, Cols: x.Cols}
+		jobs = append(jobs, func() {
+			w.Data = conv(x.Data)
+			if wt != nil {
+				*wt = tensor.Transpose(w)
+			}
+		})
+		return w
 	}
 	layers := func(ls []core.LoweredDense, oneRow bool) []dense[T] {
 		out := make([]dense[T], len(ls))
 		for i, d := range ls {
-			out[i] = dense[T]{w: m(d.W), b: conv(d.B), act: d.Act}
+			out[i] = dense[T]{b: conv(d.B), act: d.Act}
+			var wt **tensor.Mat[T]
 			if oneRow {
-				out[i].wt = tensor.Transpose(out[i].w)
+				wt = &out[i].wt
 			}
+			out[i].w = m(d.W, wt)
 		}
 		return out
 	}
@@ -214,14 +234,14 @@ func build[T tensor.Float](lm *core.LoweredModel, conv func([]float64) []T) *bod
 	if lm.Accel {
 		b.trunk = layers(lm.Trunk, true)
 		for _, h := range lm.Heads {
-			b.heads = append(b.heads, m(h))
+			b.heads = append(b.heads, m(h, nil))
 		}
 		b.headBias = conv(lm.HeadBias)
 	} else {
-		b.wx, b.perDist, b.rest = m(lm.WX), m(lm.PerDist), layers(lm.Rest, false)
-		b.wxT = tensor.Transpose(b.wx)
-		b.decW, b.decB = m(lm.DecW), conv(lm.DecB)
+		b.wx, b.perDist, b.rest = m(lm.WX, &b.wxT), m(lm.PerDist, nil), layers(lm.Rest, false)
+		b.decW, b.decB = m(lm.DecW, nil), conv(lm.DecB)
 	}
+	tensor.RunAll(jobs...)
 	b.pool = &sync.Pool{New: func() any { return &scratch[T]{} }}
 	return b
 }
@@ -335,19 +355,21 @@ func activate[T tensor.Float](kind nn.ActKind, data []T) {
 func (b *body[T]) forward(xs *tensor.Matrix) *tensor.Matrix {
 	s := b.pool.Get().(*scratch[T])
 	defer b.pool.Put(s)
-	return b.run(xs, s)
+	out := tensor.NewMatrix(xs.Rows, b.tauCount)
+	b.run(xs, s, out)
+	return out
 }
 
-// forwardUnpooled is forward on scratch of its own, which the next GC
-// frees. The gate sweeps run on it: their batch is larger than serving
-// forms, and buffers grown for it would stay in the pool that every later
-// serving batch reuses.
-func (b *body[T]) forwardUnpooled(xs *tensor.Matrix) *tensor.Matrix {
-	return b.run(xs, &scratch[T]{})
+// forwardUnpooled is forward into out (xs.Rows × τcount) on scratch of its
+// own, which the next GC frees. The gate sweeps run on it: their batch is
+// larger than serving forms, and buffers grown for it would stay in the
+// pool that every later serving batch reuses.
+func (b *body[T]) forwardUnpooled(xs, out *tensor.Matrix) {
+	b.run(xs, &scratch[T]{}, out)
 }
 
-// run is the forward on the scratch buffers s.
-func (b *body[T]) run(xs *tensor.Matrix, s *scratch[T]) *tensor.Matrix {
+// run is the forward on the scratch buffers s, written into out.
+func (b *body[T]) run(xs *tensor.Matrix, s *scratch[T], out *tensor.Matrix) {
 	n, t := xs.Rows, b.tauCount
 	x := ensure(&s.x, n, b.inDim)
 	for i, v := range xs.Data {
@@ -406,7 +428,6 @@ func (b *body[T]) run(xs *tensor.Matrix, s *scratch[T]) *tensor.Matrix {
 	}
 
 	// ReLU clamp, then float64 prefix sums per row.
-	out := tensor.NewMatrix(n, t)
 	for e := 0; e < n; e++ {
 		orow := out.Row(e)
 		var sum float64
@@ -417,5 +438,4 @@ func (b *body[T]) run(xs *tensor.Matrix, s *scratch[T]) *tensor.Matrix {
 			orow[i] = sum
 		}
 	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -115,7 +116,7 @@ type legacyModel struct {
 // BenchmarkColdStart times what serve start-up and /admin/reload do with a
 // model file before they publish it: checkpoint.LoadModel, then NewRegistry
 // (the plan compile, the f32 gate sweep, the size measurement), at each
-// tier, on a saved CardNet-A PaperConfig(20, 16) model of the benchmark
+// tier, with the tensor pool at one worker and at GOMAXPROCS, on a saved CardNet-A PaperConfig(20, 16) model of the benchmark
 // fixture's shape (HM-ImageNet's 64 bits at θmax = τmax = 20). load times
 // checkpoint.LoadModel alone, load-legacy the same on the model written as
 // a version-1 gob frame, as earlier builds wrote it, save
@@ -139,19 +140,26 @@ func BenchmarkColdStart(b *testing.B) {
 	if err := checkpoint.WriteFileAtomic(legacyPath, checkpoint.KindModel, legacy.Bytes()); err != nil {
 		b.Fatal(err)
 	}
+	workers := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		workers = append(workers, n)
+	}
 	for _, tier := range []infer.Precision{infer.PrecisionF64, infer.PrecisionF32} {
-		b.Run(string(tier), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m, err := checkpoint.LoadModel(path)
-				if err != nil {
-					b.Fatal(err)
+		for _, w := range workers {
+			b.Run(string(tier)+"/workers="+strconv.Itoa(w), func(b *testing.B) {
+				defer tensor.SetWorkers(tensor.SetWorkers(w))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					m, err := checkpoint.LoadModel(path)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := NewRegistry(m, PlanConfig{Precision: tier}); err != nil {
+						b.Fatal(err)
+					}
 				}
-				if _, err := NewRegistry(m, PlanConfig{Precision: tier}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 	for _, c := range []struct{ name, path string }{{"load", path}, {"load-legacy", legacyPath}} {
 		b.Run(c.name, func(b *testing.B) {

@@ -45,8 +45,8 @@ func TestEnginePrecisionF32(t *testing.T) {
 
 // TestEngineGateFallback is the acceptance property: when the f32 gate
 // fails (a q-error bound tighter than float32 rounding can meet), the engine
-// must keep serving — bit-identical to the f64 plan — and report the
-// fallback.
+// must keep serving — bit-identical to Lower's f64 plan, whose twin the gate
+// measured against and returned — and report the fallback.
 func TestEngineGateFallback(t *testing.T) {
 	m := testModel(3)
 	e := NewEngine(mustRegistry(t, m, PlanConfig{
@@ -73,7 +73,7 @@ func TestEngineGateFallback(t *testing.T) {
 		}
 		want := planCurve(t, m, x)
 		for j := range want {
-			if all[j] != want[j] {
+			if math.Float64bits(all[j]) != math.Float64bits(want[j]) {
 				t.Fatalf("fallback must serve the f64 plan: query %d τ=%d engine %v != plan %v", i, j, all[j], want[j])
 			}
 		}

@@ -7,6 +7,7 @@ import (
 
 	"cardnet/internal/core"
 	"cardnet/internal/infer"
+	"cardnet/internal/tensor"
 )
 
 // PlanConfig selects the inference plan the registry compiles every model
@@ -125,13 +126,19 @@ func (r *Registry) Swap(m *core.Model) (uint64, error) {
 	return r.Publish(s), nil
 }
 
-// compile builds m's plan at the configured tier.
+// compile builds m's plan at the configured tier, measuring m's size on the
+// tensor pool while the plan compiles.
 func (r *Registry) compile(m *core.Model) (*Snapshot, error) {
-	plan, gate, err := infer.Compile(m, r.pc.Precision, r.pc.Gate)
+	s := &Snapshot{Model: m}
+	var err error
+	tensor.RunAll(
+		func() { s.Plan, s.Gate, err = infer.Compile(m, r.pc.Precision, r.pc.Gate) },
+		func() { s.ModelBytes = m.SizeBytes() },
+	)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
-	return &Snapshot{Model: m, Plan: plan, Gate: gate, ModelBytes: m.SizeBytes()}, nil
+	return s, nil
 }
 
 // publish stores s and updates the registry gauges.

@@ -3,8 +3,10 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"weak"
 )
 
 // forceParallel routes every kernel through the parallel path regardless of
@@ -160,6 +162,62 @@ func TestRunPartsRunsEachPartOnce(t *testing.T) {
 			t.Fatalf("part %d ran %d times", k, got)
 		}
 	}
+}
+
+// TestRunPartsReleasesTasks checks that the pool keeps no reference to a
+// finished task: an object captured by a RunParts task is collectable once
+// RunParts returns, even though no later dispatch has reused the queue's
+// backing array.
+func TestRunPartsReleasesTasks(t *testing.T) {
+	wp := dispatchCapturing(1 << 10)
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("an object captured by a finished RunParts task is still reachable")
+	}
+}
+
+// dispatchCapturing runs a RunParts whose tasks capture a fresh slice and
+// returns a weak pointer into it; once it returns, only the pool could
+// still hold the slice.
+func dispatchCapturing(n int) weak.Pointer[float64] {
+	obj := make([]float64, n)
+	RunParts(3, func(k int) { obj[k] = 1 })
+	return weak.Make(&obj[0])
+}
+
+// TestRunAllRunsEachJobOnce checks RunAll's contract at several worker
+// counts: every job runs exactly once, and at one worker they run in order
+// on the calling goroutine.
+func TestRunAllRunsEachJobOnce(t *testing.T) {
+	for _, w := range []int{1, 2, 3, 8} {
+		prev := SetWorkers(w)
+		var order []int
+		counts := make([]atomic.Int64, 7)
+		jobs := make([]func(), len(counts))
+		for i := range jobs {
+			jobs[i] = func() {
+				counts[i].Add(1)
+				if w == 1 {
+					order = append(order, i)
+				}
+			}
+		}
+		RunAll(jobs...)
+		SetWorkers(prev)
+		for i := range counts {
+			if got := counts[i].Load(); got != 1 {
+				t.Fatalf("workers %d: job %d ran %d times", w, i, got)
+			}
+		}
+		if w == 1 {
+			for i, j := range order {
+				if i != j {
+					t.Fatalf("workers 1: jobs ran in order %v", order)
+				}
+			}
+		}
+	}
+	RunAll() // no jobs: returns at once
 }
 
 // TestParallelRowsCoversRange checks the block splitter: every index covered

@@ -3,6 +3,7 @@ package tensor
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // The package keeps one persistent worker pool shared by every parallel
@@ -77,8 +78,7 @@ func ensureGoroutines(need int) {
 					pool.cond.Wait()
 					pool.idle--
 				}
-				task := pool.queue[len(pool.queue)-1]
-				pool.queue = pool.queue[:len(pool.queue)-1]
+				task := pop()
 				pool.mu.Unlock()
 				task()
 				pool.mu.Lock()
@@ -94,11 +94,22 @@ func tryRunOne() bool {
 		pool.mu.Unlock()
 		return false
 	}
-	task := pool.queue[len(pool.queue)-1]
-	pool.queue = pool.queue[:len(pool.queue)-1]
+	task := pop()
 	pool.mu.Unlock()
 	task()
 	return true
+}
+
+// pop (pool.mu held, queue non-empty) removes and returns the newest task.
+// It clears the slot it leaves: the queue's backing array outlives the
+// reslice, and a stale closure there would keep everything it captures
+// alive until a later dispatch overwrites it.
+func pop() func() {
+	last := len(pool.queue) - 1
+	task := pool.queue[last]
+	pool.queue[last] = nil
+	pool.queue = pool.queue[:last]
+	return task
 }
 
 // RunParts executes fn(0..parts-1) concurrently on the pool and returns when
@@ -136,6 +147,20 @@ func RunParts(parts int, fn func(part int)) {
 	for tryRunOne() {
 	}
 	wg.Wait()
+}
+
+// RunAll runs every job once over the pool, at most Workers() at a time,
+// and returns when all are done. Each worker claims the next unclaimed job,
+// so jobs of uneven size still spread across the workers. At one worker
+// (or one job) the jobs run in order on the calling goroutine. Jobs must be
+// safe to run concurrently.
+func RunAll(jobs ...func()) {
+	var next atomic.Int64
+	RunParts(min(Workers(), len(jobs)), func(int) {
+		for i := next.Add(1) - 1; i < int64(len(jobs)); i = next.Add(1) - 1 {
+			jobs[i]()
+		}
+	})
 }
 
 // ParallelRows splits [0, n) into up to Workers() contiguous blocks of at
